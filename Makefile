@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-check soak e2e chaos experiments fuzz examples fmt vet check clean
+.PHONY: all build test race race-stress loc cover bench bench-check soak e2e chaos experiments fuzz examples fmt vet check clean
 
 all: build vet test
 
@@ -24,6 +24,19 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The concurrency tests, twenty times each under the race detector: a
+# few-percent flake (a lost increment, a missed coalescing bucket) shows up
+# on the push that introduces it instead of weeks later.
+race-stress:
+	$(GO) test -race -count=20 -run 'TestMetricsConcurrentExactness|TestParallel|TestBatchedParallel' ./internal/query
+	$(GO) test -race -count=20 -run 'TestParallelDeltaEquivalentToSequentialNaive|TestParallelTickEquivalentToSequential' ./internal/cq
+	$(GO) test -race -count=20 -run 'TestMemo' ./internal/service
+
+# Engine size per package (non-test, benchmark/ excluded) — the count a
+# deletion PR quotes; see scripts/loc.sh.
+loc:
+	@sh scripts/loc.sh
 
 cover:
 	$(GO) test -cover ./...

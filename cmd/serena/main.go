@@ -625,14 +625,15 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 			}
 			st := q.Stats()
 			fmt.Fprintf(out, "%s: %s\n", name, q.Plan())
+			// "memoized" is every passive lookup answered without a physical
+			// call of its own: memo hits plus lookups coalesced onto another
+			// worker's in-flight call, so passive+memoized counts all lookups.
 			fmt.Fprintf(out, "  invocations: %d passive, %d memoized, %d active; %d failure(s)\n",
-				st.Passive, st.Memoized, st.Active, len(q.InvokeErrors()))
+				st.Passive, st.Memoized+st.Coalesced, st.Active, len(q.InvokeErrors()))
 			dt, nt := q.EvalCounts()
 			fmt.Fprintf(out, "  evaluator: %s (%d delta / %d naive tick(s))\n", q.EvaluationMode(), dt, nt)
-			if rep := q.DeltaReport(); rep != "" {
-				for _, l := range strings.Split(strings.TrimRight(rep, "\n"), "\n") {
-					fmt.Fprintf(out, "    %s\n", l)
-				}
+			for _, l := range strings.Split(strings.TrimRight(q.DeltaReport(), "\n"), "\n") {
+				fmt.Fprintf(out, "    %s\n", l)
 			}
 			fmt.Fprintf(out, "  on error: %s\n", q.Degradation())
 			if last := q.LastResult(); last != nil {
@@ -831,7 +832,7 @@ func runOneShot(p *pems.PEMS, src string, out io.Writer) {
 func printResult(res *query.Result, out io.Writer) {
 	fmt.Fprint(out, res.Relation.Table())
 	fmt.Fprintf(out, "(%d tuple(s); %d passive, %d memoized, %d active invocation(s))\n",
-		res.Relation.Len(), res.Stats.Passive, res.Stats.Memoized, res.Stats.Active)
+		res.Relation.Len(), res.Stats.Passive, res.Stats.Memoized+res.Stats.Coalesced, res.Stats.Active)
 	if res.Actions.Len() > 0 {
 		fmt.Fprintln(out, "action set:", res.Actions)
 	}

@@ -5,10 +5,11 @@ package cq
 // the executor's own time-aware sources below): per tick each node consumes
 // its children's (inserts, deletes) and emits its own, so a tick with k
 // changed tuples over an n-tuple window does O(k) work instead of
-// re-evaluating the whole tree. The naive re-evaluate-then-diff path stays
-// available per query (SetNaiveEvaluation) — it is the oracle the
-// differential test harness diffs against and the escape hatch for plans a
-// delta operator cannot cover.
+// re-evaluating the whole tree. Every registered plan compiles (Register
+// fails otherwise). The naive re-evaluate-then-diff path — query.Node.Eval
+// over instantaneous relations, see evaluator in executor.go — stays
+// available per query (SetNaiveEvaluation) as the oracle the differential
+// test harness diffs against.
 //
 // Correctness contract (Definition 9): at every instant the delta path's
 // result relation AND its Definition 8 action set are bit-identical to the
@@ -29,7 +30,6 @@ package cq
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"serena/internal/algebra"
@@ -57,14 +57,55 @@ type deltaProgram struct {
 
 func (p *deltaProgram) invalidate() { p.ready = false }
 
+// deltaOp is one operator's incremental form. Reset drops its state ahead
+// of a re-init tick, on which the children then deliver their full current
+// contents as insertions. apply consumes the children's deltas for the tick
+// (from, ev.at] and emits the operator's own; in is how many rows it
+// consumed — the children's for an inner operator, the relation events read
+// for a source.
+type deltaOp interface {
+	Reset()
+	apply(ev *evaluator, init bool, from service.Instant, kids []algebra.Delta) (out algebra.Delta, in int, err error)
+}
+
+// unaryDelta and binaryDelta adapt internal/algebra's pure delta operators,
+// which know nothing of evaluators or instants, to deltaOp.
+type unaryOp interface {
+	Reset()
+	Apply(child algebra.Delta) (algebra.Delta, error)
+}
+
+type unaryDelta struct{ unaryOp }
+
+func unary(op unaryOp, err error) (deltaOp, error) { return unaryDelta{op}, err }
+
+func (u unaryDelta) apply(_ *evaluator, _ bool, _ service.Instant, kids []algebra.Delta) (algebra.Delta, int, error) {
+	out, err := u.Apply(kids[0])
+	return out, kids[0].Rows(), err
+}
+
+type binaryOp interface {
+	Reset()
+	Apply(left, right algebra.Delta) (algebra.Delta, error)
+}
+
+type binaryDelta struct{ binaryOp }
+
+func binary(op binaryOp, err error) (deltaOp, error) { return binaryDelta{op}, err }
+
+func (b binaryDelta) apply(_ *evaluator, _ bool, _ service.Instant, kids []algebra.Delta) (algebra.Delta, int, error) {
+	out, err := b.Apply(kids[0], kids[1])
+	return out, kids[0].Rows() + kids[1].Rows(), err
+}
+
 // deltaNode is one operator of the compiled tree: the plan node it
-// implements, its derived schema, its children, the operator state (one of
-// the delta op types), and cumulative row counters for the delta report.
+// implements, its derived schema, its children, the operator state, and
+// cumulative row counters for the delta report.
 type deltaNode struct {
 	plan query.Node
 	sch  *schema.Extended
 	kids []*deltaNode
-	op   any
+	op   deltaOp
 
 	calls   atomic.Int64
 	rowsIn  atomic.Int64
@@ -82,19 +123,15 @@ type deltaBase struct {
 	gate *algebra.DeltaGate
 }
 
-func (b *deltaBase) apply(ev *evaluator, init bool, from service.Instant) (algebra.Delta, int, error) {
+func (b *deltaBase) Reset() { b.gate.Reset() }
+
+func (b *deltaBase) apply(ev *evaluator, init bool, from service.Instant, _ []algebra.Delta) (algebra.Delta, int, error) {
 	x, ok := ev.exec.rels[b.name]
 	if !ok {
 		return algebra.Delta{}, 0, fmt.Errorf("unknown relation %q", b.name)
 	}
 	if init {
-		b.gate.Reset()
-		var tuples []value.Tuple
-		if x.LastInstant() <= ev.at {
-			tuples = x.Current()
-		} else {
-			tuples = x.At(ev.at)
-		}
+		tuples := ev.instantTuples(x)
 		d, err := b.gate.Apply(tuples, nil)
 		return d, len(tuples), err
 	}
@@ -135,7 +172,9 @@ type deltaWindow struct {
 	gate   *algebra.DeltaGate
 }
 
-func (w *deltaWindow) apply(ev *evaluator, init bool, from service.Instant) (algebra.Delta, int, error) {
+func (w *deltaWindow) Reset() { w.gate.Reset() }
+
+func (w *deltaWindow) apply(ev *evaluator, init bool, from service.Instant, _ []algebra.Delta) (algebra.Delta, int, error) {
 	x, ok := ev.exec.rels[w.name]
 	if !ok {
 		return algebra.Delta{}, 0, fmt.Errorf("unknown relation %q", w.name)
@@ -147,7 +186,6 @@ func (w *deltaWindow) apply(ev *evaluator, init bool, from service.Instant) (alg
 	span.SetAttrInt("period", int64(w.period))
 	at := ev.at
 	if init {
-		w.gate.Reset()
 		enter := x.InsertedIn(at-w.period, at)
 		d, err := w.gate.Apply(enter, nil)
 		span.SetAttrInt("rows", int64(len(enter)))
@@ -181,42 +219,24 @@ type deltaStream struct {
 	prevEmitted map[string]value.Tuple
 }
 
-func (s *deltaStream) reset() { s.prevEmitted = nil }
+func (s *deltaStream) Reset() { s.prevEmitted = nil }
 
-func (s *deltaStream) apply(ev *evaluator, init bool, child algebra.Delta) (algebra.Delta, error) {
+func (s *deltaStream) apply(ev *evaluator, init bool, _ service.Instant, kids []algebra.Delta) (algebra.Delta, int, error) {
+	child := kids[0]
 	q := ev.q
 	prev := q.streamPrev[s.node]
-	emitted := map[string]value.Tuple{}
+	var emitted map[string]value.Tuple
 	if init {
 		// Children were reset, so child.Ins IS the full current child set.
-		cur := make(map[string]value.Tuple, len(child.Ins))
-		for _, t := range child.Ins {
-			cur[t.Key()] = t
-		}
-		switch s.kind {
-		case query.StreamInsertion:
-			for k, t := range cur {
-				if _, ok := prev[k]; !ok {
-					emitted[k] = t
-				}
-			}
-		case query.StreamDeletion:
-			for k, t := range prev {
-				if _, ok := cur[k]; !ok {
-					emitted[k] = t
-				}
-			}
-		case query.StreamHeartbeat:
-			for k, t := range cur {
-				emitted[k] = t
-			}
-		}
+		cur := keyed(child.Ins)
+		emitted = keyed(streamEmit(s.kind, prev, cur))
 		q.streamPrev[s.node] = cur
 	} else {
 		if prev == nil {
 			prev = map[string]value.Tuple{}
 			q.streamPrev[s.node] = prev
 		}
+		emitted = map[string]value.Tuple{}
 		switch s.kind {
 		case query.StreamInsertion:
 			for _, t := range child.Ins {
@@ -248,19 +268,9 @@ func (s *deltaStream) apply(ev *evaluator, init bool, child algebra.Delta) (alge
 		span.SetAttrInt("emitted", int64(len(emitted)))
 		span.Finish()
 	}
-	var out algebra.Delta
-	for k, t := range emitted {
-		if _, ok := s.prevEmitted[k]; !ok {
-			out.Ins = append(out.Ins, t)
-		}
-	}
-	for k, t := range s.prevEmitted {
-		if _, ok := emitted[k]; !ok {
-			out.Del = append(out.Del, t)
-		}
-	}
+	ins, del := diffKeyed(s.prevEmitted, emitted)
 	s.prevEmitted = emitted
-	return out, nil
+	return algebra.Delta{Ins: ins, Del: del}, child.Rows(), nil
 }
 
 // deltaInvoke implements β_bp incrementally. Per surviving input tuple it
@@ -286,7 +296,7 @@ type invEntry struct {
 	outs     []value.Tuple
 }
 
-func (iv *deltaInvoke) reset() {
+func (iv *deltaInvoke) Reset() {
 	iv.entries = map[string]*invEntry{}
 	iv.cacheRef = map[string]int{}
 }
@@ -297,7 +307,8 @@ func (iv *deltaInvoke) reset() {
 // read ctx.Span). The cache_hits/cache_misses attrs count actual §4.2
 // cache consults — on a steady delta tick with no operand churn they are
 // both zero, because persisting tuples never reach the cache at all.
-func (iv *deltaInvoke) apply(ev *evaluator, init bool, child algebra.Delta) (algebra.Delta, error) {
+func (iv *deltaInvoke) apply(ev *evaluator, init bool, _ service.Instant, kids []algebra.Delta) (algebra.Delta, int, error) {
+	child := kids[0]
 	var hits, misses int64
 	opSpan := ev.ctx.Span.Child("cq.invoke")
 	if opSpan != nil {
@@ -315,7 +326,7 @@ func (iv *deltaInvoke) apply(ev *evaluator, init bool, child algebra.Delta) (alg
 		}
 		opSpan.Finish()
 	}
-	return out, err
+	return out, child.Rows(), err
 }
 
 func (iv *deltaInvoke) applyInner(ev *evaluator, init bool, child algebra.Delta, hits, misses *int64) (algebra.Delta, error) {
@@ -472,8 +483,7 @@ func (iv *deltaInvoke) applyInner(ev *evaluator, init bool, child algebra.Delta,
 // Compilation.
 
 // compileDelta builds a query's delta program. Callers hold e.mu (Register
-// does). An error means some plan shape has no delta operator yet; the
-// query then runs naive-only.
+// does, and fails the registration on an error).
 func compileDelta(e *Executor, q *Query) (*deltaProgram, error) {
 	env := schemaEnv{e}
 	var build func(n query.Node) (*deltaNode, error)
@@ -509,19 +519,19 @@ func compileDelta(e *Executor, q *Query) (*deltaProgram, error) {
 			}
 			dn.op = &deltaBase{name: t.Name, gate: algebra.NewDeltaGate()}
 		case *query.Select:
-			dn.op, err = algebra.NewDeltaSelect(childSch(0), t.Formula)
+			dn.op, err = unary(algebra.NewDeltaSelect(childSch(0), t.Formula))
 		case *query.Project:
-			dn.op, err = algebra.NewDeltaProject(childSch(0), t.Attrs)
+			dn.op, err = unary(algebra.NewDeltaProject(childSch(0), t.Attrs))
 		case *query.Rename:
-			dn.op, err = algebra.NewDeltaRename(childSch(0), t.Old, t.New)
+			dn.op, err = unary(algebra.NewDeltaRename(childSch(0), t.Old, t.New))
 		case *query.Assign:
 			if t.Src != "" {
-				dn.op, err = algebra.NewDeltaAssignAttr(childSch(0), t.Attr, t.Src)
+				dn.op, err = unary(algebra.NewDeltaAssignAttr(childSch(0), t.Attr, t.Src))
 			} else {
-				dn.op, err = algebra.NewDeltaAssignConst(childSch(0), t.Attr, t.Const)
+				dn.op, err = unary(algebra.NewDeltaAssignConst(childSch(0), t.Attr, t.Const))
 			}
 		case *query.Join:
-			dn.op, err = algebra.NewDeltaJoin(childSch(0), childSch(1))
+			dn.op, err = binary(algebra.NewDeltaJoin(childSch(0), childSch(1)))
 		case *query.SetOp:
 			var kind int
 			switch t.Kind {
@@ -534,9 +544,9 @@ func compileDelta(e *Executor, q *Query) (*deltaProgram, error) {
 			default:
 				return nil, fmt.Errorf("cq: no delta operator for set op %v", t.Kind)
 			}
-			dn.op, err = algebra.NewDeltaSetOp(kind, childSch(0), childSch(1))
+			dn.op, err = binary(algebra.NewDeltaSetOp(kind, childSch(0), childSch(1)))
 		case *query.Aggregate:
-			dn.op, err = algebra.NewDeltaAggregate(childSch(0), t.GroupBy, t.Aggs)
+			dn.op, err = unary(algebra.NewDeltaAggregate(childSch(0), t.GroupBy, t.Aggs))
 		case *query.Stream:
 			dn.op = &deltaStream{node: t, kind: t.Kind}
 		case *query.Invoke:
@@ -549,7 +559,7 @@ func compileDelta(e *Executor, q *Query) (*deltaProgram, error) {
 				return nil, perr
 			}
 			iv := &deltaInvoke{node: t, bp: bp, plan: plan}
-			iv.reset()
+			iv.Reset()
 			dn.op = iv
 		default:
 			return nil, fmt.Errorf("cq: no delta operator for %T", n)
@@ -566,39 +576,12 @@ func compileDelta(e *Executor, q *Query) (*deltaProgram, error) {
 	return &deltaProgram{root: root}, nil
 }
 
-// resetAll clears every operator's state ahead of a re-init tick.
-func (p *deltaProgram) resetAll() {
-	var walk func(n *deltaNode)
-	walk = func(n *deltaNode) {
-		switch op := n.op.(type) {
-		case *deltaBase:
-			op.gate.Reset()
-		case *deltaWindow:
-			op.gate.Reset()
-		case *deltaStream:
-			op.reset()
-		case *deltaInvoke:
-			op.reset()
-		case *algebra.DeltaSelect:
-			op.Reset()
-		case *algebra.DeltaProject:
-			op.Reset()
-		case *algebra.DeltaRename:
-			op.Reset()
-		case *algebra.DeltaAssign:
-			op.Reset()
-		case *algebra.DeltaJoin:
-			op.Reset()
-		case *algebra.DeltaSetOp:
-			op.Reset()
-		case *algebra.DeltaAggregate:
-			op.Reset()
-		}
-		for _, k := range n.kids {
-			walk(k)
-		}
+// reset clears the subtree's operator state ahead of a re-init tick.
+func (n *deltaNode) reset() {
+	n.op.Reset()
+	for _, k := range n.kids {
+		k.reset()
 	}
-	walk(p.root)
 }
 
 // ---------------------------------------------------------------------------
@@ -617,7 +600,7 @@ func (ev *evaluator) evalDelta() (res *algebra.XRelation, cur map[string]value.T
 		// Gaps in this query's evaluation (overload coalescing, replay
 		// AdvanceTo) also land here: window back-events may already be
 		// trimmed, so catching up from the event log is not safe — rebuild.
-		p.resetAll()
+		p.root.reset()
 		p.reinits.Add(1)
 		obsDeltaReinits.Inc()
 	}
@@ -630,20 +613,8 @@ func (ev *evaluator) evalDelta() (res *algebra.XRelation, cur map[string]value.T
 		return fail(err)
 	}
 	if init {
-		cur = make(map[string]value.Tuple, len(d.Ins))
-		for _, t := range d.Ins {
-			cur[t.Key()] = t
-		}
-		for k, t := range cur {
-			if _, ok := q.prevOutput[k]; !ok {
-				inserted = append(inserted, t)
-			}
-		}
-		for k, t := range q.prevOutput {
-			if _, ok := cur[k]; !ok {
-				deleted = append(deleted, t)
-			}
-		}
+		cur = keyed(d.Ins)
+		inserted, deleted = diffKeyed(q.prevOutput, cur)
 		res = algebra.FromKeyed(p.root.sch, cur)
 	} else {
 		cur = q.prevOutput
@@ -686,47 +657,9 @@ func (ev *evaluator) evalDeltaNode(n *deltaNode, init bool, from service.Instant
 		}
 		kids[i] = d
 	}
-	var (
-		out  algebra.Delta
-		in   int
-		err  error
-		self = true // count children's emissions as this node's rows_in
-	)
-	switch op := n.op.(type) {
-	case *deltaBase:
-		out, in, err = op.apply(ev, init, from)
-		self = false
-	case *deltaWindow:
-		out, in, err = op.apply(ev, init, from)
-		self = false
-	case *deltaStream:
-		out, err = op.apply(ev, init, kids[0])
-	case *deltaInvoke:
-		out, err = op.apply(ev, init, kids[0])
-	case *algebra.DeltaSelect:
-		out, err = op.Apply(kids[0])
-	case *algebra.DeltaProject:
-		out, err = op.Apply(kids[0])
-	case *algebra.DeltaRename:
-		out, err = op.Apply(kids[0])
-	case *algebra.DeltaAssign:
-		out, err = op.Apply(kids[0])
-	case *algebra.DeltaJoin:
-		out, err = op.Apply(kids[0], kids[1])
-	case *algebra.DeltaSetOp:
-		out, err = op.Apply(kids[0], kids[1])
-	case *algebra.DeltaAggregate:
-		out, err = op.Apply(kids[0])
-	default:
-		err = fmt.Errorf("cq: no delta operator for %T", n.plan)
-	}
+	out, in, err := n.op.apply(ev, init, from, kids)
 	if err != nil {
 		return algebra.Delta{}, err
-	}
-	if self {
-		for _, d := range kids {
-			in += d.Rows()
-		}
 	}
 	n.calls.Add(1)
 	n.rowsIn.Add(int64(in))
@@ -741,7 +674,7 @@ func (ev *evaluator) evalDeltaNode(n *deltaNode, init bool, from service.Instant
 
 // SetNaiveEvaluation pins a registered query to the naive
 // re-evaluate-then-diff path (naive=true) or back to the incremental delta
-// path (naive=false, the default when the plan compiled). Switching is safe
+// path (naive=false, the default). Switching is safe
 // mid-run: both paths maintain the same cross-instant maps (prevOutput,
 // invCache, streamPrev), and re-enabling deltas forces a state rebuild on
 // the next tick.
@@ -757,23 +690,28 @@ func (e *Executor) SetNaiveEvaluation(name string, naive bool) error {
 	q.mu.Lock()
 	q.naive = naive
 	q.mu.Unlock()
-	if !naive && q.delta != nil {
+	if !naive {
 		q.delta.invalidate()
 	}
 	return nil
 }
 
+// The two values of EvaluationMode.
+const (
+	modeDelta = "delta"
+	modeNaive = "naive"
+)
+
 // EvaluationMode reports which evaluator the query is currently using:
-// "delta" (incremental) or "naive" (re-evaluate-then-diff — pinned by
-// SetNaiveEvaluation, or the automatic fallback when the plan has no delta
-// form).
+// "delta" (incremental) or "naive" (re-evaluate-then-diff, pinned by
+// SetNaiveEvaluation).
 func (q *Query) EvaluationMode() string {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.delta != nil && !q.naive {
-		return "delta"
+	if q.naive {
+		return modeNaive
 	}
-	return "naive"
+	return modeDelta
 }
 
 // EvalCounts returns how many instants were evaluated by the delta path
@@ -786,45 +724,24 @@ func (q *Query) EvalCounts() (delta, naive int64) {
 
 // DeltaReport renders the compiled delta program with cumulative per-
 // operator row counts, one operator per line in plan order — the
-// continuous-query analogue of EXPLAIN ANALYZE:
+// continuous-query analogue of EXPLAIN ANALYZE, in the same format minus
+// the timings:
 //
+//	delta program: 12 tick(s), 1 re-init(s)
 //	select[temp > 30]   calls=12 rows_in=3 rows_out=1
 //	  window[5]         calls=12 rows_in=7 rows_out=7
-//
-// Returns "" when the query has no delta program.
 func (q *Query) DeltaReport() string {
-	if q.delta == nil {
-		return ""
-	}
-	type line struct {
-		label string
-		n     *deltaNode
-		depth int
-	}
-	var lines []line
+	var lines []query.PlanLine
 	var walk func(n *deltaNode, depth int)
 	walk = func(n *deltaNode, depth int) {
-		lines = append(lines, line{query.OpLabel(n.plan), n, depth})
+		lines = append(lines, query.PlanLine{Op: n.plan, Depth: depth, OpStats: query.OpStats{
+			Calls: n.calls.Load(), RowsIn: n.rowsIn.Load(), RowsOut: n.rowsOut.Load(),
+		}})
 		for _, k := range n.kids {
 			walk(k, depth+1)
 		}
 	}
 	walk(q.delta.root, 0)
-	width := 0
-	for _, l := range lines {
-		if w := 2*l.depth + len([]rune(l.label)); w > width {
-			width = w
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "delta program: %d tick(s), %d re-init(s)\n",
-		q.delta.ticks.Load(), q.delta.reinits.Load())
-	for _, l := range lines {
-		indented := strings.Repeat("  ", l.depth) + l.label
-		pad := width - len([]rune(indented))
-		fmt.Fprintf(&b, "%s%s  calls=%d rows_in=%d rows_out=%d\n",
-			indented, strings.Repeat(" ", pad),
-			l.n.calls.Load(), l.n.rowsIn.Load(), l.n.rowsOut.Load())
-	}
-	return b.String()
+	return fmt.Sprintf("delta program: %d tick(s), %d re-init(s)\n%s",
+		q.delta.ticks.Load(), q.delta.reinits.Load(), query.RenderPlan(lines, false))
 }

@@ -24,6 +24,27 @@ func TestSetNaiveEvaluationUnknownQuery(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsUncompilablePlan: registration no longer shrugs off a
+// delta-compile failure and runs the plan naive. The one shape that derives
+// a schema yet has no delta operator — a constant of the wrong type — never
+// evaluated naive either (every tick failed), so it is refused outright.
+func TestRegisterRejectsUncompilablePlan(t *testing.T) {
+	s := newScenario(t)
+	plan := query.NewAssignConst(query.NewBase("contacts"), "text", value.NewInt(7))
+	if _, err := s.exec.Register("illTyped", plan); err == nil || !strings.Contains(err.Error(), "constant type") {
+		t.Fatalf("Register(%s) = %v, want the assignment's type error", plan, err)
+	}
+	if _, ok := s.exec.Query("illTyped"); ok {
+		t.Fatal("rejected query is registered")
+	}
+	if _, ok := s.exec.Relation("illTyped"); ok {
+		t.Fatal("rejected query left an output relation behind")
+	}
+	if _, err := s.exec.Tick(); err != nil {
+		t.Fatalf("tick after a rejected registration: %v", err)
+	}
+}
+
 // TestEvaluationModeFlips pins the control surface: a compiled query runs
 // delta by default, SetNaiveEvaluation moves it between evaluators mid-run,
 // and EvalCounts attributes each tick to the path that actually ran it.

@@ -291,9 +291,7 @@ func (e *Executor) Restore(st CheckpointState) error {
 		// makes the first post-restore tick rebuild it — with the restored
 		// invocation cache (including SeedActive's orphan pins) keeping
 		// active β invocations from re-firing.
-		if q.delta != nil {
-			q.delta.invalidate()
-		}
+		q.delta.invalidate()
 	}
 	return nil
 }

@@ -74,8 +74,8 @@ type Executor struct {
 	// producer→consumer delta fast path all consult.
 	producers map[string]*Query
 	order     []string // query evaluation order (registration order)
-	sources []Source
-	now     service.Instant
+	sources   []Source
+	now       service.Instant
 	// parallelism bounds concurrent invocations per invocation operator.
 	parallelism int
 	// queryParallelism bounds how many independent queries one tick
@@ -261,13 +261,11 @@ type Query struct {
 	hasActive bool
 	coalesced int64
 
-	// delta is the compiled incremental-evaluation program (see delta.go),
-	// nil when the plan has no delta form (the query then runs naive-only;
-	// deltaErr records why). naive, guarded by mu, pins the query to the
-	// naive path (SetNaiveEvaluation); deltaTicks/naiveTicks (mu) count
-	// instants evaluated by each path.
+	// delta is the compiled incremental-evaluation program (see delta.go);
+	// every registered plan has one. naive, guarded by mu, pins the query to
+	// the re-evaluation path (SetNaiveEvaluation); deltaTicks/naiveTicks
+	// (mu) count instants evaluated by each path.
 	delta      *deltaProgram
-	deltaErr   string
 	naive      bool
 	deltaTicks int64
 	naiveTicks int64
@@ -496,14 +494,12 @@ func (e *Executor) RegisterWith(name string, plan query.Node, opts RegisterOptio
 	}
 	q.indexPlanNodes()
 	e.computeHasActive(q)
-	// Compile the incremental-evaluation program (delta.go). A plan some
-	// delta operator cannot cover falls back to the naive evaluator — the
-	// query still runs, just re-evaluating per tick.
-	if p, derr := compileDelta(e, q); derr == nil {
-		q.delta = p
-	} else {
-		q.deltaErr = derr.Error()
-		slog.Info("cq: query runs naive (no delta form)", "query", name, "reason", derr.Error())
+	// Compile the incremental-evaluation program (delta.go). Every node
+	// kind has a delta operator; what fails here despite a derivable
+	// schema (an α constant of the wrong type) could not be re-evaluated
+	// either, so the registration is refused rather than run differently.
+	if q.delta, err = compileDelta(e, q); err != nil {
+		return nil, fmt.Errorf("cq: query %q: %w", name, err)
 	}
 	e.queries[name] = q
 	e.order = append(e.order, name)
@@ -529,8 +525,7 @@ func (e *Executor) RegisterWith(name string, plan query.Node, opts RegisterOptio
 // index (durable node identity for WAL records and checkpoints).
 func (q *Query) indexPlanNodes() {
 	q.invIdx = map[*query.Invoke]int{}
-	var walk func(n query.Node)
-	walk = func(n query.Node) {
+	query.Walk(q.plan, func(n query.Node) {
 		switch t := n.(type) {
 		case *query.Invoke:
 			q.invIdx[t] = len(q.invNodes)
@@ -538,11 +533,7 @@ func (q *Query) indexPlanNodes() {
 		case *query.Stream:
 			q.streamNodes = append(q.streamNodes, t)
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(q.plan)
+	})
 }
 
 // SetDegradation selects a registered query's β failure policy:
@@ -639,18 +630,17 @@ func (e *Executor) Unregister(name string) error {
 // recordWindows updates the per-stream retention horizon from a plan's
 // window operators (never shrinks: unregistered queries keep their horizon
 // to stay conservative).
-func (e *Executor) recordWindows(n query.Node) {
-	if w, ok := n.(*query.Window); ok {
-		if base, ok := w.Child.(*query.Base); ok {
-			p := service.Instant(w.Period)
-			if p > e.maxWindow[base.Name] {
-				e.maxWindow[base.Name] = p
+func (e *Executor) recordWindows(plan query.Node) {
+	query.Walk(plan, func(n query.Node) {
+		if w, ok := n.(*query.Window); ok {
+			if base, ok := w.Child.(*query.Base); ok {
+				p := service.Instant(w.Period)
+				if p > e.maxWindow[base.Name] {
+					e.maxWindow[base.Name] = p
+				}
 			}
 		}
-	}
-	for _, c := range n.Children() {
-		e.recordWindows(c)
-	}
+	})
 }
 
 // trimStreams drops stream events that no registered window can reach any
@@ -954,16 +944,11 @@ func stageQueries(order []string, qs []*Query) [][]int {
 // planBaseNames collects every base-relation name a plan reads.
 func planBaseNames(n query.Node) []string {
 	var out []string
-	var walk func(query.Node)
-	walk = func(n query.Node) {
+	query.Walk(n, func(n query.Node) {
 		if b, ok := n.(*query.Base); ok {
 			out = append(out, b.Name)
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
+	})
 	return out
 }
 
@@ -1020,7 +1005,10 @@ func (e *Executor) RunUntil(at service.Instant) error {
 // non-nil during recovery, carries the tick's logged active-invocation
 // outcomes; live ticks pass nil.
 func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, replay ReplayLedger) error {
-	ctx := query.NewContext(schemaEnv{e}, e.reg, at)
+	ev := &evaluator{exec: e, q: q, at: at, replay: replay}
+	ctx := query.NewContext(ev, e.reg, at)
+	ctx.Continuous = ev
+	ev.ctx = ctx
 	e.mu.Lock()
 	ctx.Parallelism = e.parallelism
 	ctx.BatchSize = e.batchSize
@@ -1028,7 +1016,6 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 	qspan := tick.Child("cq.query")
 	qspan.SetAttr("query", q.name)
 	ctx.Span = qspan
-	ev := &evaluator{exec: e, q: q, ctx: ctx, at: at, replay: replay}
 	// The query's degradation policy decides what β does with a failing
 	// device; continuous queries default to SkipTuple so one flaky sensor
 	// degrades a standing query to partial results instead of killing it.
@@ -1044,13 +1031,14 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 		return nil
 	}
 	// Evaluator selection: the compiled delta program unless the query is
-	// pinned naive (or never compiled). Both paths produce the same
-	// (result, cur, inserted, deleted) quadruple — the differential test
-	// harness holds them to bit-identical results and action sets.
-	q.mu.Lock()
-	useDelta := q.delta != nil && !q.naive
-	q.mu.Unlock()
-	qspan.SetAttr("evaluator", map[bool]string{true: "delta", false: "naive"}[useDelta])
+	// pinned naive, in which case the plan re-evaluates through query.Node's
+	// own Eval with ev supplying the instantaneous relations and the
+	// time-aware operators. Both paths produce the same (result, cur,
+	// inserted, deleted) quadruple — the differential test harness holds
+	// them to bit-identical results and action sets.
+	mode := q.EvaluationMode()
+	useDelta := mode == modeDelta
+	qspan.SetAttr("evaluator", mode)
 
 	evalStart := time.Now()
 	var (
@@ -1062,7 +1050,7 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 	if useDelta {
 		res, cur, inserted, deleted, err = ev.evalDelta()
 	} else {
-		res, err = ev.eval(q.plan)
+		res, err = ctx.Eval(q.plan)
 	}
 	evalElapsed := time.Since(evalStart)
 	ctx.PublishObsStats()
@@ -1076,7 +1064,7 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 	}
 	if useDelta {
 		obsDeltaTicks.Inc()
-	} else if q.delta != nil {
+	} else {
 		obsDeltaFallbackTicks.Inc()
 	}
 	qspan.SetAttrInt("rows", int64(res.Len()))
@@ -1102,20 +1090,8 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 		// Delta the instantaneous result against the previous instant (the
 		// incremental path derived all four pieces directly from the root
 		// operator's delta).
-		cur = map[string]value.Tuple{}
-		for _, t := range res.Tuples() {
-			cur[t.Key()] = t
-		}
-		for k, t := range cur {
-			if _, ok := q.prevOutput[k]; !ok {
-				inserted = append(inserted, t)
-			}
-		}
-		for k, t := range q.prevOutput {
-			if _, ok := cur[k]; !ok {
-				deleted = append(deleted, t)
-			}
-		}
+		cur = keyed(res.Tuples())
+		inserted, deleted = diffKeyed(q.prevOutput, cur)
 	}
 	sortTuples(inserted)
 	sortTuples(deleted)
@@ -1161,6 +1137,31 @@ func sortTuples(ts []value.Tuple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 }
 
+// keyed indexes a set of tuples by Key.
+func keyed(ts []value.Tuple) map[string]value.Tuple {
+	m := make(map[string]value.Tuple, len(ts))
+	for _, t := range ts {
+		m[t.Key()] = t
+	}
+	return m
+}
+
+// diffKeyed compares two keyed tuple sets: inserted holds the tuples of cur
+// absent from prev, deleted those of prev absent from cur, both unordered.
+func diffKeyed(prev, cur map[string]value.Tuple) (inserted, deleted []value.Tuple) {
+	for k, t := range cur {
+		if _, ok := prev[k]; !ok {
+			inserted = append(inserted, t)
+		}
+	}
+	for k, t := range prev {
+		if _, ok := cur[k]; !ok {
+			deleted = append(deleted, t)
+		}
+	}
+	return inserted, deleted
+}
+
 // producerDelta returns the (inserts, deletes) another query applied to
 // its finite output relation this tick — the cascade fast path a
 // consumer's deltaBase takes instead of re-diffing the event log. It is
@@ -1186,7 +1187,11 @@ func (e *Executor) producerDelta(name string, from, at service.Instant) (ins, de
 	return q.lastDelta.ins, q.lastDelta.del, true
 }
 
-// evaluator computes instantaneous relations for one (query, instant).
+// evaluator is one (query, instant) evaluation. On the re-evaluation path it
+// is what makes query.Node.Eval continuous: as the context's Environment it
+// resolves a base leaf to the relation's instantaneous contents, and as its
+// ContinuousHooks it gives W[·], S[·] and β their Section 4.2 semantics.
+// The delta program's operators reach the same executor state through it.
 type evaluator struct {
 	exec *Executor
 	q    *Query
@@ -1197,167 +1202,85 @@ type evaluator struct {
 	replay ReplayLedger
 }
 
-// eval dispatches on node type. Window, Stream and Invoke get time-aware
-// semantics; everything else mirrors one-shot evaluation over the
-// instantaneous operand relations.
-func (ev *evaluator) eval(n query.Node) (*algebra.XRelation, error) {
-	switch t := n.(type) {
-	case *query.Base:
-		x, ok := ev.exec.rels[t.Name]
-		if !ok {
-			return nil, fmt.Errorf("unknown relation %q", t.Name)
-		}
-		if x.Infinite() {
-			return nil, fmt.Errorf("stream %q used without a window", t.Name)
-		}
-		return ev.instantaneous(x)
-
-	case *query.Window:
-		base := t.Child.(*query.Base) // validated at registration
-		x, ok := ev.exec.rels[base.Name]
-		if !ok {
-			return nil, fmt.Errorf("unknown relation %q", base.Name)
-		}
-		span := ev.ctx.Span.Child("cq.window")
-		span.SetAttr("stream", base.Name)
-		span.SetAttrInt("period", int64(t.Period))
-		tuples := x.InsertedIn(ev.at-service.Instant(t.Period), ev.at)
-		span.SetAttrInt("rows", int64(len(tuples)))
-		span.Finish()
-		return algebra.New(x.Schema(), tuples)
-
-	case *query.Stream:
-		child, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		prev := ev.q.streamPrev[t]
-		cur := map[string]value.Tuple{}
-		for _, tu := range child.Tuples() {
-			cur[tu.Key()] = tu
-		}
-		ev.q.streamPrev[t] = cur
-		var emit []value.Tuple
-		switch t.Kind {
-		case query.StreamInsertion:
-			for k, tu := range cur {
-				if _, ok := prev[k]; !ok {
-					emit = append(emit, tu)
-				}
-			}
-		case query.StreamDeletion:
-			for k, tu := range prev {
-				if _, ok := cur[k]; !ok {
-					emit = append(emit, tu)
-				}
-			}
-		case query.StreamHeartbeat:
-			for _, tu := range cur {
-				emit = append(emit, tu)
-			}
-		}
-		sortTuples(emit)
-		if span := ev.ctx.Span.Child("cq.stream"); span != nil {
-			span.SetAttr("kind", t.Kind.String())
-			span.SetAttrInt("emitted", int64(len(emit)))
-			span.Finish()
-		}
-		return algebra.New(child.Schema(), emit)
-
-	case *query.Invoke:
-		child, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return ev.evalInvokeDelta(t, child)
-
-	case *query.Aggregate:
-		c, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Aggregate(c, t.GroupBy, t.Aggs)
-
-	case *query.Project:
-		c, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Project(c, t.Attrs)
-
-	case *query.Select:
-		c, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Select(c, t.Formula)
-
-	case *query.Rename:
-		c, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Rename(c, t.Old, t.New)
-
-	case *query.Assign:
-		c, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		if t.Src != "" {
-			return algebra.AssignAttr(c, t.Attr, t.Src)
-		}
-		return algebra.AssignConst(c, t.Attr, t.Const)
-
-	case *query.Join:
-		l, err := ev.eval(t.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.eval(t.Right)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NaturalJoin(l, r)
-
-	case *query.SetOp:
-		l, err := ev.eval(t.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.eval(t.Right)
-		if err != nil {
-			return nil, err
-		}
-		switch t.Kind {
-		case query.UnionOp:
-			return algebra.Union(l, r)
-		case query.IntersectOp:
-			return algebra.Intersect(l, r)
-		case query.DiffOp:
-			return algebra.Diff(l, r)
-		}
+// Relation implements query.Environment: a finite XD-Relation's
+// instantaneous relation at the evaluation instant.
+func (ev *evaluator) Relation(name string) (*algebra.XRelation, error) {
+	x, ok := ev.exec.rels[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown relation %q", name)
 	}
-	return nil, fmt.Errorf("cq: unsupported node %T", n)
+	if x.Infinite() {
+		return nil, fmt.Errorf("stream %q used without a window", name)
+	}
+	return algebra.New(x.Schema(), ev.instantTuples(x))
 }
 
-// instantaneous converts an XD-Relation's multiset at the current instant
-// into a (set-semantics) X-Relation.
-func (ev *evaluator) instantaneous(x *stream.XDRelation) (*algebra.XRelation, error) {
-	var tuples []value.Tuple
-	if x.LastInstant() <= ev.at {
-		tuples = x.Current()
-	} else {
-		tuples = x.At(ev.at)
+// EvalWindow implements query.ContinuousHooks: the tuples inserted into the
+// base stream during the last Period instants.
+func (ev *evaluator) EvalWindow(w *query.Window) (*algebra.XRelation, error) {
+	base := w.Child.(*query.Base) // validated at registration
+	x, ok := ev.exec.rels[base.Name]
+	if !ok {
+		return nil, fmt.Errorf("unknown relation %q", base.Name)
 	}
+	span := ev.ctx.Span.Child("cq.window")
+	span.SetAttr("stream", base.Name)
+	span.SetAttrInt("period", int64(w.Period))
+	tuples := x.InsertedIn(ev.at-service.Instant(w.Period), ev.at)
+	span.SetAttrInt("rows", int64(len(tuples)))
+	span.Finish()
 	return algebra.New(x.Schema(), tuples)
 }
 
-// evalInvokeDelta implements the Section 4.2 invocation semantics: only
-// tuples newly inserted into the operand trigger invocations; persisting
-// tuples reuse the outputs computed when they first appeared. The cache is
-// keyed by input-tuple identity and pruned to the current operand.
-func (ev *evaluator) evalInvokeDelta(node *query.Invoke, child *algebra.XRelation) (*algebra.XRelation, error) {
+// EvalStream implements query.ContinuousHooks: what S[kind] emits at this
+// instant given the child's instantaneous relation and the one remembered
+// from the previous instant.
+func (ev *evaluator) EvalStream(s *query.Stream, child *algebra.XRelation) (*algebra.XRelation, error) {
+	cur := keyed(child.Tuples())
+	emit := streamEmit(s.Kind, ev.q.streamPrev[s], cur)
+	ev.q.streamPrev[s] = cur
+	sortTuples(emit)
+	if span := ev.ctx.Span.Child("cq.stream"); span != nil {
+		span.SetAttr("kind", s.Kind.String())
+		span.SetAttrInt("emitted", int64(len(emit)))
+		span.Finish()
+	}
+	return algebra.New(child.Schema(), emit)
+}
+
+// streamEmit is S[kind] over one instant: the child's insertions or
+// deletions relative to the previous instant, or (heartbeat) everything
+// present now.
+func streamEmit(kind query.StreamKind, prev, cur map[string]value.Tuple) []value.Tuple {
+	if kind == query.StreamHeartbeat {
+		emit := make([]value.Tuple, 0, len(cur))
+		for _, t := range cur {
+			emit = append(emit, t)
+		}
+		return emit
+	}
+	inserted, deleted := diffKeyed(prev, cur)
+	if kind == query.StreamInsertion {
+		return inserted
+	}
+	return deleted
+}
+
+// instantTuples returns an XD-Relation's multiset at the evaluation
+// instant (algebra.New and the delta gates reduce it to a set).
+func (ev *evaluator) instantTuples(x *stream.XDRelation) []value.Tuple {
+	if x.LastInstant() <= ev.at {
+		return x.Current()
+	}
+	return x.At(ev.at)
+}
+
+// EvalInvoke implements query.ContinuousHooks with the Section 4.2
+// invocation semantics: only tuples newly inserted into the operand trigger
+// invocations; persisting tuples reuse the outputs computed when they first
+// appeared. The cache is keyed by input-tuple identity and pruned to the
+// current operand.
+func (ev *evaluator) EvalInvoke(node *query.Invoke, child *algebra.XRelation) (*algebra.XRelation, error) {
 	bp, err := child.Schema().FindBP(node.Proto, node.ServiceAttr)
 	if err != nil {
 		return nil, err
@@ -1424,6 +1347,21 @@ func (d *deltaInvoker) MaxParallel() int { return d.ev.ctx.Parallelism }
 // MaxBatch implements algebra.BatchInvoker (from the evaluation context).
 func (d *deltaInvoker) MaxBatch() int { return d.ev.ctx.MaxBatch() }
 
+// lookup answers key from the previous instant's cache (carrying the entry
+// over to this instant's) or from this instant's own, counting a hit. The
+// caller holds d.mu.
+func (d *deltaInvoker) lookup(key string) ([]value.Tuple, bool) {
+	rows, ok := d.cache[key]
+	if ok {
+		d.next[key] = rows
+	} else if rows, ok = d.next[key]; !ok {
+		return nil, false
+	}
+	d.hits.Add(1)
+	obsInvokeCacheHits.Inc()
+	return rows, true
+}
+
 // InvokeBatch implements algebra.BatchInvoker for passive β fan-out: jobs
 // answered by the cross-instant delta cache resolve locally, the misses go
 // through the context's batch planner in one pass (dedup, coalescing,
@@ -1437,19 +1375,9 @@ func (d *deltaInvoker) InvokeBatch(bp schema.BindingPattern, refs []string, inpu
 	missIdx := make([]int, 0, len(refs))
 	d.mu.Lock()
 	for i := range refs {
-		key := bp.ID() + "|" + refs[i] + "|" + inputs[i].Key()
-		keys[i] = key
-		if rows, ok := d.cache[key]; ok {
-			d.next[key] = rows
+		keys[i] = bp.ID() + "|" + refs[i] + "|" + inputs[i].Key()
+		if rows, ok := d.lookup(keys[i]); ok {
 			out[i].Rows = rows
-			d.hits.Add(1)
-			obsInvokeCacheHits.Inc()
-			continue
-		}
-		if rows, ok := d.next[key]; ok {
-			out[i].Rows = rows
-			d.hits.Add(1)
-			obsInvokeCacheHits.Inc()
 			continue
 		}
 		missIdx = append(missIdx, i)
@@ -1484,20 +1412,11 @@ func (d *deltaInvoker) InvokeBatch(bp schema.BindingPattern, refs []string, inpu
 func (d *deltaInvoker) Invoke(bp schema.BindingPattern, ref string, input value.Tuple) ([]value.Tuple, error) {
 	key := bp.ID() + "|" + ref + "|" + input.Key()
 	d.mu.Lock()
-	if rows, ok := d.cache[key]; ok {
-		d.next[key] = rows
-		d.mu.Unlock()
-		obsInvokeCacheHits.Inc()
-		d.hits.Add(1)
-		return rows, nil
-	}
-	if rows, ok := d.next[key]; ok {
-		d.mu.Unlock()
-		obsInvokeCacheHits.Inc()
-		d.hits.Add(1)
-		return rows, nil
-	}
+	rows, ok := d.lookup(key)
 	d.mu.Unlock()
+	if ok {
+		return rows, nil
+	}
 	obsInvokeCacheMisses.Inc()
 	d.misses.Add(1)
 

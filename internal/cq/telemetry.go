@@ -524,9 +524,9 @@ func (t *Telemetry) scrapeQueries(at service.Instant, order []string, qs []*Quer
 //	STALLED     an input stream with a configured cadence went silent
 //	OVERLOADED  coalesced under overload this interval, or the latest
 //	            evaluation alone exceeded the tick budget
-//	DEGRADED    invocation failures this interval, a delta→naive fallback
-//	            this interval, or an open breaker on a service implementing
-//	            one of the plan's prototypes
+//	DEGRADED    invocation failures this interval, an instant evaluated
+//	            pinned naive this interval, or an open breaker on a service
+//	            implementing one of the plan's prototypes
 //	OK          otherwise
 func (t *Telemetry) assessQuery(at service.Instant, q *Query, rels map[string]*stream.XDRelation, budget time.Duration) (HealthState, string) {
 	prev := t.qprev[q.Name()]
@@ -546,8 +546,8 @@ func (t *Telemetry) assessQuery(at service.Instant, q *Query, rels map[string]*s
 	if n := q.InvokeErrorTotal(); n > prev.invErrs {
 		return HealthDegraded, fmt.Sprintf("%d invocation failures this interval", n-prev.invErrs)
 	}
-	if _, naive := q.EvalCounts(); q.delta != nil && naive > prev.naiveTicks {
-		return HealthDegraded, fmt.Sprintf("fell back to naive evaluation for %d instants this interval", naive-prev.naiveTicks)
+	if _, naive := q.EvalCounts(); naive > prev.naiveTicks {
+		return HealthDegraded, fmt.Sprintf("pinned to naive evaluation for %d instants this interval", naive-prev.naiveTicks)
 	}
 	if ref, proto, open := t.openBreakerFor(q); open {
 		return HealthDegraded, fmt.Sprintf("breaker open on %s (prototype %s)", ref, proto)
@@ -676,18 +676,11 @@ func (t *Telemetry) streamStalled(at service.Instant, name string, rels map[stri
 // over sys$ feeds don't self-assess.
 func planBaseStreams(n query.Node, rels map[string]*stream.XDRelation) []string {
 	set := map[string]bool{}
-	var walk func(n query.Node)
-	walk = func(n query.Node) {
-		if b, ok := n.(*query.Base); ok {
-			if x := rels[b.Name]; x != nil && x.Infinite() && !isSystemName(b.Name) {
-				set[b.Name] = true
-			}
-		}
-		for _, c := range n.Children() {
-			walk(c)
+	for _, name := range planBaseNames(n) {
+		if x := rels[name]; x != nil && x.Infinite() && !isSystemName(name) {
+			set[name] = true
 		}
 	}
-	walk(n)
 	out := make([]string, 0, len(set))
 	for name := range set {
 		out = append(out, name)

@@ -76,7 +76,7 @@ func (p *PEMS) writeStatus(w io.Writer) {
 		st := q.Stats()
 		fmt.Fprintf(&b, "  %-16s %s\n", name, q.Plan())
 		fmt.Fprintf(&b, "  %-16s on-error=%s passive=%d memoized=%d active=%d errors=%d\n",
-			"", q.Degradation(), st.Passive, st.Memoized, st.Active, len(q.InvokeErrors()))
+			"", q.Degradation(), st.Passive, st.Memoized+st.Coalesced, st.Active, len(q.InvokeErrors()))
 	}
 
 	rels := p.exec.RelationNames()

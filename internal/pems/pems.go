@@ -465,10 +465,10 @@ type TraceReport struct {
 	Result *query.Result
 }
 
-// ExplainAnalyze actually executes a query with every operator instrumented
-// (EXPLAIN ANALYZE semantics): the plan tree is rebuilt with tracing
-// wrappers, evaluated at the current instant, and rendered with measured
-// per-operator cardinalities and timings. A leading EXPLAIN [ANALYZE]
+// ExplainAnalyze actually executes a query with every operator profiled
+// (EXPLAIN ANALYZE semantics): the plan is evaluated at the current instant
+// with a query.Profile installed, and rendered with measured per-operator
+// cardinalities and timings. A leading EXPLAIN [ANALYZE]
 // keyword pair in src is accepted and ignored. Beware: active invocations
 // in the query DO fire — EXPLAIN ANALYZE runs the query for real.
 func (p *PEMS) ExplainAnalyze(src string) (*TraceReport, error) {
@@ -488,10 +488,6 @@ func (p *PEMS) ExplainAnalyze(src string) (*TraceReport, error) {
 			return nil, err
 		}
 	}
-	traced, err := query.Instrument(n)
-	if err != nil {
-		return nil, err
-	}
 	at := p.exec.Now()
 	if at < 0 {
 		at = 0
@@ -499,13 +495,11 @@ func (p *PEMS) ExplainAnalyze(src string) (*TraceReport, error) {
 	ctx := query.NewContext(p.Env(at), p.registry, at)
 	ctx.Parallelism = p.invocationParallelism()
 	ctx.BatchSize = p.invocationBatchSize()
-	res, err := query.EvaluateCtx(traced, ctx)
-	if err != nil {
-		// A failed evaluation still carries a partial trace (the error is
-		// annotated on the operator that raised it).
-		return &TraceReport{Plan: traced.Render()}, err
-	}
-	return &TraceReport{Plan: traced.Render(), Result: res}, nil
+	ctx.Profile = query.NewProfile()
+	// A failed evaluation still carries a partial trace (the error is
+	// annotated on the operator that raised it): res is nil then.
+	res, err := query.EvaluateCtx(n, ctx)
+	return &TraceReport{Plan: ctx.Profile.Render(n), Result: res}, err
 }
 
 // StripExplain removes an optional leading EXPLAIN [ANALYZE] keyword pair

@@ -85,6 +85,37 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+func TestExplainAnalyze(t *testing.T) {
+	p, _, _, _ := newScenarioPEMS(t)
+	rep, err := p.ExplainAnalyze(`EXPLAIN ANALYZE select[area = "office"](invoke[checkPhoto](cameras))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(rep.Plan, "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], "select[") || !strings.Contains(lines[2], "    cameras") {
+		t.Fatalf("plan =\n%s", rep.Plan)
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, "calls=1 ") || !strings.Contains(l, " time=") || strings.Contains(l, "error=") {
+			t.Fatalf("plan line %q", l)
+		}
+	}
+	if rep.Result == nil || rep.Result.Stats.Passive == 0 {
+		t.Fatalf("result = %+v, want the evaluated relation and its passive invocations", rep.Result)
+	}
+	// A failing evaluation still reports the partial plan: contacts
+	// evaluated, β did not (its text input is still virtual).
+	rep, err = p.ExplainAnalyze(`invoke[sendMessage](contacts)`)
+	if err == nil {
+		t.Fatal("β over an unrealized input evaluated")
+	}
+	lines = strings.Split(strings.TrimRight(rep.Plan, "\n"), "\n")
+	if rep.Result != nil || len(lines) != 2 ||
+		!strings.Contains(lines[0], "error=") || !strings.Contains(lines[1], "calls=1 ") || strings.Contains(lines[1], "error=") {
+		t.Fatalf("failed run: result %v, plan =\n%s", rep.Result, rep.Plan)
+	}
+}
+
 func TestDerivedViewThroughSQL(t *testing.T) {
 	p, sensors, messengers, _ := newScenarioPEMS(t)
 	// Continuous view: per-location mean over a 3-instant window.

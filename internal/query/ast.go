@@ -5,8 +5,9 @@
 // (Definition 9).
 //
 // The AST also carries the continuous operators Window and Stream
-// (Section 4); those are only meaningful to the continuous executor in
-// internal/cq — one-shot evaluation rejects them.
+// (Section 4); those get their time-aware semantics from the continuous
+// executor in internal/cq through ContinuousHooks — one-shot evaluation
+// rejects them.
 package query
 
 import (
@@ -23,7 +24,9 @@ type Node interface {
 	// ResultSchema derives the output extended schema against an
 	// environment, without evaluating tuples.
 	ResultSchema(env Environment) (*schema.Extended, error)
-	// Eval evaluates the subtree at the context's instant.
+	// Eval evaluates the subtree at the context's instant. Operand subtrees
+	// are evaluated through ctx.Eval, never by calling their Eval directly,
+	// so a profiled evaluation sees every operator.
 	Eval(ctx *Context) (*algebra.XRelation, error)
 	// Children returns the direct operand subtrees.
 	Children() []Node
@@ -101,7 +104,7 @@ func (p *Project) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (p *Project) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := p.Child.Eval(ctx)
+	c, err := ctx.Eval(p.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +144,7 @@ func (s *Select) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (s *Select) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := s.Child.Eval(ctx)
+	c, err := ctx.Eval(s.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +183,7 @@ func (r *Rename) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (r *Rename) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := r.Child.Eval(ctx)
+	c, err := ctx.Eval(r.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -218,11 +221,11 @@ func (j *Join) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (j *Join) Eval(ctx *Context) (*algebra.XRelation, error) {
-	l, err := j.Left.Eval(ctx)
+	l, err := ctx.Eval(j.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := j.Right.Eval(ctx)
+	r, err := ctx.Eval(j.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +285,11 @@ func (s *SetOp) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (s *SetOp) Eval(ctx *Context) (*algebra.XRelation, error) {
-	l, err := s.Left.Eval(ctx)
+	l, err := ctx.Eval(s.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.Right.Eval(ctx)
+	r, err := ctx.Eval(s.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +345,7 @@ func (a *Assign) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (a *Assign) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := a.Child.Eval(ctx)
+	c, err := ctx.Eval(a.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -397,11 +400,15 @@ func (i *Invoke) ResultSchema(env Environment) (*schema.Extended, error) {
 	return schema.InvokeSchema(cs, bp)
 }
 
-// Eval implements Node.
+// Eval implements Node. Under a continuous executor β fires only for tuples
+// newly inserted into its operand (Section 4.2), so the hook takes over.
 func (i *Invoke) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := i.Child.Eval(ctx)
+	c, err := ctx.Eval(i.Child)
 	if err != nil {
 		return nil, err
+	}
+	if ctx.Continuous != nil {
+		return ctx.Continuous.EvalInvoke(i, c)
 	}
 	bp, err := i.resolveBP(c.Schema())
 	if err != nil {
@@ -425,7 +432,9 @@ func (i *Invoke) String() string {
 
 // Window is W[period] (Section 4.2): over an XD-Relation it yields, at every
 // instant, the multiset of tuples inserted during the last `period`
-// instants. It is only evaluable by the continuous executor.
+// instants. It reads the stream's event log, not an instantaneous relation,
+// so its base child is never evaluated; only the continuous executor can
+// evaluate it.
 type Window struct {
 	Child  Node
 	Period int64
@@ -444,7 +453,7 @@ func (w *Window) Eval(ctx *Context) (*algebra.XRelation, error) {
 	if ctx.Continuous == nil {
 		return nil, fmt.Errorf("query: window[%d] requires a continuous execution context (Section 4)", w.Period)
 	}
-	return ctx.Continuous.EvalWindow(w, ctx)
+	return ctx.Continuous.EvalWindow(w)
 }
 
 // Children implements Node.
@@ -503,7 +512,11 @@ func (s *Stream) Eval(ctx *Context) (*algebra.XRelation, error) {
 	if ctx.Continuous == nil {
 		return nil, fmt.Errorf("query: stream[%s] requires a continuous execution context (Section 4)", s.Kind)
 	}
-	return ctx.Continuous.EvalStream(s, ctx)
+	c, err := ctx.Eval(s.Child)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.Continuous.EvalStream(s, c)
 }
 
 // Children implements Node.
@@ -520,6 +533,40 @@ func Walk(n Node, visit func(Node)) {
 	for _, c := range n.Children() {
 		Walk(c, visit)
 	}
+}
+
+// WithChildren returns a copy of the operator n over replacement operands —
+// the one place that knows how to rebuild each node kind, for tree
+// transformations such as the rewriter's.
+func WithChildren(n Node, kids []Node) (Node, error) {
+	if want := len(n.Children()); len(kids) != want {
+		return nil, fmt.Errorf("query: %T wants %d children, got %d", n, want, len(kids))
+	}
+	switch t := n.(type) {
+	case *Base:
+		return t, nil
+	case *Project:
+		return &Project{Child: kids[0], Attrs: t.Attrs}, nil
+	case *Select:
+		return &Select{Child: kids[0], Formula: t.Formula}, nil
+	case *Rename:
+		return &Rename{Child: kids[0], Old: t.Old, New: t.New}, nil
+	case *Join:
+		return &Join{Left: kids[0], Right: kids[1]}, nil
+	case *SetOp:
+		return &SetOp{Kind: t.Kind, Left: kids[0], Right: kids[1]}, nil
+	case *Assign:
+		return &Assign{Child: kids[0], Attr: t.Attr, Src: t.Src, Const: t.Const}, nil
+	case *Invoke:
+		return &Invoke{Child: kids[0], Proto: t.Proto, ServiceAttr: t.ServiceAttr}, nil
+	case *Aggregate:
+		return &Aggregate{Child: kids[0], GroupBy: t.GroupBy, Aggs: t.Aggs}, nil
+	case *Window:
+		return &Window{Child: kids[0], Period: t.Period}, nil
+	case *Stream:
+		return &Stream{Child: kids[0], Kind: t.Kind}, nil
+	}
+	return nil, fmt.Errorf("query: cannot rebuild node %T", n)
 }
 
 // HasActiveInvoke reports whether the subtree contains an invocation of an

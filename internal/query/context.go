@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"serena/internal/algebra"
 	"serena/internal/obs"
@@ -130,11 +131,16 @@ func (s *ActionSet) String() string {
 }
 
 // ContinuousHooks is implemented by the continuous executor (internal/cq)
-// to give Window and Stream nodes their time-aware semantics. One-shot
-// evaluation leaves it nil.
+// to give the three time-aware operators of Section 4.2 their semantics:
+// W[period] over a stream's event log, S[kind] over its child's
+// instantaneous relation compared with the previous instant's, and β firing
+// only for tuples new to its operand. Every other operator is the one-shot
+// operator applied to instantaneous relations. One-shot evaluation leaves
+// it nil.
 type ContinuousHooks interface {
-	EvalWindow(w *Window, ctx *Context) (*algebra.XRelation, error)
-	EvalStream(s *Stream, ctx *Context) (*algebra.XRelation, error)
+	EvalWindow(w *Window) (*algebra.XRelation, error)
+	EvalStream(s *Stream, child *algebra.XRelation) (*algebra.XRelation, error)
+	EvalInvoke(i *Invoke, child *algebra.XRelation) (*algebra.XRelation, error)
 }
 
 // Context carries everything one evaluation needs: the environment, the
@@ -207,6 +213,11 @@ type Context struct {
 	// path pays one pointer check per tuple.
 	Span *trace.Span
 
+	// Profile, when non-nil, collects per-operator calls, output rows and
+	// wall time as Eval walks the plan (EXPLAIN ANALYZE). Nil — the common
+	// case — costs one pointer check per operator.
+	Profile *Profile
+
 	// Stats counts invocations actually reaching services.
 	Stats InvokeStats
 
@@ -251,6 +262,19 @@ func NewContext(env Environment, reg *service.Registry, at service.Instant) *Con
 		Actions:  NewActionSet(),
 		Memo:     service.NewMemo(at),
 	}
+}
+
+// Eval evaluates one operator of the plan. It is the only way a subtree is
+// evaluated — the root by EvaluateCtx or the continuous executor, operands by
+// their parent's Node.Eval — so profiling needs no second tree.
+func (c *Context) Eval(n Node) (*algebra.XRelation, error) {
+	if c.Profile == nil {
+		return n.Eval(c)
+	}
+	start := time.Now()
+	r, err := n.Eval(c)
+	c.Profile.record(n, r, err, time.Since(start))
+	return r, err
 }
 
 // Invoke implements algebra.Invoker: it records actions for active binding

@@ -33,6 +33,7 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 	// process-wide registry.
 	passiveBefore := obs.Default.Counter("query.invoke.passive").Value()
 	memoBefore := obs.Default.Counter("query.invoke.memoized").Value()
+	coalescedBefore := obs.Default.Counter("query.invoke.coalesced").Value()
 	activeBefore := obs.Default.Counter("query.invoke.active").Value()
 	callsBefore := obs.Default.Counter("service.invoke.calls").Value()
 
@@ -65,11 +66,12 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 	totalPassiveOps := int64(workers * perWorker)
 	totalActiveOps := int64(workers * (perWorker / 50))
 
-	// Context-local stats: every passive op is counted exactly once, as
-	// either a physical invocation or a memo hit.
-	if got := ctx.Stats.Passive + ctx.Stats.Memoized; got != totalPassiveOps {
-		t.Fatalf("passive+memoized = %d (%d+%d), want %d",
-			got, ctx.Stats.Passive, ctx.Stats.Memoized, totalPassiveOps)
+	// Context-local stats: every passive op is counted exactly once — as a
+	// physical invocation, a memo hit, or a lookup that found the same key
+	// in flight on another worker and waited for that call's result.
+	if got := ctx.Stats.Passive + ctx.Stats.Memoized + ctx.Stats.Coalesced; got != totalPassiveOps {
+		t.Fatalf("passive+memoized+coalesced = %d (%d+%d+%d), want %d",
+			got, ctx.Stats.Passive, ctx.Stats.Memoized, ctx.Stats.Coalesced, totalPassiveOps)
 	}
 	if ctx.Stats.Active != totalActiveOps {
 		t.Fatalf("active = %d, want %d", ctx.Stats.Active, totalActiveOps)
@@ -86,6 +88,9 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 	}
 	if memoDelta != ctx.Stats.Memoized {
 		t.Fatalf("obs memoized = %d, context counted %d", memoDelta, ctx.Stats.Memoized)
+	}
+	if d := obs.Default.Counter("query.invoke.coalesced").Value() - coalescedBefore; d != ctx.Stats.Coalesced {
+		t.Fatalf("obs coalesced = %d, context counted %d", d, ctx.Stats.Coalesced)
 	}
 	if activeDelta != ctx.Stats.Active {
 		t.Fatalf("obs active = %d, context counted %d", activeDelta, ctx.Stats.Active)

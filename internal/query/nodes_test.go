@@ -1,6 +1,12 @@
 package query_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"serena/internal/algebra"
@@ -9,7 +15,10 @@ import (
 )
 
 // TestNodeContracts exercises ResultSchema/Eval/Children/String uniformly
-// for every node type over the paper environment.
+// for every node type over the paper environment, and that WithChildren
+// rebuilds each kind faithfully. The table must name every Node
+// implementation of the package: a new node type without a row (and so,
+// most likely, without a WithChildren case) fails the guard at the end.
 func TestNodeContracts(t *testing.T) {
 	env, reg, _ := paperSetup()
 	nodes := []struct {
@@ -34,9 +43,32 @@ func TestNodeContracts(t *testing.T) {
 		{"window", query.NewWindow(query.NewBase("contacts"), 5), 1, "window[5](contacts)", true},
 		{"stream", query.NewStream(query.NewBase("contacts"), query.StreamDeletion), 1, "stream[deletion](contacts)", true},
 	}
+	covered := map[string]bool{}
 	for _, c := range nodes {
+		covered[reflect.TypeOf(c.node).Elem().Name()] = true
 		if got := len(c.node.Children()); got != c.children {
 			t.Errorf("%s: children = %d, want %d", c.name, got, c.children)
+		}
+		if rebuilt, err := query.WithChildren(c.node, c.node.Children()); err != nil {
+			t.Errorf("%s: WithChildren: %v", c.name, err)
+		} else {
+			if got := rebuilt.String(); got != c.salForm {
+				t.Errorf("%s: rebuilt String = %q, want %q", c.name, got, c.salForm)
+			}
+			want, _ := c.node.ResultSchema(env)
+			if got, err := rebuilt.ResultSchema(env); err != nil || !got.Equal(want) {
+				t.Errorf("%s: rebuilt ResultSchema = %v, %v; want %v", c.name, got, err, want)
+			}
+		}
+		// A plan line labels the operator with its SAL head, operands cut.
+		line := query.RenderPlan([]query.PlanLine{{Op: c.node}}, false)
+		label := line[:strings.Index(line, "  calls=")]
+		rest := strings.TrimPrefix(c.salForm, label)
+		if rest == c.salForm || (c.children == 0) != (rest == "") || (c.children > 0 && rest[0] != '(') {
+			t.Errorf("%s: plan label %q is not the head of %q", c.name, label, c.salForm)
+		}
+		if _, err := query.WithChildren(c.node, make([]query.Node, c.children+1)); err == nil {
+			t.Errorf("%s: WithChildren accepted %d operands", c.name, c.children+1)
 		}
 		if got := c.node.String(); got != c.salForm {
 			t.Errorf("%s: String = %q, want %q", c.name, got, c.salForm)
@@ -53,6 +85,41 @@ func TestNodeContracts(t *testing.T) {
 			t.Errorf("%s: Eval: %v", c.name, err)
 		}
 	}
+	for _, typ := range nodeTypes(t) {
+		if !covered[typ] {
+			t.Errorf("node type %s has no row in this table", typ)
+		}
+	}
+}
+
+// nodeTypes lists the package's Node implementations: every type of the
+// non-test sources with an Eval(*Context) method.
+func nodeTypes(t *testing.T) []string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, f := range pkgs["query"].Files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Name.Name != "Eval" {
+				continue
+			}
+			if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
+				if id, ok := star.X.(*ast.Ident); ok && id.Name != "Context" {
+					types = append(types, id.Name)
+				}
+			}
+		}
+	}
+	if len(types) == 0 {
+		t.Fatal("found no Node implementations — is the test running in the package directory?")
+	}
+	return types
 }
 
 func TestAggregateNodeEval(t *testing.T) {

@@ -4,229 +4,137 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"serena/internal/algebra"
-	"serena/internal/schema"
 )
 
-// Traced wraps one operator of a query tree and records, across Eval calls,
-// how many times it ran, how many rows it produced, and how much wall time
-// the subtree consumed — the raw material of EXPLAIN ANALYZE.
-//
-// Because every Node evaluates its children internally, tracing a tree
-// means REBUILDING it: Instrument reconstructs each operator with Traced
-// children, so child evaluations route through their wrappers. The original
-// tree is left untouched and may keep running elsewhere.
-//
-// A Traced tree is NOT safe for concurrent Eval calls (one-shot plans are
-// evaluated sequentially; only the invocations inside a β node fan out, and
-// those are counted by the service layer, not here).
-type Traced struct {
-	inner Node      // reconstruction of orig whose direct children are Traced
-	orig  Node      // the wrapped operator, for labels
-	kids  []*Traced // trace wrappers of the children, in order
-
-	calls   int64
-	rowsOut int64
-	wall    time.Duration
-	err     error // last evaluation error, if any
+// OpStats is one operator's cumulative evaluation counters: what EXPLAIN
+// ANALYZE reports per plan node and the continuous executor's DeltaReport
+// per delta operator.
+type OpStats struct {
+	Calls   int64
+	RowsIn  int64 // rows consumed from the operands (0 for leaves)
+	RowsOut int64
+	Wall    time.Duration // subtree wall time
+	Self    time.Duration // Wall minus the operands' Wall
+	Err     error         // last evaluation error, if any
 }
 
-// Instrument rebuilds the plan with every operator wrapped in a Traced
-// node. Evaluate the returned root as usual (it implements Node); then
-// render the recorded trace with Render.
-func Instrument(n Node) (*Traced, error) {
-	kids := n.Children()
-	tkids := make([]*Traced, len(kids))
-	nodes := make([]Node, len(kids))
-	for i, c := range kids {
-		tc, err := Instrument(c)
-		if err != nil {
-			return nil, err
+// Profile records, per plan node, how many times Context.Eval ran it, how
+// many rows it produced and how long its subtree took. The plan itself is
+// not touched, so the profiled tree may keep running elsewhere.
+//
+// A Profile is NOT safe for concurrent Eval calls (a plan is walked
+// sequentially; only the invocations inside a β node fan out, and those are
+// counted by the service layer, not here). A node shared by two positions of
+// a plan accumulates both positions' evaluations.
+type Profile struct{ ops map[Node]*OpStats }
+
+// NewProfile returns an empty profile to install as Context.Profile.
+func NewProfile() *Profile { return &Profile{ops: map[Node]*OpStats{}} }
+
+func (p *Profile) record(n Node, r *algebra.XRelation, err error, wall time.Duration) {
+	st := p.ops[n]
+	if st == nil {
+		st = &OpStats{}
+		p.ops[n] = st
+	}
+	st.Calls++
+	st.Wall += wall
+	if err != nil {
+		st.Err = err
+		return
+	}
+	st.RowsOut += int64(r.Len())
+}
+
+// Stats returns the node's counters (zero if it never evaluated). RowsIn is
+// the sum of the operands' outputs and Self the subtree time not spent in
+// the operands.
+func (p *Profile) Stats(n Node) OpStats {
+	var st OpStats
+	if rec := p.ops[n]; rec != nil {
+		st = *rec
+	}
+	st.Self = st.Wall
+	for _, k := range n.Children() {
+		if rec := p.ops[k]; rec != nil {
+			st.RowsIn += rec.RowsOut
+			st.Self -= rec.Wall
 		}
-		tkids[i] = tc
-		nodes[i] = tc
 	}
-	rebuilt, err := withChildren(n, nodes)
-	if err != nil {
-		return nil, err
+	if st.Self < 0 {
+		st.Self = 0
 	}
-	return &Traced{inner: rebuilt, orig: n, kids: tkids}, nil
+	return st
 }
 
-// withChildren reconstructs an operator with replacement children (same
-// per-type shape as the rewriter's reconstruction — there is no generic way
-// to swap children on the AST).
-func withChildren(n Node, kids []Node) (Node, error) {
-	want := len(n.Children())
-	if len(kids) != want {
-		return nil, fmt.Errorf("query: trace: %T wants %d children, got %d", n, want, len(kids))
+// Render formats the profile of the plan rooted at n as an annotated plan
+// (see RenderPlan), timings included.
+func (p *Profile) Render(n Node) string {
+	var lines []PlanLine
+	var walk func(n Node, depth int)
+	walk = func(n Node, depth int) {
+		lines = append(lines, PlanLine{Op: n, Depth: depth, OpStats: p.Stats(n)})
+		for _, k := range n.Children() {
+			walk(k, depth+1)
+		}
 	}
-	switch t := n.(type) {
-	case *Base:
-		return t, nil
-	case *Project:
-		return &Project{Child: kids[0], Attrs: t.Attrs}, nil
-	case *Select:
-		return &Select{Child: kids[0], Formula: t.Formula}, nil
-	case *Rename:
-		return &Rename{Child: kids[0], Old: t.Old, New: t.New}, nil
-	case *Join:
-		return &Join{Left: kids[0], Right: kids[1]}, nil
-	case *SetOp:
-		return &SetOp{Kind: t.Kind, Left: kids[0], Right: kids[1]}, nil
-	case *Assign:
-		return &Assign{Child: kids[0], Attr: t.Attr, Src: t.Src, Const: t.Const}, nil
-	case *Invoke:
-		return &Invoke{Child: kids[0], Proto: t.Proto, ServiceAttr: t.ServiceAttr}, nil
-	case *Aggregate:
-		return &Aggregate{Child: kids[0], GroupBy: t.GroupBy, Aggs: t.Aggs}, nil
-	case *Window:
-		return &Window{Child: kids[0], Period: t.Period}, nil
-	case *Stream:
-		return &Stream{Child: kids[0], Kind: t.Kind}, nil
-	}
-	return nil, fmt.Errorf("query: trace: unsupported node %T", n)
+	walk(n, 0)
+	return RenderPlan(lines, true)
 }
 
-// ResultSchema implements Node.
-func (t *Traced) ResultSchema(env Environment) (*schema.Extended, error) {
-	return t.inner.ResultSchema(env)
-}
-
-// Eval implements Node, recording calls, output cardinality, and wall time
-// of the subtree rooted here.
-func (t *Traced) Eval(ctx *Context) (*algebra.XRelation, error) {
-	start := time.Now()
-	r, err := t.inner.Eval(ctx)
-	t.wall += time.Since(start)
-	t.calls++
-	if err != nil {
-		t.err = err
-		return nil, err
-	}
-	t.rowsOut += int64(r.Len())
-	return r, nil
-}
-
-// Children implements Node.
-func (t *Traced) Children() []Node {
-	out := make([]Node, len(t.kids))
-	for i, k := range t.kids {
-		out[i] = k
-	}
-	return out
-}
-
-// String implements Node (the original operator's rendering).
-func (t *Traced) String() string { return t.orig.String() }
-
-// Calls returns how many times the operator evaluated.
-func (t *Traced) Calls() int64 { return t.calls }
-
-// RowsOut returns the cumulative output cardinality.
-func (t *Traced) RowsOut() int64 { return t.rowsOut }
-
-// RowsIn returns the cumulative input cardinality (the sum of the
-// children's outputs; 0 for leaves).
-func (t *Traced) RowsIn() int64 {
-	var in int64
-	for _, k := range t.kids {
-		in += k.rowsOut
-	}
-	return in
-}
-
-// Wall returns the cumulative wall time of the subtree rooted here.
-func (t *Traced) Wall() time.Duration { return t.wall }
-
-// Self returns the operator's own wall time: the subtree total minus the
-// children's totals.
-func (t *Traced) Self() time.Duration {
-	self := t.wall
-	for _, k := range t.kids {
-		self -= k.wall
-	}
-	if self < 0 {
-		self = 0
-	}
-	return self
-}
-
-// opLabel renders just the operator head (no operands) for plan lines.
-// OpLabel renders a node's operator head (no children) — the label used by
-// EXPLAIN ANALYZE rows and the continuous executor's delta report.
-func OpLabel(n Node) string { return opLabel(n) }
-
+// opLabel renders just the operator head for plan lines: the node's SAL
+// form, which is always head(operand, …), without the operand list.
 func opLabel(n Node) string {
-	switch t := n.(type) {
-	case *Base:
-		return t.Name
-	case *Project:
-		return fmt.Sprintf("project[%s]", strings.Join(t.Attrs, ", "))
-	case *Select:
-		return fmt.Sprintf("select[%s]", t.Formula)
-	case *Rename:
-		return fmt.Sprintf("rename[%s -> %s]", t.Old, t.New)
-	case *Join:
-		return "join"
-	case *SetOp:
-		return setOpNames[t.Kind]
-	case *Assign:
-		if t.Src != "" {
-			return fmt.Sprintf("assign[%s := %s]", t.Attr, t.Src)
-		}
-		return fmt.Sprintf("assign[%s := %s]", t.Attr, t.Const)
-	case *Invoke:
-		if t.ServiceAttr != "" {
-			return fmt.Sprintf("invoke[%s@%s]", t.Proto, t.ServiceAttr)
-		}
-		return fmt.Sprintf("invoke[%s]", t.Proto)
-	case *Aggregate:
-		full := t.String()
-		return full[:strings.Index(full, "](")+1]
-	case *Window:
-		return fmt.Sprintf("window[%d]", t.Period)
-	case *Stream:
-		return fmt.Sprintf("stream[%s]", t.Kind)
+	kids := n.Children()
+	if len(kids) == 0 {
+		return n.String()
 	}
-	return fmt.Sprintf("%T", n)
+	operands := make([]string, len(kids))
+	for i, k := range kids {
+		operands[i] = k.String()
+	}
+	return strings.TrimSuffix(n.String(), "("+strings.Join(operands, ", ")+")")
 }
 
-// Render formats the recorded trace as an annotated plan, one operator per
-// line, children indented under their parent:
+// PlanLine is one row of an annotated plan: an operator, its depth in the
+// tree, and its counters.
+type PlanLine struct {
+	Op    Node
+	Depth int
+	OpStats
+}
+
+// RenderPlan formats an annotated plan, one operator per line in the order
+// given, operands indented under their parent and the counters aligned in
+// one column; timed adds the wall-clock columns:
 //
 //	select[location = "office"]   calls=1 rows_in=4 rows_out=2 time=1.2ms self=3µs
 //	  invoke[getTemperature]      calls=1 rows_in=4 rows_out=4 time=1.2ms self=1.2ms
 //	    sensors                   calls=1 rows_in=0 rows_out=4 time=2µs self=2µs
-func (t *Traced) Render() string {
-	var b strings.Builder
-	width := t.labelWidth(0)
-	t.render(&b, 0, width)
-	return b.String()
-}
-
-func (t *Traced) labelWidth(depth int) int {
-	w := 2*depth + len(opLabel(t.orig))
-	for _, k := range t.kids {
-		if kw := k.labelWidth(depth + 1); kw > w {
-			w = kw
+func RenderPlan(lines []PlanLine, timed bool) string {
+	labels := make([]string, len(lines))
+	width := 0
+	for i, l := range lines {
+		labels[i] = strings.Repeat("  ", l.Depth) + opLabel(l.Op)
+		if w := utf8.RuneCountInString(labels[i]); w > width {
+			width = w
 		}
 	}
-	return w
-}
-
-func (t *Traced) render(b *strings.Builder, depth, width int) {
-	label := strings.Repeat("  ", depth) + opLabel(t.orig)
-	fmt.Fprintf(b, "%-*s  calls=%d rows_in=%d rows_out=%d time=%s self=%s",
-		width, label, t.calls, t.RowsIn(), t.rowsOut, round(t.wall), round(t.Self()))
-	if t.err != nil {
-		fmt.Fprintf(b, " error=%v", t.err)
+	var b strings.Builder
+	for i, l := range lines {
+		fmt.Fprintf(&b, "%-*s  calls=%d rows_in=%d rows_out=%d", width, labels[i], l.Calls, l.RowsIn, l.RowsOut)
+		if timed {
+			fmt.Fprintf(&b, " time=%s self=%s", round(l.Wall), round(l.Self))
+		}
+		if l.Err != nil {
+			fmt.Fprintf(&b, " error=%v", l.Err)
+		}
+		b.WriteByte('\n')
 	}
-	b.WriteByte('\n')
-	for _, k := range t.kids {
-		k.render(b, depth+1, width)
-	}
+	return b.String()
 }
 
 // round trims durations to microsecond resolution for readability (0 stays

@@ -1,11 +1,26 @@
 package query_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"serena/internal/query"
 )
+
+// profiled evaluates plan with a fresh Profile installed, the way EXPLAIN
+// ANALYZE does.
+func profiled(t *testing.T, plan query.Node) (*query.Profile, *query.Result) {
+	t.Helper()
+	env, reg, _ := paperSetup()
+	ctx := query.NewContext(env, reg, 0)
+	ctx.Profile = query.NewProfile()
+	res, err := query.EvaluateCtx(plan, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctx.Profile, res
+}
 
 func TestInstrumentPreservesSemantics(t *testing.T) {
 	env, reg, _ := paperSetup()
@@ -13,65 +28,49 @@ func TestInstrumentPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := query.Instrument(q2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := query.Evaluate(traced, env, reg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := profiled(t, q2())
 	if !res.Relation.EqualContents(plain.Relation) {
-		t.Fatal("traced evaluation changed the result")
+		t.Fatal("profiled evaluation changed the result")
 	}
 	if !res.Actions.Equal(plain.Actions) {
-		t.Fatal("traced evaluation changed the action set")
+		t.Fatal("profiled evaluation changed the action set")
 	}
 }
 
 func TestTracedRecordsCardinalities(t *testing.T) {
-	env, reg, _ := paperSetup()
-	traced, err := query.Instrument(q2())
-	if err != nil {
-		t.Fatal(err)
+	plan := q2()
+	prof, res := profiled(t, plan)
+	root := prof.Stats(plan)
+	if root.Calls != 1 {
+		t.Fatalf("root calls = %d, want 1", root.Calls)
 	}
-	res, err := query.Evaluate(traced, env, reg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traced.Calls() != 1 {
-		t.Fatalf("root calls = %d, want 1", traced.Calls())
-	}
-	if got := traced.RowsOut(); got != int64(res.Relation.Len()) {
-		t.Fatalf("root rows_out = %d, want %d", got, res.Relation.Len())
+	if root.RowsOut != int64(res.Relation.Len()) {
+		t.Fatalf("root rows_out = %d, want %d", root.RowsOut, res.Relation.Len())
 	}
 	// The root's input cardinality is its child's output cardinality.
-	kids := traced.Children()
+	kids := plan.Children()
 	if len(kids) != 1 {
 		t.Fatalf("project arity = %d", len(kids))
 	}
-	child := kids[0].(*query.Traced)
-	if traced.RowsIn() != child.RowsOut() {
-		t.Fatalf("rows_in %d != child rows_out %d", traced.RowsIn(), child.RowsOut())
+	child := prof.Stats(kids[0])
+	if child.Calls != 1 {
+		t.Fatalf("child calls = %d, want 1 (operands evaluate through the profile too)", child.Calls)
 	}
-	if traced.Wall() < child.Wall() {
-		t.Fatalf("parent wall %s < child wall %s", traced.Wall(), child.Wall())
+	if root.RowsIn != child.RowsOut {
+		t.Fatalf("rows_in %d != child rows_out %d", root.RowsIn, child.RowsOut)
 	}
-	if traced.Self() > traced.Wall() {
-		t.Fatalf("self %s > wall %s", traced.Self(), traced.Wall())
+	if root.Wall < child.Wall {
+		t.Fatalf("parent wall %s < child wall %s", root.Wall, child.Wall)
+	}
+	if root.Self > root.Wall {
+		t.Fatalf("self %s > wall %s", root.Self, root.Wall)
 	}
 }
 
 func TestTracedRender(t *testing.T) {
-	env, reg, _ := paperSetup()
-	traced, err := query.Instrument(q2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := query.Evaluate(traced, env, reg, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := traced.Render()
+	plan := q2()
+	prof, _ := profiled(t, plan)
+	out := prof.Render(plan)
 	for _, want := range []string{
 		"project[photo]",
 		"invoke[takePhoto]",
@@ -101,11 +100,9 @@ func TestTracedRender(t *testing.T) {
 
 func TestInstrumentActiveQuery(t *testing.T) {
 	env, reg, dev := paperSetup()
-	traced, err := query.Instrument(q1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := query.Evaluate(traced, env, reg, 0)
+	ctx := query.NewContext(env, reg, 0)
+	ctx.Profile = query.NewProfile()
+	res, err := query.EvaluateCtx(q1(), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,5 +115,41 @@ func TestInstrumentActiveQuery(t *testing.T) {
 	}
 	if sent != 2 {
 		t.Fatalf("messages sent = %d, want 2", sent)
+	}
+}
+
+// TestProfileAnnotatesFailingOperator: profiling evaluates the caller's own
+// tree — no rebuilt copy — and a failed evaluation still renders, with the
+// error on the operator that raised it (and on the ancestors it propagated
+// through) but not on the operands that succeeded below it.
+func TestProfileAnnotatesFailingOperator(t *testing.T) {
+	env, reg, _ := paperSetup()
+	// cameras has no getTemperature binding pattern: β fails after its
+	// operand evaluated.
+	leaf := query.NewBase("cameras")
+	bad := query.NewInvoke(leaf, "getTemperature", "")
+	plan := query.NewProject(bad, "camera")
+	ctx := query.NewContext(env, reg, 0)
+	ctx.Profile = query.NewProfile()
+	before := plan.String()
+	if _, err := query.EvaluateCtx(plan, ctx); err == nil {
+		t.Fatal("evaluation of an unresolvable binding pattern succeeded")
+	}
+	if plan.Child != query.Node(bad) || bad.Child != query.Node(leaf) || plan.String() != before {
+		t.Fatalf("profiled evaluation rewired the plan: %s, was %s", plan, before)
+	}
+	if st := ctx.Profile.Stats(leaf); st.Err != nil || st.Calls != 1 || st.RowsOut == 0 {
+		t.Fatalf("leaf stats = %+v, want one clean evaluation", st)
+	}
+	st := ctx.Profile.Stats(bad)
+	if st.Err == nil {
+		t.Fatal("failing operator carries no error")
+	}
+	if root := ctx.Profile.Stats(plan); !errors.Is(root.Err, st.Err) {
+		t.Fatalf("root error = %v, want the propagated %v", root.Err, st.Err)
+	}
+	lines := strings.Split(strings.TrimRight(ctx.Profile.Render(plan), "\n"), "\n")
+	if len(lines) != 3 || !strings.Contains(lines[1], "error=") || strings.Contains(lines[2], "error=") {
+		t.Fatalf("rendered plan does not pin the error on β:\n%s", strings.Join(lines, "\n"))
 	}
 }

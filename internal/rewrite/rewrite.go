@@ -446,95 +446,21 @@ func Apply(n query.Node, env query.Environment, rules []Rule) (query.Node, []Ste
 // node position.
 func rewriteOnce(n query.Node, env query.Environment, rules []Rule, steps *[]Step) (query.Node, bool, error) {
 	// Rewrite children first.
+	kids := n.Children()
 	changed := false
-	switch t := n.(type) {
-	case *query.Project:
-		c, ch, err := rewriteOnce(t.Child, env, rules, steps)
+	for i, c := range kids {
+		out, ch, err := rewriteOnce(c, env, rules, steps)
 		if err != nil {
 			return nil, false, err
 		}
 		if ch {
-			n, changed = query.NewProject(c, t.Attrs...), true
+			kids[i], changed = out, true
 		}
-	case *query.Select:
-		c, ch, err := rewriteOnce(t.Child, env, rules, steps)
-		if err != nil {
+	}
+	if changed {
+		var err error
+		if n, err = query.WithChildren(n, kids); err != nil {
 			return nil, false, err
-		}
-		if ch {
-			n, changed = query.NewSelect(c, t.Formula), true
-		}
-	case *query.Rename:
-		c, ch, err := rewriteOnce(t.Child, env, rules, steps)
-		if err != nil {
-			return nil, false, err
-		}
-		if ch {
-			n, changed = query.NewRename(c, t.Old, t.New), true
-		}
-	case *query.Assign:
-		c, ch, err := rewriteOnce(t.Child, env, rules, steps)
-		if err != nil {
-			return nil, false, err
-		}
-		if ch {
-			n, changed = &query.Assign{Child: c, Attr: t.Attr, Src: t.Src, Const: t.Const}, true
-		}
-	case *query.Invoke:
-		c, ch, err := rewriteOnce(t.Child, env, rules, steps)
-		if err != nil {
-			return nil, false, err
-		}
-		if ch {
-			n, changed = query.NewInvoke(c, t.Proto, t.ServiceAttr), true
-		}
-	case *query.Join:
-		l, chL, err := rewriteOnce(t.Left, env, rules, steps)
-		if err != nil {
-			return nil, false, err
-		}
-		r, chR, err := rewriteOnce(t.Right, env, rules, steps)
-		if err != nil {
-			return nil, false, err
-		}
-		if chL || chR {
-			n, changed = query.NewJoin(l, r), true
-		}
-	case *query.SetOp:
-		l, chL, err := rewriteOnce(t.Left, env, rules, steps)
-		if err != nil {
-			return nil, false, err
-		}
-		r, chR, err := rewriteOnce(t.Right, env, rules, steps)
-		if err != nil {
-			return nil, false, err
-		}
-		if chL || chR {
-			n, changed = &query.SetOp{Kind: t.Kind, Left: l, Right: r}, true
-		}
-	case *query.Aggregate:
-		c, ch, err := rewriteOnce(t.Child, env, rules, steps)
-		if err != nil {
-			return nil, false, err
-		}
-		if ch {
-			n, changed = query.NewAggregate(c, t.GroupBy, t.Aggs), true
-		}
-	case *query.Window:
-		c, ch, err := rewriteOnce(t.Child, env, rules, steps)
-		if err != nil {
-			return nil, false, err
-		}
-		if ch {
-			n, changed = query.NewWindow(c, t.Period), true
-		}
-	case *query.Stream:
-		c, ch, err := rewriteOnce(t.Child, env, rules, steps)
-		if err != nil {
-			return nil, false, err
-		}
-		if ch {
-			n, changed = query.NewStream(c, t.Kind), true
 		}
 	}
 	// Then try rules at this node.
