@@ -4,10 +4,14 @@ GO ?= go
 
 all: build vet test
 
-# The CI gate: static checks plus the full test suite under the race
-# detector. staticcheck runs when installed (CI installs it; locally it is
-# optional so `make check` works on a bare toolchain).
+# The CI gate: formatting, static checks, and the full test suite under
+# the race detector. Any file gofmt would change fails it. staticcheck runs
+# when installed (CI installs it; locally it is optional so `make check`
+# works on a bare toolchain).
 check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed (run make fmt):"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
@@ -89,11 +93,13 @@ chaos:
 experiments:
 	$(GO) run ./cmd/benchrun -exp all
 
-# Quick fuzz pass over the three parsers and the WAL codec.
+# Quick fuzz pass over the three parsers, the value codec the WAL and the
+# wire share, and the WAL's framing, records and checkpoints.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sal/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/ddl/
 	$(GO) test -fuzz=FuzzCompile -fuzztime=10s ./internal/ssql/
+	$(GO) test -fuzz=FuzzDecodeRows -fuzztime=10s ./internal/value/
 	$(GO) test -fuzz=FuzzScanFrames -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/wal/

@@ -28,7 +28,7 @@ func TestAssertFasterHolds(t *testing.T) {
 func TestAssertFasterFlagsSlowOrTiedPoints(t *testing.T) {
 	rep := report(map[string]float64{
 		deltaArm + "/n=64":  90,
-		deltaArm + "/n=1k":  2800, // tied → fails (must be strictly faster)
+		deltaArm + "/n=1k":  2800,  // tied → fails (must be strictly faster)
 		deltaArm + "/n=16k": 70000, // slower → fails
 		naiveArm + "/n=64":  180,
 		naiveArm + "/n=1k":  2800,

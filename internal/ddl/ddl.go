@@ -285,8 +285,10 @@ func (p *parser) explain() (Statement, error) {
 	return st, nil
 }
 
-// registerQuery := QUERY name [ON ERROR (FAIL|SKIP|NULL)]
-//	[INTO relname [RETAIN n INSTANTS]] AS <tokens until ';'>
+// registerQuery parses
+//
+//	QUERY name [ON ERROR (FAIL|SKIP|NULL)]
+//	  [INTO relname [RETAIN n INSTANTS]] AS <tokens until ';'>
 func (p *parser) registerQuery() (Statement, error) {
 	if err := p.expectKeyword("QUERY"); err != nil {
 		return nil, err

@@ -2,7 +2,7 @@
 //
 // The InProcBus stands in for SSDP multicast inside one process; a federated
 // deployment needs announcements to cross processes. WireBus carries them as
-// wire v4 announce frames between pemsd nodes: every node pushes its own
+// wire announce frames between pemsd nodes: every node pushes its own
 // Alive/Bye to the peers it joined, and relays frames it receives onward, so
 // a partially connected join graph still converges to full membership
 // (gossip over TCP links instead of multicast).
@@ -19,14 +19,10 @@
 //     an observation about OUR path to the peer, not a fact about the peer:
 //     relaying it could evict a node that other peers still reach, and
 //     recording it could mask the partitioned node's next genuine Alive.
-//   - Pre-v4 peers opt out silently. A peer answering "unknown op" to an
-//     announce (wire.ErrAnnounceUnsupported) is marked mute: invocations to
-//     it keep working, announces stop.
 package discovery
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -49,7 +45,6 @@ type wireBusPeer struct {
 	addr    string
 	node    string // learned from the announce response ("" until first contact)
 	client  *wire.Client
-	mute    bool          // pre-v4 peer: stop announcing to it
 	down    bool          // last announce failed; synthesized Bye delivered
 	backoff time.Duration // current redial backoff (capped)
 	nextTry time.Time     // earliest next dial when down
@@ -275,7 +270,7 @@ func (b *WireBus) stamp(a Announcement) wire.Announce {
 	return wire.Announce{Kind: kind, Node: a.Node, Addr: a.Addr, Seq: seq, From: b.node, Services: a.Services}
 }
 
-// broadcast pushes one frame to every non-mute peer, excluding the frame's
+// broadcast pushes one frame to every joined peer, excluding the frame's
 // origin and the peer it arrived from. Dead links get a capped-backoff
 // redial schedule and a local synthesized Bye on the up→down transition.
 func (b *WireBus) broadcast(frame wire.Announce) {
@@ -286,7 +281,7 @@ func (b *WireBus) broadcast(frame wire.Announce) {
 	b.mu.Lock()
 	targets := make([]*wireBusPeer, 0, len(b.peers))
 	for _, p := range b.peers {
-		if p.mute || exclude[p.node] {
+		if exclude[p.node] {
 			continue
 		}
 		targets = append(targets, p)
@@ -334,12 +329,6 @@ func (b *WireBus) sendTo(p *wireBusPeer, frame wire.Announce) {
 	peerNode, err := client.Announce(ctx, []wire.Announce{frame})
 	cancel()
 	if err != nil {
-		if errors.Is(err, wire.ErrAnnounceUnsupported) {
-			b.mu.Lock()
-			p.mute = true
-			b.mu.Unlock()
-			return
-		}
 		b.linkFailed(p)
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"serena/internal/query"
 	"serena/internal/service"
 	"serena/internal/stream"
+	"serena/internal/value"
 )
 
 // A checkpoint bounds replay: it snapshots the whole environment — the
@@ -35,131 +36,128 @@ type Checkpoint struct {
 }
 
 func encodeCheckpoint(c *Checkpoint) []byte {
-	e := encoder{}
-	e.u64(c.NextSeq)
-	e.str(c.Catalog)
-	e.varint(int64(c.State.At))
-	e.uvarint(uint64(len(c.State.Relations)))
+	e := value.Encoder{}
+	e.U64(c.NextSeq)
+	e.Str(c.Catalog)
+	e.Varint(int64(c.State.At))
+	e.Uvarint(uint64(len(c.State.Relations)))
 	for _, rs := range c.State.Relations {
-		e.str(rs.Name)
-		e.bool(rs.Derived)
-		e.varint(int64(rs.LastAt))
-		e.uvarint(uint64(len(rs.Events)))
+		e.Str(rs.Name)
+		e.Bool(rs.Derived)
+		e.Varint(int64(rs.LastAt))
+		e.Uvarint(uint64(len(rs.Events)))
 		for _, ev := range rs.Events {
-			e.varint(int64(ev.At))
-			e.u8(byte(ev.Kind))
-			e.tuple(ev.Tuple)
+			e.Varint(int64(ev.At))
+			e.U8(byte(ev.Kind))
+			e.Tuple(ev.Tuple)
 		}
-		e.uvarint(uint64(len(rs.Current)))
+		e.Uvarint(uint64(len(rs.Current)))
 		for _, ct := range rs.Current {
-			e.tuple(ct.Tuple)
-			e.uvarint(uint64(ct.Count))
+			e.Tuple(ct.Tuple)
+			e.Uvarint(uint64(ct.Count))
 		}
 	}
-	e.uvarint(uint64(len(c.State.Queries)))
+	e.Uvarint(uint64(len(c.State.Queries)))
 	for _, qs := range c.State.Queries {
-		e.str(qs.Name)
-		e.str(qs.Source)
-		e.str(qs.OnError)
-		e.str(qs.Into)
-		e.varint(int64(qs.Retain))
-		e.rows(qs.PrevOutput)
-		e.uvarint(uint64(len(qs.InvCache)))
+		e.Str(qs.Name)
+		e.Str(qs.Source)
+		e.Str(qs.OnError)
+		e.Str(qs.Into)
+		e.Varint(int64(qs.Retain))
+		e.Rows(qs.PrevOutput)
+		e.Uvarint(uint64(len(qs.InvCache)))
 		for _, ce := range qs.InvCache {
-			e.uvarint(uint64(ce.Node))
-			e.str(ce.Key)
+			e.Uvarint(uint64(ce.Node))
+			e.Str(ce.Key)
 			// Distinguish "cached as empty/pinned" (nil rows) from rows
 			// present: a pinned entry must survive the round trip as an
 			// entry, so presence is the entry itself and rows may be empty.
-			e.rows(ce.Rows)
+			e.Rows(ce.Rows)
 		}
-		e.uvarint(uint64(len(qs.StreamPrev)))
+		e.Uvarint(uint64(len(qs.StreamPrev)))
 		for _, se := range qs.StreamPrev {
-			e.uvarint(uint64(se.Node))
-			e.tuple(se.Tuple)
+			e.Uvarint(uint64(se.Node))
+			e.Tuple(se.Tuple)
 		}
-		e.varint(qs.Stats.Passive)
-		e.varint(qs.Stats.Active)
-		e.varint(qs.Stats.Memoized)
-		e.uvarint(uint64(len(qs.Actions)))
+		e.Varint(qs.Stats.Passive)
+		e.Varint(qs.Stats.Active)
+		e.Varint(qs.Stats.Memoized)
+		e.Uvarint(uint64(len(qs.Actions)))
 		for _, a := range qs.Actions {
-			e.str(a.BP)
-			e.str(a.Ref)
-			e.tuple(a.Input)
+			e.Str(a.BP)
+			e.Str(a.Ref)
+			e.Tuple(a.Input)
 		}
 	}
-	return e.buf
+	return e.Buf
 }
 
 func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
-	d := decoder{buf: payload}
+	d := value.NewDecoder(payload)
 	c := &Checkpoint{}
-	c.NextSeq = d.u64()
-	c.Catalog = d.str()
-	c.State.At = service.Instant(d.varint())
-	nrel := d.count(1)
-	for i := 0; i < nrel && d.err == nil; i++ {
+	c.NextSeq = d.U64()
+	c.Catalog = d.Str()
+	c.State.At = service.Instant(d.Varint())
+	nrel := d.Count(1)
+	for i := 0; i < nrel && d.Err() == nil; i++ {
 		var rs cq.RelationState
-		rs.Name = d.str()
-		rs.Derived = d.bool()
-		rs.LastAt = service.Instant(d.varint())
-		nev := d.count(1)
-		for j := 0; j < nev && d.err == nil; j++ {
+		rs.Name = d.Str()
+		rs.Derived = d.Bool()
+		rs.LastAt = service.Instant(d.Varint())
+		nev := d.Count(1)
+		for j := 0; j < nev && d.Err() == nil; j++ {
 			rs.Events = append(rs.Events, stream.Event{
-				At:    service.Instant(d.varint()),
-				Kind:  stream.EventKind(d.u8()),
-				Tuple: d.tuple(),
+				At:    service.Instant(d.Varint()),
+				Kind:  stream.EventKind(d.U8()),
+				Tuple: d.Tuple(),
 			})
 		}
-		ncur := d.count(1)
-		for j := 0; j < ncur && d.err == nil; j++ {
-			t := d.tuple()
-			rs.Current = append(rs.Current, stream.Counted{Tuple: t, Count: int(d.uvarint())})
+		ncur := d.Count(1)
+		for j := 0; j < ncur && d.Err() == nil; j++ {
+			t := d.Tuple()
+			rs.Current = append(rs.Current, stream.Counted{Tuple: t, Count: int(d.Uvarint())})
 		}
 		c.State.Relations = append(c.State.Relations, rs)
 	}
-	nq := d.count(1)
-	for i := 0; i < nq && d.err == nil; i++ {
+	nq := d.Count(1)
+	for i := 0; i < nq && d.Err() == nil; i++ {
 		var qs cq.QueryState
-		qs.Name = d.str()
-		qs.Source = d.str()
-		qs.OnError = d.str()
-		qs.Into = d.str()
-		qs.Retain = service.Instant(d.varint())
-		qs.PrevOutput = d.rows()
-		nc := d.count(1)
-		for j := 0; j < nc && d.err == nil; j++ {
+		qs.Name = d.Str()
+		qs.Source = d.Str()
+		qs.OnError = d.Str()
+		qs.Into = d.Str()
+		qs.Retain = service.Instant(d.Varint())
+		qs.PrevOutput = d.Rows()
+		nc := d.Count(1)
+		for j := 0; j < nc && d.Err() == nil; j++ {
 			qs.InvCache = append(qs.InvCache, cq.InvCacheEntry{
-				Node: int(d.uvarint()),
-				Key:  d.str(),
-				Rows: d.rows(),
+				Node: int(d.Uvarint()),
+				Key:  d.Str(),
+				Rows: d.Rows(),
 			})
 		}
-		ns := d.count(1)
-		for j := 0; j < ns && d.err == nil; j++ {
+		ns := d.Count(1)
+		for j := 0; j < ns && d.Err() == nil; j++ {
 			qs.StreamPrev = append(qs.StreamPrev, cq.StreamPrevEntry{
-				Node:  int(d.uvarint()),
-				Tuple: d.tuple(),
+				Node:  int(d.Uvarint()),
+				Tuple: d.Tuple(),
 			})
 		}
-		qs.Stats.Passive = d.varint()
-		qs.Stats.Active = d.varint()
-		qs.Stats.Memoized = d.varint()
-		na := d.count(1)
-		for j := 0; j < na && d.err == nil; j++ {
+		qs.Stats.Passive = d.Varint()
+		qs.Stats.Active = d.Varint()
+		qs.Stats.Memoized = d.Varint()
+		na := d.Count(1)
+		for j := 0; j < na && d.Err() == nil; j++ {
 			qs.Actions = append(qs.Actions, query.Action{
-				BP:    d.str(),
-				Ref:   d.str(),
-				Input: d.tuple(),
+				BP:    d.Str(),
+				Ref:   d.Str(),
+				Input: d.Tuple(),
 			})
 		}
 		c.State.Queries = append(c.State.Queries, qs)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("wal: checkpoint: %w", d.err)
-	}
-	if d.pos != len(d.buf) {
-		return nil, fmt.Errorf("wal: checkpoint: %d trailing bytes", len(d.buf)-d.pos)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	return c, nil
 }

@@ -1,12 +1,9 @@
 package wire_test
 
 import (
-	"encoding/gob"
+	"context"
 	"errors"
-	"fmt"
-	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,8 +56,10 @@ func TestBatchInvokeRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	inputs := []value.Tuple{msg("one"), msg("bad"), msg("three"), msg("four")}
-	out := c.InvokeBatchCtx(t.Context(), "sendMessage", "picky", inputs, 5)
+	out := c.InvokeBatchCtx(ctx, "sendMessage", "picky", inputs, 5)
 	if len(out) != 4 {
 		t.Fatalf("results = %d, want 4", len(out))
 	}
@@ -90,75 +89,13 @@ func TestBatchServerParallelismOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	out := c.InvokeBatchCtx(t.Context(), "sendMessage", "picky", []value.Tuple{msg("x"), msg("y")}, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := c.InvokeBatchCtx(ctx, "sendMessage", "picky", []value.Tuple{msg("x"), msg("y")}, 1)
 	for i := range out {
 		if out[i].Err != nil || len(out[i].Rows) != 1 {
 			t.Fatalf("item %d: %+v", i, out[i])
 		}
-	}
-}
-
-// TestBatchFallbackAgainstPreV3Server drives the client against a
-// hand-rolled legacy peer that answers "unknown op" for batch frames and
-// serves plain invokes. The first batch call must degrade to per-item round
-// trips, and the client must latch: the second batch call goes straight to
-// per-item without probing again.
-func TestBatchFallbackAgainstPreV3Server(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var batchOps, invokeOps atomic.Int64
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		for {
-			var req wire.Request
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			switch req.Op {
-			case "invoke":
-				invokeOps.Add(1)
-				_ = enc.Encode(wire.Response{ID: req.ID, Rows: [][]wire.Value{
-					{wire.EncodeValue(value.NewReal(21.5))},
-				}})
-			default: // a pre-v3 server does not know "batch"
-				batchOps.Add(1)
-				_ = enc.Encode(wire.Response{ID: req.ID, Err: fmt.Sprintf("wire: unknown op %q", req.Op)})
-			}
-		}
-	}()
-
-	c, err := wire.Dial(ln.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	for round := 0; round < 2; round++ {
-		out := c.InvokeBatchCtx(t.Context(), "getTemperature", "sensor01",
-			[]value.Tuple{{}, {}, {}}, 7)
-		for i := range out {
-			if out[i].Err != nil {
-				t.Fatalf("round %d item %d: %v", round, i, out[i].Err)
-			}
-			if len(out[i].Rows) != 1 || out[i].Rows[0][0].Real() != 21.5 {
-				t.Fatalf("round %d item %d: rows = %v", round, i, out[i].Rows)
-			}
-		}
-	}
-	if got := batchOps.Load(); got != 1 {
-		t.Fatalf("legacy server saw %d batch probes, want exactly 1 (client must latch)", got)
-	}
-	if got := invokeOps.Load(); got != 6 {
-		t.Fatalf("legacy server saw %d per-item invokes, want 6", got)
 	}
 }
 
@@ -195,7 +132,9 @@ func TestRemoteProxyBatchesThroughRegistry(t *testing.T) {
 	var bcs service.BatchCtxService = remote // compile-time: proxies batch
 	_ = bcs
 
-	out := local.InvokeBatchCtx(t.Context(), "sendMessage", "picky",
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := local.InvokeBatchCtx(ctx, "sendMessage", "picky",
 		[]value.Tuple{msg("a"), msg("bad"), msg("c")}, 2)
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("healthy items failed: %+v", out)

@@ -6,18 +6,22 @@
 // wire.Client proxies that satisfy service.Service, making remote services
 // indistinguishable from local ones to the algebra.
 //
-// Framing: gob-encoded, ID-tagged request/response messages over a
-// persistent connection with full multiplexing — many invocations may be in
-// flight concurrently on one connection (the server handles each request in
-// its own goroutine), which the parallel invocation operator exploits.
+// Framing: a version preamble exchanged once per connection, then
+// gob-encoded, ID-tagged request/response messages over a persistent
+// connection with full multiplexing — many invocations may be in flight
+// concurrently on one connection (the server handles each request in its
+// own goroutine), which the parallel invocation operator exploits. Tuples
+// and result rows travel as bytes in the value package's binary codec, the
+// same encoding the WAL writes to disk.
 package wire
 
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,20 +33,38 @@ import (
 	"serena/internal/value"
 )
 
-// Version is the wire protocol version stamped on every request. Version 2
-// added the trace-context fields (Ver, TraceID, SpanID); version 3 added the
-// "batch" op carrying many invocations per round trip (Items/ItemResults);
-// version 4 added the "announce" op carrying discovery presence frames
-// (Announces), turning wire links into a federation bus between pemsd
-// nodes. Interop is bidirectional without negotiation because gob ignores
-// fields the receiver does not know and zero-values fields the sender did
-// not write: a v1 server sees a v2 request as a v1 request, and a v2 server
-// sees a v1 request with TraceID 0 — the "not traced" sentinel. A pre-v3
-// server answers a batch frame with "unknown op", which the client takes as
-// the signal to fall back to per-item invokes for the rest of the
-// connection; a pre-v4 server answers an announce frame the same way, and
-// the sender simply stops relaying to it.
-const Version = 4
+// Version is the wire protocol version. Both ends of a new connection
+// write a fixed preamble — magic, then this version — before any gob frame,
+// and each drops a peer whose preamble differs. The version is checked once
+// per connection; nothing in the frames themselves is versioned.
+const Version = 5
+
+// preamble opens every connection, in both directions.
+var preamble = [8]byte{'S', 'R', 'N', 'W', 'I', 'R', 'E', Version}
+
+// ErrVersionMismatch reports a peer whose connection preamble is not this
+// build's: another protocol version, or not a wire peer at all.
+var ErrVersionMismatch = errors.New("wire: protocol version mismatch")
+
+// handshake writes this end's preamble and checks the peer's, with the
+// whole exchange bounded by d (0 = unbounded).
+func handshake(conn net.Conn, d time.Duration) error {
+	if d > 0 {
+		_ = conn.SetDeadline(time.Now().Add(d))
+		defer conn.SetDeadline(time.Time{})
+	}
+	if _, err := conn.Write(preamble[:]); err != nil {
+		return err
+	}
+	var got [len(preamble)]byte
+	if _, err := io.ReadFull(conn, got[:]); err != nil {
+		return fmt.Errorf("handshake: %w", err)
+	}
+	if got != preamble {
+		return fmt.Errorf("%w: peer sent preamble %q, want %q", ErrVersionMismatch, got[:], preamble[:])
+	}
+	return nil
+}
 
 // Wire metrics: round-trip latency and outcome counters, plus connection
 // churn (dials cover both the first connect and every redial).
@@ -55,109 +77,31 @@ var (
 	obsWireDials    = obs.Default.Counter("wire.dials")
 	obsWireConnLost = obs.Default.Counter("wire.connections_lost")
 
-	// Batch-frame metrics: frames sent, invocations they carried, and
-	// frames degraded to per-item invokes against pre-v3 peers.
-	obsWireBatchCalls     = obs.Default.Counter("wire.batch.calls")
-	obsWireBatchItems     = obs.Default.Counter("wire.batch.items")
-	obsWireBatchFallbacks = obs.Default.Counter("wire.batch.fallbacks")
+	// Batch-frame metrics: frames sent and the invocations they carried.
+	obsWireBatchCalls = obs.Default.Counter("wire.batch.calls")
+	obsWireBatchItems = obs.Default.Counter("wire.batch.items")
 )
-
-// Value is the wire form of value.Value (gob needs exported fields).
-type Value struct {
-	Kind uint8
-	B    bool
-	I    int64
-	F    float64
-	S    string
-	Blob []byte
-}
-
-// EncodeValue converts a value to wire form.
-func EncodeValue(v value.Value) Value {
-	w := Value{Kind: uint8(v.Kind())}
-	switch v.Kind() {
-	case value.Bool:
-		w.B = v.Bool()
-	case value.Int:
-		w.I = v.Int()
-	case value.Real:
-		w.F = v.Real()
-	case value.String:
-		w.S = v.Str()
-	case value.Service:
-		w.S = v.ServiceRef()
-	case value.Blob:
-		w.Blob = v.Blob()
-	}
-	return w
-}
-
-// DecodeValue converts a wire value back.
-func DecodeValue(w Value) (value.Value, error) {
-	switch value.Kind(w.Kind) {
-	case value.Null:
-		return value.NewNull(), nil
-	case value.Bool:
-		return value.NewBool(w.B), nil
-	case value.Int:
-		return value.NewInt(w.I), nil
-	case value.Real:
-		return value.NewReal(w.F), nil
-	case value.String:
-		return value.NewString(w.S), nil
-	case value.Service:
-		return value.NewService(w.S), nil
-	case value.Blob:
-		return value.NewBlob(w.Blob), nil
-	}
-	return value.Value{}, fmt.Errorf("wire: unknown value kind %d", w.Kind)
-}
-
-// EncodeTuple converts a tuple to wire form.
-func EncodeTuple(t value.Tuple) []Value {
-	out := make([]Value, len(t))
-	for i, v := range t {
-		out[i] = EncodeValue(v)
-	}
-	return out
-}
-
-// DecodeTuple converts a wire tuple back.
-func DecodeTuple(ws []Value) (value.Tuple, error) {
-	out := make(value.Tuple, len(ws))
-	for i, w := range ws {
-		v, err := DecodeValue(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
 
 // Request is the union of client→server messages.
 type Request struct {
 	// ID correlates the response on a multiplexed connection.
 	ID uint64
-	// Ver is the sender's protocol version (0 from pre-versioning peers).
-	Ver int
-	// Op is "invoke" or "describe".
+	// Op is "invoke", "batch", "describe" or "announce".
 	Op string
-	// Invoke fields.
+	// Invoke fields; Input is a value.EncodeTuple buffer.
 	Proto string
 	Ref   string
-	Input []Value
+	Input []byte
 	At    int64
-	// Trace context (since Version 2): the client's trace and β span IDs,
-	// letting the server record its execution as a child span of the same
-	// trace. 0 means the invocation is not traced.
+	// Trace context: the client's trace and β span IDs, letting the server
+	// record its execution as a child span of the same trace. 0 means the
+	// invocation is not traced.
 	TraceID uint64
 	SpanID  uint64
-	// Items carries a batch of invocations (Op "batch", since Version 3);
-	// the per-request Proto/Ref/Input fields are unused for that op.
+	// Items carries a batch of invocations (Op "batch"); the per-request
+	// Proto/Ref/Input fields are unused for that op.
 	Items []BatchItem
-	// Announces carries discovery presence frames (Op "announce", since
-	// Version 4).
+	// Announces carries discovery presence frames (Op "announce").
 	Announces []Announce
 }
 
@@ -169,12 +113,12 @@ const (
 )
 
 // Announce is one discovery presence frame relayed between pemsd nodes
-// (Op "announce", since Version 4): a node is alive at an address hosting
-// the listed services, or says goodbye. Origin+Seq implement relay loop
-// suppression — Seq increases monotonically per origin, so a receiver drops
-// any frame at or below the last sequence it saw from that origin. From
-// names the immediate sender (≠ Origin on relayed frames), letting a
-// relaying node skip echoing a frame straight back to whoever sent it.
+// (Op "announce"): a node is alive at an address hosting the listed
+// services, or says goodbye. Origin+Seq implement relay loop suppression —
+// Seq increases monotonically per origin, so a receiver drops any frame at
+// or below the last sequence it saw from that origin. From names the
+// immediate sender (≠ Origin on relayed frames), letting a relaying node
+// skip echoing a frame straight back to whoever sent it.
 type Announce struct {
 	Kind     uint8
 	Node     string // the node this frame is about (the origin)
@@ -190,7 +134,7 @@ type Announce struct {
 type BatchItem struct {
 	Proto string
 	Ref   string
-	Input []Value
+	Input []byte // value.EncodeTuple
 	At    int64
 }
 
@@ -199,7 +143,7 @@ type BatchItem struct {
 // does not fail the frame.
 type BatchItemResult struct {
 	Err  string
-	Rows [][]Value
+	Rows []byte // value.EncodeRows
 }
 
 // ServiceInfo describes one hosted service.
@@ -212,10 +156,10 @@ type ServiceInfo struct {
 type Response struct {
 	ID          uint64
 	Err         string
-	Rows        [][]Value         // invoke
-	Node        string            // describe
+	Rows        []byte            // invoke: value.EncodeRows
+	Node        string            // describe, announce
 	Services    []ServiceInfo     // describe
-	ItemResults []BatchItemResult // batch (since Version 3)
+	ItemResults []BatchItemResult // batch
 }
 
 // DefaultServerBatchParallelism bounds how many items of one batch frame
@@ -241,9 +185,9 @@ type Server struct {
 	writeTimeout time.Duration
 	inFlight     atomic.Int64
 
-	// announceHandler receives incoming v4 announce frames (the WireBus
-	// attaches itself here). Nil servers answer announce frames with
-	// "unknown op", exactly like a pre-v4 peer.
+	// announceHandler receives incoming announce frames (the WireBus
+	// attaches itself here). Without one, announce frames are answered with
+	// an error.
 	announceHandler atomic.Pointer[func([]Announce)]
 }
 
@@ -253,7 +197,7 @@ func NewServer(node string, reg *service.Registry) *Server {
 }
 
 // SetBatchParallelism bounds concurrent execution of one batch frame's
-// items. Values < 2 execute items sequentially.
+// items. Values < 2 execute items one at a time.
 func (s *Server) SetBatchParallelism(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -266,10 +210,10 @@ func (s *Server) SetBatchParallelism(n int) {
 // Node returns the node name.
 func (s *Server) Node() string { return s.node }
 
-// SetAnnounceHandler installs the receiver for incoming v4 announce frames
-// (nil uninstalls it, making the server answer them with "unknown op" like
-// a pre-v4 peer). The handler runs on the per-request goroutine and must
-// not block indefinitely.
+// SetAnnounceHandler installs the receiver for incoming announce frames
+// (nil uninstalls it, making the server answer them with an error). The
+// handler runs on the per-request goroutine and must not block
+// indefinitely.
 func (s *Server) SetAnnounceHandler(h func([]Announce)) {
 	if h == nil {
 		s.announceHandler.Store(nil)
@@ -341,6 +285,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
+	s.mu.Lock()
+	readT := s.readTimeout
+	s.mu.Unlock()
+	if handshake(conn, readT) != nil {
+		return // another version, or not a wire peer: no request is read
+	}
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	var writeMu sync.Mutex
@@ -409,13 +359,13 @@ func (s *Server) handle(req *Request) *Response {
 		return resp
 
 	case "invoke":
-		input, err := DecodeTuple(req.Input)
+		input, err := value.DecodeTuple(req.Input)
 		if err != nil {
 			return &Response{Err: err.Error()}
 		}
-		// Resume the client's trace (nil when the invocation is unsampled
-		// or the peer predates trace propagation): the server-side
-		// execution records as a child of the client's round-trip span.
+		// Resume the client's trace (nil when the invocation is
+		// unsampled): the server-side execution records as a child of the
+		// client's round-trip span.
 		span := trace.Default.StartRemote("wire.server", req.TraceID, req.SpanID)
 		span.SetAttr("node", s.node)
 		span.SetAttr("proto", req.Proto)
@@ -428,11 +378,7 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		span.SetAttrInt("rows", int64(len(rows)))
 		span.Finish()
-		resp := &Response{Rows: make([][]Value, len(rows))}
-		for i, row := range rows {
-			resp.Rows[i] = EncodeTuple(row)
-		}
-		return resp
+		return &Response{Rows: value.EncodeRows(rows)}
 
 	case "batch":
 		return s.handleBatch(req)
@@ -440,7 +386,7 @@ func (s *Server) handle(req *Request) *Response {
 	case "announce":
 		h := s.announceHandler.Load()
 		if h == nil {
-			break // no bus attached: answer like a pre-v4 peer
+			return &Response{Err: fmt.Sprintf("wire: %s: no discovery bus attached", s.node)}
 		}
 		(*h)(req.Announces)
 		// The response names this node so the announcing dialer learns the
@@ -450,7 +396,7 @@ func (s *Server) handle(req *Request) *Response {
 	return &Response{Err: fmt.Sprintf("wire: unknown op %q", req.Op)}
 }
 
-// handleBatch executes a v3 batch frame: every item independently, on a
+// handleBatch executes a batch frame: every item independently, on a
 // bounded worker pool, with per-item errors so one bad tuple cannot fail
 // its neighbours. Results are positional.
 func (s *Server) handleBatch(req *Request) *Response {
@@ -461,7 +407,7 @@ func (s *Server) handleBatch(req *Request) *Response {
 	results := make([]BatchItemResult, len(req.Items))
 	run := func(i int) {
 		item := req.Items[i]
-		input, err := DecodeTuple(item.Input)
+		input, err := value.DecodeTuple(item.Input)
 		if err != nil {
 			results[i].Err = err.Error()
 			return
@@ -471,40 +417,27 @@ func (s *Server) handleBatch(req *Request) *Response {
 			results[i].Err = err.Error()
 			return
 		}
-		enc := make([][]Value, len(rows))
-		for j, row := range rows {
-			enc[j] = EncodeTuple(row)
-		}
-		results[i].Rows = enc
+		results[i].Rows = value.EncodeRows(rows)
 	}
 	s.mu.Lock()
-	workers := s.batchPar
+	workers := min(s.batchPar, len(req.Items))
 	s.mu.Unlock()
-	if workers > len(req.Items) {
-		workers = len(req.Items)
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				run(i)
+			}
+		}()
 	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					run(i)
-				}
-			}()
-		}
-		for i := range req.Items {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for i := range req.Items {
-			run(i)
-		}
+	for i := range req.Items {
+		next <- i
 	}
+	close(next)
+	wg.Wait()
 	return &Response{ItemResults: results}
 }
 
@@ -531,11 +464,6 @@ type Client struct {
 	cur    *clientConn
 	nextID uint64
 	closed bool
-
-	// batchUnsupported latches once a peer answers a batch frame with
-	// "unknown op": every later batch degrades straight to per-item
-	// invokes without re-probing (the peer will not upgrade mid-flight).
-	batchUnsupported atomic.Bool
 }
 
 // clientConn is one physical connection's state. Keeping the pending map
@@ -548,8 +476,9 @@ type clientConn struct {
 	pending map[uint64]chan *Response
 }
 
-// Dial connects to a node. The timeout bounds the dial, every write, and
-// each round trip's wait for a response.
+// Dial connects to a node. The timeout bounds the dial and version
+// handshake, every write, and each round trip's wait for a response. A node
+// speaking another protocol version fails with ErrVersionMismatch.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	c := &Client{addr: addr, timeout: timeout, attempts: 3, backoffBase: 5 * time.Millisecond, backoffMax: 250 * time.Millisecond}
 	c.mu.Lock()
@@ -579,10 +508,16 @@ func (c *Client) SetReconnect(attempts int, base, max time.Duration) {
 	}
 }
 
-// connectLocked (re)establishes the connection and starts its read loop.
+// connectLocked (re)establishes the connection, checks the peer's protocol
+// version, and starts the read loop.
 func (c *Client) connectLocked() error {
 	obsWireDials.Inc()
 	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
+	if err == nil {
+		if err = handshake(conn, c.timeout); err != nil {
+			_ = conn.Close()
+		}
+	}
 	if err != nil {
 		// ErrUnreachable: the request (if any) never left this process, so
 		// even an active invocation may safely fail over to a replica.
@@ -640,10 +575,13 @@ func (c *Client) Close() error {
 // Addr returns the remote address.
 func (c *Client) Addr() string { return c.addr }
 
-// roundTrip sends one request and waits for its response, transparently
-// redialing a lost connection (see roundTripCtx).
-func (c *Client) roundTrip(req *Request) (*Response, error) {
-	return c.roundTripCtx(context.Background(), req)
+// call is roundTripCtx with a remote error folded into the error result.
+func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
+	resp, err := c.roundTripCtx(ctx, req)
+	if err == nil && resp.Err != "" {
+		return nil, remoteError(resp.Err)
+	}
+	return resp, err
 }
 
 // roundTripCtx drives one request to completion under the reconnection
@@ -651,7 +589,6 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 // with capped exponential backoff and retry; a timed-out or cancelled
 // request is NOT retried, because it may already have reached the server.
 func (c *Client) roundTripCtx(ctx context.Context, req *Request) (*Response, error) {
-	req.Ver = Version
 	obsWireCalls.Inc()
 	// A sampled invocation gets a round-trip child span and exports its
 	// trace context in the frame, so the server side can resume the trace.
@@ -793,35 +730,20 @@ func (c *Client) tryRoundTrip(ctx context.Context, req *Request) (resp *Response
 
 // Describe queries the node's name and hosted services.
 func (c *Client) Describe() (string, []ServiceInfo, error) {
-	resp, err := c.roundTrip(&Request{Op: "describe"})
+	resp, err := c.call(context.Background(), &Request{Op: "describe"})
 	if err != nil {
 		return "", nil, err
-	}
-	if resp.Err != "" {
-		return "", nil, remoteError(resp.Err)
 	}
 	return resp.Node, resp.Services, nil
 }
 
-// ErrAnnounceUnsupported reports a pre-v4 peer that cannot carry announce
-// frames (it answered "unknown op").
-var ErrAnnounceUnsupported = fmt.Errorf("wire: peer does not support announce frames")
-
-// Announce ships discovery presence frames to the peer (wire v4) and
-// returns the peer's node name, so the dialing side of a federation link
-// learns the addr → node mapping for free. A pre-v4 peer answers "unknown
-// op", surfaced as ErrAnnounceUnsupported so the sender can stop relaying
-// to it instead of retrying forever.
+// Announce ships discovery presence frames to the peer and returns the
+// peer's node name, so the dialing side of a federation link learns the
+// addr → node mapping for free.
 func (c *Client) Announce(ctx context.Context, anns []Announce) (string, error) {
-	resp, err := c.roundTripCtx(ctx, &Request{Op: "announce", Announces: anns})
+	resp, err := c.call(ctx, &Request{Op: "announce", Announces: anns})
 	if err != nil {
 		return "", err
-	}
-	if resp.Err != "" {
-		if strings.Contains(resp.Err, "unknown op") {
-			return "", ErrAnnounceUnsupported
-		}
-		return "", remoteError(resp.Err)
 	}
 	return resp.Node, nil
 }
@@ -834,125 +756,46 @@ func (c *Client) Invoke(proto, ref string, input value.Tuple, at service.Instant
 // InvokeCtx performs a remote invocation bounded by the context: the
 // deadline caps the whole round trip, including reconnection backoff.
 func (c *Client) InvokeCtx(ctx context.Context, proto, ref string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
-	resp, err := c.roundTripCtx(ctx, &Request{
-		Op: "invoke", Proto: proto, Ref: ref, Input: EncodeTuple(input), At: int64(at),
+	resp, err := c.call(ctx, &Request{
+		Op: "invoke", Proto: proto, Ref: ref, Input: value.EncodeTuple(input), At: int64(at),
 	})
 	if err != nil {
 		return nil, err
 	}
-	if resp.Err != "" {
-		return nil, remoteError(resp.Err)
-	}
-	rows := make([]value.Tuple, len(resp.Rows))
-	for i, r := range resp.Rows {
-		t, err := DecodeTuple(r)
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = t
-	}
-	return rows, nil
+	return value.DecodeRows(resp.Rows)
 }
 
 // InvokeBatchCtx performs many invocations of one (proto, ref) pair in a
-// single round trip (wire v3 batch frame). Results are positional and
-// per-item. A pre-v3 peer answers "unknown op"; the client then latches the
-// connection as batch-incapable and degrades to per-item InvokeCtx calls —
-// transparent to callers beyond the lost batching win. Transport failures
-// (the frame itself failed) uniformly fail every item.
+// single round trip (a batch frame). Results are positional and per-item;
+// a failure of the frame itself fails every item.
 func (c *Client) InvokeBatchCtx(ctx context.Context, proto, ref string, inputs []value.Tuple, at service.Instant) []service.InvokeResult {
 	out := make([]service.InvokeResult, len(inputs))
 	if len(inputs) == 0 {
 		return out
 	}
-	if c.batchUnsupported.Load() {
-		return c.invokeBatchFallback(ctx, proto, ref, inputs, at)
-	}
 	obsWireBatchCalls.Inc()
 	obsWireBatchItems.Add(int64(len(inputs)))
 	items := make([]BatchItem, len(inputs))
 	for i, in := range inputs {
-		items[i] = BatchItem{Proto: proto, Ref: ref, Input: EncodeTuple(in), At: int64(at)}
+		items[i] = BatchItem{Proto: proto, Ref: ref, Input: value.EncodeTuple(in), At: int64(at)}
 	}
-	resp, err := c.roundTripCtx(ctx, &Request{Op: "batch", Items: items})
+	resp, err := c.call(ctx, &Request{Op: "batch", Items: items})
 	if err != nil {
 		for i := range out {
 			out[i].Err = err
 		}
 		return out
 	}
-	if resp.Err != "" {
-		if strings.Contains(resp.Err, "unknown op") {
-			// Pre-v3 peer: remember and degrade to per-item invokes.
-			c.batchUnsupported.Store(true)
-			return c.invokeBatchFallback(ctx, proto, ref, inputs, at)
-		}
-		ferr := remoteError(resp.Err)
-		for i := range out {
-			out[i].Err = ferr
-		}
-		return out
-	}
 	for i := range out {
-		if i >= len(resp.ItemResults) {
+		switch {
+		case i >= len(resp.ItemResults):
 			out[i].Err = fmt.Errorf("wire: %s: batch response carried %d of %d results", c.addr, len(resp.ItemResults), len(inputs))
-			continue
+		case resp.ItemResults[i].Err != "":
+			out[i].Err = remoteError(resp.ItemResults[i].Err)
+		default:
+			out[i].Rows, out[i].Err = value.DecodeRows(resp.ItemResults[i].Rows)
 		}
-		res := resp.ItemResults[i]
-		if res.Err != "" {
-			out[i].Err = remoteError(res.Err)
-			continue
-		}
-		rows := make([]value.Tuple, len(res.Rows))
-		var decErr error
-		for j, r := range res.Rows {
-			t, err := DecodeTuple(r)
-			if err != nil {
-				decErr = err
-				break
-			}
-			rows[j] = t
-		}
-		if decErr != nil {
-			out[i].Err = decErr
-			continue
-		}
-		out[i].Rows = rows
 	}
-	return out
-}
-
-// invokeBatchFallback is the pre-v3 degradation: per-item round trips on a
-// bounded pool, preserving the batch call's positional per-item contract.
-func (c *Client) invokeBatchFallback(ctx context.Context, proto, ref string, inputs []value.Tuple, at service.Instant) []service.InvokeResult {
-	obsWireBatchFallbacks.Inc()
-	out := make([]service.InvokeResult, len(inputs))
-	workers := service.DefaultBatchParallelism
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
-	if workers < 2 {
-		for i, in := range inputs {
-			out[i].Rows, out[i].Err = c.InvokeCtx(ctx, proto, ref, in, at)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i].Rows, out[i].Err = c.InvokeCtx(ctx, proto, ref, inputs[i], at)
-			}
-		}()
-	}
-	for i := range inputs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 	return out
 }
 
@@ -997,8 +840,7 @@ func (r *Remote) InvokeCtx(ctx context.Context, proto string, input value.Tuple,
 }
 
 // InvokeBatchCtx implements service.BatchCtxService: the registry hands a
-// whole (proto, ref) group to the proxy, which ships it as one wire v3
-// batch frame (or degrades to per-item round trips against pre-v3 peers).
+// whole (proto, ref) group to the proxy, which ships it as one batch frame.
 func (r *Remote) InvokeBatchCtx(ctx context.Context, proto string, inputs []value.Tuple, at service.Instant) []service.InvokeResult {
 	return r.client.InvokeBatchCtx(ctx, proto, r.ref, inputs, at)
 }

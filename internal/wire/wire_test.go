@@ -1,51 +1,25 @@
 package wire_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"serena/internal/device"
+	"serena/internal/resilience"
 	"serena/internal/service"
+	"serena/internal/trace"
 	"serena/internal/value"
 	"serena/internal/wire"
 )
-
-func TestValueRoundTrip(t *testing.T) {
-	vals := []value.Value{
-		value.NewNull(),
-		value.NewBool(true),
-		value.NewBool(false),
-		value.NewInt(-42),
-		value.NewReal(3.25),
-		value.NewString("héllo"),
-		value.NewService("sensor01"),
-		value.NewBlob([]byte{0, 1, 2, 255}),
-	}
-	for _, v := range vals {
-		got, err := wire.DecodeValue(wire.EncodeValue(v))
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if got.Key() != v.Key() {
-			t.Errorf("round trip %v → %v", v, got)
-		}
-	}
-	if _, err := wire.DecodeValue(wire.Value{Kind: 99}); err == nil {
-		t.Error("bogus kind accepted")
-	}
-}
-
-func TestTupleRoundTrip(t *testing.T) {
-	tu := value.Tuple{value.NewInt(1), value.NewString("x"), value.NewNull()}
-	got, err := wire.DecodeTuple(wire.EncodeTuple(tu))
-	if err != nil || !got.Equal(tu) {
-		t.Fatalf("round trip = %v, %v", got, err)
-	}
-}
 
 // startNode spins up a Local-ERM-style wire server hosting one sensor.
 func startNode(t *testing.T) (addr string, reg *service.Registry, srv *wire.Server) {
@@ -484,5 +458,245 @@ func TestClientClosedRejectsCalls(t *testing.T) {
 	_ = c.Close()
 	if _, err := c.Invoke("getTemperature", "sensor01", nil, 0); err == nil {
 		t.Fatal("closed client accepted a call")
+	}
+}
+
+// TestTracePropagatesOverWire: a traced client-side invocation and the
+// server-side execution share ONE trace ID, with the server span parented
+// on the client's round-trip span.
+func TestTracePropagatesOverWire(t *testing.T) {
+	addr, _, _ := startNode(t)
+	prev := trace.Default.SampleEvery()
+	trace.Default.SetSampleEvery(1)
+	defer func() {
+		trace.Default.SetSampleEvery(prev)
+		trace.Default.Reset()
+	}()
+	trace.Default.Reset()
+
+	c, err := wire.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	root := trace.Default.ForceRoot("test.root")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := c.InvokeCtx(trace.ContextWith(ctx, root), "getTemperature", "sensor01", nil, 5); err != nil {
+		t.Fatal(err)
+	}
+	root.Finish()
+
+	spans := trace.Default.TraceSpans(root.Trace())
+	var roundtrip, server *trace.Span
+	for _, s := range spans {
+		switch s.Name {
+		case "wire.roundtrip":
+			roundtrip = s
+		case "wire.server":
+			server = s
+		}
+	}
+	if roundtrip == nil || server == nil {
+		t.Fatalf("missing spans in trace: %v", spans)
+	}
+	if roundtrip.ParentID != root.SpanID {
+		t.Fatalf("roundtrip parent = %x, want root %x", roundtrip.ParentID, root.SpanID)
+	}
+	if server.TraceID != root.TraceID || server.ParentID != roundtrip.SpanID {
+		t.Fatalf("server span not linked: trace %x parent %x, want trace %x parent %x",
+			server.TraceID, server.ParentID, root.TraceID, roundtrip.SpanID)
+	}
+	if server.Attr("node") != "node-A" || server.Attr("proto") != "getTemperature" {
+		t.Fatalf("server span attrs: %v", server.Attrs)
+	}
+}
+
+// startCountingNode serves one getTemperature service that counts its
+// invocations, so a test can tell whether a request reached the registry.
+func startCountingNode(t *testing.T) (string, *atomic.Int64) {
+	t.Helper()
+	var calls atomic.Int64
+	reg := service.NewRegistry()
+	if err := reg.RegisterPrototype(device.GetTemperatureProto()); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register(service.NewFunc("counted", map[string]service.InvokeFunc{
+		"getTemperature": func(value.Tuple, service.Instant) ([]value.Tuple, error) {
+			calls.Add(1)
+			return []value.Tuple{{value.NewReal(20)}}, nil
+		},
+	})); err != nil {
+		t.Fatal(err)
+	}
+	srv := wire.NewServer("n", reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	return addr, &calls
+}
+
+// expectHangUp reads conn to its end and fails if the server keeps it open.
+// A server that closes with our bytes still unread may reset instead of
+// closing cleanly; either way the connection is over.
+func expectHangUp(t *testing.T, conn net.Conn) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	_, err := io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server kept a mismatched connection open")
+	}
+}
+
+// TestServerRefusesOtherVersions: a peer that opens with another version's
+// preamble, or with a gob request and no preamble at all (how every peer
+// before version 5 spoke), is disconnected before any request is read.
+// The registry records no invocation; a current client then gets through.
+func TestServerRefusesOtherVersions(t *testing.T) {
+	addr, calls := startCountingNode(t)
+
+	t.Run("other version preamble", func(t *testing.T) {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// The server speaks first; answer with its own preamble one version
+		// ahead, then a request it must never read.
+		pre := make([]byte, 8)
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := io.ReadFull(conn, pre); err != nil {
+			t.Fatal(err)
+		}
+		pre[len(pre)-1]++
+		if _, err := conn.Write(pre); err != nil {
+			t.Fatal(err)
+		}
+		_ = gob.NewEncoder(conn).Encode(wire.Request{ID: 1, Op: "invoke", Proto: "getTemperature", Ref: "counted"})
+		expectHangUp(t, conn)
+	})
+
+	t.Run("gob request without preamble", func(t *testing.T) {
+		// The request shape of protocol version 4: a Ver field and gob
+		// values, sent as the very first bytes.
+		type v4Value struct {
+			Kind uint8
+			F    float64
+		}
+		type v4Request struct {
+			ID    uint64
+			Ver   int
+			Op    string
+			Proto string
+			Ref   string
+			Input []v4Value
+			At    int64
+		}
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var frame bytes.Buffer
+		if err := gob.NewEncoder(&frame).Encode(v4Request{ID: 1, Ver: 4, Op: "invoke", Proto: "getTemperature", Ref: "counted", At: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		expectHangUp(t, conn)
+	})
+
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("refused peers reached the registry: %d invocations", n)
+	}
+	c, err := wire.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Invoke("getTemperature", "counted", nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("current client: %d invocations, want 1", n)
+	}
+}
+
+// TestDialRefusesOtherVersion: Dial against a server that answers with
+// another version's preamble fails as a version mismatch, classified
+// unreachable because no request was sent.
+func TestDialRefusesOtherVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		pre := make([]byte, 8)
+		if _, err := io.ReadFull(conn, pre); err != nil {
+			return
+		}
+		pre[len(pre)-1]++ // echo the client's preamble, one version ahead
+		_, _ = conn.Write(pre)
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	_, err = wire.Dial(ln.Addr().String(), time.Second)
+	if !errors.Is(err, wire.ErrVersionMismatch) || !errors.Is(err, resilience.ErrUnreachable) {
+		t.Fatalf("err = %v, want ErrVersionMismatch and ErrUnreachable", err)
+	}
+}
+
+// TestWireAllocationCeilings pins the allocations of one loopback Invoke
+// and one 2-item InvokeBatchCtx, counted process-wide so the server half is
+// included. The counts are exact on a given toolchain; each ceiling sits
+// about 5% above them, so a second codec or a per-call buffer fails here.
+// A change that lowers a count lowers its ceiling with it.
+func TestWireAllocationCeilings(t *testing.T) {
+	addr, _, _ := startNode(t)
+	c, err := wire.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	batchAddr, _ := startBatchNode(t)
+	cb, err := wire.Dial(batchAddr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inputs := []value.Tuple{msg("a"), msg("b")}
+
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		call    func()
+	}{
+		{"invoke", 31, func() { // 30 measured
+			if _, err := c.Invoke("getTemperature", "sensor01", nil, 1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"batch of 2", 77, func() { // 74 measured
+			for _, res := range cb.InvokeBatchCtx(ctx, "sendMessage", "picky", inputs, 1) {
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(200, tc.call); got > tc.ceiling {
+			t.Errorf("%s: %.0f allocations per call, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
 	}
 }
