@@ -38,7 +38,8 @@ func TestShellGolden(t *testing.T) {
 		`EXPLAIN ANALYZE project[photo](invoke[takePhoto](select[quality >= 5](invoke[checkPhoto](select[area = "office"](cameras)))))`,
 		`.tick 2`,
 		`.stats`,
-		`.onerror hot NULL`,
+		`UNREGISTER QUERY hot;`,
+		`REGISTER QUERY hot ON ERROR NULL AS select[temperature > 28.0](invoke[getTemperature](sensors));`,
 		`.stats hot`,
 		`.quit`,
 	}, "\n") + "\n"

@@ -76,7 +76,8 @@ func main() {
 	p := pems.New()
 	defer p.Close()
 	p.SetExplainOutput(os.Stdout)
-	p.SetTraceSampling(*traceSample)
+	trace.Default.SetSampleEvery(*traceSample)
+	exec, reg := p.Executor(), p.Registry()
 
 	if *metricsAddr != "" {
 		bound, err := p.ServeMetrics(*metricsAddr)
@@ -87,34 +88,34 @@ func main() {
 	}
 
 	if *invokeTimeout > 0 {
-		p.SetInvocationTimeout(*invokeTimeout)
+		reg.SetInvokeTimeout(*invokeTimeout)
 	}
 	if *parallel > 1 {
-		p.SetInvocationParallelism(*parallel)
+		exec.SetParallelism(*parallel)
 	}
 	if *queryParallel > 1 {
-		p.SetQueryParallelism(*queryParallel)
+		exec.SetQueryParallelism(*queryParallel)
 	}
 	if *batchSize != 0 {
-		p.SetInvocationBatchSize(*batchSize)
+		exec.SetBatchSize(*batchSize)
 	}
 	if *tickBudget > 0 {
-		p.SetTickBudget(*tickBudget)
+		exec.SetTickBudget(*tickBudget)
 	}
 	if *coalesce {
-		p.SetOverloadCoalescing(true)
+		exec.SetOverloadCoalescing(true)
 	}
 	if *maxInFlight > 0 {
-		p.SetAdmissionLimit(*maxInFlight, 0, 0)
+		reg.SetAdmissionLimit(*maxInFlight, 0, 0)
 	}
 	if *retries > 1 {
 		rp := resilience.DefaultRetry()
 		rp.MaxAttempts = *retries
 		rp.BaseDelay = *retryBase
-		p.SetRetryPolicy(rp)
+		reg.SetRetryPolicy(rp)
 	}
 	if *breakers {
-		p.EnableBreakers(resilience.BreakerPolicy{
+		reg.EnableBreakers(resilience.BreakerPolicy{
 			FailureThreshold: *breakerFailures,
 			Cooldown:         *breakerCooldown,
 		})
@@ -322,7 +323,7 @@ func repl(p *pems.PEMS, r io.Reader, out io.Writer) {
 		if pending.Len() > 0 {
 			fmt.Fprint(out, "   ...> ")
 		} else {
-			fmt.Fprintf(out, "serena[%d]> ", p.Now())
+			fmt.Fprintf(out, "serena[%d]> ", p.Executor().Now())
 		}
 	}
 	prompt()
@@ -414,7 +415,7 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
   SELECT ...                       evaluate a one-shot Serena SQL query
   EXPLAIN <query>                  show the optimized plan and rewrite steps
   EXPLAIN ANALYZE <query>          run the query, show per-operator trace
-  .register <name> <SAL>          register a continuous query (optimized)
+  .register <name> <SAL|SQL>      register a continuous query (optimized)
   .unregister <name>              remove a continuous query
   .tick [n]                       advance the clock n instants (default 1)
   .show <relation>                print a relation's current contents
@@ -424,7 +425,6 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
   .parallel <n>                   set invocation parallelism (default 1)
   .qparallel <n>                  set per-tick query parallelism (default 1)
   .batch <n>                      set β batch size (0 = default, -1 disables)
-  .onerror <name> FAIL|SKIP|NULL  set a query's degradation policy
   .errors <name>                  show a query's recorded invocation failures
   .breakers                       show circuit-breaker states (-breakers)
   .explain <query>                show the optimized plan and rewrite steps
@@ -456,21 +456,15 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 				break
 			}
 		}
-		fmt.Fprintf(out, "clock at instant %d\n", p.Now())
+		fmt.Fprintf(out, "clock at instant %d\n", p.Executor().Now())
 	case ".register":
 		if len(fields) < 3 {
-			fmt.Fprintln(out, "usage: .register <name> <SAL>")
+			fmt.Fprintln(out, "usage: .register <name> <SAL|SQL>")
 			break
 		}
 		name := fields[1]
 		src := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(line, ".register"), " "+name))
-		var q *cq.Query
-		var err error
-		if pems.LooksLikeSQL(src) {
-			q, err = p.RegisterQuerySQL(name, src, true)
-		} else {
-			q, err = p.RegisterQuery(name, src, true)
-		}
+		q, err := p.RegisterQuery(name, src, true)
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			break
@@ -491,7 +485,7 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 			fmt.Fprintln(out, "usage: .show <relation>")
 			break
 		}
-		at := p.Now()
+		at := p.Executor().Now()
 		if at < 0 {
 			at = 0
 		}
@@ -524,7 +518,7 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 			fmt.Fprintln(out, "usage: .qparallel <n>  (n >= 1)")
 			break
 		}
-		p.SetQueryParallelism(n)
+		p.Executor().SetQueryParallelism(n)
 		fmt.Fprintf(out, "query parallelism set to %d\n", n)
 	case ".batch":
 		if len(fields) != 2 {
@@ -536,7 +530,7 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 			fmt.Fprintln(out, "usage: .batch <n>  (0 = default, negative disables)")
 			break
 		}
-		p.SetInvocationBatchSize(n)
+		p.Executor().SetBatchSize(n)
 		switch {
 		case n < 0:
 			fmt.Fprintln(out, "invocation batching disabled")
@@ -545,21 +539,6 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 		default:
 			fmt.Fprintf(out, "invocation batch size set to %d\n", n)
 		}
-	case ".onerror":
-		if len(fields) != 3 {
-			fmt.Fprintln(out, "usage: .onerror <query> FAIL|SKIP|NULL")
-			break
-		}
-		policy, err := resilience.ParsePolicy(fields[2])
-		if err != nil {
-			fmt.Fprintln(out, "error:", err)
-			break
-		}
-		if err := p.SetQueryDegradation(fields[1], policy); err != nil {
-			fmt.Fprintln(out, "error:", err)
-			break
-		}
-		fmt.Fprintf(out, "query %q now degrades with %s\n", fields[1], policy)
 	case ".errors":
 		if len(fields) != 2 {
 			fmt.Fprintln(out, "usage: .errors <query>")
@@ -579,11 +558,12 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 			fmt.Fprintf(out, "  %s\n", e.Error())
 		}
 	case ".breakers":
-		states := p.BreakerStates()
-		if states == nil {
+		breakers := p.Registry().Breakers()
+		if breakers == nil {
 			fmt.Fprintln(out, "circuit breakers not enabled (start with -breakers)")
 			break
 		}
+		states := breakers.States()
 		if len(states) == 0 {
 			fmt.Fprintln(out, "no services tracked yet (breakers track failures lazily)")
 			break
@@ -700,7 +680,7 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 			fmt.Fprintln(out, "usage: .sample <n>  (n >= 0)")
 			break
 		}
-		p.SetTraceSampling(n)
+		trace.Default.SetSampleEvery(n)
 		if n == 0 {
 			fmt.Fprintln(out, "tracing disabled")
 		} else {
@@ -711,7 +691,7 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 			fmt.Fprintln(out, "error:", err)
 			break
 		}
-		fmt.Fprintf(out, "checkpoint written (%s) at instant %d\n", p.WAL().Dir(), p.Now())
+		fmt.Fprintf(out, "checkpoint written (%s) at instant %d\n", p.WAL().Dir(), p.Executor().Now())
 	case ".recovery":
 		if lastRecovery == nil {
 			fmt.Fprintln(out, "durability not enabled (start with -data-dir)")

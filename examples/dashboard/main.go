@@ -52,13 +52,13 @@ INSERT INTO contacts VALUES ("Carla", "carla@elysee.fr", email);`))
 
 	// Stage 1 (continuous view "means"): mean temperature per location over
 	// a 5-instant window.
-	means, err := p.RegisterQuerySQL("means",
+	means, err := p.RegisterQuery("means",
 		`SELECT location, mean(temperature) AS avgtemp FROM temperatures[5] GROUP BY location`, false)
 	must(err)
 
 	// Stage 2: alert Carla when any location's mean exceeds 27 °C — reading
 	// the derived view by name.
-	_, err = p.RegisterQuerySQL("alerts",
+	_, err = p.RegisterQuery("alerts",
 		`SELECT * FROM contacts NATURAL JOIN means
 		 SET text := "Mean temperature alert!"
 		 USING sendMessage
@@ -68,7 +68,7 @@ INSERT INTO contacts VALUES ("Carla", "carla@elysee.fr", email);`))
 	fmt.Println("t   corridor   office   roof      (mean over last 5 instants)")
 	sensors["sensor06"].Heat(device.HeatEvent{From: 8, To: 12, Delta: 12})
 	for tick := 0; tick <= 16; tick++ {
-		must(p.RunUntil(service.Instant(tick)))
+		must(p.Executor().RunUntil(service.Instant(tick)))
 		row := map[string]float64{}
 		sch := means.LastResult().Schema()
 		li, ai := sch.RealIndex("location"), sch.RealIndex("avgtemp")

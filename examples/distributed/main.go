@@ -73,7 +73,7 @@ INSERT INTO contacts VALUES ("Carla", "carla@elysee.fr", email);`))
 
 	fmt.Println("== running 10 instants with a heat event at t=4..7")
 	office.Heat(device.HeatEvent{From: 4, To: 7, Delta: 12})
-	must(p.RunUntil(10))
+	must(p.Executor().RunUntil(10))
 
 	fmt.Printf("alerts delivered on the gateway node: %d\n", len(email.Outbox()))
 	for _, d := range email.Outbox() {
@@ -87,7 +87,7 @@ INSERT INTO contacts VALUES ("Carla", "carla@elysee.fr", email);`))
 	for i := 0; i < 600 && len(p.Registry().Implementing("getTemperature")) > 0; i++ {
 		time.Sleep(5 * time.Millisecond)
 	}
-	must(p.RunUntil(14))
+	must(p.Executor().RunUntil(14))
 	fmt.Printf("after withdrawal: %d alert(s) total, services %v\n",
 		len(email.Outbox()), p.Registry().Refs())
 }

@@ -63,7 +63,7 @@ func main() {
 	}
 
 	fmt.Println("== polling feeds for 40 instants")
-	if err := p.RunUntil(40); err != nil {
+	if err := p.Executor().RunUntil(40); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("watchlist currently holds %d matching item(s):\n", watch.LastResult().Len())

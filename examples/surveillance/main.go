@@ -117,14 +117,14 @@ func main() {
 	fmt.Println("== running: heat wave in the office at t=5..9, cold snap on the roof at t=12..13")
 	sensors["sensor06"].Heat(device.HeatEvent{From: 5, To: 9, Delta: 10})   // office → 31 °C
 	sensors["sensor22"].Heat(device.HeatEvent{From: 12, To: 13, Delta: -5}) // roof → 10 °C
-	must(p.RunUntil(10))
+	must(p.Executor().RunUntil(10))
 
 	// §5.2 live discovery: a new sensor joins while the queries run.
 	fmt.Println("== t=10: new sensor99 (roof, already hot at 35 °C) joins the environment")
 	hot := device.NewSensor("sensor99", "roof", 35)
 	sensors["sensor99"] = hot
 	must(p.Registry().Register(hot))
-	must(p.RunUntil(15))
+	must(p.Executor().RunUntil(15))
 
 	fmt.Println("\n== outboxes")
 	for _, d := range email.Outbox() {

@@ -91,7 +91,7 @@ func runSoakTicks(t *testing.T, p *pems.PEMS, ticks int, perTick func(i int)) {
 	}
 	for i := 0; i < ticks; i++ {
 		title := fmt.Sprintf("evt-%03d", i)
-		if err := ev.Insert(p.Now()+1, value.Tuple{value.NewString(title)}); err != nil {
+		if err := ev.Insert(p.Executor().Now()+1, value.Tuple{value.NewString(title)}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := p.Tick(); err != nil {
@@ -119,9 +119,9 @@ func TestOverloadSoak(t *testing.T) {
 	})
 
 	p := buildSoakEnv(t, true)
-	p.SetTickBudget(100 * time.Microsecond) // far below the faulted β latency: ticks overrun
-	p.SetOverloadCoalescing(true)
-	p.SetAdmissionLimit(2, 4, 50*time.Millisecond)
+	p.Executor().SetTickBudget(100 * time.Microsecond) // far below the faulted β latency: ticks overrun
+	p.Executor().SetOverloadCoalescing(true)
+	p.Registry().SetAdmissionLimit(2, 4, 50*time.Millisecond)
 
 	var before runtime.MemStats
 	runtime.GC()
@@ -174,7 +174,7 @@ func TestOverloadSoak(t *testing.T) {
 	if maxEvents > 64*(4+2) {
 		t.Fatalf("readings retained %d events; window trimming not holding", maxEvents)
 	}
-	if p.TickOverruns() == 0 {
+	if p.Executor().TickOverruns() == 0 {
 		t.Fatal("100µs budget never overran under faulted invocations")
 	}
 	hot, _ := p.Executor().Query("hot")
@@ -210,5 +210,5 @@ func TestOverloadSoak(t *testing.T) {
 			forward.Actions(), ctlForward.Actions())
 	}
 	t.Logf("soak: %d ticks, %d offered, %d shed, max depth %d, %d overruns, %d coalesced evals, %d actions",
-		ticks, offered, shed, maxDepth, p.TickOverruns(), hot.Coalesced(), forward.Actions().Len())
+		ticks, offered, shed, maxDepth, p.Executor().TickOverruns(), hot.Coalesced(), forward.Actions().Len())
 }

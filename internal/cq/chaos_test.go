@@ -81,10 +81,8 @@ func TestChaosDegradationPolicies(t *testing.T) {
 
 	t.Run("FailFast", func(t *testing.T) {
 		exec, _, _ := chaosEnv(t, plan)
-		if _, err := exec.Register("q", query.NewInvoke(query.NewBase("work"), "probe", "dev")); err != nil {
-			t.Fatal(err)
-		}
-		if err := exec.SetDegradation("q", resilience.FailFast); err != nil {
+		if _, err := exec.RegisterWith("q", query.NewInvoke(query.NewBase("work"), "probe", "dev"),
+			cq.RegisterOptions{Degradation: resilience.FailFast}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := exec.Tick(); !errors.Is(err, resilience.ErrInjected) {
@@ -94,11 +92,9 @@ func TestChaosDegradationPolicies(t *testing.T) {
 
 	t.Run("SkipTuple", func(t *testing.T) {
 		exec, _, _ := chaosEnv(t, plan)
-		q, err := exec.Register("q", query.NewInvoke(query.NewBase("work"), "probe", "dev"))
+		q, err := exec.RegisterWith("q", query.NewInvoke(query.NewBase("work"), "probe", "dev"),
+			cq.RegisterOptions{Degradation: resilience.SkipTuple})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := exec.SetDegradation("q", resilience.SkipTuple); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := exec.Tick(); err != nil {
@@ -117,11 +113,9 @@ func TestChaosDegradationPolicies(t *testing.T) {
 
 	t.Run("NullFill", func(t *testing.T) {
 		exec, _, _ := chaosEnv(t, plan)
-		q, err := exec.Register("q", query.NewInvoke(query.NewBase("work"), "probe", "dev"))
+		q, err := exec.RegisterWith("q", query.NewInvoke(query.NewBase("work"), "probe", "dev"),
+			cq.RegisterOptions{Degradation: resilience.NullFill})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := exec.SetDegradation("q", resilience.NullFill); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := exec.Tick(); err != nil {
@@ -153,11 +147,9 @@ func TestChaosDegradationPolicies(t *testing.T) {
 func TestNullFilledTuplesRetryNextInstant(t *testing.T) {
 	plan := &resilience.FaultPlan{DownIntervals: [][2]int64{{0, 0}}} // down only at instant 0, the first tick
 	exec, faulty, _ := chaosEnv(t, plan)
-	q, err := exec.Register("q", query.NewInvoke(query.NewBase("work"), "probe", "dev"))
+	q, err := exec.RegisterWith("q", query.NewInvoke(query.NewBase("work"), "probe", "dev"),
+		cq.RegisterOptions{Degradation: resilience.NullFill})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.SetDegradation("q", resilience.NullFill); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := exec.Tick(); err != nil { // instant 1: everything fails
@@ -258,12 +250,10 @@ func TestServiceWithdrawnMidQuery(t *testing.T) {
 			exec.AddSource(func(at service.Instant) error {
 				return work.Insert(at, value.Tuple{value.NewService("dev"), value.NewInt(int64(at))})
 			})
-			q, err := exec.Register("q",
-				query.NewInvoke(query.NewWindow(query.NewBase("work"), 1), "probe", "dev"))
+			q, err := exec.RegisterWith("q",
+				query.NewInvoke(query.NewWindow(query.NewBase("work"), 1), "probe", "dev"),
+				cq.RegisterOptions{Degradation: tc.policy})
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := exec.SetDegradation("q", tc.policy); err != nil {
 				t.Fatal(err)
 			}
 

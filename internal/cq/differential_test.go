@@ -96,12 +96,10 @@ func (w *diffWorld) register(t *testing.T, name string, plan query.Node) {
 
 func (w *diffWorld) registerWith(t *testing.T, name string, plan query.Node, opts cq.RegisterOptions) {
 	t.Helper()
+	opts.Degradation = resilience.SkipTuple
 	q, err := w.exec.RegisterWith(name, plan, opts)
 	if err != nil {
 		t.Fatalf("register %s: %v", name, err)
-	}
-	if err := w.exec.SetDegradation(name, resilience.SkipTuple); err != nil {
-		t.Fatal(err)
 	}
 	n := name
 	q.OnResult = func(at service.Instant, res *algebra.XRelation, inserted, deleted []value.Tuple) {

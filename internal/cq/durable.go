@@ -173,12 +173,12 @@ func (e *Executor) snapshotLocked() CheckpointState {
 	for _, name := range e.order {
 		q := e.queries[name]
 		q.mu.Lock()
-		deg, stats := q.degradation, q.stats
+		stats := q.stats
 		q.mu.Unlock()
 		qs := QueryState{
 			Name:    name,
 			Source:  q.plan.String(),
-			OnError: deg.String(),
+			OnError: q.degradation.String(),
 			Into:    q.into,
 			Retain:  q.retain,
 			Stats:   stats,

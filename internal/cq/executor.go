@@ -194,6 +194,17 @@ func (e *Executor) SetBatchSize(n int) {
 	e.batchSize = n
 }
 
+// NewContext returns an evaluation context at instant at over env that
+// carries the executor's invocation parallelism and batch size, so one-shot
+// queries invoke services exactly as continuous ones do.
+func (e *Executor) NewContext(env query.Environment, at service.Instant) *query.Context {
+	ctx := query.NewContext(env, e.reg, at)
+	e.mu.Lock()
+	ctx.Parallelism, ctx.BatchSize = e.parallelism, e.batchSize
+	e.mu.Unlock()
+	return ctx
+}
+
 // AddSource registers a producer pumped at each tick before evaluation.
 func (e *Executor) AddSource(s Source) {
 	e.mu.Lock()
@@ -250,8 +261,8 @@ type Query struct {
 	// compared against the tick budget by the health state machine.
 	lastEvalNS int64
 
-	// degradation selects the query's β failure policy (guarded by mu;
-	// resilience.Default behaves like SkipTuple here).
+	// degradation selects the query's β failure policy (set at Register,
+	// then read-only; resilience.Default behaves like SkipTuple here).
 	degradation resilience.DegradationPolicy
 
 	// hasActive marks plans containing an active β (set at Register, then
@@ -342,11 +353,7 @@ func (q *Query) LastResult() *algebra.XRelation {
 }
 
 // Degradation returns the query's β failure policy.
-func (q *Query) Degradation() resilience.DegradationPolicy {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.degradation
-}
+func (q *Query) Degradation() resilience.DegradationPolicy { return q.degradation }
 
 // InvokeErrors returns the invocation failures skipped so far (most recent
 // last, bounded to the last 100). A flaky device degrades a continuous
@@ -415,6 +422,13 @@ type RegisterOptions struct {
 	// (0 = no explicit policy; infinite INTO outputs then default to
 	// DefaultDerivedRetention).
 	Retain service.Instant
+	// Degradation is the ON ERROR clause, fixed for the query's lifetime:
+	// resilience.FailFast aborts the tick on the first invocation failure,
+	// SkipTuple drops the failing tuple (also what Default does — the
+	// paper's no-service case), NullFill keeps the tuple with its virtual
+	// attributes realized as NULL. Failed tuples are never cached: they are
+	// retried at the next instant under every policy.
+	Degradation resilience.DegradationPolicy
 }
 
 // Register adds a continuous query under a unique name. The plan is
@@ -425,9 +439,10 @@ func (e *Executor) Register(name string, plan query.Node) (*Query, error) {
 	return e.RegisterWith(name, plan, RegisterOptions{})
 }
 
-// RegisterWith is Register plus the INTO/RETAIN clauses: the output
-// relation is registered under opts.Into, WAL-logged and checkpointed like
-// a base relation, and trimmed to opts.Retain instants.
+// RegisterWith is Register plus the ON ERROR/INTO/RETAIN clauses: the
+// query degrades under opts.Degradation from its first evaluation on, and
+// its output relation is registered under opts.Into, WAL-logged and
+// checkpointed like a base relation, and trimmed to opts.Retain instants.
 func (e *Executor) RegisterWith(name string, plan query.Node, opts RegisterOptions) (*Query, error) {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
@@ -480,17 +495,18 @@ func (e *Executor) RegisterWith(name string, plan query.Node, opts RegisterOptio
 		return nil, fmt.Errorf("cq: query name %q collides with a relation", name)
 	}
 	q := &Query{
-		name:       name,
-		plan:       plan,
-		infinite:   infinite,
-		out:        out,
-		into:       opts.Into,
-		retain:     opts.Retain,
-		prevOutput: map[string]value.Tuple{},
-		invCache:   map[*query.Invoke]map[string][]value.Tuple{},
-		streamPrev: map[*query.Stream]map[string]value.Tuple{},
-		actions:    query.NewActionSet(),
-		lastDelta:  queryDelta{at: -1},
+		name:        name,
+		plan:        plan,
+		infinite:    infinite,
+		out:         out,
+		into:        opts.Into,
+		retain:      opts.Retain,
+		degradation: opts.Degradation,
+		prevOutput:  map[string]value.Tuple{},
+		invCache:    map[*query.Invoke]map[string][]value.Tuple{},
+		streamPrev:  map[*query.Stream]map[string]value.Tuple{},
+		actions:     query.NewActionSet(),
+		lastDelta:   queryDelta{at: -1},
 	}
 	q.indexPlanNodes()
 	e.computeHasActive(q)
@@ -534,26 +550,6 @@ func (q *Query) indexPlanNodes() {
 			q.streamNodes = append(q.streamNodes, t)
 		}
 	})
-}
-
-// SetDegradation selects a registered query's β failure policy:
-// resilience.FailFast aborts the tick on the first invocation failure
-// (today's one-shot behavior), resilience.SkipTuple drops the failing
-// tuple (the default for continuous queries — the paper's no-service
-// case), resilience.NullFill keeps the tuple with its virtual attributes
-// realized as NULL. Failed tuples are never cached: they are retried at
-// the next instant under every policy.
-func (e *Executor) SetDegradation(name string, p resilience.DegradationPolicy) error {
-	e.mu.Lock()
-	q, ok := e.queries[name]
-	e.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cq: unknown query %q", name)
-	}
-	q.mu.Lock()
-	q.degradation = p
-	q.mu.Unlock()
-	return nil
 }
 
 // Query returns a registered continuous query by name.
@@ -1006,13 +1002,9 @@ func (e *Executor) RunUntil(at service.Instant) error {
 // outcomes; live ticks pass nil.
 func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, replay ReplayLedger) error {
 	ev := &evaluator{exec: e, q: q, at: at, replay: replay}
-	ctx := query.NewContext(ev, e.reg, at)
+	ctx := e.NewContext(ev, at)
 	ctx.Continuous = ev
 	ev.ctx = ctx
-	e.mu.Lock()
-	ctx.Parallelism = e.parallelism
-	ctx.BatchSize = e.batchSize
-	e.mu.Unlock()
 	qspan := tick.Child("cq.query")
 	qspan.SetAttr("query", q.name)
 	ctx.Span = qspan
@@ -1020,9 +1012,7 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 	// device; continuous queries default to SkipTuple so one flaky sensor
 	// degrades a standing query to partial results instead of killing it.
 	// Every failure is recorded on the query either way.
-	q.mu.Lock()
 	ctx.Degradation = q.degradation
-	q.mu.Unlock()
 	if ctx.Degradation == resilience.Default {
 		ctx.Degradation = resilience.SkipTuple
 	}

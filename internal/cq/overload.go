@@ -48,6 +48,14 @@ func (e *Executor) SetOverloadCoalescing(on bool) {
 	e.coalescePassive = on
 }
 
+// OverloadSettings returns the tick budget (0 = none) and whether
+// coalescing is enabled.
+func (e *Executor) OverloadSettings() (budget time.Duration, coalescing bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.tickBudget, e.coalescePassive
+}
+
 // TickOverruns returns how many ticks exceeded the budget so far.
 func (e *Executor) TickOverruns() int64 {
 	e.mu.Lock()

@@ -45,8 +45,8 @@ func buildOverloadCrashEnv(dir, side string) (*pems.PEMS, wal.Info, error) {
 			return nil, wal.Info{}, err
 		}
 	}
-	p.SetTickBudget(100 * time.Microsecond)
-	p.SetOverloadCoalescing(true)
+	p.Executor().SetTickBudget(100 * time.Microsecond)
+	p.Executor().SetOverloadCoalescing(true)
 	return p, info, nil
 }
 
@@ -145,15 +145,15 @@ func TestCrashDuringOverloadSIGKILL(t *testing.T) {
 			t.Fatalf("offer after recovery: %v", err)
 		}
 	}
-	target := p.Now() + 2
-	if err := p.RunUntil(target); err != nil {
+	target := p.Executor().Now() + 2
+	if err := p.Executor().RunUntil(target); err != nil {
 		t.Fatal(err)
 	}
 
 	// Control: the SAME logical scenario, unloaded — no durability, no
 	// crashes, no flood, no budget. Action sets must be exactly equal.
 	ctl := controlEnv(t, filepath.Join(t.TempDir(), "control-sends.log"))
-	if err := ctl.RunUntil(target); err != nil {
+	if err := ctl.Executor().RunUntil(target); err != nil {
 		t.Fatal(err)
 	}
 	fwdR, ok := p.Executor().Query("forward")
@@ -194,5 +194,5 @@ func TestCrashDuringOverloadSIGKILL(t *testing.T) {
 	}
 	offered, shed := flood.IngestStats()
 	t.Logf("crash-under-overload: %d lives, instant %d, %d deliveries, %d offered, %d shed, %d overruns",
-		iters, target, len(seen), offered, shed, p.TickOverruns())
+		iters, target, len(seen), offered, shed, p.Executor().TickOverruns())
 }

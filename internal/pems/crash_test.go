@@ -264,13 +264,13 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	if info.Fresh {
 		t.Fatalf("nothing survived %d crashed lives (kills landed before the first flush?)", iters)
 	}
-	target := p.Now() + 2
-	if err := p.RunUntil(target); err != nil {
+	target := p.Executor().Now() + 2
+	if err := p.Executor().RunUntil(target); err != nil {
 		t.Fatal(err)
 	}
 
 	ctl := controlEnv(t, filepath.Join(t.TempDir(), "control-sends.log"))
-	if err := ctl.RunUntil(target); err != nil {
+	if err := ctl.Executor().RunUntil(target); err != nil {
 		t.Fatal(err)
 	}
 

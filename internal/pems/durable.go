@@ -31,7 +31,11 @@ import (
 // the first tick. The embedder re-registers its code services, poll
 // streams and discovery relations between the two calls — checkpoints only
 // carry DDL-declared schema; live implementations are the embedder's to
-// restore.
+// restore. Everything that changes a query's result is DDL and therefore
+// logged: a query's ON ERROR, INTO and RETAIN clauses, a relation's ON
+// OVERLOAD buffer. Operational knobs set on Executor() or Registry()
+// (parallelism, batch size, tick budget, timeouts, retries, breakers) are
+// not; the embedder sets them again on every start.
 func (p *PEMS) EnableDurability(dir string, opts wal.Options) error {
 	m, err := wal.Open(dir, opts)
 	if err != nil {
@@ -53,9 +57,7 @@ func (p *PEMS) EnableDurability(dir string, opts wal.Options) error {
 }
 
 // WAL returns the durability manager, or nil when durability is off.
-func (p *PEMS) WAL() *wal.Manager { return p.walManager() }
-
-func (p *PEMS) walManager() *wal.Manager {
+func (p *PEMS) WAL() *wal.Manager {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.wal
@@ -67,7 +69,7 @@ func (p *PEMS) walManager() *wal.Manager {
 // EnableDurability and the embedder's code registrations, before the first
 // tick.
 func (p *PEMS) Recover() (wal.Info, error) {
-	m := p.walManager()
+	m := p.WAL()
 	if m == nil {
 		return wal.Info{}, fmt.Errorf("pems: durability not enabled")
 	}
@@ -100,7 +102,7 @@ func (p *PEMS) Recover() (wal.Info, error) {
 // Checkpoint forces a durable snapshot now. Tick-count-driven checkpoints
 // (wal.Options.CheckpointEvery) continue independently.
 func (p *PEMS) Checkpoint() error {
-	m := p.walManager()
+	m := p.WAL()
 	if m == nil {
 		return fmt.Errorf("pems: durability not enabled")
 	}
@@ -160,19 +162,12 @@ func (p *PEMS) recoverQuery(name, source, onError, into string, retain service.I
 	if err != nil {
 		return fmt.Errorf("parsing logged plan: %w", err)
 	}
-	if _, err := p.exec.RegisterWith(name, n, cq.RegisterOptions{Into: into, Retain: retain}); err != nil {
+	pol, err := resilience.ParsePolicy(onError)
+	if err != nil {
 		return err
 	}
-	if onError != "" {
-		pol, err := resilience.ParsePolicy(onError)
-		if err != nil {
-			return err
-		}
-		if err := p.exec.SetDegradation(name, pol); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = p.exec.RegisterWith(name, n, cq.RegisterOptions{Into: into, Retain: retain, Degradation: pol})
+	return err
 }
 
 // applyRecoveredDDL replays one logged DDL statement.
@@ -269,7 +264,7 @@ func (p *PEMS) resyncFeedSince() {
 // replay re-registers the exact plan whose node indices the rest of the log
 // refers to.
 func (p *PEMS) logQueryDDL(q *cq.Query) {
-	m := p.walManager()
+	m := p.WAL()
 	if m == nil {
 		return
 	}
@@ -292,7 +287,7 @@ func (p *PEMS) logQueryDDL(q *cq.Query) {
 
 // logUnregisterDDL records a query removal in the WAL.
 func (p *PEMS) logUnregisterDDL(name string) {
-	m := p.walManager()
+	m := p.WAL()
 	if m == nil {
 		return
 	}
@@ -307,7 +302,7 @@ func (p *PEMS) logUnregisterDDL(name string) {
 // INSERT/DELETE are deliberately absent: data changes ride the relation
 // event hooks, and logging them twice would double-apply on replay.
 func (p *PEMS) logCatalogDDL(st ddl.Statement, at service.Instant) {
-	m := p.walManager()
+	m := p.WAL()
 	if m == nil {
 		return
 	}

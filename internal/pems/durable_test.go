@@ -65,7 +65,7 @@ func TestDurableCrashRecoveryActiveOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	sensors1["sensor06"].Heat(device.HeatEvent{From: 4, To: 30, Delta: 10}) // office 21 → 31 °C
-	if err := p1.RunUntil(8); err != nil {
+	if err := p1.Executor().RunUntil(8); err != nil {
 		t.Fatal(err)
 	}
 	if got := msgs1["email"].Outbox(); len(got) != 1 {
@@ -78,8 +78,8 @@ func TestDurableCrashRecoveryActiveOnce(t *testing.T) {
 	if info2.Fresh {
 		t.Fatal("second start should recover, not come up fresh")
 	}
-	if p2.Now() != 8 {
-		t.Fatalf("recovered clock = %d, want 8", p2.Now())
+	if p2.Executor().Now() != 8 {
+		t.Fatalf("recovered clock = %d, want 8", p2.Executor().Now())
 	}
 	q2, ok := p2.Executor().Query("alerts")
 	if !ok {
@@ -94,7 +94,7 @@ func TestDurableCrashRecoveryActiveOnce(t *testing.T) {
 	// The office is still hot after the restart. The recovered action set
 	// dedups the identical (service, address, text) triple: no second send.
 	sensors2["sensor06"].Heat(device.HeatEvent{From: 4, To: 30, Delta: 10})
-	if err := p2.RunUntil(12); err != nil {
+	if err := p2.Executor().RunUntil(12); err != nil {
 		t.Fatal(err)
 	}
 	if got := msgs2["email"].Outbox(); len(got) != 0 {
@@ -126,7 +126,7 @@ func TestDurableCleanShutdownRestart(t *testing.T) {
 	if err := p1.ExecuteDDL(`REGISTER QUERY watch ON ERROR SKIP AS select[temperature > -100.0](window[3](temperatures));`); err != nil {
 		t.Fatal(err)
 	}
-	if err := p1.RunUntil(5); err != nil {
+	if err := p1.Executor().RunUntil(5); err != nil {
 		t.Fatal(err)
 	}
 	pre := p1.Executor().Snapshot()
@@ -140,8 +140,8 @@ func TestDurableCleanShutdownRestart(t *testing.T) {
 	if info2.Records != 0 || info2.Ticks != 0 {
 		t.Fatalf("clean shutdown left a log tail: info = %+v", info2)
 	}
-	if p2.Now() != 5 {
-		t.Fatalf("recovered clock = %d, want 5", p2.Now())
+	if p2.Executor().Now() != 5 {
+		t.Fatalf("recovered clock = %d, want 5", p2.Executor().Now())
 	}
 	q2, ok := p2.Executor().Query("watch")
 	if !ok {
@@ -158,11 +158,81 @@ func TestDurableCleanShutdownRestart(t *testing.T) {
 		t.Fatalf("recovered state differs from pre-shutdown state:\n pre  %+v\n post %+v", pre, post)
 	}
 	// And it keeps ticking: the next instant re-polls all four sensors.
-	if err := p2.RunUntil(6); err != nil {
+	if err := p2.Executor().RunUntil(6); err != nil {
 		t.Fatal(err)
 	}
 	if got := q2.LastResult().Len(); got != 4 {
 		t.Fatalf("window after restart = %d rows, want 4", got)
+	}
+}
+
+// TestDurableOnErrorChangeSurvivesCrash pins that a query's ON ERROR policy
+// is part of the logged environment: changing it is UNREGISTER QUERY plus a
+// new REGISTER QUERY, and a crash (no Close, no final checkpoint) recovers
+// the new policy whether or not a checkpoint fell between the two
+// registrations.
+func TestDurableOnErrorChangeSurvivesCrash(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+	}{{"no checkpoint", false}, {"checkpoint between registrations", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p1, _, _, _ := durableScenario(t, dir)
+			if err := p1.ExecuteDDL(`REGISTER QUERY pol ON ERROR SKIP AS invoke[checkPhoto](cameras);`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p1.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.checkpoint {
+				if err := p1.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p1.ExecuteDDL(`UNREGISTER QUERY pol;
+				REGISTER QUERY pol ON ERROR NULL AS invoke[checkPhoto](cameras);`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p1.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			// Crash: abandon p1 without Close.
+
+			p2, _, _, info := durableScenario(t, dir)
+			defer p2.Close()
+			if info.Fresh || info.HadCheckpoint != tc.checkpoint {
+				t.Fatalf("recovery info = %+v, want a checkpoint: %v", info, tc.checkpoint)
+			}
+			q, ok := p2.Executor().Query("pol")
+			if !ok {
+				t.Fatal("query pol not recovered")
+			}
+			if q.Degradation() != resilience.NullFill {
+				t.Fatalf("recovered ON ERROR = %v, want NULL", q.Degradation())
+			}
+			// The recovered policy acts: a camera nobody implements keeps its
+			// tuple, NULL-filled, instead of being skipped.
+			if err := p2.ExecuteDDL(`INSERT INTO cameras VALUES (ghost01, "attic");`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p2.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			res := q.LastResult()
+			if res.Len() != 4 {
+				t.Fatalf("result = %d tuples, want 4 (three cameras plus the NULL-filled ghost)", res.Len())
+			}
+			nulls := 0
+			for _, tu := range res.Tuples() {
+				if tu[2].IsNull() {
+					nulls++
+				}
+			}
+			if nulls != 1 {
+				t.Fatalf("result carries %d NULL-filled tuples, want 1:\n%s", nulls, res.Table())
+			}
+		})
 	}
 }
 
@@ -172,7 +242,7 @@ func TestDurableCleanShutdownRestart(t *testing.T) {
 func TestDurableDDLTailReplay(t *testing.T) {
 	dir := t.TempDir()
 	p1, _, _, _ := durableScenario(t, dir)
-	if err := p1.RunUntil(2); err != nil {
+	if err := p1.Executor().RunUntil(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := p1.Checkpoint(); err != nil {
@@ -193,7 +263,7 @@ func TestDurableDDLTailReplay(t *testing.T) {
 	if err := p1.UnregisterQuery("doomed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p1.RunUntil(4); err != nil { // the INSERT lands at tick 3
+	if err := p1.Executor().RunUntil(4); err != nil { // the INSERT lands at tick 3
 		t.Fatal(err)
 	}
 	// Crash without Close.
@@ -235,7 +305,7 @@ func TestDurableMaterializedIntoRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sensors1["sensor06"].Heat(device.HeatEvent{From: 2, To: 30, Delta: 10})
-	if err := p1.RunUntil(6); err != nil {
+	if err := p1.Executor().RunUntil(6); err != nil {
 		t.Fatal(err)
 	}
 	x1, ok := p1.Executor().Relation("hotzones")
@@ -270,7 +340,7 @@ func TestDurableMaterializedIntoRoundTrip(t *testing.T) {
 	// Keep the heat on and tick across the checkpoint boundary, then shut
 	// down cleanly so the second restart restores from the checkpoint alone.
 	sensors2["sensor06"].Heat(device.HeatEvent{From: 2, To: 30, Delta: 10})
-	if err := p2.RunUntil(9); err != nil {
+	if err := p2.Executor().RunUntil(9); err != nil {
 		t.Fatal(err)
 	}
 	want2 := len(x2.Current())
@@ -335,11 +405,11 @@ func TestDurableDiscoveryRecovery(t *testing.T) {
 	if _, err := p1.AddDiscoveryRelation(liveSchema(), "sensor", "getTemperature", nil); err != nil {
 		t.Fatal(err)
 	}
-	bs1 := p1.EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1})
+	bs1 := p1.Registry().EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1})
 	if _, err := p1.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p1.RunUntil(2); err != nil {
+	if err := p1.Executor().RunUntil(2); err != nil {
 		t.Fatal(err)
 	}
 	// Trip sensor22's breaker; breaker state is deliberately not durable.
@@ -373,7 +443,7 @@ func TestDurableDiscoveryRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2.EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1})
+	breakers := p2.Registry().EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1})
 	if _, err := p2.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -382,14 +452,14 @@ func TestDurableDiscoveryRecovery(t *testing.T) {
 	if got := len(rel2.Current()); got != 4 {
 		t.Fatalf("restored discovery relation = %d rows, want 4", got)
 	}
-	for ref, st := range p2.BreakerStates() {
+	for ref, st := range breakers.States() {
 		if st != resilience.Closed {
 			t.Fatalf("breaker %s resurrected %v after restart", ref, st)
 		}
 	}
 	// First post-recovery tick: the expired service is withdrawn, the
 	// surviving three are NOT inserted a second time.
-	if err := p2.RunUntil(3); err != nil {
+	if err := p2.Executor().RunUntil(3); err != nil {
 		t.Fatal(err)
 	}
 	rows := rel2.Current()
@@ -412,7 +482,7 @@ func TestDurableDiscoveryRecovery(t *testing.T) {
 	if err := p2.Registry().Register(device.NewSensor("sensor22", "roof", 15)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.RunUntil(4); err != nil {
+	if err := p2.Executor().RunUntil(4); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(rel2.Current()); got != 4 {
@@ -457,7 +527,7 @@ func TestDurableFeedStreamNoReplayDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p1.RunUntil(6); err != nil {
+	if err := p1.Executor().RunUntil(6); err != nil {
 		t.Fatal(err)
 	}
 	want := q1.LastResult().Len() // items 0..3 (period 2): 4 rows
@@ -475,7 +545,7 @@ func TestDurableFeedStreamNoReplayDuplicates(t *testing.T) {
 	if !ok {
 		t.Fatal("query not recovered")
 	}
-	if err := p2.RunUntil(8); err != nil {
+	if err := p2.Executor().RunUntil(8); err != nil {
 		t.Fatal(err)
 	}
 	// One new item (seq 4 at instant 8); the restored four must appear once.

@@ -12,7 +12,6 @@ import (
 	"serena/internal/device"
 	"serena/internal/discovery"
 	"serena/internal/pems"
-	"serena/internal/resilience"
 	"serena/internal/schema"
 	"serena/internal/service"
 	"serena/internal/value"
@@ -280,13 +279,10 @@ func TestActiveOutcomeUnknownPinsDelivery(t *testing.T) {
 		INSERT INTO contacts VALUES ("Carla", "carla@elysee.fr", email);`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.RegisterQuery("pin",
-		`invoke[sendMessage](assign[text := "pinned"](contacts))`, false); err != nil {
-		t.Fatal(err)
-	}
 	// FailFast would abort the tick; SKIP lets the unknown-outcome tuple be
 	// pinned and the evaluation proceed (the paper's graceful degradation).
-	if err := p.SetQueryDegradation("pin", resilience.SkipTuple); err != nil {
+	if err := p.ExecuteDDL(`REGISTER QUERY pin ON ERROR SKIP AS
+		invoke[sendMessage](assign[text := "pinned"](contacts));`); err != nil {
 		t.Fatal(err)
 	}
 

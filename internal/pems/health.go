@@ -25,9 +25,6 @@ func (p *PEMS) EnableSelfTelemetry(opts cq.TelemetryOptions) (*cq.Telemetry, err
 	return t, err
 }
 
-// Telemetry returns the self-telemetry subsystem, or nil when disabled.
-func (p *PEMS) Telemetry() *cq.Telemetry { return p.exec.Telemetry() }
-
 // SetStreamCadence configures dead-man detection for a stream: silent for
 // more than `cadence` instants → STALLED in sys$streams and /debug/health.
 func (p *PEMS) SetStreamCadence(name string, cadence service.Instant) error {
@@ -82,7 +79,7 @@ func (p *PEMS) HealthReport() HealthReport {
 	rep := HealthReport{
 		Enabled:      true,
 		Instant:      int64(h.At),
-		TickOverruns: p.TickOverruns(),
+		TickOverruns: p.exec.TickOverruns(),
 	}
 	for _, q := range h.Queries {
 		rep.Queries = append(rep.Queries, QueryHealthReport{

@@ -129,7 +129,7 @@ func TestHealthEndpointDisabled(t *testing.T) {
 	if !strings.Contains(p.HealthReportText(), "disabled") {
 		t.Fatal("text report must say telemetry is disabled")
 	}
-	if p.Telemetry() != nil {
+	if p.Executor().Telemetry() != nil {
 		t.Fatal("Telemetry() must be nil when disabled")
 	}
 }

@@ -64,7 +64,7 @@ func (p *PEMS) DebugHandler() http.Handler {
 // writeStatus renders the human-readable status page (/debug/serena).
 func (p *PEMS) writeStatus(w io.Writer) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "serena PEMS\n===========\n\nclock instant: %d\n", p.Now())
+	fmt.Fprintf(&b, "serena PEMS\n===========\n\nclock instant: %d\n", p.exec.Now())
 
 	names := p.exec.QueryNames()
 	fmt.Fprintf(&b, "\ncontinuous queries (%d):\n", len(names))
@@ -82,7 +82,8 @@ func (p *PEMS) writeStatus(w io.Writer) {
 	rels := p.exec.RelationNames()
 	fmt.Fprintf(&b, "\nrelations (%d): %s\n", len(rels), strings.Join(rels, ", "))
 
-	if states := p.BreakerStates(); states != nil {
+	if breakers := p.registry.Breakers(); breakers != nil {
+		states := breakers.States()
 		refs := make([]string, 0, len(states))
 		for ref := range states {
 			refs = append(refs, ref)

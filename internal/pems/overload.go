@@ -6,62 +6,14 @@ import (
 	"strings"
 	"time"
 
-	"serena/internal/resilience"
 	"serena/internal/value"
 )
 
-// SetTickBudget declares how long one tick may take before it counts as an
-// overrun. When coalescing is enabled (SetOverloadCoalescing) the instant
-// after an overrun evaluates only queries whose results feed an action —
-// passive-only queries skip one instant and catch up on the next. Zero
-// disables the budget.
-func (p *PEMS) SetTickBudget(d time.Duration) {
-	p.mu.Lock()
-	p.tickBudget = d
-	p.mu.Unlock()
-	p.exec.SetTickBudget(d)
-}
-
-// SetOverloadCoalescing toggles passive-query coalescing after a tick
-// overrun. Queries containing an active invocation — or feeding one
-// downstream — are NEVER skipped: the action set under overload stays
-// exactly what it would have been unloaded (Definition 8 is load-invariant).
-func (p *PEMS) SetOverloadCoalescing(on bool) {
-	p.mu.Lock()
-	p.coalescing = on
-	p.mu.Unlock()
-	p.exec.SetOverloadCoalescing(on)
-}
-
-// TickOverruns reports how many ticks have exceeded the budget.
-func (p *PEMS) TickOverruns() int64 { return p.exec.TickOverruns() }
-
-// SetAdmissionLimit caps concurrent physical service invocations through
-// the central registry: maxInFlight run at once, up to maxQueue more wait
-// at most queueTimeout, everyone else fails fast with
-// resilience.ErrOverloaded (absorbed by each query's degradation policy).
-// maxInFlight <= 0 removes the limit.
-func (p *PEMS) SetAdmissionLimit(maxInFlight, maxQueue int, queueTimeout time.Duration) {
-	p.registry.SetAdmissionLimit(maxInFlight, maxQueue, queueTimeout)
-}
-
-// SetOverloadPolicy installs (or reconfigures) a bounded ingest buffer on a
-// relation — the programmatic form of the DDL's ON OVERLOAD clause.
-// Producers then feed the relation through Offer instead of direct inserts
-// and the buffer absorbs bursts: BLOCK applies backpressure, SHED_OLDEST /
-// SHED_NEWEST drop tuples (counted in .metrics) once capacity is reached.
-func (p *PEMS) SetOverloadPolicy(relation string, policy resilience.OverloadPolicy, capacity int) error {
-	x, ok := p.exec.Relation(relation)
-	if !ok {
-		return fmt.Errorf("pems: unknown relation %q", relation)
-	}
-	x.SetOverloadPolicy(policy, capacity)
-	return nil
-}
-
 // Offer hands a tuple to a relation's bounded ingest buffer; it is drained
 // into the relation at the start of the next tick. The relation must have
-// an overload policy (ON OVERLOAD DDL clause or SetOverloadPolicy).
+// an overload policy (the DDL's ON OVERLOAD clause): BLOCK applies
+// backpressure, SHED_OLDEST / SHED_NEWEST drop tuples (counted in .metrics)
+// once capacity is reached.
 func (p *PEMS) Offer(relation string, t value.Tuple) error {
 	x, ok := p.exec.Relation(relation)
 	if !ok {
@@ -75,10 +27,7 @@ func (p *PEMS) Offer(relation string, t value.Tuple) error {
 // and every bounded ingest buffer's depth and shed counts. The serena
 // shell's .overload command prints it.
 func (p *PEMS) OverloadReport() string {
-	p.mu.Lock()
-	budget, coalescing := p.tickBudget, p.coalescing
-	p.mu.Unlock()
-
+	budget, coalescing := p.exec.OverloadSettings()
 	var b strings.Builder
 	fmt.Fprintf(&b, "tick budget:    %s", durationOrOff(budget))
 	fmt.Fprintf(&b, "   overruns: %d   coalescing: %v\n", p.exec.TickOverruns(), coalescing)

@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"serena/internal/pems"
-	"serena/internal/resilience"
 	"serena/internal/value"
 )
 
 // TestOverloadFacade drives the end-to-end overload surface through PEMS:
-// DDL-declared ingest buffer, Offer/drain on tick, tick budget + overruns,
-// and the report the shell's .overload command prints.
+// DDL-declared ingest buffer, Offer/drain on tick, tick budget + overruns
+// set on the executor, admission set on the registry, and the report the
+// shell's .overload command prints.
 func TestOverloadFacade(t *testing.T) {
 	p := pems.New()
 	defer p.Close()
@@ -31,7 +31,7 @@ EXTENDED RELATION readings ( v INTEGER ) ON OVERLOAD SHED_NEWEST CAPACITY 2;
 	if _, err := p.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	at := p.Now()
+	at := p.Executor().Now()
 	rel, err := p.Env(at).Relation("readings")
 	if err != nil {
 		t.Fatal(err)
@@ -40,29 +40,23 @@ EXTENDED RELATION readings ( v INTEGER ) ON OVERLOAD SHED_NEWEST CAPACITY 2;
 		t.Fatalf("drained %d tuples, want 2 (capacity)", rel.Len())
 	}
 
-	// Reconfigure programmatically and exercise budget + report.
-	if err := p.SetOverloadPolicy("readings", resilience.ShedOldest, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetOverloadPolicy("ghost", resilience.Block, 1); err == nil {
-		t.Fatal("unknown relation accepted")
-	}
-	p.SetTickBudget(time.Nanosecond)
-	p.SetOverloadCoalescing(true)
+	// The buffer policy is the DDL's; budget + coalescing are executor knobs.
+	p.Executor().SetTickBudget(time.Nanosecond)
+	p.Executor().SetOverloadCoalescing(true)
 	if _, err := p.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if p.TickOverruns() == 0 {
+	if p.Executor().TickOverruns() == 0 {
 		t.Fatal("1ns budget produced no overruns")
 	}
 
 	rep := p.OverloadReport()
-	for _, want := range []string{"tick budget:", "1ns", "coalescing: true", "readings", "SHED_OLDEST", "shed 3", "admission:      off"} {
+	for _, want := range []string{"tick budget:", "1ns", "coalescing: true", "readings", "SHED_NEWEST cap 2", "shed 3", "admission:      off"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
 	}
-	p.SetAdmissionLimit(4, 2, time.Millisecond)
+	p.Registry().SetAdmissionLimit(4, 2, time.Millisecond)
 	if rep := p.OverloadReport(); !strings.Contains(rep, "in-flight 0, queued 0, rejected 0") {
 		t.Fatalf("admission line missing:\n%s", rep)
 	}

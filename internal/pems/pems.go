@@ -42,16 +42,12 @@ type PEMS struct {
 	exec     *cq.Executor
 	manager  *discovery.Manager
 
-	mu          sync.Mutex
-	wal         *wal.Manager
-	discoRels   []*discoveryRelation
-	feedStates  map[string]*feedState
-	tickerStop  chan struct{}
-	tickerDone  chan struct{}
-	parallelism int
-	batchSize   int
-	tickBudget  time.Duration
-	coalescing  bool
+	mu         sync.Mutex
+	wal        *wal.Manager
+	discoRels  []*discoveryRelation
+	feedStates map[string]*feedState
+	tickerStop chan struct{}
+	tickerDone chan struct{}
 
 	// explainOut receives the output of EXPLAIN [ANALYZE] DDL statements
 	// (default: discarded; the serena shell points it at stdout).
@@ -131,79 +127,7 @@ func (p *PEMS) Discovery() *discovery.Manager { return p.manager }
 // continuous queries (Section 5.1: invocations are handled asynchronously;
 // sound because services are deterministic at a given instant, Section
 // 3.2). Values < 2 keep the sequential default.
-func (p *PEMS) SetInvocationParallelism(n int) {
-	p.mu.Lock()
-	p.parallelism = n
-	p.mu.Unlock()
-	p.exec.SetParallelism(n)
-}
-
-func (p *PEMS) invocationParallelism() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.parallelism
-}
-
-// SetInvocationBatchSize bounds how many β invocations the batch planner
-// packs into one registry dispatch (one wire frame per remote chunk), for
-// both one-shot and continuous queries. Zero restores the default
-// (query.DefaultBatchSize); negative disables batching entirely, keeping
-// the per-tuple invocation path.
-func (p *PEMS) SetInvocationBatchSize(n int) {
-	p.mu.Lock()
-	p.batchSize = n
-	p.mu.Unlock()
-	p.exec.SetBatchSize(n)
-}
-
-func (p *PEMS) invocationBatchSize() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.batchSize
-}
-
-// SetQueryParallelism bounds how many registered continuous queries one
-// tick evaluates concurrently. Queries reading another query's output
-// always run after their producer, so derived views keep their
-// same-instant semantics. Values < 2 keep the sequential default.
-func (p *PEMS) SetQueryParallelism(n int) {
-	p.exec.SetQueryParallelism(n)
-}
-
-// SetInvocationTimeout bounds every physical service invocation (local or
-// remote) performed through this PEMS. Zero disables the deadline.
-func (p *PEMS) SetInvocationTimeout(d time.Duration) { p.registry.SetInvokeTimeout(d) }
-
-// SetRetryPolicy configures transparent retries of failed invocations.
-// Only PASSIVE prototypes are ever retried — retrying an active invocation
-// could duplicate its external effect and inflate the query's action set
-// (Definition 8); see DESIGN.md, "Failure semantics".
-func (p *PEMS) SetRetryPolicy(rp resilience.RetryPolicy) { p.registry.SetRetryPolicy(rp) }
-
-// EnableBreakers turns on per-service circuit breakers: a service failing
-// repeatedly is treated as temporarily withdrawn from the environment (its
-// breaker opens, it disappears from discovery) until a half-open probe
-// succeeds.
-func (p *PEMS) EnableBreakers(policy resilience.BreakerPolicy) *resilience.BreakerSet {
-	return p.registry.EnableBreakers(policy)
-}
-
-// BreakerStates reports the breaker state of every tracked service; nil if
-// breakers are not enabled.
-func (p *PEMS) BreakerStates() map[string]resilience.State {
-	b := p.registry.Breakers()
-	if b == nil {
-		return nil
-	}
-	return b.States()
-}
-
-// SetQueryDegradation sets the β degradation policy of a registered
-// continuous query (what a failing bound service does to the query:
-// abort, drop the tuple, or null-fill its virtual attributes).
-func (p *PEMS) SetQueryDegradation(name string, policy resilience.DegradationPolicy) error {
-	return p.exec.SetDegradation(name, policy)
-}
+func (p *PEMS) SetInvocationParallelism(n int) { p.exec.SetParallelism(n) }
 
 // ExecuteDDL runs a Serena DDL script. Data statements are stamped at the
 // next tick instant so running continuous queries observe them on the
@@ -211,8 +135,9 @@ func (p *PEMS) SetQueryDegradation(name string, policy resilience.DegradationPol
 // Serena Algebra Language, auto-detected) and registered with the query
 // processor with optimization enabled, so a single script can declare a
 // whole application (Section 5.1: the Query Processor "allows to register
-// queries"). An ON ERROR clause on a REGISTER QUERY selects the query's β
-// degradation policy.
+// queries"). A REGISTER QUERY's ON ERROR, INTO and RETAIN clauses are
+// fixed at registration, before the query's first evaluation; changing
+// one is UNREGISTER QUERY followed by a new REGISTER QUERY, both logged.
 func (p *PEMS) ExecuteDDL(src string) error {
 	stmts, err := ddl.Parse(src)
 	if err != nil {
@@ -223,21 +148,8 @@ func (p *PEMS) ExecuteDDL(src string) error {
 		switch t := st.(type) {
 		case *ddl.RegisterQuery:
 			opts := cq.RegisterOptions{Into: t.Into, Retain: service.Instant(t.Retain)}
-			var q *cq.Query
-			if LooksLikeSQL(t.Source) {
-				q, err = p.registerQuerySQL(t.Name, t.Source, true, opts)
-			} else {
-				q, err = p.registerQuery(t.Name, t.Source, true, opts)
-			}
-			if err == nil && t.OnError != "" {
-				var policy resilience.DegradationPolicy
-				if policy, err = resilience.ParsePolicy(t.OnError); err == nil {
-					err = p.exec.SetDegradation(t.Name, policy)
-				}
-			}
-			if err == nil {
-				// Logged after ON ERROR applies so replay restores the policy.
-				p.logQueryDDL(q)
+			if opts.Degradation, err = resilience.ParsePolicy(t.OnError); err == nil {
+				_, err = p.register(t.Name, t.Source, true, opts)
 			}
 		case *ddl.UnregisterQuery:
 			err = p.UnregisterQuery(t.Name)
@@ -265,108 +177,80 @@ func (p *PEMS) OneShot(src string) (*query.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	at := p.exec.Now()
-	if at < 0 {
-		at = 0
-	}
-	ctx := query.NewContext(p.Env(at), p.registry, at)
-	ctx.Parallelism = p.invocationParallelism()
-	ctx.BatchSize = p.invocationBatchSize()
-	return query.EvaluateCtx(n, ctx)
+	return query.EvaluateCtx(n, p.oneShotContext())
 }
 
 // OneShotSQL compiles and evaluates a one-shot Serena SQL query.
 func (p *PEMS) OneShotSQL(src string) (*query.Result, error) {
-	env := p.snapshotEnv()
-	st, err := ssql.Compile(src, env)
+	ctx := p.oneShotContext()
+	st, err := ssql.Compile(src, ctx.Env)
 	if err != nil {
 		return nil, err
 	}
+	return query.EvaluateCtx(st.Root, ctx)
+}
+
+// oneShotContext is the context every one-shot evaluation runs under, and
+// whose environment planning reads: the current instant (the last executed
+// tick, or 0 before any tick), invoking services with the executor's
+// parallelism and batch size.
+func (p *PEMS) oneShotContext() *query.Context {
 	at := p.exec.Now()
 	if at < 0 {
 		at = 0
 	}
-	ctx := query.NewContext(p.Env(at), p.registry, at)
-	ctx.Parallelism = p.invocationParallelism()
-	ctx.BatchSize = p.invocationBatchSize()
-	return query.EvaluateCtx(st.Root, ctx)
+	return p.exec.NewContext(p.Env(at), at)
 }
 
-// RegisterQuerySQL compiles a Serena SQL query and registers it as a
-// continuous query, optionally running the optimizer over the compiled
-// plan.
-func (p *PEMS) RegisterQuerySQL(name, src string, optimize bool) (*cq.Query, error) {
-	q, err := p.registerQuerySQL(name, src, optimize, cq.RegisterOptions{})
-	if err == nil {
-		p.logQueryDDL(q)
+// parse turns a query text into a plan: Serena SQL when LooksLikeSQL says
+// so (env resolves its relation names), Serena Algebra Language otherwise.
+func parse(src string, env query.Environment) (query.Node, error) {
+	src = strings.TrimSpace(src)
+	if !LooksLikeSQL(src) {
+		return sal.Parse(src)
 	}
-	return q, err
-}
-
-func (p *PEMS) registerQuerySQL(name, src string, optimize bool, opts cq.RegisterOptions) (*cq.Query, error) {
-	env := p.snapshotEnv()
 	st, err := ssql.Compile(src, env)
 	if err != nil {
 		return nil, err
 	}
-	n := st.Root
-	if optimize {
-		opt := optimizer.New(rewrite.DefaultRules(), optimizer.EnvStats{Env: env}, optimizer.DefaultCostModel())
-		if plan, err := opt.Optimize(n, env); err == nil {
-			n = plan.Root
-		}
-	}
-	return p.exec.RegisterWith(name, n, opts)
+	return st.Root, nil
 }
 
-// RegisterQuery parses a SAL query, optionally optimizes it (Table 5
-// rewrites under the invocation-dominant cost model) and registers it as a
-// continuous query.
+// RegisterQuery compiles a query (Serena SQL or Serena Algebra Language,
+// auto-detected), optionally optimizes it (Table 5 rewrites under the
+// invocation-dominant cost model) and registers it as a continuous query.
+// The ON ERROR, INTO and RETAIN clauses are REGISTER QUERY DDL
+// (ExecuteDDL).
 func (p *PEMS) RegisterQuery(name, src string, optimize bool) (*cq.Query, error) {
-	q, err := p.registerQuery(name, src, optimize, cq.RegisterOptions{})
-	if err == nil {
-		p.logQueryDDL(q)
-	}
-	return q, err
+	return p.register(name, src, optimize, cq.RegisterOptions{})
 }
 
-// RegisterQueryWith is RegisterQuery plus the INTO/RETAIN clauses: the
-// query's output is materialized as a named derived XD-Relation (durable
-// like a base relation in WAL-backed environments) with an optional
-// per-relation retention horizon. SQL sources are auto-detected like in
-// ExecuteDDL.
-func (p *PEMS) RegisterQueryWith(name, src string, optimize bool, opts cq.RegisterOptions) (*cq.Query, error) {
-	var (
-		q   *cq.Query
-		err error
-	)
-	if LooksLikeSQL(src) {
-		q, err = p.registerQuerySQL(name, src, optimize, opts)
-	} else {
-		q, err = p.registerQuery(name, src, optimize, opts)
-	}
-	if err == nil {
-		p.logQueryDDL(q)
-	}
-	return q, err
-}
-
-func (p *PEMS) registerQuery(name, src string, optimize bool, opts cq.RegisterOptions) (*cq.Query, error) {
-	n, err := sal.Parse(src)
+// register compiles, optionally optimizes and registers a continuous query,
+// then logs the registration.
+func (p *PEMS) register(name, src string, optimize bool, opts cq.RegisterOptions) (*cq.Query, error) {
+	env := p.oneShotContext().Env
+	n, err := parse(src, env)
 	if err != nil {
 		return nil, err
 	}
 	if optimize {
-		env := p.snapshotEnv()
-		opt := optimizer.New(rewrite.DefaultRules(), optimizer.EnvStats{Env: env}, optimizer.DefaultCostModel())
-		plan, err := opt.Optimize(n, env)
-		if err == nil {
-			n = plan.Root
-		}
 		// Optimization failures (e.g. missing statistics) fall back to the
 		// unoptimized plan — never block registration.
+		if plan, err := newOptimizer(env).Optimize(n, env); err == nil {
+			n = plan.Root
+		}
 	}
-	return p.exec.RegisterWith(name, n, opts)
+	q, err := p.exec.RegisterWith(name, n, opts)
+	if err == nil {
+		p.logQueryDDL(q)
+	}
+	return q, err
+}
+
+// newOptimizer plans over env's statistics with the Table 5 rewrites and
+// the invocation-dominant cost model.
+func newOptimizer(env query.Environment) *optimizer.Optimizer {
+	return optimizer.New(rewrite.DefaultRules(), optimizer.EnvStats{Env: env}, optimizer.DefaultCostModel())
 }
 
 // Explanation reports how a query would be planned: the original and
@@ -384,24 +268,12 @@ type Explanation struct {
 // (case-insensitive) are compiled as Serena SQL; everything else parses as
 // Serena Algebra Language.
 func (p *PEMS) Explain(src string) (*Explanation, error) {
-	env := p.snapshotEnv()
-	var n query.Node
-	trimmed := strings.TrimSpace(src)
-	if LooksLikeSQL(trimmed) {
-		st, err := ssql.Compile(trimmed, env)
-		if err != nil {
-			return nil, err
-		}
-		n = st.Root
-	} else {
-		var err error
-		n, err = sal.Parse(trimmed)
-		if err != nil {
-			return nil, err
-		}
+	env := p.oneShotContext().Env
+	n, err := parse(src, env)
+	if err != nil {
+		return nil, err
 	}
-	opt := optimizer.New(rewrite.DefaultRules(), optimizer.EnvStats{Env: env}, optimizer.DefaultCostModel())
-	plan, err := opt.Optimize(n, env)
+	plan, err := newOptimizer(env).Optimize(n, env)
 	if err != nil {
 		return nil, err
 	}
@@ -473,28 +345,11 @@ type TraceReport struct {
 // in the query DO fire — EXPLAIN ANALYZE runs the query for real.
 func (p *PEMS) ExplainAnalyze(src string) (*TraceReport, error) {
 	body, _, _ := StripExplain(src)
-	env := p.snapshotEnv()
-	var n query.Node
-	if LooksLikeSQL(body) {
-		st, err := ssql.Compile(body, env)
-		if err != nil {
-			return nil, err
-		}
-		n = st.Root
-	} else {
-		var err error
-		n, err = sal.Parse(body)
-		if err != nil {
-			return nil, err
-		}
+	ctx := p.oneShotContext()
+	n, err := parse(body, ctx.Env)
+	if err != nil {
+		return nil, err
 	}
-	at := p.exec.Now()
-	if at < 0 {
-		at = 0
-	}
-	ctx := query.NewContext(p.Env(at), p.registry, at)
-	ctx.Parallelism = p.invocationParallelism()
-	ctx.BatchSize = p.invocationBatchSize()
 	ctx.Profile = query.NewProfile()
 	// A failed evaluation still carries a partial trace (the error is
 	// annotated on the operator that raised it): res is nil then.
@@ -548,15 +403,6 @@ func LooksLikeSQL(src string) bool {
 	return !strings.HasPrefix(rest, "[")
 }
 
-// snapshotEnv exposes the environment's current contents for planning.
-func (p *PEMS) snapshotEnv() query.Environment {
-	at := p.exec.Now()
-	if at < 0 {
-		at = 0
-	}
-	return p.Env(at)
-}
-
 // Env returns a snapshot query.Environment at the given instant over ALL
 // relations of this PEMS — catalog tables as well as executor-only streams
 // (poll streams, feed streams, discovery relations).
@@ -595,12 +441,6 @@ func (p *PEMS) UnregisterQuery(name string) error {
 
 // Tick advances the environment clock one instant.
 func (p *PEMS) Tick() (service.Instant, error) { return p.exec.Tick() }
-
-// RunUntil ticks until (and including) the given instant.
-func (p *PEMS) RunUntil(at service.Instant) error { return p.exec.RunUntil(at) }
-
-// Now returns the last executed instant.
-func (p *PEMS) Now() service.Instant { return p.exec.Now() }
 
 // StartTicker drives the discrete clock in real time: one Tick per
 // interval (the paper's prototype executes continuous queries "in a

@@ -126,7 +126,7 @@ func TestScenarioSurveillance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunUntil(3); err != nil {
+	if err := p.Executor().RunUntil(3); err != nil {
 		t.Fatal(err)
 	}
 	if len(messengers["email"].Outbox()) != 0 {
@@ -134,7 +134,7 @@ func TestScenarioSurveillance(t *testing.T) {
 	}
 	// Heat the office sensor over the threshold for a while.
 	sensors["sensor06"].Heat(device.HeatEvent{From: 4, To: 20, Delta: 10}) // 21 → 31 °C
-	if err := p.RunUntil(8); err != nil {
+	if err := p.Executor().RunUntil(8); err != nil {
 		t.Fatal(err)
 	}
 	emails := messengers["email"].Outbox()
@@ -157,7 +157,7 @@ func TestScenarioSurveillance(t *testing.T) {
 		t.Fatal(err)
 	}
 	sensors["sensor99"] = hot
-	if err := p.RunUntil(12); err != nil {
+	if err := p.Executor().RunUntil(12); err != nil {
 		t.Fatal(err)
 	}
 	jabbers := messengers["jabber"].Outbox()
@@ -179,7 +179,7 @@ func TestScenarioSurveillancePhotos(t *testing.T) {
 		t.Fatal(err)
 	}
 	sensors["sensor22"].Heat(device.HeatEvent{From: 2, To: 5, Delta: -5}) // roof 15 → 10 °C
-	if err := p.RunUntil(7); err != nil {
+	if err := p.Executor().RunUntil(7); err != nil {
 		t.Fatal(err)
 	}
 	if q.Output().EventCount() != 1 {
@@ -231,7 +231,7 @@ func TestScenarioRSS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunUntil(30); err != nil {
+	if err := p.Executor().RunUntil(30); err != nil {
 		t.Fatal(err)
 	}
 	// Items per feed by tick 30: seq 0..6 (period 5); matching seqs 0, 3, 6
@@ -322,11 +322,11 @@ func TestFigure1Architecture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunUntil(2); err != nil {
+	if err := p.Executor().RunUntil(2); err != nil {
 		t.Fatal(err)
 	}
 	officeSensor.Heat(device.HeatEvent{From: 3, To: 10, Delta: 15})
-	if err := p.RunUntil(6); err != nil {
+	if err := p.Executor().RunUntil(6); err != nil {
 		t.Fatal(err)
 	}
 	// The alert crossed the wire to node B's messenger.
@@ -346,7 +346,7 @@ func TestFigure1Architecture(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := p.RunUntil(9); err != nil {
+	if err := p.Executor().RunUntil(9); err != nil {
 		t.Fatal(err)
 	}
 	if len(email.Outbox()) != 1 {
@@ -364,7 +364,7 @@ func TestDiscoveryRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunUntil(1); err != nil {
+	if err := p.Executor().RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(rel.Current()); got != 4 {
@@ -375,7 +375,7 @@ func TestDiscoveryRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(sensors, "sensor22")
-	if err := p.RunUntil(2); err != nil {
+	if err := p.Executor().RunUntil(2); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(rel.Current()); got != 3 {
@@ -430,7 +430,7 @@ func TestRegisterQueryWithOptimization(t *testing.T) {
 	if !strings.Contains(q.Plan().String(), `invoke[checkPhoto](select[area = "office"]`) {
 		t.Fatalf("selection not pushed: %s", q.Plan())
 	}
-	if err := p.RunUntil(1); err != nil {
+	if err := p.Executor().RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
 	if q.LastResult().Len() != 1 {
@@ -441,7 +441,7 @@ func TestRegisterQueryWithOptimization(t *testing.T) {
 
 func TestDDLStampedAtNextTick(t *testing.T) {
 	p, _, _, _ := newScenarioPEMS(t)
-	if err := p.RunUntil(5); err != nil {
+	if err := p.Executor().RunUntil(5); err != nil {
 		t.Fatal(err)
 	}
 	// Insert while the clock is at 5: visible at tick 6.
@@ -455,7 +455,7 @@ func TestDDLStampedAtNextTick(t *testing.T) {
 	if res.Relation.Len() != 3 {
 		t.Fatalf("insert visible too early: %d rows", res.Relation.Len())
 	}
-	if err := p.RunUntil(6); err != nil {
+	if err := p.Executor().RunUntil(6); err != nil {
 		t.Fatal(err)
 	}
 	res, _ = p.OneShot(`project[name](contacts)`)

@@ -78,17 +78,18 @@ func TestDDLOnErrorPolicies(t *testing.T) {
 	}
 }
 
-// TestPEMSResilienceFacade exercises the facade knobs: invocation timeout,
-// retry policy and circuit breakers configured at the PEMS level.
+// TestPEMSResilienceFacade exercises the resilience knobs an embedder sets
+// on the PEMS's registry: invocation timeout, retry policy and circuit
+// breakers, with DDL running against the configured registry.
 func TestPEMSResilienceFacade(t *testing.T) {
 	p := pems.New()
 	defer p.Close()
-	p.SetInvocationTimeout(50 * time.Millisecond)
-	p.SetRetryPolicy(resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond})
-	if p.BreakerStates() != nil {
-		t.Fatal("breaker states reported before EnableBreakers")
+	p.Registry().SetInvokeTimeout(50 * time.Millisecond)
+	p.Registry().SetRetryPolicy(resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond})
+	if p.Registry().Breakers() != nil {
+		t.Fatal("breakers reported before EnableBreakers")
 	}
-	p.EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour})
+	breakers := p.Registry().EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour})
 	if err := p.ExecuteDDL(resilienceScript); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestPEMSResilienceFacade(t *testing.T) {
 	if _, err := p.Registry().Invoke("getTemperature", "ghost", value.Tuple{}, 0); err == nil {
 		t.Fatal("ghost invocation succeeded")
 	}
-	if states := p.BreakerStates(); len(states) != 0 {
+	if states := breakers.States(); len(states) != 0 {
 		// Unknown-service errors never reach a breaker — nothing tracked.
 		t.Fatalf("unexpected breaker states: %v", states)
 	}

@@ -34,7 +34,7 @@ func TestOneShotSQL(t *testing.T) {
 
 func TestRegisterQuerySQLContinuous(t *testing.T) {
 	p, sensors, messengers, _ := newScenarioPEMS(t)
-	q, err := p.RegisterQuerySQL("alerts",
+	q, err := p.RegisterQuery("alerts",
 		`SELECT * FROM contacts NATURAL JOIN surveillance NATURAL JOIN temperatures[1]
 		 SET text := "Alert!"
 		 USING sendMessage
@@ -46,7 +46,7 @@ func TestRegisterQuerySQLContinuous(t *testing.T) {
 		t.Fatalf("plan = %s", q.Plan())
 	}
 	sensors["sensor06"].Heat(device.HeatEvent{From: 3, To: 6, Delta: 10})
-	if err := p.RunUntil(8); err != nil {
+	if err := p.Executor().RunUntil(8); err != nil {
 		t.Fatal(err)
 	}
 	emails := messengers["email"].Outbox()
@@ -119,12 +119,12 @@ func TestExplainAnalyze(t *testing.T) {
 func TestDerivedViewThroughSQL(t *testing.T) {
 	p, sensors, messengers, _ := newScenarioPEMS(t)
 	// Continuous view: per-location mean over a 3-instant window.
-	if _, err := p.RegisterQuerySQL("means",
+	if _, err := p.RegisterQuery("means",
 		`SELECT location, mean(temperature) AS avgtemp FROM temperatures[3] GROUP BY location`, false); err != nil {
 		t.Fatal(err)
 	}
 	// Alerting query over the derived view.
-	if _, err := p.RegisterQuerySQL("meanAlerts",
+	if _, err := p.RegisterQuery("meanAlerts",
 		`SELECT * FROM contacts NATURAL JOIN surveillance NATURAL JOIN means
 		 SET text := "Mean alert!"
 		 USING sendMessage
@@ -132,7 +132,7 @@ func TestDerivedViewThroughSQL(t *testing.T) {
 		t.Fatal(err)
 	}
 	sensors["sensor06"].Heat(device.HeatEvent{From: 2, To: 12, Delta: 14}) // office 21 → 35
-	if err := p.RunUntil(8); err != nil {
+	if err := p.Executor().RunUntil(8); err != nil {
 		t.Fatal(err)
 	}
 	emails := messengers["email"].Outbox()
@@ -155,7 +155,7 @@ func TestRegisterQueryViaDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	sensors["sensor06"].Heat(device.HeatEvent{From: 2, To: 5, Delta: 10})
-	if err := p.RunUntil(6); err != nil {
+	if err := p.Executor().RunUntil(6); err != nil {
 		t.Fatal(err)
 	}
 	// The algebra query alerted all three contacts once.
@@ -196,17 +196,17 @@ func TestRealTimeTicker(t *testing.T) {
 		t.Fatal("double start accepted")
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for p.Now() < 3 && time.Now().Before(deadline) {
+	for p.Executor().Now() < 3 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if p.Now() < 3 {
-		t.Fatalf("clock did not advance: %d", p.Now())
+	if p.Executor().Now() < 3 {
+		t.Fatalf("clock did not advance: %d", p.Executor().Now())
 	}
 	p.StopTicker()
 	p.StopTicker() // idempotent
-	at := p.Now()
+	at := p.Executor().Now()
 	time.Sleep(20 * time.Millisecond)
-	if p.Now() != at {
+	if p.Executor().Now() != at {
 		t.Fatal("clock advanced after StopTicker")
 	}
 	// Close is safe with a running ticker too.

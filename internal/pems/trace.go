@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"strings"
 
 	"serena/internal/query"
-	"serena/internal/sal"
-	"serena/internal/ssql"
 	"serena/internal/trace"
 )
 
@@ -27,31 +24,13 @@ type InvocationTrace struct {
 // sampling period — the user asked for this query. Active invocations fire
 // for real, exactly like OneShot.
 func (p *PEMS) TraceOneShot(src string) (*InvocationTrace, error) {
-	env := p.snapshotEnv()
-	var n query.Node
-	trimmed := strings.TrimSpace(src)
-	if LooksLikeSQL(trimmed) {
-		st, err := ssql.Compile(trimmed, env)
-		if err != nil {
-			return nil, err
-		}
-		n = st.Root
-	} else {
-		var err error
-		n, err = sal.Parse(trimmed)
-		if err != nil {
-			return nil, err
-		}
+	ctx := p.oneShotContext()
+	n, err := parse(src, ctx.Env)
+	if err != nil {
+		return nil, err
 	}
-	at := p.exec.Now()
-	if at < 0 {
-		at = 0
-	}
-	ctx := query.NewContext(p.Env(at), p.registry, at)
-	ctx.Parallelism = p.invocationParallelism()
-	ctx.BatchSize = p.invocationBatchSize()
 	root := trace.Default.ForceRoot("query.eval")
-	root.SetAttrInt("instant", int64(at))
+	root.SetAttrInt("instant", int64(ctx.At))
 	ctx.Span = root
 	res, evalErr := query.EvaluateCtx(n, ctx)
 	if evalErr != nil {
@@ -59,7 +38,7 @@ func (p *PEMS) TraceOneShot(src string) (*InvocationTrace, error) {
 	}
 	root.Finish()
 	slog.LogAttrs(context.Background(), slog.LevelDebug, "pems: traced one-shot evaluation",
-		append(root.LogAttrs(), slog.Int64("instant", int64(at)))...)
+		append(root.LogAttrs(), slog.Int64("instant", int64(ctx.At)))...)
 	out := &InvocationTrace{
 		TraceID: root.TraceID,
 		Tree:    trace.RenderTree(trace.Default.TraceSpans(root.TraceID)),
@@ -79,11 +58,4 @@ func (p *PEMS) TraceOneShot(src string) (*InvocationTrace, error) {
 // Empty strings match everything on that axis.
 func (p *PEMS) Lineage(queryName, key string) []trace.LineageEntry {
 	return trace.Default.Lineage(queryName, key, trace.SpanInvoke)
-}
-
-// SetTraceSampling sets the process-wide head-sampling period: 0 disables
-// tracing, 1 traces every tick/evaluation, n traces one in n.
-func (p *PEMS) SetTraceSampling(every int64) {
-	trace.Default.SetSampleEvery(every)
-	slog.Debug("pems: trace sampling changed", "every", every)
 }
