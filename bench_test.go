@@ -769,8 +769,8 @@ func BenchmarkOptimizerPlanning(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Batched invocation pipeline: one remote service invoked with n distinct
-// inputs. Per-tuple dispatch pays one wire round trip per tuple; the batch
-// planner packs the whole fan-out into MaxBatch-bounded frames. The ≥2x
+// inputs. Per-tuple dispatch pays one wire round trip per tuple; grouping
+// packs the whole fan-out into BatchSize-bounded frames. The ≥2x
 // win at n ≥ 16 is the acceptance bar for the batching tentpole.
 
 func BenchmarkInvokeBatch(b *testing.B) {

@@ -3,38 +3,13 @@ package algebra_test
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"serena/internal/algebra"
 	"serena/internal/paperenv"
 	"serena/internal/schema"
 	"serena/internal/value"
 )
-
-// countingParallelInvoker counts physical invocations and fails fast for one
-// poisoned ref while every other call takes a little while — the shape of
-// the over-firing bug: a fatal error on one tuple must stop the pool from
-// scheduling the remaining jobs.
-type countingParallelInvoker struct {
-	workers int
-	delay   time.Duration
-	failRef string
-	failErr error
-	calls   atomic.Int64
-}
-
-func (ci *countingParallelInvoker) MaxParallel() int { return ci.workers }
-
-func (ci *countingParallelInvoker) Invoke(_ schema.BindingPattern, ref string, _ value.Tuple) ([]value.Tuple, error) {
-	ci.calls.Add(1)
-	if ref == ci.failRef {
-		return nil, ci.failErr
-	}
-	time.Sleep(ci.delay)
-	return []value.Tuple{{value.NewReal(20)}}, nil
-}
 
 func sensorRelation(n int, refs ...string) *algebra.XRelation {
 	tuples := make([]value.Tuple, 0, n+len(refs))
@@ -49,172 +24,83 @@ func sensorRelation(n int, refs ...string) *algebra.XRelation {
 	return algebra.MustNew(paperenv.SensorsSchema(), tuples)
 }
 
-// TestFanoutStopsSchedulingAfterFatalError is the regression test for the
-// β over-firing bug: with FAIL semantics the whole operator aborts on the
-// first error, so every invocation scheduled after the failure is a pure
-// side effect whose result is thrown away. The pool must stop pulling new
-// jobs once a worker has recorded a fatal error.
-func TestFanoutStopsSchedulingAfterFatalError(t *testing.T) {
-	const jobs = 100
-	boom := errors.New("sensor on fire")
-	// The poisoned ref is the FIRST job, so a worker hits it immediately
-	// while the other workers are still sleeping in their first call.
-	r := sensorRelation(jobs-1, "poison")
-	bp, err := r.Schema().FindBP("getTemperature", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ci := &countingParallelInvoker{workers: 4, delay: 5 * time.Millisecond, failRef: "poison", failErr: boom}
-	if _, err := algebra.Invoke(r, bp, ci); !errors.Is(err, boom) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	// Workers already mid-call when the failure lands may finish (bounded
-	// by the worker count); anything near the full job count means the
-	// pool kept scheduling after the error.
-	if got := ci.calls.Load(); got > 16 {
-		t.Fatalf("pool fired %d invocations after a fatal error on job 0 (want ≤ 16 of %d)", got, jobs)
-	}
+// listRecorder records every work list it receives and answers each job
+// from results (by ref) or with one reading.
+type listRecorder struct {
+	lists   [][]string
+	results map[string]algebra.InvokeResult
 }
 
-// TestFanoutErrorIsFirstInInputOrder: when several jobs fail concurrently,
-// the reported error is the failing job with the smallest input index, so
-// the outcome is deterministic regardless of worker interleaving.
-func TestFanoutErrorIsFirstInInputOrder(t *testing.T) {
-	errA := errors.New("err-a")
-	errB := errors.New("err-b")
-	r := algebra.MustNew(paperenv.SensorsSchema(), []value.Tuple{
-		{value.NewService("slowfail"), value.NewString("lab")},
-		{value.NewService("fastfail"), value.NewString("lab")},
-	})
-	bp, _ := r.Schema().FindBP("getTemperature", "")
-	inv := &orderInvoker{errs: map[string]error{"slowfail": errA, "fastfail": errB}}
-	for i := 0; i < 25; i++ { // repeat: the race only shows up sometimes
-		if _, err := algebra.Invoke(r, bp, inv); !errors.Is(err, errA) {
-			t.Fatalf("got %v, want first-in-input-order error %v", err, errA)
+func (lr *listRecorder) InvokeAll(_ schema.BindingPattern, jobs []algebra.InvokeJob) []algebra.InvokeResult {
+	refs := make([]string, len(jobs))
+	out := make([]algebra.InvokeResult, len(jobs))
+	for i, j := range jobs {
+		refs[i] = j.Ref
+		res, ok := lr.results[j.Ref]
+		if !ok {
+			res = algebra.InvokeResult{Rows: []value.Tuple{{value.NewReal(20)}}}
 		}
+		out[i] = res
 	}
-}
-
-type orderInvoker struct {
-	errs map[string]error
-}
-
-func (oi *orderInvoker) MaxParallel() int { return 2 }
-
-func (oi *orderInvoker) Invoke(_ schema.BindingPattern, ref string, _ value.Tuple) ([]value.Tuple, error) {
-	if err := oi.errs[ref]; err != nil {
-		if ref == "slowfail" {
-			time.Sleep(2 * time.Millisecond) // lose the race on purpose
-		}
-		return nil, err
-	}
-	return []value.Tuple{{value.NewReal(1)}}, nil
-}
-
-// batchRecorder implements BatchInvoker and records each batch it receives.
-type batchRecorder struct {
-	max     int
-	batches [][]string
-	single  atomic.Int64
-}
-
-func (br *batchRecorder) MaxBatch() int    { return br.max }
-func (br *batchRecorder) MaxParallel() int { return 1 }
-
-func (br *batchRecorder) Invoke(_ schema.BindingPattern, ref string, _ value.Tuple) ([]value.Tuple, error) {
-	br.single.Add(1)
-	return []value.Tuple{{value.NewBool(true)}}, nil
-}
-
-func (br *batchRecorder) InvokeBatch(_ schema.BindingPattern, refs []string, _ []value.Tuple) []algebra.BatchResult {
-	br.batches = append(br.batches, append([]string(nil), refs...))
-	out := make([]algebra.BatchResult, len(refs))
-	for i := range out {
-		out[i] = algebra.BatchResult{Rows: []value.Tuple{{value.NewReal(20)}}}
-	}
+	lr.lists = append(lr.lists, refs)
 	return out
 }
 
-// TestInvokeBatchesPassiveFanout: a passive β over several tuples goes to
-// the BatchInvoker as one work list in input order.
+// TestFanoutErrorIsFirstInInputOrder: when several jobs fail, the reported
+// error is the failing job with the smallest input index, whatever order the
+// invoker ran them in.
+func TestFanoutErrorIsFirstInInputOrder(t *testing.T) {
+	errA := errors.New("err-a")
+	errB := errors.New("err-b")
+	r := sensorRelation(2, "failA", "failB")
+	bp, _ := r.Schema().FindBP("getTemperature", "")
+	inv := &listRecorder{results: map[string]algebra.InvokeResult{"failA": {Err: errA}, "failB": {Err: errB}}}
+	if _, err := algebra.Invoke(r, bp, inv); !errors.Is(err, errA) {
+		t.Fatalf("got %v, want first-in-input-order error %v", err, errA)
+	}
+}
+
+// TestInvokeBatchesPassiveFanout: the invocation operator calls its Invoker
+// exactly once, with the whole work list in input order, and realizes the
+// rows positionally.
 func TestInvokeBatchesPassiveFanout(t *testing.T) {
 	r := sensorRelation(5)
 	bp, _ := r.Schema().FindBP("getTemperature", "")
-	br := &batchRecorder{max: 64}
-	out, err := algebra.Invoke(r, bp, br)
+	lr := &listRecorder{}
+	out, err := algebra.Invoke(r, bp, lr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", out.Len())
 	}
-	if len(br.batches) != 1 || len(br.batches[0]) != 5 {
-		t.Fatalf("batches = %v, want one batch of 5", br.batches)
+	if len(lr.lists) != 1 || len(lr.lists[0]) != 5 {
+		t.Fatalf("work lists = %v, want one list of 5", lr.lists)
 	}
-	if br.single.Load() != 0 {
-		t.Fatalf("per-tuple Invoke fired %d times alongside the batch", br.single.Load())
-	}
-	if br.batches[0][0] != "ok000" || br.batches[0][4] != "ok004" {
-		t.Fatalf("batch not in input order: %v", br.batches[0])
+	if lr.lists[0][0] != "ok000" || lr.lists[0][4] != "ok004" {
+		t.Fatalf("work list not in input order: %v", lr.lists[0])
 	}
 }
 
-// TestInvokeNeverBatchesActiveBP: each active occurrence is a distinct
-// Definition 8 action and must fire per tuple — the batch path is gated on
-// passive binding patterns.
-func TestInvokeNeverBatchesActiveBP(t *testing.T) {
-	withText, err := algebra.AssignConst(paperenv.Contacts(), "text", value.NewString("Bonjour!"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, _ := withText.Schema().FindBP("sendMessage", "")
-	if !bp.Active() {
-		t.Fatal("fixture error: sendMessage should be active")
-	}
-	br := &batchRecorder{max: 64}
-	if _, err := algebra.Invoke(withText, bp, br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.batches) != 0 {
-		t.Fatalf("active BP was batched: %v", br.batches)
-	}
-	if br.single.Load() != int64(withText.Len()) {
-		t.Fatalf("per-tuple invocations = %d, want %d", br.single.Load(), withText.Len())
-	}
-}
-
-// TestInvokeBatchErrorAborts: the first per-item error in input order aborts
-// the operator, matching the sequential path's FAIL semantics.
+// TestInvokeBatchErrorAborts: one job's error aborts the whole operator, and
+// an absorbed failure does not.
 func TestInvokeBatchErrorAborts(t *testing.T) {
 	boom := errors.New("item 2 failed")
 	r := sensorRelation(4)
 	bp, _ := r.Schema().FindBP("getTemperature", "")
-	inv := &failingBatchInvoker{failIdx: 2, err: boom}
+	inv := &listRecorder{results: map[string]algebra.InvokeResult{"ok002": {Err: boom}}}
 	if _, err := algebra.Invoke(r, bp, inv); !errors.Is(err, boom) {
-		t.Fatalf("batch item error not propagated: %v", err)
+		t.Fatalf("job error not propagated: %v", err)
 	}
-}
-
-type failingBatchInvoker struct {
-	failIdx int
-	err     error
-}
-
-func (fi *failingBatchInvoker) MaxBatch() int    { return 64 }
-func (fi *failingBatchInvoker) MaxParallel() int { return 1 }
-
-func (fi *failingBatchInvoker) Invoke(_ schema.BindingPattern, _ string, _ value.Tuple) ([]value.Tuple, error) {
-	return []value.Tuple{{value.NewReal(1)}}, nil
-}
-
-func (fi *failingBatchInvoker) InvokeBatch(_ schema.BindingPattern, refs []string, _ []value.Tuple) []algebra.BatchResult {
-	out := make([]algebra.BatchResult, len(refs))
-	for i := range out {
-		if i == fi.failIdx {
-			out[i] = algebra.BatchResult{Err: fi.err}
-		} else {
-			out[i] = algebra.BatchResult{Rows: []value.Tuple{{value.NewReal(1)}}}
-		}
+	inv = &listRecorder{results: map[string]algebra.InvokeResult{"ok002": {Cause: boom}}}
+	if !inv.results["ok002"].Absorbed() {
+		t.Fatal("a result with a Cause and no Err must report Absorbed")
 	}
-	return out
+	out, err := algebra.Invoke(r, bp, inv)
+	if err != nil {
+		t.Fatalf("absorbed failure aborted the operator: %v", err)
+	}
+	if out.Len() != 3 {
+		t.Fatalf("Len = %d, want 3 (the absorbed job contributes no rows)", out.Len())
+	}
 }

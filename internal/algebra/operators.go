@@ -2,8 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"serena/internal/obs"
 	"serena/internal/schema"
@@ -23,24 +21,52 @@ var (
 	obsAssignRows  = obs.Default.Counter("algebra.assign.rows")
 	obsInvokeOps   = obs.Default.Counter("algebra.invoke.calls")
 	obsInvokeJobs  = obs.Default.Counter("algebra.invoke.jobs")
-	obsBatchOps    = obs.Default.Counter("algebra.invoke.batched_calls")
 )
 
-// Invoker abstracts the invocation of a binding pattern on a service for
-// one input tuple (the paper's invoke_ψ of Definition 1, as used by the
-// invocation operator of Table 3f). Implementations handle memoization of
-// passive prototypes, action-set recording for active ones, and the actual
-// local or remote call.
-type Invoker interface {
-	Invoke(bp schema.BindingPattern, ref string, input value.Tuple) ([]value.Tuple, error)
+// InvokeJob is one element of an invocation operator's work list: the
+// service reference an operand tuple names and the prototype's input
+// attributes projected from it.
+type InvokeJob struct {
+	Ref   string
+	Input value.Tuple
 }
 
-// InvokerFunc adapts a function to the Invoker interface.
+// InvokeResult is one job's outcome. Err aborts the operator. Cause is the
+// raw invocation failure, kept when the invoker's degradation policy
+// absorbed it; Rows then holds the policy's stand-in rows.
+type InvokeResult struct {
+	Rows  []value.Tuple
+	Err   error
+	Cause error
+}
+
+// Absorbed reports whether the invocation failed and the invoker's policy
+// absorbed the failure instead of aborting.
+func (r InvokeResult) Absorbed() bool { return r.Cause != nil && r.Err == nil }
+
+// Invoker performs the invocations of one invocation operator call (the
+// paper's invoke_ψ of Definition 1, as used by the invocation operator of
+// Table 3f). InvokeAll receives the whole work list and returns positional
+// results; implementations own memoization of passive prototypes,
+// action-set recording for active ones, concurrency, and the actual local
+// or remote calls.
+type Invoker interface {
+	InvokeAll(bp schema.BindingPattern, jobs []InvokeJob) []InvokeResult
+}
+
+// InvokerFunc adapts a per-job function to the Invoker interface.
 type InvokerFunc func(bp schema.BindingPattern, ref string, input value.Tuple) ([]value.Tuple, error)
 
-// Invoke implements Invoker.
-func (f InvokerFunc) Invoke(bp schema.BindingPattern, ref string, input value.Tuple) ([]value.Tuple, error) {
-	return f(bp, ref, input)
+// InvokeAll implements Invoker: it calls f for each job in order and stops
+// at the first error.
+func (f InvokerFunc) InvokeAll(bp schema.BindingPattern, jobs []InvokeJob) []InvokeResult {
+	out := make([]InvokeResult, len(jobs))
+	for i, j := range jobs {
+		if out[i].Rows, out[i].Err = f(bp, j.Ref, j.Input); out[i].Err != nil {
+			break
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -404,29 +430,18 @@ func (p *InvokePlan) Realize(in value.Tuple, rows []value.Tuple) []value.Tuple {
 // invocation of bp's prototype on the service its service attribute
 // references; the input tuple is replicated once per output tuple, gaining
 // the realized output attributes. Tuples whose service reference is NULL
-// contribute no output (there is no service to call). Invocation errors
-// abort the operator — error policy (skip/fail) belongs to the caller's
-// Invoker, which may substitute empty results.
+// contribute no output (there is no service to call). The work list goes
+// to the Invoker in one call (Section 3.2: order has no impact at a given
+// instant); the first error in input order aborts the operator — error
+// policy (skip/fail) belongs to the Invoker, which may substitute rows.
 func Invoke(r *XRelation, bp schema.BindingPattern, inv Invoker) (*XRelation, error) {
 	ip, err := NewInvokePlan(r.Schema(), bp)
 	if err != nil {
 		return nil, err
 	}
-	svcIdx, inIdx := ip.SvcIdx, ip.InIdx
-
-	// Collect the invocation work list first (skipping NULL references),
-	// then run it — sequentially, or concurrently when the Invoker allows
-	// (Section 5.1: invocations are handled asynchronously; Section 3.2:
-	// order has no impact at a given instant). Results are assembled in
-	// input order either way, so the output is deterministic.
-	type job struct {
-		tuple value.Tuple
-		ref   string
-		input value.Tuple
-	}
-	jobs := make([]job, 0, r.Len())
+	jobs := make([]InvokeJob, 0, r.Len())
 	for _, t := range r.Tuples() {
-		refVal := t[svcIdx]
+		refVal := t[ip.SvcIdx]
 		if refVal.IsNull() {
 			continue
 		}
@@ -435,132 +450,27 @@ func Invoke(r *XRelation, bp schema.BindingPattern, inv Invoker) (*XRelation, er
 			return nil, fmt.Errorf("algebra: invoke %s: service attribute %q holds non-reference value %s",
 				bp.ID(), bp.ServiceAttr, refVal)
 		}
-		jobs = append(jobs, job{tuple: t, ref: ref, input: t.Project(inIdx)})
+		jobs = append(jobs, InvokeJob{Ref: ref, Input: t.Project(ip.InIdx)})
 	}
 	obsInvokeOps.Inc()
 	obsInvokeJobs.Add(int64(len(jobs)))
 
-	results := make([][]value.Tuple, len(jobs))
-	workers := 1
-	if pi, ok := inv.(ParallelInvoker); ok {
-		if n := pi.MaxParallel(); n > workers {
-			workers = n
+	results := inv.InvokeAll(bp, jobs)
+	for _, res := range results {
+		if res.Err != nil {
+			return nil, fmt.Errorf("algebra: invoke %s: %w", bp.ID(), res.Err)
 		}
 	}
-	// Batch dispatch: a BatchInvoker takes the whole work list at once —
-	// the planner behind it dedupes identical (proto, ref, input) pairs,
-	// coalesces concurrent duplicates and groups remote calls per service
-	// into multi-invocation wire frames. Restricted to PASSIVE binding
-	// patterns: an active β job is one action of the Definition 8 action
-	// set, and batching must not change how those fire (active jobs keep
-	// the per-tuple pool below).
-	if bi, ok := inv.(BatchInvoker); ok && !bp.Active() && len(jobs) > 1 && bi.MaxBatch() > 1 {
-		refs := make([]string, len(jobs))
-		inputs := make([]value.Tuple, len(jobs))
-		for i, j := range jobs {
-			refs[i] = j.ref
-			inputs[i] = j.input
-		}
-		obsBatchOps.Inc()
-		brs := bi.InvokeBatch(bp, refs, inputs)
-		for i, br := range brs {
-			if br.Err != nil { // first error in input order aborts
-				return nil, fmt.Errorf("algebra: invoke %s: %w", bp.ID(), br.Err)
-			}
-			results[i] = br.Rows
-		}
-	} else if workers > 1 && len(jobs) > 1 {
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-		var (
-			wg       sync.WaitGroup
-			next     int64 = -1
-			failed   atomic.Bool
-			errMu    sync.Mutex
-			firstErr error
-			errIdx   = len(jobs)
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					// A fatal error aborts the whole operator, so once one is
-					// recorded no NEW invocation may fire: under FAIL semantics
-					// every extra call is a side effect whose result is
-					// discarded — it would silently grow the Definition 8
-					// action set. Jobs already in flight on other workers run
-					// to completion (they were scheduled before the failure).
-					if failed.Load() {
-						return
-					}
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(jobs) {
-						return
-					}
-					rows, err := inv.Invoke(bp, jobs[i].ref, jobs[i].input)
-					if err != nil {
-						errMu.Lock()
-						if i < errIdx { // keep the first error in input order
-							errIdx, firstErr = i, err
-						}
-						errMu.Unlock()
-						failed.Store(true)
-						return
-					}
-					results[i] = rows
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, fmt.Errorf("algebra: invoke %s: %w", bp.ID(), firstErr)
-		}
-	} else {
-		for i, j := range jobs {
-			rows, err := inv.Invoke(bp, j.ref, j.input)
-			if err != nil {
-				return nil, fmt.Errorf("algebra: invoke %s: %w", bp.ID(), err)
-			}
-			results[i] = rows
-		}
-	}
-
 	out := Empty(ip.OutSch)
-	for i, j := range jobs {
-		for _, nt := range ip.Realize(j.tuple, results[i]) {
+	i := 0 // results[i] belongs to the i-th tuple with a service reference
+	for _, t := range r.Tuples() {
+		if t[ip.SvcIdx].IsNull() {
+			continue
+		}
+		for _, nt := range ip.Realize(t, results[i].Rows) {
 			out.add(nt)
 		}
+		i++
 	}
 	return out, nil
-}
-
-// ParallelInvoker is an optional Invoker extension: MaxParallel bounds how
-// many invocations the invocation operator may run concurrently (values < 2
-// keep the sequential path). Implementations must make Invoke safe for
-// concurrent use.
-type ParallelInvoker interface {
-	Invoker
-	MaxParallel() int
-}
-
-// BatchResult is one job's outcome from a batched dispatch: rows on
-// success, or the error the invoker's policy decided to surface (absorbed
-// failures come back as Err == nil with the policy's stand-in rows).
-type BatchResult struct {
-	Rows []value.Tuple
-	Err  error
-}
-
-// BatchInvoker is an optional Invoker extension: InvokeBatch receives the
-// invocation operator's whole work list for one PASSIVE binding pattern and
-// returns positional results (out[i] belongs to (refs[i], inputs[i])).
-// Implementations own deduplication, coalescing and transport batching;
-// MaxBatch() < 2 disables the batch path (the per-tuple pool is used
-// instead — the batching ablation).
-type BatchInvoker interface {
-	Invoker
-	InvokeBatch(bp schema.BindingPattern, refs []string, inputs []value.Tuple) []BatchResult
-	MaxBatch() int
 }

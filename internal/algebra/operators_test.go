@@ -38,6 +38,10 @@ func (ri *recordingInvoker) Invoke(bp schema.BindingPattern, ref string, in valu
 	return ri.results[ri.key(bp.Proto.Name, ref, in)], nil
 }
 
+func (ri *recordingInvoker) InvokeAll(bp schema.BindingPattern, jobs []algebra.InvokeJob) []algebra.InvokeResult {
+	return algebra.InvokerFunc(ri.Invoke).InvokeAll(bp, jobs)
+}
+
 func names(r *algebra.XRelation) []string { return r.Schema().Names() }
 
 func TestSetOperators(t *testing.T) {

@@ -303,8 +303,8 @@ func (iv *deltaInvoke) Reset() {
 
 // apply wraps the operator in the same "cq.invoke" span the naive path
 // records, re-parenting per-tuple β spans under it for the duration (the
-// delta tree evaluates sequentially; parallel per-tuple invocations only
-// read ctx.Span). The cache_hits/cache_misses attrs count actual §4.2
+// delta tree evaluates sequentially; the dispatch pool only reads
+// ctx.Span). The cache_hits/cache_misses attrs count actual §4.2
 // cache consults — on a steady delta tick with no operand churn they are
 // both zero, because persisting tuples never reach the cache at all.
 func (iv *deltaInvoke) apply(ev *evaluator, init bool, _ service.Instant, kids []algebra.Delta) (algebra.Delta, int, error) {
@@ -381,10 +381,28 @@ func (iv *deltaInvoke) applyInner(ev *evaluator, init bool, child algebra.Delta,
 	}
 	sort.Strings(pending)
 
+	// Resolve them through the §4.2 cache. Results are staged and reach
+	// the cache only if the whole operator succeeds.
 	cache := ev.q.invCache[iv.node]
 	staged := map[string][]value.Tuple{}
-	resolve := func(e *invEntry, rows []value.Tuple, cacheable bool) {
-		newOuts := iv.plan.Realize(e.tuple, rows)
+	jobs := make([]algebra.InvokeJob, len(pending))
+	keys := make([]string, len(pending))
+	for i, k := range pending {
+		e := iv.entries[k]
+		jobs[i] = algebra.InvokeJob{Ref: e.ref, Input: e.tuple.Project(iv.plan.InIdx)}
+		keys[i] = e.cacheKey
+	}
+	res, h, m := ev.invokeCached(iv.node, iv.bp, jobs, keys, cache, staged)
+	*hits += h
+	*misses += m
+	for _, r := range res {
+		if r.Err != nil {
+			return algebra.Delta{}, fmt.Errorf("algebra: invoke %s: %w", iv.bp.ID(), r.Err)
+		}
+	}
+	for i, k := range pending {
+		e := iv.entries[k]
+		newOuts := iv.plan.Realize(e.tuple, res[i].Rows)
 		for _, o := range e.outs {
 			acc.Del(o)
 		}
@@ -392,61 +410,7 @@ func (iv *deltaInvoke) applyInner(ev *evaluator, init bool, child algebra.Delta,
 			acc.Add(o)
 		}
 		e.outs = newOuts
-		e.ok = cacheable
-		if cacheable {
-			staged[e.cacheKey] = rows
-		}
-	}
-	var missed []*invEntry
-	for _, k := range pending {
-		e := iv.entries[k]
-		if rows, ok := cache[e.cacheKey]; ok {
-			obsInvokeCacheHits.Inc()
-			*hits++
-			resolve(e, rows, true)
-			continue
-		}
-		missed = append(missed, e)
-	}
-	if len(missed) > 1 && !iv.bp.Active() && ev.ctx.MaxBatch() > 1 {
-		// The batch planner dedupes identical (proto, ref, input) jobs, so
-		// same-key duplicates are safe to hand over as-is (the naive path's
-		// batch dispatch does the same).
-		obsInvokeCacheMisses.Add(int64(len(missed)))
-		*misses += int64(len(missed))
-		refs := make([]string, len(missed))
-		inputs := make([]value.Tuple, len(missed))
-		for i, e := range missed {
-			refs[i] = e.ref
-			inputs[i] = e.tuple.Project(iv.plan.InIdx)
-		}
-		skipped := make([]bool, len(missed))
-		brs := ev.ctx.InvokeBatchTracked(iv.bp, refs, inputs, skipped)
-		for i, e := range missed {
-			if brs[i].Err != nil {
-				return algebra.Delta{}, fmt.Errorf("algebra: invoke %s: %w", iv.bp.ID(), brs[i].Err)
-			}
-			resolve(e, brs[i].Rows, !skipped[i])
-		}
-	} else {
-		for _, e := range missed {
-			// Same-tick duplicate keys resolve from the staged results of an
-			// earlier miss in this loop — one physical invocation per distinct
-			// (bp, ref, input), exactly like the naive path's next-map check.
-			if rows, ok := staged[e.cacheKey]; ok {
-				obsInvokeCacheHits.Inc()
-				*hits++
-				resolve(e, rows, true)
-				continue
-			}
-			obsInvokeCacheMisses.Inc()
-			*misses++
-			rows, cacheable, err := ev.invokePhysical(iv.node, iv.bp, e.ref, e.tuple.Project(iv.plan.InIdx))
-			if err != nil {
-				return algebra.Delta{}, fmt.Errorf("algebra: invoke %s: %w", iv.bp.ID(), err)
-			}
-			resolve(e, rows, cacheable)
-		}
+		_, e.ok = staged[e.cacheKey]
 	}
 
 	// Commit the staged cache mutations only now that the whole operator

@@ -9,6 +9,7 @@ import (
 	"serena/internal/device"
 	"serena/internal/paperenv"
 	"serena/internal/query"
+	"serena/internal/resilience"
 	"serena/internal/schema"
 	"serena/internal/service"
 	"serena/internal/stream"
@@ -132,5 +133,56 @@ func TestActiveFailureStillRecordsAction(t *testing.T) {
 	}
 	if ctx.Actions.Len() != 3 {
 		t.Fatalf("attempted actions = %d, want 3 (failed attempts count)", ctx.Actions.Len())
+	}
+}
+
+// TestDuplicateActionAttemptedOncePerInstant: two operand tuples that
+// project onto one action (bp, ref, input) make one attempt per instant,
+// even when the attempt fails and ON ERROR SKIP absorbs it — in the delta
+// and in the naive evaluator alike.
+func TestDuplicateActionAttemptedOncePerInstant(t *testing.T) {
+	for _, naive := range []bool{false, true} {
+		reg := service.NewRegistry()
+		if err := reg.RegisterPrototype(device.SendMessageProto()); err != nil {
+			t.Fatal(err)
+		}
+		attempts := 0
+		err := reg.Register(service.NewFunc("pager", map[string]service.InvokeFunc{
+			"sendMessage": func(value.Tuple, service.Instant) ([]value.Tuple, error) {
+				attempts++
+				return nil, errors.New("pager offline")
+			},
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := cq.NewExecutor(reg)
+		contacts := stream.NewFinite(paperenv.ContactsSchema())
+		for _, name := range []string{"Ann", "Annie"} {
+			tu := value.Tuple{value.NewString(name), value.NewString("ann@example.org"), value.NewService("pager")}
+			if err := contacts.Insert(0, tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := exec.AddRelation(contacts); err != nil {
+			t.Fatal(err)
+		}
+		plan := query.NewInvoke(
+			query.NewAssignConst(query.NewBase("contacts"), "text", value.NewString("hi")),
+			"sendMessage", "")
+		if _, err := exec.RegisterWith("page", plan, cq.RegisterOptions{Degradation: resilience.SkipTuple}); err != nil {
+			t.Fatal(err)
+		}
+		if err := exec.SetNaiveEvaluation("page", naive); err != nil {
+			t.Fatal(err)
+		}
+		for tick := 1; tick <= 3; tick++ {
+			if _, err := exec.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if attempts != tick {
+				t.Fatalf("naive=%v: %d attempts after %d ticks, want one per instant", naive, attempts, tick)
+			}
+		}
 	}
 }

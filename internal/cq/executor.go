@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"serena/internal/algebra"
@@ -76,13 +75,13 @@ type Executor struct {
 	order     []string // query evaluation order (registration order)
 	sources   []Source
 	now       service.Instant
-	// parallelism bounds concurrent invocations per invocation operator.
+	// parallelism sizes the β dispatch pool of one invocation operator.
 	parallelism int
 	// queryParallelism bounds how many independent queries one tick
 	// evaluates concurrently (1 = sequential, the default).
 	queryParallelism int
-	// batchSize bounds the invocation batch planner's dispatch chunks
-	// (0 = query.DefaultBatchSize, negative disables batching).
+	// batchSize bounds the β dispatcher's grouped frames
+	// (0 = query.DefaultBatchSize, negative disables grouping).
 	batchSize int
 	// maxWindow tracks, per stream name, the largest window period any
 	// registered query uses — the retention horizon for log trimming.
@@ -185,9 +184,9 @@ func (e *Executor) SetQueryParallelism(n int) {
 	e.queryParallelism = n
 }
 
-// SetBatchSize bounds the invocation batch planner's dispatch chunks: 0
-// restores query.DefaultBatchSize, negative disables batching entirely
-// (per-tuple invocation, the pre-batching behavior).
+// SetBatchSize bounds the β dispatcher's grouped frames: 0 restores
+// query.DefaultBatchSize, negative disables grouping entirely (one
+// dispatch per job).
 func (e *Executor) SetBatchSize(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1281,8 +1280,8 @@ func (ev *evaluator) EvalInvoke(node *query.Invoke, child *algebra.XRelation) (*
 	}
 	next := make(map[string][]value.Tuple, child.Len())
 
-	// We reuse algebra.Invoke but intercept per-tuple invocations with a
-	// caching Invoker. The cache key is (bp, ref, input): the realized
+	// We reuse algebra.Invoke but answer its work list through the §4.2
+	// invocation cache. The cache key is (bp, ref, input): the realized
 	// outputs depend only on that triple, and a persisting operand tuple
 	// produces the same triple at every instant, so it is never re-invoked.
 	cachingInvoker := &deltaInvoker{ev: ev, node: node, cache: cache, next: next}
@@ -1290,7 +1289,7 @@ func (ev *evaluator) EvalInvoke(node *query.Invoke, child *algebra.XRelation) (*
 	// On a sampled tick, wrap the operator in a "cq.invoke" span and make
 	// it the parent of the per-tuple β spans for the duration of the call
 	// (evaluation walks the plan sequentially, so swapping ctx.Span is
-	// safe; parallel per-tuple invocations only read it).
+	// safe; the dispatch pool only reads it).
 	opSpan := ev.ctx.Span.Child("cq.invoke")
 	if opSpan != nil {
 		opSpan.SetAttr("bp", bp.ID())
@@ -1300,8 +1299,8 @@ func (ev *evaluator) EvalInvoke(node *query.Invoke, child *algebra.XRelation) (*
 	}
 	out, err := algebra.Invoke(child, bp, cachingInvoker)
 	if opSpan != nil {
-		opSpan.SetAttrInt("cache_hits", cachingInvoker.hits.Load())
-		opSpan.SetAttrInt("cache_misses", cachingInvoker.misses.Load())
+		opSpan.SetAttrInt("cache_hits", cachingInvoker.hits)
+		opSpan.SetAttrInt("cache_misses", cachingInvoker.misses)
 		if err != nil {
 			opSpan.SetAttr("error", err.Error())
 		}
@@ -1320,117 +1319,114 @@ func (ev *evaluator) EvalInvoke(node *query.Invoke, child *algebra.XRelation) (*
 type deltaInvoker struct {
 	ev    *evaluator
 	node  *query.Invoke
-	mu    sync.Mutex
 	cache map[string][]value.Tuple // previous instant
 	next  map[string][]value.Tuple // being built for this instant
 	// Per-operator-call cache effectiveness, reported as attributes on the
-	// sampled "cq.invoke" operator span (atomics: tuples may invoke in
-	// parallel).
-	hits   atomic.Int64
-	misses atomic.Int64
+	// sampled "cq.invoke" operator span.
+	hits, misses int64
 }
 
-// MaxParallel implements algebra.ParallelInvoker (from the evaluation
-// context, snapshotted at the start of the tick).
-func (d *deltaInvoker) MaxParallel() int { return d.ev.ctx.Parallelism }
-
-// MaxBatch implements algebra.BatchInvoker (from the evaluation context).
-func (d *deltaInvoker) MaxBatch() int { return d.ev.ctx.MaxBatch() }
-
-// lookup answers key from the previous instant's cache (carrying the entry
-// over to this instant's) or from this instant's own, counting a hit. The
-// caller holds d.mu.
-func (d *deltaInvoker) lookup(key string) ([]value.Tuple, bool) {
-	rows, ok := d.cache[key]
-	if ok {
-		d.next[key] = rows
-	} else if rows, ok = d.next[key]; !ok {
-		return nil, false
+// InvokeAll implements algebra.Invoker.
+func (d *deltaInvoker) InvokeAll(bp schema.BindingPattern, jobs []algebra.InvokeJob) []algebra.InvokeResult {
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = bp.ID() + "|" + j.Ref + "|" + j.Input.Key()
 	}
-	d.hits.Add(1)
-	obsInvokeCacheHits.Inc()
-	return rows, true
-}
-
-// InvokeBatch implements algebra.BatchInvoker for passive β fan-out: jobs
-// answered by the cross-instant delta cache resolve locally, the misses go
-// through the context's batch planner in one pass (dedup, coalescing,
-// grouped wire frames), and fresh successful results enter this instant's
-// cache exactly as the per-tuple path would. Active patterns never come
-// here — the algebra keeps them on the per-tuple path, where the
-// effectful-once WAL protocol lives.
-func (d *deltaInvoker) InvokeBatch(bp schema.BindingPattern, refs []string, inputs []value.Tuple) []algebra.BatchResult {
-	out := make([]algebra.BatchResult, len(refs))
-	keys := make([]string, len(refs))
-	missIdx := make([]int, 0, len(refs))
-	d.mu.Lock()
-	for i := range refs {
-		keys[i] = bp.ID() + "|" + refs[i] + "|" + inputs[i].Key()
-		if rows, ok := d.lookup(keys[i]); ok {
-			out[i].Rows = rows
-			continue
-		}
-		missIdx = append(missIdx, i)
-	}
-	d.mu.Unlock()
-	if len(missIdx) == 0 {
-		return out
-	}
-	obsInvokeCacheMisses.Add(int64(len(missIdx)))
-	d.misses.Add(int64(len(missIdx)))
-	missRefs := make([]string, len(missIdx))
-	missInputs := make([]value.Tuple, len(missIdx))
-	for j, i := range missIdx {
-		missRefs[j], missInputs[j] = refs[i], inputs[i]
-	}
-	skipped := make([]bool, len(missIdx))
-	brs := d.ev.ctx.InvokeBatchTracked(bp, missRefs, missInputs, skipped)
-	d.mu.Lock()
-	for j, i := range missIdx {
-		out[i] = brs[j]
-		// Absorbed failures (skipped) pass their stand-in rows through
-		// WITHOUT being cached, so the tuple retries next instant.
-		if brs[j].Err == nil && !skipped[j] {
-			d.next[keys[i]] = brs[j].Rows
-		}
-	}
-	d.mu.Unlock()
+	out, hits, misses := d.ev.invokeCached(d.node, bp, jobs, keys, d.cache, d.next)
+	d.hits += hits
+	d.misses += misses
 	return out
 }
 
-// Invoke implements algebra.Invoker. It is safe for concurrent use.
-func (d *deltaInvoker) Invoke(bp schema.BindingPattern, ref string, input value.Tuple) ([]value.Tuple, error) {
-	key := bp.ID() + "|" + ref + "|" + input.Key()
-	d.mu.Lock()
-	rows, ok := d.lookup(key)
-	d.mu.Unlock()
-	if ok {
-		return rows, nil
+// invokeCached is the §4.2 miss path shared by the naive deltaInvoker and
+// the incremental deltaInvoke operator. A job whose key is in next (this
+// instant's cache) or prev (the previous instant's, carried over into
+// next) is a hit. Misses sharing a key fold into one attempt, so each
+// distinct action is attempted at most once per instant even when the
+// attempt fails. Passive attempts go to the dispatcher in one call; active
+// ones fire one at a time through invokePhysical, stopping at the first
+// fatal outcome. Cacheable outcomes enter next, so a job's outcome is
+// cacheable exactly when its key is in next afterwards. Results are
+// positional over jobs.
+func (ev *evaluator) invokeCached(node *query.Invoke, bp schema.BindingPattern, jobs []algebra.InvokeJob, keys []string, prev, next map[string][]value.Tuple) (out []algebra.InvokeResult, hits, misses int64) {
+	out = make([]algebra.InvokeResult, len(jobs))
+	miss := make([]int, 0, len(jobs)) // job indexes, one attempt per distinct key
+	var dups []int                    // job indexes folded into an earlier miss
+	var first map[string]int          // missed key → its attempt's job index, from the 2nd miss on
+	for i, k := range keys {
+		rows, ok := next[k]
+		if !ok {
+			if rows, ok = prev[k]; ok {
+				next[k] = rows
+			}
+		}
+		if ok {
+			out[i].Rows = rows
+			hits++
+			continue
+		}
+		if len(miss) > 0 {
+			if first == nil {
+				first = map[string]int{keys[miss[0]]: miss[0]}
+			}
+			if _, ok := first[k]; ok {
+				dups = append(dups, i)
+				hits++
+				continue
+			}
+			first[k] = i
+		}
+		miss = append(miss, i)
 	}
-	obsInvokeCacheMisses.Inc()
-	d.misses.Add(1)
-
-	rows, cacheable, err := d.ev.invokePhysical(d.node, bp, ref, input)
-	if err != nil {
-		return nil, err
+	misses = int64(len(miss))
+	obsInvokeCacheHits.Add(hits)
+	obsInvokeCacheMisses.Add(misses)
+	switch {
+	case len(miss) == 0:
+	case bp.Active():
+		for _, i := range miss {
+			rows, cacheable, err := ev.invokePhysical(node, bp, jobs[i:i+1])
+			out[i] = algebra.InvokeResult{Rows: rows, Err: err}
+			if err != nil {
+				break
+			}
+			if cacheable {
+				next[keys[i]] = rows
+			}
+		}
+	default:
+		attempt := jobs
+		if len(miss) < len(jobs) {
+			attempt = make([]algebra.InvokeJob, len(miss))
+			for k, i := range miss {
+				attempt[k] = jobs[i]
+			}
+		}
+		for k, res := range ev.ctx.InvokeAll(bp, attempt) {
+			i := miss[k]
+			out[i] = res
+			// Absorbed failures pass their stand-in rows through WITHOUT
+			// being cached, so the tuple retries next instant.
+			if res.Err == nil && !res.Absorbed() {
+				next[keys[i]] = res.Rows
+			}
+		}
 	}
-	if cacheable {
-		d.mu.Lock()
-		d.next[key] = rows
-		d.mu.Unlock()
+	for _, i := range dups {
+		out[i] = out[first[keys[i]]]
 	}
-	return rows, nil
+	return out, hits, misses
 }
 
-// invokePhysical is the cache-independent core of one β invocation,
-// shared by the naive deltaInvoker and the incremental deltaInvoke
-// operator: replay-ledger consultation for active patterns, the
-// effectful-once WAL bracket, the tracked call itself, and the degradation
-// policy's absorbed-failure handling. cacheable reports whether the rows
-// may enter the cross-instant invocation cache (false for absorbed
-// failures and unknown replay outcomes — those retry next instant).
-func (ev *evaluator) invokePhysical(node *query.Invoke, bp schema.BindingPattern, ref string, input value.Tuple) (rows []value.Tuple, cacheable bool, err error) {
-	if bp.Active() && ev.replay != nil {
+// invokePhysical fires one active β invocation, the one-element work list
+// job: replay-ledger consultation, the effectful-once WAL bracket, the call
+// itself through the dispatcher, and the outcome-unknown pin. cacheable
+// reports whether the rows may enter the cross-instant invocation cache
+// (false for absorbed failures and unknown replay outcomes — those retry
+// next instant).
+func (ev *evaluator) invokePhysical(node *query.Invoke, bp schema.BindingPattern, job []algebra.InvokeJob) (rows []value.Tuple, cacheable bool, err error) {
+	ref, input := job[0].Ref, job[0].Input
+	if ev.replay != nil {
 		key := bp.ID() + "|" + ref + "|" + input.Key()
 		if ent, ok := ev.replay[key]; ok {
 			// The action fired (or at least durably intended to) before the
@@ -1451,7 +1447,7 @@ func (ev *evaluator) invokePhysical(node *query.Invoke, bp schema.BindingPattern
 		// never fired live; fall through and fire it for real.
 	}
 
-	logActive := bp.Active() && ev.replay == nil && ev.exec.dur != nil
+	logActive := ev.replay == nil && ev.exec.dur != nil
 	var nodeIdx int
 	if logActive {
 		nodeIdx = ev.q.invIdx[node]
@@ -1462,40 +1458,37 @@ func (ev *evaluator) invokePhysical(node *query.Invoke, bp schema.BindingPattern
 			return nil, false, fmt.Errorf("durable intent for %s on %s: %w", bp.ID(), ref, err)
 		}
 	}
-	skipped := new(bool)
-	var physErr error
-	rows, err = ev.ctx.InvokeObserved(bp, ref, input, skipped, &physErr)
+	res := ev.ctx.InvokeAll(bp, job)[0]
 	// Federation (Definition 8): an active request whose outcome is unknown
 	// — sent to a peer, answer lost — may have fired. It must never be
 	// re-sent (the transport already refused to), never re-fired at a
 	// replica, and never retried at the next instant.
-	outcomeUnknown := bp.Active() && physErr != nil && errors.Is(physErr, resilience.ErrOutcomeUnknown)
+	outcomeUnknown := errors.Is(res.Cause, resilience.ErrOutcomeUnknown)
 	if logActive && !outcomeUnknown {
-		ok := err == nil && !*skipped
-		var res []value.Tuple
+		ok := res.Err == nil && !res.Absorbed()
+		var out []value.Tuple
 		if ok {
-			res = rows
+			out = res.Rows
 		}
 		// A failed completion append degrades this call to an orphan intent
 		// on recovery — the safe direction (attempted, never re-fired).
-		_ = ev.exec.dur.ActiveResult(ev.q.name, nodeIdx, bp.ID(), ref, input, ev.at, ok, res)
+		_ = ev.exec.dur.ActiveResult(ev.q.name, nodeIdx, bp.ID(), ref, input, ev.at, ok, out)
 	}
 	// outcomeUnknown intentionally skips ActiveResult: the intent stays an
 	// ORPHAN in the WAL, so recovery replays it as attempted-never-refire
 	// (SeedActive pins it) — the durable form of the live pin below.
-	if err != nil {
-		return nil, false, err
+	if res.Err != nil {
+		return nil, false, res.Err
 	}
 	if outcomeUnknown {
 		// Live pin: cache the stand-in rows (nothing for SkipTuple, an
 		// all-NULL fill for NullFill) so the persisting tuple does NOT
 		// re-invoke next instant. This is the one absorbed failure that must
 		// not retry — a retry could duplicate the action on the environment.
-		return rows, true, nil
+		return res.Rows, true, nil
 	}
-	// A skipped invocation was absorbed by the degradation policy: its
-	// stand-in rows pass through (nothing for SkipTuple, an all-NULL fill
-	// for NullFill) WITHOUT being cacheable, so the tuple is retried at
-	// the next instant.
-	return rows, !*skipped, nil
+	// An absorbed failure's stand-in rows pass through (nothing for
+	// SkipTuple, an all-NULL fill for NullFill) WITHOUT being cacheable, so
+	// the tuple is retried at the next instant.
+	return res.Rows, !res.Absorbed(), nil
 }

@@ -13,6 +13,7 @@ import (
 	"serena/internal/paperenv"
 	"serena/internal/query"
 	"serena/internal/resilience"
+	"serena/internal/schema"
 	"serena/internal/service"
 	"serena/internal/value"
 )
@@ -147,34 +148,40 @@ func TestBatchedParallelEquivalentToSequential(t *testing.T) {
 	}
 }
 
-// TestBatchPlannerFoldsDuplicates drives InvokeBatchTracked directly:
+// jobsTo builds one β job per ref, each with an empty input tuple.
+func jobsTo(refs ...string) []algebra.InvokeJob {
+	jobs := make([]algebra.InvokeJob, len(refs))
+	for i, ref := range refs {
+		jobs[i] = algebra.InvokeJob{Ref: ref, Input: value.Tuple{}}
+	}
+	return jobs
+}
+
+// TestBatchPlannerFoldsDuplicates drives InvokeAll with grouping forced on:
 // identical (ref, input) jobs share one physical call, results fan back out
 // positionally, and stats count like the sequential memo path (first dup
 // passive, later dups memoized).
 func TestBatchPlannerFoldsDuplicates(t *testing.T) {
 	env, reg, counts := countingEnv(t, 2, 0)
 	ctx := query.NewContext(env, reg, 0)
+	ctx.BatchSize = 64
 	sensors := env["sensors"]
 	bp, err := sensors.Schema().FindBP("getTemperature", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := []string{"s000", "s001", "s000", "s000", "s001"}
-	inputs := make([]value.Tuple, len(refs))
-	for i := range inputs {
-		inputs[i] = value.Tuple{}
-	}
-	out := ctx.InvokeBatchTracked(bp, refs, inputs, nil)
+	jobs := jobsTo("s000", "s001", "s000", "s000", "s001")
+	out := ctx.InvokeAll(bp, jobs)
 	for i, r := range out {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
 		want := float64(0)
-		if refs[i] == "s001" {
+		if jobs[i].Ref == "s001" {
 			want = 1
 		}
 		if len(r.Rows) != 1 || r.Rows[0][0].Real() != want {
-			t.Fatalf("item %d (%s): rows = %v", i, refs[i], r.Rows)
+			t.Fatalf("item %d (%s): rows = %v", i, jobs[i].Ref, r.Rows)
 		}
 	}
 	if counts["s000"].Load() != 1 || counts["s001"].Load() != 1 {
@@ -187,19 +194,33 @@ func TestBatchPlannerFoldsDuplicates(t *testing.T) {
 }
 
 // batchSizeRecorder is a BatchCtxService that records the size of every
-// batch frame it receives.
+// batch frame it receives and the number of per-item calls; with failOdd it
+// fails the odd positions of each frame.
 type batchSizeRecorder struct {
-	ref    string
-	mu     sync.Mutex
-	frames []int
+	ref     string
+	proto   string
+	failOdd bool
+	mu      sync.Mutex
+	frames  []int
+	single  int
 }
 
 func (b *batchSizeRecorder) Ref() string                  { return b.ref }
-func (b *batchSizeRecorder) PrototypeNames() []string     { return []string{"getTemperature"} }
-func (b *batchSizeRecorder) Implements(proto string) bool { return proto == "getTemperature" }
+func (b *batchSizeRecorder) PrototypeNames() []string     { return []string{b.proto} }
+func (b *batchSizeRecorder) Implements(proto string) bool { return proto == b.proto }
+
+func (b *batchSizeRecorder) row() value.Tuple {
+	if b.proto == "sendMessage" {
+		return value.Tuple{value.NewBool(true)}
+	}
+	return value.Tuple{value.NewReal(1)}
+}
 
 func (b *batchSizeRecorder) Invoke(proto string, in value.Tuple, at service.Instant) ([]value.Tuple, error) {
-	return []value.Tuple{{value.NewReal(1)}}, nil
+	b.mu.Lock()
+	b.single++
+	b.mu.Unlock()
+	return []value.Tuple{b.row()}, nil
 }
 
 func (b *batchSizeRecorder) InvokeBatchCtx(_ context.Context, proto string, inputs []value.Tuple, _ service.Instant) []service.InvokeResult {
@@ -208,39 +229,50 @@ func (b *batchSizeRecorder) InvokeBatchCtx(_ context.Context, proto string, inpu
 	b.mu.Unlock()
 	out := make([]service.InvokeResult, len(inputs))
 	for i := range out {
-		out[i] = service.InvokeResult{Rows: []value.Tuple{{value.NewReal(1)}}}
+		if b.failOdd && i%2 == 1 {
+			out[i] = service.InvokeResult{Err: errors.New("flaky")}
+			continue
+		}
+		out[i] = service.InvokeResult{Rows: []value.Tuple{b.row()}}
 	}
 	return out
 }
 
-// TestBatchChunksAtMaxBatch: a group larger than BatchSize is dispatched in
-// BatchSize-bounded frames, sequentially per service.
-func TestBatchChunksAtMaxBatch(t *testing.T) {
+// recorderContext registers rec (and its prototype) in a fresh registry and
+// returns a one-shot context over it with the memo off, so identical jobs
+// stay distinct calls.
+func recorderContext(t *testing.T, rec *batchSizeRecorder) *query.Context {
+	t.Helper()
 	reg := service.NewRegistry()
-	if err := reg.RegisterPrototype(device.GetTemperatureProto()); err != nil {
-		t.Fatal(err)
+	for _, p := range []*schema.Prototype{device.GetTemperatureProto(), device.SendMessageProto()} {
+		if err := reg.RegisterPrototype(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rec := &batchSizeRecorder{ref: "bulk"}
 	if err := reg.Register(rec); err != nil {
 		t.Fatal(err)
 	}
 	ctx := query.NewContext(query.MapEnv{}, reg, 0)
+	ctx.Memo = nil
+	return ctx
+}
+
+// TestBatchChunksAtMaxBatch: a group larger than BatchSize is dispatched in
+// BatchSize-bounded frames.
+func TestBatchChunksAtMaxBatch(t *testing.T) {
+	rec := &batchSizeRecorder{ref: "bulk", proto: "getTemperature"}
+	ctx := recorderContext(t, rec)
 	ctx.BatchSize = 4
-	ctx.Memo = nil // no folding: 10 distinct calls to one ref
 
 	bp, err := paperenv.SensorsSchema().FindBP("getTemperature", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const jobs = 10
-	refs := make([]string, jobs)
-	inputs := make([]value.Tuple, jobs)
+	refs := make([]string, 10)
 	for i := range refs {
 		refs[i] = "bulk"
-		inputs[i] = value.Tuple{}
 	}
-	out := ctx.InvokeBatchTracked(bp, refs, inputs, nil)
-	for i, r := range out {
+	for i, r := range ctx.InvokeAll(bp, jobsTo(refs...)) {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
@@ -250,9 +282,34 @@ func TestBatchChunksAtMaxBatch(t *testing.T) {
 	}
 }
 
-// TestBatchDegradationPerItem: per-item failures inside a batch go through
-// the same degradation policies as the per-tuple path, and the skipped[]
-// out-param marks absorbed failures so the delta cache won't remember them.
+// TestInvokeNeverBatchesActiveBP: each active occurrence is a distinct
+// Definition 8 action and fires on its own — grouping is for passive
+// binding patterns only, even with BatchSize forced on.
+func TestInvokeNeverBatchesActiveBP(t *testing.T) {
+	rec := &batchSizeRecorder{ref: "bulk", proto: "sendMessage"}
+	ctx := recorderContext(t, rec)
+	ctx.BatchSize = 64
+	bp := schema.BindingPattern{Proto: device.SendMessageProto(), ServiceAttr: "messenger"}
+	jobs := make([]algebra.InvokeJob, 3)
+	for i := range jobs {
+		jobs[i] = algebra.InvokeJob{Ref: "bulk", Input: value.Tuple{value.NewString(fmt.Sprintf("a%d@x", i)), value.NewString("hi")}}
+	}
+	for i, r := range ctx.InvokeAll(bp, jobs) {
+		if r.Err != nil {
+			t.Fatalf("item %d: %v", i, r.Err)
+		}
+	}
+	if len(rec.frames) != 0 {
+		t.Fatalf("active BP was grouped into frames %v", rec.frames)
+	}
+	if rec.single != 3 || ctx.Stats.Active != 3 || ctx.Actions.Len() != 3 {
+		t.Fatalf("per-job calls = %d, active = %d, actions = %d, want 3/3/3", rec.single, ctx.Stats.Active, ctx.Actions.Len())
+	}
+}
+
+// TestBatchDegradationPerItem: per-item failures inside grouped frames go
+// through the same degradation policies as the per-job path; an absorbed
+// failure carries its cause so the delta cache won't remember it.
 func TestBatchDegradationPerItem(t *testing.T) {
 	build := func() (*query.Context, map[string]*atomic.Int64) {
 		reg := service.NewRegistry()
@@ -278,24 +335,24 @@ func TestBatchDegradationPerItem(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return query.NewContext(query.MapEnv{}, reg, 0), counts
+		ctx := query.NewContext(query.MapEnv{}, reg, 0)
+		ctx.BatchSize = 64
+		return ctx, counts
 	}
 	bp, err := paperenv.SensorsSchema().FindBP("getTemperature", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := []string{"s000", "s001", "s002", "s003"}
-	inputs := []value.Tuple{{}, {}, {}, {}}
+	jobs := jobsTo("s000", "s001", "s002", "s003")
 
 	t.Run("skip", func(t *testing.T) {
 		ctx, _ := build()
 		ctx.Degradation = resilience.SkipTuple
-		skipped := make([]bool, len(refs))
-		out := ctx.InvokeBatchTracked(bp, refs, inputs, skipped)
-		for i := range refs {
+		out := ctx.InvokeAll(bp, jobs)
+		for i := range jobs {
 			bad := i%2 == 1
-			if bad != skipped[i] {
-				t.Fatalf("item %d: skipped = %v, want %v", i, skipped[i], bad)
+			if bad != out[i].Absorbed() {
+				t.Fatalf("item %d: absorbed = %v, want %v", i, out[i].Absorbed(), bad)
 			}
 			if bad && (out[i].Err != nil || out[i].Rows != nil) {
 				t.Fatalf("item %d: skipped item should yield no rows, no error: %+v", i, out[i])
@@ -308,25 +365,44 @@ func TestBatchDegradationPerItem(t *testing.T) {
 	t.Run("nullfill", func(t *testing.T) {
 		ctx, _ := build()
 		ctx.Degradation = resilience.NullFill
-		skipped := make([]bool, len(refs))
-		out := ctx.InvokeBatchTracked(bp, refs, inputs, skipped)
-		for i := range refs {
+		out := ctx.InvokeAll(bp, jobs)
+		for i := range jobs {
 			if i%2 == 1 {
-				if !skipped[i] || len(out[i].Rows) != 1 || !out[i].Rows[0][0].IsNull() {
-					t.Fatalf("item %d: want one all-NULL row + skipped, got %+v skipped=%v", i, out[i], skipped[i])
+				if !out[i].Absorbed() || len(out[i].Rows) != 1 || !out[i].Rows[0][0].IsNull() {
+					t.Fatalf("item %d: want one all-NULL row, absorbed, got %+v", i, out[i])
 				}
 			}
 		}
 	})
 	t.Run("failfast", func(t *testing.T) {
-		ctx, _ := build()
+		ctx, counts := build()
 		ctx.Degradation = resilience.FailFast
-		out := ctx.InvokeBatchTracked(bp, refs, inputs, nil)
+		out := ctx.InvokeAll(bp, jobs)
+		if out[1].Err == nil || out[1].Cause == nil {
+			t.Fatalf("failing item must carry its error: %+v", out)
+		}
+		if out[0].Err != nil || len(out[0].Rows) != 1 {
+			t.Fatalf("one item's failure must not fail its neighbours: %+v", out)
+		}
+		// Sequential frames: nothing is dispatched after the fatal outcome.
+		if n := counts["s002"].Load() + counts["s003"].Load(); n != 0 {
+			t.Fatalf("%d dispatches after a fatal outcome, want 0", n)
+		}
+	})
+	t.Run("failfast-in-frame", func(t *testing.T) {
+		rec := &batchSizeRecorder{ref: "bulk", proto: "getTemperature", failOdd: true}
+		ctx := recorderContext(t, rec)
+		ctx.BatchSize = 64
+		ctx.Degradation = resilience.FailFast
+		out := ctx.InvokeAll(bp, jobsTo("bulk", "bulk", "bulk", "bulk"))
+		if len(rec.frames) != 1 || rec.frames[0] != 4 {
+			t.Fatalf("frames = %v, want one frame of 4", rec.frames)
+		}
 		if out[1].Err == nil || out[3].Err == nil {
 			t.Fatalf("failing items must carry their error: %+v", out)
 		}
 		if out[0].Err != nil || out[2].Err != nil {
-			t.Fatalf("one item's failure must not fail its neighbours: %+v", out)
+			t.Fatalf("one item's failure must not fail its frame neighbours: %+v", out)
 		}
 	})
 }

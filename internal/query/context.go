@@ -189,19 +189,18 @@ type Context struct {
 	// included). Nil means context.Background().
 	Ctx context.Context
 
-	// Parallelism bounds how many service invocations one invocation
-	// operator may run concurrently (Section 5.1: invocations are handled
+	// Parallelism is the size of the worker pool InvokeAll runs one
+	// operator's dispatches on (Section 5.1: invocations are handled
 	// asynchronously; Section 3.2 makes order irrelevant at an instant).
-	// Values < 2 mean sequential.
+	// Values < 2 mean sequential, in input order.
 	Parallelism int
 
-	// BatchSize bounds how many invocations the batch planner packs into
-	// one registry dispatch (one wire frame for remote services). Zero
-	// means DefaultBatchSize when the registry holds at least one
-	// batch-capable service (a remote proxy) and per-tuple dispatch
-	// otherwise; positive forces the planner on at that chunk size;
-	// negative disables batching entirely (ablation and interop escape
-	// hatch).
+	// BatchSize bounds how many passive invocations of one service InvokeAll
+	// groups into one registry dispatch (one wire frame for remote
+	// services). Zero means DefaultBatchSize when the registry holds at
+	// least one batch-capable service (a remote proxy) and no grouping
+	// otherwise; positive forces grouping on at that frame size; negative
+	// disables grouping entirely (ablation and interop escape hatch).
 	BatchSize int
 
 	// Span is the enclosing trace span for this evaluation (nil when the
@@ -260,7 +259,7 @@ func NewContext(env Environment, reg *service.Registry, at service.Instant) *Con
 		Registry: reg,
 		At:       at,
 		Actions:  NewActionSet(),
-		Memo:     service.NewMemo(at),
+		Memo:     service.NewMemo(),
 	}
 }
 
@@ -275,100 +274,6 @@ func (c *Context) Eval(n Node) (*algebra.XRelation, error) {
 	r, err := n.Eval(c)
 	c.Profile.record(n, r, err, time.Since(start))
 	return r, err
-}
-
-// Invoke implements algebra.Invoker: it records actions for active binding
-// patterns (Definition 8), memoizes passive invocations within the instant
-// (Section 3.2 determinism), and delegates the physical call to the
-// registry.
-func (c *Context) Invoke(bp schema.BindingPattern, ref string, input value.Tuple) ([]value.Tuple, error) {
-	return c.InvokeTracked(bp, ref, input, nil)
-}
-
-// InvokeTracked is Invoke with a skip indicator: when a physical failure is
-// absorbed by the error policy, *skipped (if non-nil) is set and empty rows
-// are returned — callers caching results across instants (the continuous
-// executor's delta cache) must not remember such results, so the tuple is
-// retried at the next instant.
-func (c *Context) InvokeTracked(bp schema.BindingPattern, ref string, input value.Tuple, skipped *bool) ([]value.Tuple, error) {
-	return c.InvokeObserved(bp, ref, input, skipped, nil)
-}
-
-// InvokeObserved is InvokeTracked with one more out-parameter: when the
-// physical call fails, *physErr (if non-nil) receives the RAW registry
-// error even if the degradation policy then absorbs it. The continuous
-// executor needs the distinction for federation (Definition 8): an active
-// invocation absorbed after resilience.ErrOutcomeUnknown may have fired on
-// the peer, so its tuple must be pinned rather than retried next tick.
-func (c *Context) InvokeObserved(bp schema.BindingPattern, ref string, input value.Tuple, skipped *bool, physErr *error) ([]value.Tuple, error) {
-	var span *trace.Span
-	if c.Span != nil { // sampled evaluation: record this tuple's β span
-		span = c.Span.Child(trace.SpanInvoke)
-		span.SetAttr("bp", bp.ID())
-		span.SetAttr("ref", ref)
-		span.SetAttr("in", input.String())
-	}
-	if bp.Active() {
-		c.Actions.Add(Action{BP: bp.ID(), Ref: ref, Input: input.Clone()})
-		c.bump(&c.Stats.Active)
-		span.SetAttr("mode", "active")
-		rows, err := c.Registry.InvokeCtx(trace.ContextWith(c.ctx(), span), bp.Proto.Name, ref, input, c.At)
-		if err != nil {
-			return c.invokeFailed(bp, ref, input, err, skipped, physErr, span)
-		}
-		c.finishInvokeSpan(span, rows)
-		return rows, nil
-	}
-	if c.Memo != nil {
-		// Coalescing memo path: a hit returns the cached rows, a shared
-		// flight waits for the concurrent owner's result (closing the
-		// check-then-invoke-then-put window that let two parallel workers
-		// both invoke the same key), and an owner performs the one
-		// physical call for everyone.
-		cached, flight, st := c.Memo.Begin(bp.Proto.Name, ref, input)
-		switch st {
-		case service.BeginHit:
-			c.bump(&c.Stats.Memoized)
-			span.SetAttr("mode", "memoized")
-			c.finishInvokeSpan(span, cached)
-			return cached, nil
-		case service.BeginShared:
-			rows, err := flight.Wait()
-			if err != nil {
-				return c.invokeFailed(bp, ref, input, err, skipped, physErr, span)
-			}
-			c.bump(&c.Stats.Coalesced)
-			span.SetAttr("mode", "coalesced")
-			c.finishInvokeSpan(span, rows)
-			return rows, nil
-		}
-		span.SetAttr("mode", "passive")
-		rows, err := c.Registry.InvokeCtx(trace.ContextWith(c.ctx(), span), bp.Proto.Name, ref, input, c.At)
-		flight.Complete(rows, err)
-		if err != nil {
-			return c.invokeFailed(bp, ref, input, err, skipped, physErr, span)
-		}
-		c.bump(&c.Stats.Passive)
-		c.finishInvokeSpan(span, rows)
-		return rows, nil
-	}
-	span.SetAttr("mode", "passive")
-	rows, err := c.Registry.InvokeCtx(trace.ContextWith(c.ctx(), span), bp.Proto.Name, ref, input, c.At)
-	if err != nil {
-		return c.invokeFailed(bp, ref, input, err, skipped, physErr, span)
-	}
-	c.bump(&c.Stats.Passive)
-	c.finishInvokeSpan(span, rows)
-	return rows, nil
-}
-
-// finishInvokeSpan stamps a successful β span with its row count.
-func (c *Context) finishInvokeSpan(span *trace.Span, rows []value.Tuple) {
-	if span == nil {
-		return
-	}
-	span.SetAttrInt("rows", int64(len(rows)))
-	span.Finish()
 }
 
 // PublishObsStats flushes this context's invocation statistics into the
@@ -401,9 +306,6 @@ func (c *Context) ctx() context.Context {
 	return context.Background()
 }
 
-// MaxParallel implements algebra.ParallelInvoker.
-func (c *Context) MaxParallel() int { return c.Parallelism }
-
 // CountActive counts one active invocation without performing it — the
 // continuous executor uses it when recovery replays a logged active β from
 // its recorded outcome instead of re-firing it (the physical call DID
@@ -414,73 +316,4 @@ func (c *Context) bump(counter *int64) {
 	c.statsMu.Lock()
 	*counter++
 	c.statsMu.Unlock()
-}
-
-// invokeFailed applies the degradation policy to one failed invocation.
-// The rows it returns stand in for the invocation result: nil rows with
-// *skipped set means "drop the tuple"; a single all-NULL row (NullFill)
-// realizes the virtual attributes as unknown. Skipped/null-filled results
-// must never be cached across instants — the tuple is retried at the next
-// one (*skipped signals that to the continuous executor's delta cache).
-func (c *Context) invokeFailed(bp schema.BindingPattern, ref string, input value.Tuple, err error, skipped *bool, physErr *error, span *trace.Span) ([]value.Tuple, error) {
-	if physErr != nil {
-		*physErr = err
-	}
-	span.SetAttr("error", err.Error())
-	defer span.Finish()
-	if c.Degradation == resilience.Default {
-		// Legacy contract: no collector → fail fast; a collector decides
-		// by its return value (nil = skip the tuple).
-		if c.OnInvokeError == nil {
-			span.SetAttr("degraded", "failfast")
-			return nil, err
-		}
-		c.statsMu.Lock()
-		policyErr := c.OnInvokeError(bp, ref, input, err)
-		c.statsMu.Unlock()
-		if policyErr == nil {
-			obsQueryDegraded.Inc()
-			span.SetAttr("degraded", "skip")
-			if skipped != nil {
-				*skipped = true
-			}
-		} else {
-			span.SetAttr("degraded", "abort")
-		}
-		return nil, policyErr
-	}
-	// Explicit policy: the collector observes (a non-nil return still
-	// vetoes and aborts the query), then the policy decides.
-	if c.OnInvokeError != nil {
-		c.statsMu.Lock()
-		policyErr := c.OnInvokeError(bp, ref, input, err)
-		c.statsMu.Unlock()
-		if policyErr != nil {
-			span.SetAttr("degraded", "abort")
-			return nil, policyErr
-		}
-	}
-	switch c.Degradation {
-	case resilience.SkipTuple:
-		obsQueryDegraded.Inc()
-		span.SetAttr("degraded", "skip")
-		if skipped != nil {
-			*skipped = true
-		}
-		return nil, nil
-	case resilience.NullFill:
-		obsQueryDegraded.Inc()
-		span.SetAttr("degraded", "nullfill")
-		if skipped != nil {
-			*skipped = true
-		}
-		row := make(value.Tuple, bp.Proto.Output.Arity())
-		for i := range row {
-			row[i] = value.NewNull()
-		}
-		return []value.Tuple{row}, nil
-	default: // resilience.FailFast
-		span.SetAttr("degraded", "failfast")
-		return nil, err
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"serena/internal/algebra"
 	"serena/internal/device"
 	"serena/internal/obs"
 	"serena/internal/query"
@@ -12,8 +13,8 @@ import (
 )
 
 // TestMetricsConcurrentExactness hammers ONE instrumented query.Context
-// from MaxParallel goroutines — the way the invocation operator fans out
-// under .parallel — and asserts the counters are exact, not approximate:
+// from Parallelism goroutines — the way the dispatch pool fans out under
+// .parallel — and asserts the counters are exact, not approximate:
 // every operation lands in exactly one bucket and no increment is lost.
 // Run with -race (the CI gate does).
 func TestMetricsConcurrentExactness(t *testing.T) {
@@ -27,7 +28,7 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 	ctx.Parallelism = 8
 
 	const perWorker = 250
-	workers := ctx.MaxParallel()
+	workers := ctx.Parallelism
 
 	// Deltas, not absolute values: other tests in the package share the
 	// process-wide registry.
@@ -44,13 +45,13 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				ref := refs[(w+i)%len(refs)]
-				if _, err := ctx.InvokeTracked(sensorBP, ref, nil, nil); err != nil {
+				if err := ctx.InvokeAll(sensorBP, []algebra.InvokeJob{{Ref: ref}})[0].Err; err != nil {
 					t.Errorf("worker %d: passive invoke: %v", w, err)
 					return
 				}
 				if i%50 == 0 { // a sprinkle of active invocations
 					in := value.Tuple{value.NewString("x@example.org"), value.NewString("hi")}
-					if _, err := ctx.InvokeTracked(messageBP, "email", in, nil); err != nil {
+					if err := ctx.InvokeAll(messageBP, []algebra.InvokeJob{{Ref: "email", Input: in}})[0].Err; err != nil {
 						t.Errorf("worker %d: active invoke: %v", w, err)
 						return
 					}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,5 +192,58 @@ func TestParallelSkipPolicy(t *testing.T) {
 	}
 	if res.Relation.Len() != 4 || skips != 4 {
 		t.Fatalf("rows = %d, skips = %d, want 4/4", res.Relation.Len(), skips)
+	}
+}
+
+// TestParallelStopsSchedulingAfterFatalError is the regression test for the
+// β over-firing bug: with FAIL semantics the whole operator aborts on the
+// first error, so every invocation dispatched after the failure is a pure
+// side effect whose result is thrown away. The pool must stop starting new
+// dispatches once a worker has recorded a fatal outcome.
+func TestParallelStopsSchedulingAfterFatalError(t *testing.T) {
+	const jobs = 100
+	boom := errors.New("sensor on fire")
+	reg := service.NewRegistry()
+	if err := reg.RegisterPrototype(device.GetTemperatureProto()); err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	work := make([]algebra.InvokeJob, jobs)
+	for i := range work {
+		// The poisoned ref is the FIRST job, so a worker hits it at once
+		// while the other workers are still sleeping in their first call.
+		ref, fail := fmt.Sprintf("ok%03d", i), i == 0
+		if fail {
+			ref = "poison"
+		}
+		err := reg.Register(service.NewFunc(ref, map[string]service.InvokeFunc{
+			"getTemperature": func(value.Tuple, service.Instant) ([]value.Tuple, error) {
+				calls.Add(1)
+				if fail {
+					return nil, boom
+				}
+				time.Sleep(5 * time.Millisecond)
+				return []value.Tuple{{value.NewReal(20)}}, nil
+			},
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		work[i] = algebra.InvokeJob{Ref: ref, Input: value.Tuple{}}
+	}
+	bp, err := paperenv.SensorsSchema().FindBP("getTemperature", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := query.NewContext(query.MapEnv{}, reg, 0)
+	ctx.Parallelism = 4
+	if out := ctx.InvokeAll(bp, work); !errors.Is(out[0].Err, boom) {
+		t.Fatalf("error not propagated: %+v", out[0])
+	}
+	// Workers already mid-call when the failure lands may finish (bounded
+	// by the worker count); anything near the full job count means the
+	// pool kept scheduling after the error.
+	if got := calls.Load(); got > 16 {
+		t.Fatalf("pool fired %d invocations after a fatal error on job 0 (want ≤ 16 of %d)", got, jobs)
 	}
 }

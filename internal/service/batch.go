@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"serena/internal/obs"
 	"serena/internal/resilience"
@@ -19,10 +18,6 @@ var (
 	obsBatchItems     = obs.Default.Counter("service.invoke.batch.items")
 	obsBatchFallbacks = obs.Default.Counter("service.invoke.batch.fallbacks")
 )
-
-// DefaultBatchParallelism bounds the per-item fan-out used when a batched
-// invocation reaches a service without a batch transport.
-const DefaultBatchParallelism = 8
 
 // InvokeResult is one item's outcome within a batched invocation.
 type InvokeResult struct {
@@ -43,9 +38,9 @@ type BatchCtxService interface {
 // InvokeBatchCtx performs invoke_ψ for many input tuples of one
 // (prototype, service) pair in a single registry call. Services exposing a
 // batch transport (remote proxies) get one round trip for the whole group;
-// local services are fanned out on a bounded worker pool through the exact
-// per-item InvokeCtx path, so retries, breakers and metrics behave as if
-// the caller had looped. Errors are per item — callers apply their own
+// any other service is invoked item by item through the exact per-item
+// InvokeCtx path, so retries, breakers and metrics behave as if the caller
+// had looped. Errors are per item — callers apply their own
 // degradation policy to each — except for resolution failures (unknown
 // prototype/service), which uniformly fail every item.
 func (r *Registry) InvokeBatchCtx(ctx context.Context, proto, ref string, inputs []value.Tuple, at Instant) []InvokeResult {
@@ -92,35 +87,12 @@ func (r *Registry) InvokeBatchCtx(ctx context.Context, proto, ref string, inputs
 	cands = impl
 	_, hasBatch := cands[0].svc.(BatchCtxService)
 	if !hasBatch {
-		// No batch transport: bounded per-item fan-out through InvokeCtx so
-		// every item keeps the full retry/breaker/metric treatment.
+		// No batch transport: item by item through InvokeCtx, so every item
+		// keeps the full retry/breaker/metric treatment.
 		obsBatchFallbacks.Inc()
-		workers := DefaultBatchParallelism
-		if workers > len(inputs) {
-			workers = len(inputs)
+		for i, in := range inputs {
+			out[i].Rows, out[i].Err = r.InvokeCtx(ctx, proto, ref, in, at)
 		}
-		if workers < 2 { // degenerate batch: no pool, no goroutines
-			for i, in := range inputs {
-				out[i].Rows, out[i].Err = r.InvokeCtx(ctx, proto, ref, in, at)
-			}
-			return out
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					out[i].Rows, out[i].Err = r.InvokeCtx(ctx, proto, ref, inputs[i], at)
-				}
-			}()
-		}
-		for i := range inputs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
 		return out
 	}
 
@@ -163,7 +135,7 @@ func (r *Registry) InvokeBatchCtx(ctx context.Context, proto, ref string, inputs
 	}
 	im := e.metricsFor(proto, ref)
 	if p.Active {
-		// Defensive: the planner only batches passive β, but if an active
+		// Defensive: the dispatcher only groups passive β, but if an active
 		// frame ever reaches here, forbid transparent transport re-sends.
 		ctx = resilience.WithNoResend(ctx)
 	}

@@ -23,15 +23,11 @@ import (
 // distinct action with a physical side effect.
 type Memo struct {
 	mu sync.Mutex
-	at Instant
 	// m holds one entry per key, in-flight or completed: a completed entry
 	// IS the cached result. One map keeps the hot miss path at a single
 	// lookup plus a single insert (Complete publishes in place, touching no
 	// map), which matters because β fan-out pays this cost per tuple.
 	m map[memoKey]*Flight
-	// Hits, misses and coalesced-waits are simple counters for the
-	// ablation benchmarks and the coalesce-hit metrics.
-	hits, misses, coalesced int64
 }
 
 type memoKey struct {
@@ -40,49 +36,10 @@ type memoKey struct {
 	input string // tuple identity key
 }
 
-// NewMemo returns a memo bound to the given instant.
-func NewMemo(at Instant) *Memo {
-	return &Memo{at: at, m: make(map[memoKey]*Flight)}
-}
-
-// Instant returns the instant this memo is valid for.
-func (m *Memo) Instant() Instant { return m.at }
-
-// Get returns a cached result for (proto, ref, input). An in-flight entry
-// is a miss: Get does not coalesce (use Begin or Do for that).
-func (m *Memo) Get(proto, ref string, input value.Tuple) ([]value.Tuple, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if f, ok := m.m[memoKey{proto, ref, input.Key()}]; ok && f.completed {
-		m.hits++
-		return f.rows, true
-	}
-	m.misses++
-	return nil, false
-}
-
-// Put stores an invocation result.
-func (m *Memo) Put(proto, ref string, input value.Tuple, rows []value.Tuple) {
-	key := memoKey{proto, ref, input.Key()}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.m[key] = &Flight{completed: true, memo: m, key: key, rows: rows}
-}
-
-// Stats returns (hits, misses) since creation. A coalesced wait counts as a
-// hit — the caller got a result without a physical call.
-func (m *Memo) Stats() (hits, misses int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits + m.coalesced, m.misses
-}
-
-// Coalesced returns how many lookups joined another caller's in-flight
-// invocation instead of performing their own.
-func (m *Memo) Coalesced() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.coalesced
+// NewMemo returns an empty memo. Its entries are valid at one instant only,
+// so callers make one memo per instant.
+func NewMemo() *Memo {
+	return &Memo{m: make(map[memoKey]*Flight)}
 }
 
 // Flight is one memo entry for a (proto, ref, input) key, in-flight until
@@ -124,13 +81,10 @@ func (m *Memo) Begin(proto, ref string, input value.Tuple) ([]value.Tuple, *Flig
 	defer m.mu.Unlock()
 	if f, ok := m.m[key]; ok {
 		if f.completed {
-			m.hits++
 			return f.rows, nil, BeginHit
 		}
-		m.coalesced++
 		return nil, f, BeginShared
 	}
-	m.misses++
 	f := &Flight{memo: m, key: key}
 	m.m[key] = f
 	return nil, f, BeginOwner
@@ -169,22 +123,4 @@ func (f *Flight) Wait() ([]value.Tuple, error) {
 	m.mu.Unlock()
 	<-done
 	return f.rows, f.err
-}
-
-// Do runs fn for (proto, ref, input) at most once concurrently: a memo hit
-// or a join of an in-flight call returns the shared result (shared=true)
-// without running fn. Errors are propagated to every waiter and never
-// cached.
-func (m *Memo) Do(proto, ref string, input value.Tuple, fn func() ([]value.Tuple, error)) (rows []value.Tuple, shared bool, err error) {
-	rows, f, st := m.Begin(proto, ref, input)
-	switch st {
-	case BeginHit:
-		return rows, true, nil
-	case BeginShared:
-		rows, err = f.Wait()
-		return rows, true, err
-	}
-	rows, err = fn()
-	f.Complete(rows, err)
-	return rows, false, err
 }

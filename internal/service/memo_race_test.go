@@ -11,15 +11,15 @@ import (
 	"serena/internal/value"
 )
 
-// TestMemoDoCoalescesConcurrentDuplicates is the regression test for the
-// check-then-invoke race: N goroutines asking for the same (proto, ref,
+// TestMemoBeginCoalescesConcurrentDuplicates is the regression test for
+// the check-then-invoke race: N goroutines asking for the same (proto, ref,
 // input) at the same instant must share ONE physical invocation — the
 // paper's Section 3.2 determinism makes all answers at an instant
 // interchangeable, so the duplicates were pure over-firing.
-func TestMemoDoCoalescesConcurrentDuplicates(t *testing.T) {
+func TestMemoBeginCoalescesConcurrentDuplicates(t *testing.T) {
 	const goroutines = 32
-	m := service.NewMemo(7)
-	var invocations atomic.Int64
+	m := service.NewMemo()
+	var invocations, owners atomic.Int64
 	want := []value.Tuple{{value.NewReal(21.5)}}
 
 	var start, done sync.WaitGroup
@@ -31,12 +31,18 @@ func TestMemoDoCoalescesConcurrentDuplicates(t *testing.T) {
 		go func(g int) {
 			defer done.Done()
 			start.Wait() // maximize overlap
-			r, _, err := m.Do("getTemperature", "sensor01", value.Tuple{}, func() ([]value.Tuple, error) {
+			r, fl, st := m.Begin("getTemperature", "sensor01", value.Tuple{})
+			switch st {
+			case service.BeginOwner:
+				owners.Add(1)
 				invocations.Add(1)
 				time.Sleep(2 * time.Millisecond) // widen the race window
-				return want, nil
-			})
-			rows[g], errs[g] = r, err
+				fl.Complete(want, nil)
+				r = want
+			case service.BeginShared:
+				r, errs[g] = fl.Wait()
+			}
+			rows[g] = r
 		}(g)
 	}
 	start.Done()
@@ -44,6 +50,9 @@ func TestMemoDoCoalescesConcurrentDuplicates(t *testing.T) {
 
 	if n := invocations.Load(); n != 1 {
 		t.Fatalf("%d concurrent duplicates fired %d physical invocations, want 1", goroutines, n)
+	}
+	if n := owners.Load(); n != 1 {
+		t.Fatalf("owners = %d, want 1", n)
 	}
 	for g := 0; g < goroutines; g++ {
 		if errs[g] != nil {
@@ -53,23 +62,13 @@ func TestMemoDoCoalescesConcurrentDuplicates(t *testing.T) {
 			t.Fatalf("goroutine %d got %v", g, rows[g])
 		}
 	}
-	hits, misses := m.Stats()
-	if misses != 1 {
-		t.Fatalf("misses = %d, want 1", misses)
-	}
-	if m.Coalesced() != goroutines-1 {
-		t.Fatalf("coalesced = %d, want %d", m.Coalesced(), goroutines-1)
-	}
-	if hits != goroutines-1 { // Stats folds coalesced waiters into hits
-		t.Fatalf("hits = %d, want %d", hits, goroutines-1)
-	}
 }
 
 // TestMemoErrorPropagatesToWaitersAndIsNotCached: waiters coalesced onto a
 // failing flight see its error, and the failure is NOT cached — the next
 // Begin for the same key owns a fresh flight so the call can be retried.
 func TestMemoErrorPropagatesToWaitersAndIsNotCached(t *testing.T) {
-	m := service.NewMemo(1)
+	m := service.NewMemo()
 	boom := errors.New("transient")
 
 	rows, fl, st := m.Begin("p", "svc", value.Tuple{})
@@ -82,14 +81,12 @@ func TestMemoErrorPropagatesToWaitersAndIsNotCached(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, shared, err := m.Do("p", "svc", value.Tuple{}, func() ([]value.Tuple, error) {
-			t.Error("waiter must not invoke while the owner's flight is open")
-			return nil, nil
-		})
-		if !shared {
-			t.Error("second Do should have coalesced onto the open flight")
+		_, wfl, st := m.Begin("p", "svc", value.Tuple{})
+		if st != service.BeginShared {
+			t.Errorf("second Begin = %v, want BeginShared onto the open flight", st)
+			return
 		}
-		waiterErr = err
+		_, waiterErr = wfl.Wait()
 	}()
 
 	time.Sleep(2 * time.Millisecond) // let the waiter park on the flight
@@ -108,7 +105,7 @@ func TestMemoErrorPropagatesToWaitersAndIsNotCached(t *testing.T) {
 // TestMemoBeginHitAfterComplete: a successful flight caches its rows, so a
 // later Begin at the same instant is a plain hit with no flight.
 func TestMemoBeginHitAfterComplete(t *testing.T) {
-	m := service.NewMemo(3)
+	m := service.NewMemo()
 	want := []value.Tuple{{value.NewBool(true)}}
 	_, fl, st := m.Begin("p", "svc", value.Tuple{value.NewString("x")})
 	if st != service.BeginOwner {

@@ -125,8 +125,8 @@ type Registry struct {
 	nextW    int
 
 	// batchable counts registered services exposing a batch transport
-	// (BatchCtxService — remote proxies). The query planner consults it:
-	// with none registered, batching is pure overhead over the per-item
+	// (BatchCtxService — remote proxies). The β dispatcher consults it:
+	// with none registered, grouping is pure overhead over the per-item
 	// path, so its default stays off.
 	batchable int
 

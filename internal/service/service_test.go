@@ -285,32 +285,29 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 func TestMemo(t *testing.T) {
-	m := NewMemo(7)
-	if m.Instant() != 7 {
-		t.Fatal("Instant broken")
-	}
+	m := NewMemo()
 	in := value.Tuple{value.NewString("office")}
-	if _, ok := m.Get("p", "s", in); ok {
-		t.Fatal("empty memo hit")
+	_, fl, st := m.Begin("p", "s", in)
+	if st != BeginOwner {
+		t.Fatalf("empty memo: Begin = %v, want BeginOwner", st)
 	}
 	rows := []value.Tuple{{value.NewReal(20)}}
-	m.Put("p", "s", in, rows)
-	got, ok := m.Get("p", "s", in)
-	if !ok || len(got) != 1 || got[0][0].Real() != 20 {
-		t.Fatal("memo miss after put")
+	fl.Complete(rows, nil)
+	got, _, st := m.Begin("p", "s", in)
+	if st != BeginHit || len(got) != 1 || got[0][0].Real() != 20 {
+		t.Fatalf("after Complete: Begin = %v %v, want a hit", st, got)
 	}
 	// Distinct key components must not collide.
-	if _, ok := m.Get("p", "s2", in); ok {
-		t.Fatal("cross-ref hit")
-	}
-	if _, ok := m.Get("p2", "s", in); ok {
-		t.Fatal("cross-proto hit")
-	}
-	if _, ok := m.Get("p", "s", value.Tuple{value.NewString("roof")}); ok {
-		t.Fatal("cross-input hit")
-	}
-	hits, misses := m.Stats()
-	if hits != 1 || misses != 4 {
-		t.Fatalf("stats = %d/%d, want 1/4", hits, misses)
+	for _, k := range []struct {
+		proto, ref string
+		in         value.Tuple
+	}{
+		{"p", "s2", in},
+		{"p2", "s", in},
+		{"p", "s", value.Tuple{value.NewString("roof")}},
+	} {
+		if _, _, st := m.Begin(k.proto, k.ref, k.in); st != BeginOwner {
+			t.Fatalf("Begin(%s, %s, %s) = %v, want BeginOwner (no collision)", k.proto, k.ref, k.in, st)
+		}
 	}
 }

@@ -130,7 +130,7 @@ type Announce struct {
 
 // BatchItem is one invocation within a batch frame. Carrying proto and ref
 // per item keeps the frame general (a future planner may mix refs), though
-// the current batch planner groups by (proto, ref) before dispatch.
+// the β dispatcher groups by (proto, ref) before dispatch.
 type BatchItem struct {
 	Proto string
 	Ref   string

@@ -24,11 +24,15 @@ ITERS="${CHAOS_ITERS:-1}"
 WORK="${CHAOS_DATA_DIR:-$(mktemp -d)}"
 mkdir -p "$WORK"
 LEASE="1s"
-PIDS=()
+# Every started node's PID, one a line. run_cluster runs inside $(…), a
+# subshell whose variables never reach this shell, so the PIDs travel
+# through a file that cleanup reads.
+PIDFILE="$WORK/pids"
+: >"$PIDFILE"
 cleanup() {
-	for pid in "${PIDS[@]:-}"; do
+	while read -r pid; do
 		kill -9 "$pid" 2>/dev/null || true
-	done
+	done <"$PIDFILE"
 	[ -z "${CHAOS_DATA_DIR:-}" ] && rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -88,12 +92,12 @@ run_cluster() {
 		-svc-prefix shared -outbox "$dir/outbox-r1" -lease "$LEASE" \
 		>"$dir/r1.log" 2>&1 &
 	r1_pid=$!
-	PIDS+=("$r1_pid")
+	echo "$r1_pid" >>"$PIDFILE"
 	"$WORK/pemsd" -node r2 -listen 127.0.0.1:0 -sensors 1 -messengers alert \
 		-svc-prefix shared -outbox "$dir/outbox-r2" -lease "$LEASE" \
 		>"$dir/r2.log" 2>&1 &
 	r2_pid=$!
-	PIDS+=("$r2_pid")
+	echo "$r2_pid" >>"$PIDFILE"
 	wait_for "$dir/r1.log" "serena -connect"
 	wait_for "$dir/r2.log" "serena -connect"
 	local r1_addr r2_addr
@@ -105,7 +109,7 @@ run_cluster() {
 		-poll temperatures=getTemperature -init "$WORK/chaos.ddl" \
 		-debug 127.0.0.1:0 >"$dir/coord.log" 2>&1 &
 	coord_pid=$!
-	PIDS+=("$coord_pid")
+	echo "$coord_pid" >>"$PIDFILE"
 	wait_for "$dir/coord.log" "observability on"
 	local debug_addr
 	debug_addr="$(sed -n 's|.*observability on http://\([0-9.:]*\)/debug/serena.*|\1|p' "$dir/coord.log" | head -1)"
