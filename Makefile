@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-stress loc cover bench bench-check soak e2e chaos experiments fuzz examples fmt vet check clean
+.PHONY: all build test race race-stress loc cover bench bench-check benchpair soak e2e chaos experiments fuzz examples fmt vet check clean
 
 all: build vet test
 
@@ -68,6 +68,13 @@ bench-check:
 	$(GO) run ./cmd/benchfmt \
 		-faster 'BenchmarkMaterializedFanIn/materialized<BenchmarkMaterializedFanIn/reeval' \
 		BENCH_check.json
+
+# Alternating before/after serenabench runs (--seconds 10 --trace 0) of one
+# workload, HEAD against a base revision, with a -compare per pair (see
+# scripts/benchpair.sh):
+#   BASE=<rev> WORKLOAD=<w> PAIRS=<n> SEED=<s> make benchpair
+benchpair:
+	bash scripts/benchpair.sh
 
 # Overload soak: flood a bounded stream at ~2× drain capacity under -race
 # and assert bounded memory, honored sheds and an intact action set; plus

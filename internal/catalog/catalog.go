@@ -307,7 +307,7 @@ type catalogEnv struct {
 }
 
 // Relation implements query.Environment. Infinite relations are exposed
-// with their full insertion history (useful for one-shot inspection);
+// with their retained history (useful for one-shot inspection);
 // continuous queries go through the executor's window semantics instead.
 func (e catalogEnv) Relation(name string) (*algebra.XRelation, error) {
 	x, err := e.c.Relation(name)

@@ -1,6 +1,7 @@
 package cq_test
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -211,9 +212,9 @@ func TestMaterializedIntoGuards(t *testing.T) {
 	}
 }
 
-// TestDerivedRetentionDefault: an infinite derived output nobody windows was
-// previously never trimmed and grew without bound. It now falls back to the
-// engine-default retention. 10k-tick soak.
+// TestDerivedRetentionDefault: a derived output nobody windows, infinite or
+// finite, falls back to the engine-default retention instead of growing
+// its log without bound. 10k-tick soak.
 func TestDerivedRetentionDefault(t *testing.T) {
 	s := newScenario(t)
 	// A counter stream producing one fresh tuple per instant, so the derived
@@ -232,6 +233,10 @@ func TestDerivedRetentionDefault(t *testing.T) {
 		query.StreamInsertion)); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.exec.RegisterWith("snap", query.NewWindow(query.NewBase("ticks"), 1),
+		cq.RegisterOptions{Into: "latest"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.exec.RunUntil(9999); err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +250,100 @@ func TestDerivedRetentionDefault(t *testing.T) {
 	if got := feed.EventCount(); got > horizon || got < horizon-8 {
 		t.Fatalf("derived log = %d events, want ≈ %d", got, horizon)
 	}
+	// A finite output with no RETAIN that churns every instant (one insert
+	// and one delete) keeps the same horizon: two events per instant.
+	latest, ok := s.exec.Relation("latest")
+	if !ok {
+		t.Fatal("finite derived relation not visible")
+	}
+	if got := latest.EventCount(); got > 2*(horizon+2) || got < 2*(horizon-8) {
+		t.Fatalf("finite derived log = %d events, want ≈ %d", got, 2*horizon)
+	}
+	if got := latest.Current(); len(got) != 1 || got[0][0].Int() != 9999 {
+		t.Fatalf("finite derived relation = %v, want the newest tick", got)
+	}
 }
 
-// TestExplicitRetainTrimsFiniteOutput: RETAIN bounds a finite materialized
-// relation's event log — window-based trimming never applies to finite
-// relations, so without RETAIN the churn log would keep every tick's
-// insert+delete pair forever.
+// TestWindowOverRetainedOutput: a window over a finite derived output holds
+// back the output's retention, explicit or default. The delta window finds
+// leaving tuples in the output's log; trimmed away, they would stay in the
+// window forever. Both evaluators must match the window's definition — the
+// distinct tuples inserted into the output in the last p instants — at
+// every instant.
+func TestWindowOverRetainedOutput(t *testing.T) {
+	s := newScenario(t)
+	w1 := func() query.Node { return query.NewWindow(query.NewBase("temperatures"), 1) }
+	snap, err := s.exec.RegisterWith("snap", w1(), cq.RegisterOptions{Into: "latest", Retain: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap2, err := s.exec.RegisterWith("snap2", w1(), cq.RegisterOptions{Into: "latest2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := []struct {
+		name, rel string
+		period    int
+		producer  *cq.Query
+	}{
+		{"w20", "latest", 20, snap},
+		{"w20b", "latest2", 20, snap2},
+		{"w300b", "latest2", 300, snap2},
+	}
+	for _, r := range readers {
+		if _, err := s.exec.Register(r.name, query.NewWindow(query.NewBase(r.rel), int64(r.period))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.exec.Register(r.name+"_naive", query.NewWindow(query.NewBase(r.rel), int64(r.period))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.exec.SetNaiveEvaluation(r.name+"_naive", true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One hot episode, so the outputs also change mid-run.
+	s.dev.Sensors["sensor06"].Heat(device.HeatEvent{From: 100, To: 149, Delta: 10})
+
+	// lastInsert[producer][key] = the latest instant the producer's output
+	// gained key, derived from its successive results rather than a log.
+	lastInsert := map[*cq.Query]map[string]int{snap: {}, snap2: {}}
+	prev := map[*cq.Query]map[string]bool{}
+	for at := 0; at < 400; at++ {
+		if _, err := s.exec.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		for p, last := range lastInsert {
+			cur := map[string]bool{}
+			for _, k := range sortedKeys(p.LastResult().Tuples()) {
+				cur[k] = true
+				if !prev[p][k] {
+					last[k] = at
+				}
+			}
+			prev[p] = cur
+		}
+		for _, r := range readers {
+			var want []string
+			for k, τ := range lastInsert[r.producer] {
+				if τ > at-r.period {
+					want = append(want, k)
+				}
+			}
+			sort.Strings(want)
+			for _, name := range []string{r.name, r.name + "_naive"} {
+				q, _ := s.exec.Query(name)
+				if got := sortedKeys(q.LastResult().Tuples()); !keysEqual(got, want) {
+					t.Fatalf("instant %d: %s = %d rows, want %d", at, name, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestExplicitRetainTrimsFiniteOutput: an explicit RETAIN bounds a finite
+// materialized relation's event log tighter than DefaultDerivedRetention.
+// Its content stays small, but each tick of the churning output appends an
+// insert+delete pair, so only retention keeps the log bounded.
 func TestExplicitRetainTrimsFiniteOutput(t *testing.T) {
 	s := newScenario(t)
 	if _, err := s.exec.RegisterWith("snap", query.NewWindow(query.NewBase("temperatures"), 1),

@@ -315,8 +315,8 @@ func (q *Query) Output() *stream.XDRelation { return q.out }
 func (q *Query) Into() string { return q.into }
 
 // Retain returns the output relation's explicit RETAIN horizon in
-// instants (0 = none configured; infinite materialized outputs then fall
-// back to DefaultDerivedRetention).
+// instants (0 = none configured; the output then falls back to
+// DefaultDerivedRetention).
 func (q *Query) Retain() service.Instant { return q.retain }
 
 // IsMaterialized reports whether the query materializes its output into a
@@ -406,9 +406,10 @@ func (s schemaEnv) Relation(name string) (*algebra.XRelation, error) {
 }
 
 // DefaultDerivedRetention is the event-log horizon, in instants, applied
-// to an infinite derived output relation whose query declares no RETAIN
-// clause. Without it a cascaded stream query with no windowed reader would
-// grow its event log without bound.
+// to a derived output relation, finite or infinite, whose query declares
+// no RETAIN clause. Without it a cascaded stream query with no windowed
+// reader, or a finite output that churns, would grow its event log without
+// bound. A window over the output still holds back the trim.
 const DefaultDerivedRetention service.Instant = 256
 
 // RegisterOptions carries the optional clauses of REGISTER QUERY.
@@ -418,8 +419,8 @@ type RegisterOptions struct {
 	// replay rather than WAL-logged).
 	Into string
 	// Retain bounds the output relation's event log to the last n instants
-	// (0 = no explicit policy; infinite INTO outputs then default to
-	// DefaultDerivedRetention).
+	// (0 = no explicit policy; the output then defaults to
+	// DefaultDerivedRetention). A window over the output holds it back.
 	Retain service.Instant
 	// Degradation is the ON ERROR clause, fixed for the query's lifetime:
 	// resilience.FailFast aborts the tick on the first invocation failure,
@@ -638,33 +639,34 @@ func (e *Executor) recordWindows(plan query.Node) {
 	})
 }
 
-// trimStreams drops stream events that no registered window can reach any
-// more, bounding memory for long-running executions. Events are kept for
-// one extra instant of slack. Per-relation RETAIN policies add a second
-// horizon: an explicit RETAIN trims the relation (finite or infinite) to
-// its last n instants, and an infinite derived output with no policy
-// falls back to DefaultDerivedRetention so a cascaded stream query
-// holds bounded memory even with no windowed reader. When both a window
-// and a retention apply, the more conservative (least-trimming) horizon
-// wins, so RETAIN never starves a registered window. Base relations
-// without any windowed reader or retention are never trimmed automatically
-// (their full history may still be inspected via At or dumped).
+// trimStreams drops events that nothing can reach any more, so every
+// relation's log is bounded by retention rather than by the number of
+// instants run:
+//   - a stream under a window keeps its largest window period, plus one
+//     instant of slack;
+//   - a derived output, finite or infinite, keeps its RETAIN or, with
+//     none, DefaultDerivedRetention instants: a finite output's log grows
+//     with its churn, not with its content;
+//   - a window over any relation holds that relation's trim back to the
+//     window, since both the naive and the delta window read the log.
+//
+// Other relations are never trimmed (their history may still be inspected
+// via At).
 func (e *Executor) trimStreams(at service.Instant) {
 	for name, x := range e.rels {
 		var retain service.Instant
 		if q := e.producers[name]; q != nil {
 			retain = q.retain
-			if retain == 0 && x.Infinite() {
+			if retain == 0 {
 				retain = DefaultDerivedRetention
 			}
 		}
 		period, windowed := e.maxWindow[name]
-		windowed = windowed && x.Infinite() // finite windows read Current, not the log
 		var horizon service.Instant
 		switch {
 		case windowed && retain > 0:
 			horizon = min(at-period-1, at-retain+1)
-		case windowed:
+		case windowed && x.Infinite():
 			horizon = at - period - 1
 		case retain > 0:
 			horizon = at - retain + 1

@@ -150,8 +150,8 @@ func (x *XDRelation) Offer(t value.Tuple) error {
 // DrainIngest moves every buffered tuple into the relation at instant at
 // (the tick instant), unblocking any producers waiting on backpressure. It
 // returns how many tuples were inserted. Insertion goes through the normal
-// Insert path, so drained tuples hit the write-ahead log and the current
-// multiset exactly like direct inserts.
+// Insert path, so drained tuples hit the write-ahead log and the event
+// log exactly like direct inserts.
 func (x *XDRelation) DrainIngest(at service.Instant) (int, error) {
 	x.mu.RLock()
 	st := x.ingest

@@ -41,7 +41,8 @@ type XDRelation struct {
 	infinite bool
 	events   []Event // ordered by At
 	lastAt   service.Instant
-	// current multiset (finite relations): tuple key → (tuple, count)
+	// current multiset of a finite relation: tuple key → (tuple, count).
+	// Nil for a stream, whose retained event log is its whole state.
 	current map[string]*entry
 	// onEvent, when set, observes every accepted event in log order (the
 	// durability layer appends them to its write-ahead log). Called with
@@ -70,7 +71,7 @@ func NewFinite(sch *schema.Extended) *XDRelation {
 
 // NewInfinite creates an infinite XD-Relation (an append-only stream).
 func NewInfinite(sch *schema.Extended) *XDRelation {
-	return &XDRelation{sch: sch, infinite: true, current: make(map[string]*entry), lastAt: -1}
+	return &XDRelation{sch: sch, infinite: true, lastAt: -1}
 }
 
 // Schema returns the extended relation schema.
@@ -120,11 +121,7 @@ func (x *XDRelation) Insert(at service.Instant, t value.Tuple) error {
 	x.lastAt = at
 	ev := Event{At: at, Kind: Insert, Tuple: c}
 	x.events = append(x.events, ev)
-	// Ephemeral streams (the sys$ telemetry relations) skip the current
-	// multiset: it would grow one entry per appended row forever, and
-	// nothing reads Current() on a stream — evaluation goes through the
-	// event log, and checkpoints skip ephemeral relations entirely.
-	if !(x.infinite && x.ephemeral) {
+	if !x.infinite {
 		k := c.Key()
 		if e, ok := x.current[k]; ok {
 			e.count++
@@ -173,38 +170,40 @@ func (x *XDRelation) Delete(at service.Instant, t value.Tuple) error {
 }
 
 // Current returns the instantaneous multiset now (after all events),
-// expanded to a tuple slice. Only meaningful for finite XD-Relations; for
-// streams it returns everything ever inserted and should be avoided in
-// favour of InsertedIn.
+// expanded to a tuple slice sorted by key. A stream keeps no multiset: for
+// it Current is the multiset of its retained inserts, At(LastInstant()), so
+// once a window or RETAIN trims the log it no longer holds the full
+// history.
 func (x *XDRelation) Current() []value.Tuple {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	keys := make([]string, 0, len(x.current))
-	for k := range x.current {
-		keys = append(keys, k)
+	if x.infinite {
+		return x.atLocked(x.lastAt)
 	}
-	sort.Strings(keys)
-	var out []value.Tuple
-	for _, k := range keys {
-		e := x.current[k]
-		for i := 0; i < e.count; i++ {
-			out = append(out, e.tuple)
-		}
-	}
-	return out
+	return expand(x.current)
 }
 
-// At reconstructs the instantaneous multiset at instant τ by replaying the
-// event log (used for late observers and tests; live evaluation uses
-// Current/InsertedIn).
+// At reconstructs the instantaneous multiset at instant τ (used for late
+// observers and tests; live evaluation uses Current/InsertedIn). A finite
+// relation starts from its current multiset and undoes the events after τ,
+// so it is exact for any τ at or after its trim point; a stream replays its
+// retained inserts up to τ.
 func (x *XDRelation) At(at service.Instant) []value.Tuple {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
+	return x.atLocked(at)
+}
+
+func (x *XDRelation) atLocked(at service.Instant) []value.Tuple {
 	counts := map[string]*entry{}
-	for _, ev := range x.events {
-		if ev.At > at {
-			break
+	events, sign := x.events[:x.firstEventAfterLocked(at)], 1
+	if !x.infinite {
+		for k, e := range x.current {
+			counts[k] = &entry{tuple: e.tuple, count: e.count}
 		}
+		events, sign = x.events[len(events):], -1
+	}
+	for _, ev := range events {
 		k := ev.Tuple.Key()
 		e, ok := counts[k]
 		if !ok {
@@ -212,13 +211,18 @@ func (x *XDRelation) At(at service.Instant) []value.Tuple {
 			counts[k] = e
 		}
 		if ev.Kind == Insert {
-			e.count++
+			e.count += sign
 		} else {
-			e.count--
+			e.count -= sign
 		}
 	}
-	keys := make([]string, 0, len(counts))
-	for k, e := range counts {
+	return expand(counts)
+}
+
+// expand lists a multiset's tuples sorted by key, each repeated count times.
+func expand(m map[string]*entry) []value.Tuple {
+	keys := make([]string, 0, len(m))
+	for k, e := range m {
 		if e.count > 0 {
 			keys = append(keys, k)
 		}
@@ -226,7 +230,7 @@ func (x *XDRelation) At(at service.Instant) []value.Tuple {
 	sort.Strings(keys)
 	var out []value.Tuple
 	for _, k := range keys {
-		e := counts[k]
+		e := m[k]
 		for i := 0; i < e.count; i++ {
 			out = append(out, e.tuple)
 		}
@@ -293,9 +297,13 @@ func (x *XDRelation) firstEventAfterLocked(from service.Instant) int {
 	return sort.Search(len(x.events), func(i int) bool { return x.events[i].At > from })
 }
 
-// TrimBefore drops events at instants < before, bounding the log for
-// long-running streams. The current multiset is unaffected; At() becomes
-// unreliable for instants before the trim point.
+// TrimBefore drops events at instants < before, bounding the log. A finite
+// relation's current multiset is unaffected; a stream's Current shrinks to
+// the retained inserts. A finite relation's At() stays exact for instants
+// >= before; a stream's At() holds only the inserts at or after before.
+// Neither is reliable for instants before the trim point. A window only holds back trimming from the moment it is
+// registered, so a window of p instants over an already trimmed relation
+// sees less than p instants of history until p instants have passed.
 func (x *XDRelation) TrimBefore(before service.Instant) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -339,7 +347,8 @@ type Counted struct {
 }
 
 // StateSnapshot copies the relation's full durable state: the retained
-// event log, the current multiset, and the last event instant.
+// event log, the current multiset (empty for a stream), and the last event
+// instant.
 func (x *XDRelation) StateSnapshot() (events []Event, current []Counted, lastAt service.Instant) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -359,14 +368,18 @@ func (x *XDRelation) StateSnapshot() (events []Event, current []Counted, lastAt 
 
 // RestoreState replaces the relation's state with a snapshot previously
 // taken by StateSnapshot (checkpoint recovery). The snapshot is trusted:
-// tuples were validated when first inserted.
+// tuples were validated when first inserted. A stream ignores the
+// multiset, which checkpoints of earlier versions still carry.
 func (x *XDRelation) RestoreState(events []Event, current []Counted, lastAt service.Instant) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.events = append([]Event(nil), events...)
+	x.lastAt = lastAt
+	if x.infinite {
+		return
+	}
 	x.current = make(map[string]*entry, len(current))
 	for _, c := range current {
 		x.current[c.Tuple.Key()] = &entry{tuple: c.Tuple, count: c.Count}
 	}
-	x.lastAt = lastAt
 }

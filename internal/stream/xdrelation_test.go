@@ -153,9 +153,76 @@ func TestTrimBefore(t *testing.T) {
 	if got := x.InsertedIn(94, 99); len(got) != 5 {
 		t.Fatalf("window after trim = %d tuples", len(got))
 	}
-	// Current (everything ever inserted) is unaffected by the trim.
-	if got := x.Current(); len(got) != 100 {
-		t.Fatalf("Current after trim = %d", len(got))
+	// A stream keeps no multiset of its own: Current is the retained
+	// inserts, so the trim shrinks it too.
+	got := x.Current()
+	if len(got) != 10 {
+		t.Fatalf("Current after trim = %d, want the 10 retained tuples", len(got))
+	}
+	for _, tu := range got {
+		if tu[2].Real() < 90 {
+			t.Fatalf("Current after trim holds trimmed tuple %v", tu)
+		}
+	}
+	events, current, _ := x.StateSnapshot()
+	if len(events) != 10 || len(current) != 0 {
+		t.Fatalf("stream snapshot = %d events, %d multiset entries; want 10, 0", len(events), len(current))
+	}
+}
+
+// TestAtOnTrimmedFinite pins that At on a finite relation starts from its
+// current multiset, not from the first retained event: a row inserted
+// before the trim point and never deleted is still seen at every τ at or
+// after it.
+func TestAtOnTrimmedFinite(t *testing.T) {
+	x := stream.NewFinite(paperenv.TemperaturesSchema())
+	old := reading("s", "old", -1)
+	_ = x.Insert(0, old)
+	for i := 1; i < 100; i++ {
+		_ = x.Insert(service.Instant(i), reading("s", "l", float64(i)))
+		if i > 1 {
+			_ = x.Delete(service.Instant(i), reading("s", "l", float64(i-1)))
+		}
+	}
+	x.TrimBefore(90)
+	for _, at := range []service.Instant{90, 95, 99} {
+		got := x.At(at)
+		if len(got) != 2 || !got[0].Equal(old) && !got[1].Equal(old) {
+			t.Fatalf("At(%d) after trim = %v, want the old row and reading %d", at, got, at)
+		}
+		if got[0][2].Real() != float64(at) && got[1][2].Real() != float64(at) {
+			t.Fatalf("At(%d) after trim = %v, want reading %d", at, got, at)
+		}
+	}
+}
+
+// TestInsertAllocs pins what one insert allocates: a stream appends to its
+// log and nothing else, while a finite relation also computes the tuple's
+// key and updates its multiset.
+func TestInsertAllocs(t *testing.T) {
+	const runs = 1000
+	rows := make([]value.Tuple, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range rows {
+		rows[i] = reading("s", "l", float64(i))
+	}
+	for _, c := range []struct {
+		name string
+		x    *stream.XDRelation
+		max  float64
+	}{
+		{"infinite", stream.NewInfinite(paperenv.TemperaturesSchema()), 1},
+		{"finite", stream.NewFinite(paperenv.TemperaturesSchema()), 7},
+	} {
+		i := 0
+		got := testing.AllocsPerRun(runs, func() {
+			if err := c.x.Insert(0, rows[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got > c.max {
+			t.Errorf("%s Insert = %v allocs, want ≤ %v", c.name, got, c.max)
+		}
 	}
 }
 
