@@ -53,7 +53,6 @@ import (
 func main() {
 	node := flag.String("node", "node", "node name")
 	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address")
-	batchParallel := flag.Int("batch-parallel", wire.DefaultServerBatchParallelism, "concurrent invocations per wire batch frame (1 = sequential)")
 	maxInFlight := flag.Int("max-inflight", 0, "cap concurrent requests across all connections; excess rejected as overloaded (0 = unlimited)")
 	readTimeout := flag.Duration("read-timeout", 0, "per-connection idle read deadline; silent clients are dropped (0 = none)")
 	writeTimeout := flag.Duration("write-timeout", 0, "per-response write deadline (0 = none)")
@@ -154,7 +153,6 @@ func main() {
 	}
 
 	srv := wire.NewServer(*node, reg)
-	srv.SetBatchParallelism(*batchParallel)
 	srv.SetMaxInFlight(*maxInFlight)
 	srv.SetReadTimeout(*readTimeout)
 	srv.SetWriteTimeout(*writeTimeout)

@@ -63,7 +63,6 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-state cooldown before a half-open probe")
 	tickBudget := flag.Duration("tick-budget", 0, "tick duration budget; longer ticks count as overruns (0 = none)")
 	coalesce := flag.Bool("coalesce", false, "after a tick overrun, skip passive-only queries one instant (never queries feeding actions)")
-	maxInFlight := flag.Int("max-inflight", 0, "cap concurrent service invocations; excess fails fast as overloaded (0 = unlimited)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/serena on this address (e.g. 127.0.0.1:8077)")
 	traceSample := flag.Int64("trace-sample", trace.DefaultSampleEvery, "trace one in N ticks/evaluations (0 disables tracing)")
 	dataDir := flag.String("data-dir", "", "enable durability: WAL + checkpoints in this directory")
@@ -104,9 +103,6 @@ func main() {
 	}
 	if *coalesce {
 		exec.SetOverloadCoalescing(true)
-	}
-	if *maxInFlight > 0 {
-		reg.SetAdmissionLimit(*maxInFlight, 0, 0)
 	}
 	if *retries > 1 {
 		rp := resilience.DefaultRetry()
@@ -432,7 +428,7 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
   .trace <query>                  run a one-shot query with tracing forced, show span tree
   .lineage <query|""> [key]       list retained invocations feeding a query / touching a tuple
   .sample <n>                     trace one in n ticks/evaluations (0 = off)
-  .overload                       show tick budget, admission and ingest-buffer posture
+  .overload                       show tick budget and ingest-buffer posture
   .health                         show per-query health states and stream dead-man posture
   .peers                          show federation membership, lease ages and node breakers
   .cadence <stream> <n>           dead-man: flag <stream> STALLED after n silent instants (0 = off)

@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"serena/internal/algebra"
 	"serena/internal/device"
 	"serena/internal/query"
+	"serena/internal/resilience"
 	"serena/internal/schema"
 	"serena/internal/service"
 	"serena/internal/value"
@@ -57,11 +59,13 @@ type latencyService struct {
 }
 
 // Invoke implements service.Service.
-func (l latencyService) Invoke(proto string, in value.Tuple, at service.Instant) ([]value.Tuple, error) {
+func (l latencyService) Invoke(ctx context.Context, proto string, in value.Tuple, at service.Instant) ([]value.Tuple, error) {
 	if l.d > 0 {
-		time.Sleep(l.d)
+		if err := resilience.SleepCtx(ctx, l.d); err != nil {
+			return nil, err
+		}
 	}
-	return l.Service.Invoke(proto, in, at)
+	return l.Service.Invoke(ctx, proto, in, at)
 }
 
 // Generate builds an environment: Sensors sensor services spread over

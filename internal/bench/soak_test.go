@@ -18,8 +18,8 @@ import (
 
 // The overload soak drives a PEMS well past its sustainable rate — a
 // producer flooding a bounded SHED_NEWEST stream, latency-faulted service
-// invocations, a tick budget tight enough that every tick overruns, passive
-// coalescing and an admission limiter all on at once — and asserts the
+// invocations, a tick budget tight enough that every tick overruns and
+// passive coalescing all on at once — and asserts the
 // overload machinery keeps its promises: sheds are honored and counted,
 // buffer depth and retained stream state stay bounded, and the ACTION SET of
 // the active query is exactly what an unloaded control run produces
@@ -121,7 +121,6 @@ func TestOverloadSoak(t *testing.T) {
 	p := buildSoakEnv(t, true)
 	p.Executor().SetTickBudget(100 * time.Microsecond) // far below the faulted β latency: ticks overrun
 	p.Executor().SetOverloadCoalescing(true)
-	p.Registry().SetAdmissionLimit(2, 4, 50*time.Millisecond)
 
 	var before runtime.MemStats
 	runtime.GC()
@@ -197,7 +196,7 @@ func TestOverloadSoak(t *testing.T) {
 	}
 
 	// The unloaded control: same event schedule, no flood, no faults, no
-	// budget, no admission limit. The overloaded action set must be EXACTLY
+	// budget. The overloaded action set must be EXACTLY
 	// the control's.
 	ctl := buildSoakEnv(t, false)
 	runSoakTicks(t, ctl, ticks, nil)

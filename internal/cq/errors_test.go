@@ -1,6 +1,7 @@
 package cq_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -24,11 +25,11 @@ type brokenSensor struct {
 	failFrom, failTo service.Instant
 }
 
-func (b *brokenSensor) Invoke(proto string, in value.Tuple, at service.Instant) ([]value.Tuple, error) {
+func (b *brokenSensor) Invoke(ctx context.Context, proto string, in value.Tuple, at service.Instant) ([]value.Tuple, error) {
 	if at >= b.failFrom && at <= b.failTo {
 		return nil, errors.New("device unreachable")
 	}
-	return b.Sensor.Invoke(proto, in, at)
+	return b.Sensor.Invoke(ctx, proto, in, at)
 }
 
 func TestContinuousQuerySurvivesDeviceFailure(t *testing.T) {

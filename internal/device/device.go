@@ -11,6 +11,7 @@
 package device
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -18,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"serena/internal/resilience"
 	"serena/internal/schema"
 	"serena/internal/service"
 	"serena/internal/value"
@@ -192,7 +194,7 @@ func (s *Sensor) Invocations() int64 {
 }
 
 // Invoke implements service.Service.
-func (s *Sensor) Invoke(proto string, _ value.Tuple, at service.Instant) ([]value.Tuple, error) {
+func (s *Sensor) Invoke(_ context.Context, proto string, _ value.Tuple, at service.Instant) ([]value.Tuple, error) {
 	if proto != "getTemperature" {
 		return nil, fmt.Errorf("%w: %s on %s", service.ErrNotImplemented, proto, s.ref)
 	}
@@ -245,7 +247,7 @@ func (c *Camera) Shots() int64 {
 }
 
 // Invoke implements service.Service.
-func (c *Camera) Invoke(proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
+func (c *Camera) Invoke(_ context.Context, proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
 	switch proto {
 	case "checkPhoto":
 		area := input[0].Str()
@@ -405,8 +407,9 @@ func (m *Messenger) Reset() {
 	m.outbox = nil
 }
 
-// Invoke implements service.Service.
-func (m *Messenger) Invoke(proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
+// Invoke implements service.Service. The injected latency follows the
+// delivery and ends early, with ctx's error, when ctx is done.
+func (m *Messenger) Invoke(ctx context.Context, proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
 	if proto != "sendMessage" {
 		return nil, fmt.Errorf("%w: %s on %s", service.ErrNotImplemented, proto, m.ref)
 	}
@@ -435,7 +438,9 @@ func (m *Messenger) Invoke(proto string, input value.Tuple, at service.Instant) 
 	}
 	m.mu.Unlock()
 	if latency > 0 {
-		time.Sleep(latency)
+		if err := resilience.SleepCtx(ctx, latency); err != nil {
+			return nil, err
+		}
 	}
 	return []value.Tuple{{value.NewBool(true)}}, nil
 }

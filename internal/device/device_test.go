@@ -2,6 +2,7 @@ package device_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -58,14 +59,14 @@ func TestSensorHeatEvents(t *testing.T) {
 
 func TestSensorService(t *testing.T) {
 	s := device.NewSensor("s1", "lab", 20)
-	rows, err := s.Invoke("getTemperature", nil, 3)
+	rows, err := s.Invoke(context.Background(), "getTemperature", nil, 3)
 	if err != nil || len(rows) != 1 || rows[0][0].Real() != 20 {
 		t.Fatalf("invoke = %v %v", rows, err)
 	}
 	if s.Invocations() != 1 {
 		t.Fatal("invocation counter broken")
 	}
-	if _, err := s.Invoke("other", nil, 0); err == nil {
+	if _, err := s.Invoke(context.Background(), "other", nil, 0); err == nil {
 		t.Fatal("wrong prototype accepted")
 	}
 	if s.Location() != "lab" || s.Ref() != "s1" {
@@ -75,7 +76,7 @@ func TestSensorService(t *testing.T) {
 
 func TestCameraCheckAndTake(t *testing.T) {
 	c := device.NewCamera("cam1", "office", 7, 0.3)
-	rows, err := c.Invoke("checkPhoto", value.Tuple{value.NewString("office")}, 0)
+	rows, err := c.Invoke(context.Background(), "checkPhoto", value.Tuple{value.NewString("office")}, 0)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("checkPhoto = %v %v", rows, err)
 	}
@@ -87,11 +88,11 @@ func TestCameraCheckAndTake(t *testing.T) {
 		t.Fatalf("delay = %v", d)
 	}
 	// Out-of-area returns an empty relation (cannot photograph).
-	rows, err = c.Invoke("checkPhoto", value.Tuple{value.NewString("roof")}, 0)
+	rows, err = c.Invoke(context.Background(), "checkPhoto", value.Tuple{value.NewString("roof")}, 0)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("out-of-area checkPhoto = %v %v", rows, err)
 	}
-	shot, err := c.Invoke("takePhoto", value.Tuple{value.NewString("office"), value.NewInt(q)}, 0)
+	shot, err := c.Invoke(context.Background(), "takePhoto", value.Tuple{value.NewString("office"), value.NewInt(q)}, 0)
 	if err != nil || len(shot) != 1 {
 		t.Fatalf("takePhoto = %v %v", shot, err)
 	}
@@ -103,24 +104,24 @@ func TestCameraCheckAndTake(t *testing.T) {
 		t.Fatal("shot counter broken")
 	}
 	// Higher requested quality than achievable is clamped, not an error.
-	shot2, err := c.Invoke("takePhoto", value.Tuple{value.NewString("office"), value.NewInt(99)}, 0)
+	shot2, err := c.Invoke(context.Background(), "takePhoto", value.Tuple{value.NewString("office"), value.NewInt(99)}, 0)
 	if err != nil || len(shot2) != 1 {
 		t.Fatalf("clamped takePhoto = %v %v", shot2, err)
 	}
 	// Out-of-area takePhoto yields empty.
-	shot3, err := c.Invoke("takePhoto", value.Tuple{value.NewString("roof"), value.NewInt(5)}, 0)
+	shot3, err := c.Invoke(context.Background(), "takePhoto", value.Tuple{value.NewString("roof"), value.NewInt(5)}, 0)
 	if err != nil || len(shot3) != 0 {
 		t.Fatalf("out-of-area takePhoto = %v %v", shot3, err)
 	}
-	if _, err := c.Invoke("other", nil, 0); err == nil {
+	if _, err := c.Invoke(context.Background(), "other", nil, 0); err == nil {
 		t.Fatal("wrong prototype accepted")
 	}
 }
 
 func TestCameraPhotoSizeScalesWithQuality(t *testing.T) {
 	c := device.NewCamera("cam1", "office", 10, 0.1)
-	low, _ := c.Invoke("takePhoto", value.Tuple{value.NewString("office"), value.NewInt(1)}, 0)
-	high, _ := c.Invoke("takePhoto", value.Tuple{value.NewString("office"), value.NewInt(8)}, 0)
+	low, _ := c.Invoke(context.Background(), "takePhoto", value.Tuple{value.NewString("office"), value.NewInt(1)}, 0)
+	high, _ := c.Invoke(context.Background(), "takePhoto", value.Tuple{value.NewString("office"), value.NewInt(8)}, 0)
 	if len(high[0][0].Blob()) <= len(low[0][0].Blob()) {
 		t.Fatal("photo size should grow with quality")
 	}
@@ -129,7 +130,7 @@ func TestCameraPhotoSizeScalesWithQuality(t *testing.T) {
 func TestMessengerDeliveryAndFailures(t *testing.T) {
 	m := device.NewMessenger("email", "email")
 	send := func(addr, text string) ([]value.Tuple, error) {
-		return m.Invoke("sendMessage", value.Tuple{value.NewString(addr), value.NewString(text)}, 7)
+		return m.Invoke(context.Background(), "sendMessage", value.Tuple{value.NewString(addr), value.NewString(text)}, 7)
 	}
 	rows, err := send("a@x", "hi")
 	if err != nil || !rows[0][0].Bool() {
@@ -160,7 +161,7 @@ func TestMessengerDeliveryAndFailures(t *testing.T) {
 	if m.Kind() != "email" {
 		t.Fatal("Kind broken")
 	}
-	if _, err := m.Invoke("other", nil, 0); err == nil {
+	if _, err := m.Invoke(context.Background(), "other", nil, 0); err == nil {
 		t.Fatal("wrong prototype accepted")
 	}
 }
@@ -169,7 +170,7 @@ func TestMessengerLatency(t *testing.T) {
 	m := device.NewMessenger("email", "email")
 	m.SetLatency(30 * time.Millisecond)
 	start := time.Now()
-	_, err := m.Invoke("sendMessage", value.Tuple{value.NewString("a@x"), value.NewString("hi")}, 0)
+	_, err := m.Invoke(context.Background(), "sendMessage", value.Tuple{value.NewString("a@x"), value.NewString("hi")}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestFeedDeterministicItems(t *testing.T) {
 
 func TestFeedService(t *testing.T) {
 	f := device.NewFeed("cnn", "CNN", 3, nil)
-	rows, err := f.Invoke("getItems", value.Tuple{value.NewInt(-1)}, 7)
+	rows, err := f.Invoke(context.Background(), "getItems", value.Tuple{value.NewInt(-1)}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestFeedService(t *testing.T) {
 	if rows[2][2].Int() != 6 {
 		t.Fatalf("published = %v", rows[2])
 	}
-	if _, err := f.Invoke("other", nil, 0); err == nil {
+	if _, err := f.Invoke(context.Background(), "other", nil, 0); err == nil {
 		t.Fatal("wrong prototype accepted")
 	}
 	if f.Name() != "CNN" || f.Ref() != "cnn" || !f.Implements("getItems") {

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"fmt"
 
 	"serena/internal/schema"
@@ -94,7 +95,7 @@ func (f *Feed) ItemsSince(since, at service.Instant) []Item {
 }
 
 // Invoke implements service.Service.
-func (f *Feed) Invoke(proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
+func (f *Feed) Invoke(_ context.Context, proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
 	if proto != "getItems" {
 		return nil, fmt.Errorf("%w: %s on %s", service.ErrNotImplemented, proto, f.ref)
 	}

@@ -160,7 +160,7 @@ func TestByeDuringInFlightBatch(t *testing.T) {
 	done := make(chan outcome, 1)
 	go func() {
 		inputs := make([]value.Tuple, 3)
-		done <- outcome{central.InvokeBatchCtx(context.Background(), "getTemperature", "dual", inputs, 7)}
+		done <- outcome{central.InvokeAll(context.Background(), "getTemperature", "dual", inputs, 7)}
 	}()
 
 	// Let the frame reach the owner, then Bye the owner mid-flight.

@@ -2,6 +2,7 @@ package pems_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -75,7 +76,7 @@ func (m *fileMessenger) Ref() string              { return m.ref }
 func (m *fileMessenger) PrototypeNames() []string { return []string{"sendMessage"} }
 func (m *fileMessenger) Implements(p string) bool { return p == "sendMessage" }
 
-func (m *fileMessenger) Invoke(proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
+func (m *fileMessenger) Invoke(_ context.Context, proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
 	if proto != "sendMessage" {
 		return nil, fmt.Errorf("%w: %s on %s", service.ErrNotImplemented, proto, m.ref)
 	}

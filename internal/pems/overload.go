@@ -23,21 +23,14 @@ func (p *PEMS) Offer(relation string, t value.Tuple) error {
 }
 
 // OverloadReport renders the live overload posture of this PEMS: tick
-// budget and overruns, per-query coalescing, admission-limiter occupancy
-// and every bounded ingest buffer's depth and shed counts. The serena
+// budget and overruns, per-query coalescing and every bounded ingest
+// buffer's depth and shed counts. The serena
 // shell's .overload command prints it.
 func (p *PEMS) OverloadReport() string {
 	budget, coalescing := p.exec.OverloadSettings()
 	var b strings.Builder
 	fmt.Fprintf(&b, "tick budget:    %s", durationOrOff(budget))
 	fmt.Fprintf(&b, "   overruns: %d   coalescing: %v\n", p.exec.TickOverruns(), coalescing)
-
-	inFlight, queued, rejected, enabled := p.registry.AdmissionStats()
-	if enabled {
-		fmt.Fprintf(&b, "admission:      in-flight %d, queued %d, rejected %d\n", inFlight, queued, rejected)
-	} else {
-		b.WriteString("admission:      off\n")
-	}
 
 	names := p.exec.RelationNames()
 	sort.Strings(names)

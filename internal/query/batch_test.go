@@ -193,7 +193,7 @@ func TestBatchPlannerFoldsDuplicates(t *testing.T) {
 	}
 }
 
-// batchSizeRecorder is a BatchCtxService that records the size of every
+// batchSizeRecorder is a Batcher that records the size of every
 // batch frame it receives and the number of per-item calls; with failOdd it
 // fails the odd positions of each frame.
 type batchSizeRecorder struct {
@@ -216,14 +216,14 @@ func (b *batchSizeRecorder) row() value.Tuple {
 	return value.Tuple{value.NewReal(1)}
 }
 
-func (b *batchSizeRecorder) Invoke(proto string, in value.Tuple, at service.Instant) ([]value.Tuple, error) {
+func (b *batchSizeRecorder) Invoke(_ context.Context, proto string, in value.Tuple, at service.Instant) ([]value.Tuple, error) {
 	b.mu.Lock()
 	b.single++
 	b.mu.Unlock()
 	return []value.Tuple{b.row()}, nil
 }
 
-func (b *batchSizeRecorder) InvokeBatchCtx(_ context.Context, proto string, inputs []value.Tuple, _ service.Instant) []service.InvokeResult {
+func (b *batchSizeRecorder) InvokeBatch(_ context.Context, proto string, inputs []value.Tuple, _ service.Instant) []service.InvokeResult {
 	b.mu.Lock()
 	b.frames = append(b.frames, len(inputs))
 	b.mu.Unlock()

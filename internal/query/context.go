@@ -185,7 +185,7 @@ type Context struct {
 	Degradation resilience.DegradationPolicy
 
 	// Ctx carries cancellation and deadlines down through
-	// Registry.InvokeCtx into the physical invocation (remote round trips
+	// the Registry into the physical invocation (remote round trips
 	// included). Nil means context.Background().
 	Ctx context.Context
 

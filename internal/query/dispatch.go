@@ -50,12 +50,14 @@ func (c *Context) maxBatch() int {
 // dispatched, and it applies the invocation semantics job by job:
 //
 //   - an active job is recorded in the action set (Definition 8) before it
-//     fires, fires once, and is never memoized, folded or grouped;
+//     fires, and is never memoized or grouped; jobs with the same (ref,
+//     input) are one action, which fires once and whose result every such
+//     job shares;
 //   - a passive job goes through the per-instant memo (Section 3.2
 //     determinism), which also coalesces concurrent duplicates;
 //   - with grouping on (see maxBatch), identical passive jobs fold into
 //     one call, and the calls are grouped by service reference into
-//     BatchSize-bounded frames sent through Registry.InvokeBatchCtx;
+//     BatchSize-bounded frames sent through Registry.InvokeAll;
 //   - every dispatch runs on one pool of Parallelism workers, and no new
 //     dispatch starts after a fatal outcome;
 //   - a failure goes through the degradation policy per job: the result
@@ -68,7 +70,9 @@ func (c *Context) InvokeAll(bp schema.BindingPattern, jobs []algebra.InvokeJob) 
 	switch maxB := c.maxBatch(); {
 	case len(jobs) == 1: // no pool for a lone job (the continuous executor's active calls)
 		out[0] = c.invokeOne(bp, jobs[0].Ref, jobs[0].Input)
-	case maxB > 1 && len(jobs) > 1 && !bp.Active():
+	case bp.Active():
+		c.invokeActions(bp, jobs, out)
+	case maxB > 1 && len(jobs) > 1:
 		c.invokeGrouped(bp, jobs, out, maxB)
 	default:
 		c.fanOut(len(jobs), func(i int) bool {
@@ -115,6 +119,33 @@ func (c *Context) fanOut(n int, do func(int) bool) {
 		}()
 	}
 	wg.Wait()
+}
+
+// invokeActions fires each distinct action of an active work list once, on
+// the dispatch pool: the action set is a set (Definition 8), so a job
+// whose (ref, input) an earlier job already carries shares that job's
+// result instead of firing again.
+func (c *Context) invokeActions(bp schema.BindingPattern, jobs []algebra.InvokeJob, out []algebra.InvokeResult) {
+	src := make([]int, len(jobs)) // the first job carrying each job's action
+	first := make(map[string]int, len(jobs))
+	for i, j := range jobs {
+		k := j.Ref + "|" + j.Input.Key()
+		f, ok := first[k]
+		if !ok {
+			f, first[k] = i, i
+		}
+		src[i] = f
+	}
+	c.fanOut(len(jobs), func(i int) bool {
+		if src[i] != i {
+			return true
+		}
+		out[i] = c.invokeOne(bp, jobs[i].Ref, jobs[i].Input)
+		return out[i].Err == nil
+	})
+	for i, f := range src {
+		out[i] = out[f]
+	}
 }
 
 // invokeOne dispatches one job on its own.
@@ -260,7 +291,7 @@ func (c *Context) dispatchFrame(bp schema.BindingPattern, span *trace.Span, fram
 		for k, gc := range owned {
 			inputs[k] = gc.input
 		}
-		for k, res := range c.Registry.InvokeBatchCtx(ctx, proto, owned[0].ref, inputs, c.At) {
+		for k, res := range c.Registry.InvokeAll(ctx, proto, owned[0].ref, inputs, c.At) {
 			owned[k].rows, owned[k].err = res.Rows, res.Err
 		}
 	}

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"serena/internal/device"
 	"serena/internal/paperenv"
 	"serena/internal/query"
+	"serena/internal/resilience"
 	"serena/internal/schema"
 	"serena/internal/service"
 	"serena/internal/value"
@@ -23,9 +25,11 @@ type slowSensor struct {
 	d time.Duration
 }
 
-func (s slowSensor) Invoke(proto string, in value.Tuple, at service.Instant) ([]value.Tuple, error) {
-	time.Sleep(s.d)
-	return s.Sensor.Invoke(proto, in, at)
+func (s slowSensor) Invoke(ctx context.Context, proto string, in value.Tuple, at service.Instant) ([]value.Tuple, error) {
+	if err := resilience.SleepCtx(ctx, s.d); err != nil {
+		return nil, err
+	}
+	return s.Sensor.Invoke(ctx, proto, in, at)
 }
 
 func slowEnv(t *testing.T, n int, latency time.Duration) (query.MapEnv, *service.Registry) {
@@ -112,6 +116,30 @@ func TestParallelActiveInvocationsRecordAllActions(t *testing.T) {
 	total := len(dev.Messengers["email"].Outbox()) + len(dev.Messengers["jabber"].Outbox())
 	if total != 3 {
 		t.Fatalf("deliveries = %d", total)
+	}
+}
+
+// Two contacts that differ only in name project onto one action
+// sendMessage(address, text): the action set is a set (Definition 8), so
+// the message goes out once and both tuples share its result.
+func TestDuplicateActiveJobFiresOnce(t *testing.T) {
+	reg, dev := paperenv.MustRegistry()
+	contacts := algebra.MustNew(paperenv.ContactsSchema(), []value.Tuple{
+		{value.NewString("Nicolas"), value.NewString("shared@elysee.fr"), value.NewService("email")},
+		{value.NewString("Nico"), value.NewString("shared@elysee.fr"), value.NewService("email")},
+	})
+	q := query.NewInvoke(
+		query.NewAssignConst(query.NewBase("contacts"), "text", value.NewString("hi")),
+		"sendMessage", "")
+	res, err := query.Evaluate(q, query.MapEnv{"contacts": contacts}, reg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Actions.Len() != 1 || res.Relation.Len() != 2 {
+		t.Fatalf("actions = %s, rows = %d; want 1 action, 2 rows", res.Actions, res.Relation.Len())
+	}
+	if out := dev.Messengers["email"].Outbox(); len(out) != 1 {
+		t.Fatalf("outbox = %v, want 1 delivery", out)
 	}
 }
 

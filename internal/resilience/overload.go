@@ -1,16 +1,12 @@
 package resilience
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 )
 
-// ErrOverloaded is the sentinel every admission-control layer surfaces
-// (wrapped with context) when work is rejected because the system is at
-// capacity — a full ingest queue, an exhausted invocation semaphore, or a
+// ErrOverloaded is the sentinel admission control surfaces (wrapped with
+// context) when work is rejected because the system is at capacity — a
 // wire server over its in-flight limit. It is deliberately distinct from
 // ErrOpen (the service is broken) and from a timeout (the outcome is
 // unknown): an overload rejection is FAST and definite — the work never
@@ -62,95 +58,3 @@ func ParseOverloadPolicy(s string) (OverloadPolicy, error) {
 	}
 	return Block, fmt.Errorf("resilience: unknown overload policy %q (want BLOCK, SHED_OLDEST or SHED_NEWEST)", s)
 }
-
-// Limiter is a concurrency semaphore with a bounded wait queue and a queue
-// deadline — the admission-control primitive. Up to maxInFlight holders
-// proceed immediately; up to maxQueue more wait at most queueTimeout for a
-// slot; everyone else is rejected fast with ErrOverloaded. The fast
-// rejection is the point: under sustained overload the caller learns in
-// microseconds, not after a timeout, and can apply its degradation policy.
-type Limiter struct {
-	slots chan struct{}
-	wait  time.Duration
-
-	mu       sync.Mutex
-	queued   int
-	maxQueue int
-	rejected int64
-}
-
-// NewLimiter builds a limiter admitting maxInFlight concurrent holders
-// (values < 1 mean 1), queueing up to maxQueue waiters (values < 0 mean no
-// queue), each waiting at most queueTimeout (<= 0 means waiters are
-// rejected immediately when no slot is free).
-func NewLimiter(maxInFlight, maxQueue int, queueTimeout time.Duration) *Limiter {
-	if maxInFlight < 1 {
-		maxInFlight = 1
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
-	return &Limiter{
-		slots:    make(chan struct{}, maxInFlight),
-		wait:     queueTimeout,
-		maxQueue: maxQueue,
-	}
-}
-
-// Acquire takes a slot, queueing up to the limiter's deadline. It returns
-// an error wrapping ErrOverloaded when the queue is full or the wait
-// expires, and the context error when ctx ends first. On nil return the
-// caller MUST call Release exactly once.
-func (l *Limiter) Acquire(ctx context.Context) error {
-	select {
-	case l.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	l.mu.Lock()
-	if l.queued >= l.maxQueue || l.wait <= 0 {
-		l.rejected++
-		l.mu.Unlock()
-		return fmt.Errorf("%w: %d in flight, queue full", ErrOverloaded, cap(l.slots))
-	}
-	l.queued++
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		l.queued--
-		l.mu.Unlock()
-	}()
-	t := time.NewTimer(l.wait)
-	defer t.Stop()
-	select {
-	case l.slots <- struct{}{}:
-		return nil
-	case <-t.C:
-		l.mu.Lock()
-		l.rejected++
-		l.mu.Unlock()
-		return fmt.Errorf("%w: queue deadline %s expired", ErrOverloaded, l.wait)
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Release returns a slot taken by a successful Acquire.
-func (l *Limiter) Release() {
-	select {
-	case <-l.slots:
-	default:
-		panic("resilience: Limiter.Release without Acquire")
-	}
-}
-
-// Stats reports the limiter's live occupancy: holders in flight, waiters
-// queued, and total rejections so far.
-func (l *Limiter) Stats() (inFlight, queued int, rejected int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.slots), l.queued, l.rejected
-}
-
-// Cap returns the maximum number of concurrent holders.
-func (l *Limiter) Cap() int { return cap(l.slots) }

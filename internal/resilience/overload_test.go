@@ -1,9 +1,6 @@
 package resilience
 
 import (
-	"context"
-	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -24,86 +21,6 @@ func TestOverloadPolicyRoundTrip(t *testing.T) {
 	if _, err := ParseOverloadPolicy("bogus"); err == nil {
 		t.Fatal("want error for unknown policy")
 	}
-}
-
-func TestLimiterFastPathAndRejection(t *testing.T) {
-	l := NewLimiter(2, 0, 0)
-	ctx := context.Background()
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatalf("first acquire: %v", err)
-	}
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatalf("second acquire: %v", err)
-	}
-	// No queue, no wait: third caller is rejected immediately.
-	start := time.Now()
-	err := l.Acquire(ctx)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("want ErrOverloaded, got %v", err)
-	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatalf("rejection was not fast: %v", time.Since(start))
-	}
-	inFlight, _, rejected := l.Stats()
-	if inFlight != 2 || rejected != 1 {
-		t.Fatalf("stats: inFlight=%d rejected=%d", inFlight, rejected)
-	}
-	l.Release()
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatalf("acquire after release: %v", err)
-	}
-}
-
-func TestLimiterQueueWaitsForSlot(t *testing.T) {
-	l := NewLimiter(1, 1, time.Second)
-	ctx := context.Background()
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	got := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		got <- l.Acquire(ctx)
-	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter queue
-	l.Release()
-	wg.Wait()
-	if err := <-got; err != nil {
-		t.Fatalf("queued acquire should succeed after release: %v", err)
-	}
-	l.Release()
-}
-
-func TestLimiterQueueDeadline(t *testing.T) {
-	l := NewLimiter(1, 4, 30*time.Millisecond)
-	ctx := context.Background()
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	err := l.Acquire(ctx) // queues, then times out: the slot is never released
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("want ErrOverloaded after queue deadline, got %v", err)
-	}
-	l.Release()
-}
-
-func TestLimiterContextCancel(t *testing.T) {
-	l := NewLimiter(1, 4, time.Minute)
-	if err := l.Acquire(context.Background()); err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	err := l.Acquire(ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	l.Release()
 }
 
 func TestFaultPlanDelayDeterministic(t *testing.T) {

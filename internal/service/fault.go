@@ -13,8 +13,8 @@ import (
 // failures, extra latency, stalls and availability windows are decided by
 // the discrete instant (and call identity), never by wall-clock randomness,
 // so chaos tests replay identically. The wrapper counts physical calls,
-// which lets tests prove that a short-circuited invocation (open breaker,
-// admission rejection) never reached the service.
+// which lets tests prove that a short-circuited invocation (open breaker)
+// never reached the service.
 type Faulty struct {
 	inner Service
 	plan  *resilience.FaultPlan
@@ -38,15 +38,11 @@ func (f *Faulty) Implements(proto string) bool { return f.inner.Implements(proto
 // Calls returns how many invocations physically reached this wrapper.
 func (f *Faulty) Calls() int64 { return f.calls.Load() }
 
-// Invoke implements Service, applying the plan before delegating.
-func (f *Faulty) Invoke(proto string, input value.Tuple, at Instant) ([]value.Tuple, error) {
-	return f.InvokeCtx(context.Background(), proto, input, at)
-}
-
-// InvokeCtx implements CtxService: injected stalls and delays honor the
-// caller's deadline, so a registry invocation timeout cuts a hung or slow
-// fault short exactly as it would a real slow dependency.
-func (f *Faulty) InvokeCtx(ctx context.Context, proto string, input value.Tuple, at Instant) ([]value.Tuple, error) {
+// Invoke implements Service, applying the plan before delegating. Injected
+// stalls and delays honor the caller's deadline, so a registry invocation
+// timeout cuts a hung or slow fault short exactly as it would a real slow
+// dependency.
+func (f *Faulty) Invoke(ctx context.Context, proto string, input value.Tuple, at Instant) ([]value.Tuple, error) {
 	f.calls.Add(1)
 	key := f.inner.Ref() + "|" + proto + "|" + input.Key()
 	if stall := f.plan.StallDuration(int64(at)); stall > 0 {
@@ -64,10 +60,5 @@ func (f *Faulty) InvokeCtx(ctx context.Context, proto string, input value.Tuple,
 			return nil, err
 		}
 	}
-	if cs, ok := f.inner.(CtxService); ok {
-		return cs.InvokeCtx(ctx, proto, input, at)
-	}
-	return f.inner.Invoke(proto, input, at)
+	return f.inner.Invoke(ctx, proto, input, at)
 }
-
-var _ CtxService = (*Faulty)(nil)

@@ -10,9 +10,9 @@
 // rendezvous hashing the standard cluster-ownership rule).
 //
 // Node loss is masked at two layers. Discovery removes the dead node's
-// providers — the reference survives as long as one replica remains, and
-// watchers see NO Removed event (that is the masking: to the discovery
-// X-Relations nothing happened). In-flight calls fail over inside the same
+// providers — the reference survives, still listed by Implementing, as long
+// as one replica remains (that is the masking: to the discovery X-Relations
+// nothing happened). In-flight calls fail over inside the same
 // invocation: a transport-class failure (resilience.ErrUnreachable /
 // ErrOutcomeUnknown) reroutes to the next provider in rendezvous order,
 // subject to the Definition 8 rule that an active invocation with an
@@ -35,6 +35,7 @@ var (
 )
 
 // provider is one node's implementation of a replicated service reference.
+// A plain Register entry holds one provider with no node.
 type provider struct {
 	node  string
 	svc   Service
@@ -69,13 +70,12 @@ func rendezvousScore(ref, node string) uint64 {
 }
 
 // RegisterProvider adds node's implementation of a service reference. The
-// first provider of a reference creates it (watchers see Added, exactly
-// like Register); later providers of the same reference are replicas and
-// raise NO event — to discovery the environment did not change. The
-// rendezvous owner among current providers backs Lookup and receives
-// invocations first. A reference created by plain Register cannot gain
-// providers (ErrDuplicate), and re-registering the same node replaces its
-// provider in place.
+// first provider of a reference creates it, exactly like Register; later
+// providers of the same reference are replicas — to discovery the
+// environment did not change. The rendezvous owner among current providers
+// backs Lookup and receives invocations first. A reference created by
+// plain Register cannot gain providers (ErrDuplicate), and re-registering
+// the same node replaces its provider.
 func (r *Registry) RegisterProvider(node string, s Service) error {
 	if node == "" {
 		return fmt.Errorf("service: provider needs a node name")
@@ -92,40 +92,34 @@ func (r *Registry) RegisterProvider(node string, s Service) error {
 		}
 	}
 	e, ok := r.services[ref]
-	if ok && len(e.providers) == 0 {
+	if ok && e.plain() {
 		return fmt.Errorf("%w: service %s (registered without a provider node)", ErrDuplicate, ref)
 	}
 	p := provider{node: node, svc: s, score: rendezvousScore(ref, node)}
 	if !ok {
-		e = &svcEntry{svc: s, providers: []provider{p}}
+		e = &svcEntry{providers: []provider{p}}
 		r.services[ref] = e
 		r.recountBatchableLocked(e, true)
 		if r.breakers != nil {
 			r.breakers.Reset(ref)
 		}
-		r.broadcastLocked(Event{Kind: Added, Ref: ref, Prototypes: s.PrototypeNames()})
 		return nil
 	}
-	replaced := false
-	for i := range e.providers {
-		if e.providers[i].node == node {
-			e.providers[i] = p
-			replaced = true
-			break
+	next := make([]provider, 0, len(e.providers)+1)
+	for _, q := range e.providers {
+		if q.node != node {
+			next = append(next, q)
 		}
 	}
-	if !replaced {
-		e.providers = append(e.providers, p)
-	}
-	e.reownLocked()
+	e.reownLocked(append(next, p))
 	r.recountBatchableLocked(e, false)
 	return nil
 }
 
 // UnregisterProvider removes node's provider of a reference. The reference
 // survives — silently, with ownership remapped — while any replica remains;
-// only the LAST provider's departure removes the reference and raises
-// Removed. Unknown (node, ref) pairs error.
+// only the LAST provider's departure removes the reference. Unknown
+// (node, ref) pairs error.
 func (r *Registry) UnregisterProvider(node, ref string) error {
 	r.mu.Lock()
 	e, ok := r.services[ref]
@@ -133,29 +127,25 @@ func (r *Registry) UnregisterProvider(node, ref string) error {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownService, ref)
 	}
-	idx := -1
-	for i := range e.providers {
-		if e.providers[i].node == node {
-			idx = i
-			break
+	next := make([]provider, 0, len(e.providers))
+	for _, q := range e.providers {
+		if q.node != node {
+			next = append(next, q)
 		}
 	}
-	if idx < 0 {
+	switch {
+	case e.plain() || len(next) == len(e.providers):
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %s has no provider on node %q", ErrUnknownService, ref, node)
-	}
-	e.providers = append(e.providers[:idx], e.providers[idx+1:]...)
-	if len(e.providers) > 0 {
-		e.reownLocked()
+	case len(next) > 0:
+		e.reownLocked(next)
 		r.recountBatchableLocked(e, false)
-		r.mu.Unlock()
-		return nil
+	default:
+		delete(r.services, ref)
+		if e.batchCounted {
+			r.batchable--
+		}
 	}
-	delete(r.services, ref)
-	if e.batchCounted {
-		r.batchable--
-	}
-	r.broadcastLocked(Event{Kind: Removed, Ref: ref, Prototypes: e.svc.PrototypeNames()})
 	r.mu.Unlock()
 	return nil
 }
@@ -170,7 +160,7 @@ func (r *Registry) LocalRefs() []string {
 	r.mu.RLock()
 	out := make([]string, 0, len(r.services))
 	for ref, e := range r.services {
-		if len(e.providers) == 0 {
+		if e.plain() {
 			out = append(out, ref)
 		}
 	}
@@ -186,7 +176,7 @@ func (r *Registry) ProviderNodes(ref string) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.services[ref]
-	if !ok || len(e.providers) == 0 {
+	if !ok || e.plain() {
 		return nil
 	}
 	out := make([]string, len(e.providers))
@@ -196,17 +186,23 @@ func (r *Registry) ProviderNodes(ref string) []string {
 	return out
 }
 
-// reownLocked re-sorts providers by descending rendezvous score (node name
-// breaks exact-score ties deterministically) and points the entry's service
-// at the owner. Callers hold r.mu.
-func (e *svcEntry) reownLocked() {
-	sort.Slice(e.providers, func(i, j int) bool {
-		if e.providers[i].score != e.providers[j].score {
-			return e.providers[i].score > e.providers[j].score
+// plain reports whether the entry was made by Register rather than by
+// RegisterProvider.
+func (e *svcEntry) plain() bool { return e.providers[0].node == "" }
+
+// reownLocked installs next as the entry's providers, sorted by descending
+// rendezvous score (node name breaks exact-score ties deterministically),
+// which makes next[0] the owner. next is always a fresh slice: invocations
+// read the providers slice after releasing r.mu, so a published slice is
+// never written again. Callers hold r.mu.
+func (e *svcEntry) reownLocked(next []provider) {
+	sort.Slice(next, func(i, j int) bool {
+		if next[i].score != next[j].score {
+			return next[i].score > next[j].score
 		}
-		return e.providers[i].node < e.providers[j].node
+		return next[i].node < next[j].node
 	})
-	e.svc = e.providers[0].svc
+	e.providers = next
 }
 
 // recountBatchableLocked reconciles the registry's batch-transport count
@@ -214,14 +210,10 @@ func (e *svcEntry) reownLocked() {
 // entry once). Callers hold r.mu; created marks a brand-new entry.
 func (r *Registry) recountBatchableLocked(e *svcEntry, created bool) {
 	has := false
-	if len(e.providers) == 0 {
-		_, has = e.svc.(BatchCtxService)
-	} else {
-		for _, p := range e.providers {
-			if _, ok := p.svc.(BatchCtxService); ok {
-				has = true
-				break
-			}
+	for _, p := range e.providers {
+		if _, ok := p.svc.(Batcher); ok {
+			has = true
+			break
 		}
 	}
 	if created {
@@ -267,27 +259,6 @@ func (r *Registry) NodeBreakers() *resilience.BreakerSet {
 // NodeBreakerStates snapshots every tracked node breaker.
 func (r *Registry) NodeBreakerStates() map[string]resilience.State {
 	return r.NodeBreakers().States()
-}
-
-// candidates snapshots the services to try for one invocation, in routing
-// order: providers by rendezvous score, with providers on Open-breaker
-// nodes demoted to the back (still last-resort reachable — if every node
-// looks down, trying one beats failing without a call). Single-service
-// entries yield themselves. Callers hold r.mu (read side suffices).
-func (e *svcEntry) candidates(nb *resilience.BreakerSet) []provider {
-	if len(e.providers) == 0 {
-		return []provider{{svc: e.svc}}
-	}
-	out := make([]provider, 0, len(e.providers))
-	var demoted []provider
-	for _, p := range e.providers {
-		if nb != nil && nb.State(p.node) == resilience.Open {
-			demoted = append(demoted, p)
-			continue
-		}
-		out = append(out, p)
-	}
-	return append(out, demoted...)
 }
 
 // onProviderResult feeds a provider's transport outcome into the node

@@ -116,19 +116,20 @@ func TestRendezvousOwnershipDeterministic(t *testing.T) {
 }
 
 func TestProviderReplicaMasking(t *testing.T) {
-	// Watchers see Added once, on the FIRST provider; replicas arriving and
-	// leaving raise nothing; only the LAST provider's departure is Removed.
+	// The FIRST provider lists the reference; replicas arriving and leaving
+	// never unlist it; only the LAST provider's departure does.
 	r := newTestRegistry(t)
-	events, cancel := r.Watch()
-	defer cancel()
 	var e atomic.Value
 	var c atomic.Int64
-
+	listed := func() bool {
+		refs := r.Implementing("getTemperature")
+		return len(refs) == 1 && refs[0] == "s"
+	}
 	if err := r.RegisterProvider("n1", replicaSensor("s", &e, &c)); err != nil {
 		t.Fatal(err)
 	}
-	if ev := <-events; ev.Kind != Added || ev.Ref != "s" {
-		t.Fatalf("first provider event = %+v", ev)
+	if !listed() {
+		t.Fatalf("first provider: Implementing = %v", r.Implementing("getTemperature"))
 	}
 	if err := r.RegisterProvider("n2", replicaSensor("s", &e, &c)); err != nil {
 		t.Fatal(err)
@@ -136,16 +137,14 @@ func TestProviderReplicaMasking(t *testing.T) {
 	if err := r.UnregisterProvider("n1", "s"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case ev := <-events:
-		t.Fatalf("replica churn leaked event %+v", ev)
-	case <-time.After(20 * time.Millisecond):
+	if !listed() {
+		t.Fatalf("replica churn unlisted the reference: Implementing = %v", r.Implementing("getTemperature"))
 	}
 	if err := r.UnregisterProvider("n2", "s"); err != nil {
 		t.Fatal(err)
 	}
-	if ev := <-events; ev.Kind != Removed || ev.Ref != "s" {
-		t.Fatalf("last provider event = %+v", ev)
+	if refs := r.Implementing("getTemperature"); len(refs) != 0 {
+		t.Fatalf("last provider gone: Implementing = %v, want none", refs)
 	}
 }
 
@@ -262,7 +261,7 @@ type batchReplica struct {
 	batchCalls atomic.Int64
 }
 
-func (b *batchReplica) InvokeBatchCtx(_ context.Context, _ string, inputs []value.Tuple, at Instant) []InvokeResult {
+func (b *batchReplica) InvokeBatch(_ context.Context, _ string, inputs []value.Tuple, at Instant) []InvokeResult {
 	b.batchCalls.Add(1)
 	out := make([]InvokeResult, len(inputs))
 	for i := range inputs {
@@ -294,7 +293,7 @@ func TestBatchFailoverReroutesFailedItems(t *testing.T) {
 	owner.errp.Store(resilience.ErrOutcomeUnknown)
 
 	inputs := []value.Tuple{nil, nil, nil}
-	results := r.InvokeBatchCtx(context.Background(), "getTemperature", "s", inputs, 4)
+	results := r.InvokeAll(context.Background(), "getTemperature", "s", inputs, 4)
 	for i, res := range results {
 		if res.Err != nil || len(res.Rows) != 1 {
 			t.Fatalf("item %d after batch failover: %v, %v", i, res.Rows, res.Err)

@@ -23,7 +23,6 @@ var (
 	obsInvokeRetries   = obs.Default.Counter("service.invoke.retries")
 	obsInvokeFailures  = obs.Default.Counter("service.invoke.failures")
 	obsInvokeShortCirc = obs.Default.Counter("service.invoke.short_circuits")
-	obsInvokeOverload  = obs.Default.Counter("service.invoke.overload_rejections")
 )
 
 // invokeMetrics is the cached per-(prototype, service) metric bundle,
@@ -41,12 +40,11 @@ type invokeMetrics struct {
 // no second hash, no extra lock. A service implements very few prototypes,
 // so resolution is a short slice scan over an immutable snapshot.
 type svcEntry struct {
-	svc Service
 	// providers lists the nodes replicating this reference, sorted by
-	// descending rendezvous score (see provider.go); empty for plain
-	// single-service registrations. svc always aliases the routing owner
-	// (providers[0].svc) when providers exist. batchCounted tracks whether
-	// this entry is counted in Registry.batchable.
+	// descending rendezvous score (see provider.go), so providers[0] is the
+	// routing owner; a plain Register entry holds one provider with no
+	// node. batchCounted tracks whether this entry is counted in
+	// Registry.batchable.
 	providers    []provider
 	batchCounted bool
 
@@ -90,15 +88,6 @@ func (e *svcEntry) metricsFor(proto, ref string) *invokeMetrics {
 	return im
 }
 
-// CtxService is an optional Service extension for implementations that can
-// honor a context deadline natively (remote proxies propagate it to the
-// wire round trip). Services without it are driven through a goroutine and
-// abandoned when the deadline fires — the call is bounded either way.
-type CtxService interface {
-	Service
-	InvokeCtx(ctx context.Context, proto string, input value.Tuple, at Instant) ([]value.Tuple, error)
-}
-
 // SetInvokeTimeout bounds every physical invocation through this registry:
 // a service (local or remote) that does not answer within d fails with
 // context.DeadlineExceeded instead of stalling the operator. d <= 0
@@ -107,37 +96,6 @@ func (r *Registry) SetInvokeTimeout(d time.Duration) {
 	r.mu.Lock()
 	r.invokeTimeout = d
 	r.mu.Unlock()
-}
-
-// SetAdmissionLimit caps concurrent physical invocations through this
-// registry: at most maxInFlight run at once, up to maxQueue more wait at
-// most queueTimeout for a slot, and everyone beyond that fails fast with
-// resilience.ErrOverloaded (which the query layer's degradation policies
-// absorb like any β failure). Admission composes with breakers — a slot is
-// taken only for the physical attempt, after the breaker gate — and
-// rejections do NOT feed breaker failure counts: an overloaded caller says
-// nothing about the callee's health. maxInFlight <= 0 removes the limit.
-func (r *Registry) SetAdmissionLimit(maxInFlight, maxQueue int, queueTimeout time.Duration) {
-	var l *resilience.Limiter
-	if maxInFlight > 0 {
-		l = resilience.NewLimiter(maxInFlight, maxQueue, queueTimeout)
-	}
-	r.mu.Lock()
-	r.admission = l
-	r.mu.Unlock()
-}
-
-// AdmissionStats reports the limiter's live occupancy (zeros when no limit
-// is set).
-func (r *Registry) AdmissionStats() (inFlight, queued int, rejected int64, enabled bool) {
-	r.mu.RLock()
-	l := r.admission
-	r.mu.RUnlock()
-	if l == nil {
-		return 0, 0, 0, false
-	}
-	inFlight, queued, rejected = l.Stats()
-	return inFlight, queued, rejected, true
 }
 
 // SetRetryPolicy installs a retry policy for failed invocations. Retries
@@ -178,43 +136,113 @@ func (r *Registry) Breakers() *resilience.BreakerSet {
 	return r.breakers
 }
 
-// InvokeCtx is Invoke with cancellation and deadline propagation: the
-// context bounds every attempt (and the backoff between attempts), layered
-// under the registry's per-invocation timeout if one is set.
+// Invoke implements invoke_ψ (Definition 1) for one input tuple: InvokeCtx
+// with no caller deadline.
+func (r *Registry) Invoke(proto, ref string, input value.Tuple, at Instant) ([]value.Tuple, error) {
+	return r.InvokeCtx(context.Background(), proto, ref, input, at)
+}
+
+// InvokeCtx is InvokeAll for one input tuple.
 func (r *Registry) InvokeCtx(ctx context.Context, proto, ref string, input value.Tuple, at Instant) ([]value.Tuple, error) {
+	var res [1]InvokeResult
+	r.invokeAll(ctx, proto, ref, []value.Tuple{input}, at, res[:])
+	return res[0].Rows, res[0].Err
+}
+
+// InvokeAll implements invoke_ψ (Definition 1) for many input tuples of one
+// (prototype, reference) pair: it resolves the reference, checks the
+// prototype declaration, conforms each input to Input_ψ, runs the service
+// and conforms every output tuple to Output_ψ. It applies the registry's
+// fault-tolerance settings — the invoke timeout as each physical call's
+// deadline under ctx, passive-only retry of the items still failing, and
+// breakers — and fails over across the reference's providers (see
+// attempt). A provider that is a Batcher receives its pending items as one
+// frame. Results are positional and per item; a resolution failure
+// (unknown prototype or service) fails every item.
+func (r *Registry) InvokeAll(ctx context.Context, proto, ref string, inputs []value.Tuple, at Instant) []InvokeResult {
+	out := make([]InvokeResult, len(inputs))
+	r.invokeAll(ctx, proto, ref, inputs, at, out)
+	return out
+}
+
+// invocation is one InvokeAll call's resolved state, shared by its
+// attempts. The conformed inputs and the results travel as separate
+// arguments: kept out of this struct, the one-item buffers stay on the
+// stack.
+type invocation struct {
+	proto   string
+	active  bool
+	at      Instant
+	timeout time.Duration
+	// provs are the entry's providers in rendezvous order; impl counts those
+	// implementing proto, and bit i of demoted marks provs[i] as sitting on
+	// an Open-breaker node.
+	provs   []provider
+	impl    int
+	demoted uint64
+	nb      *resilience.BreakerSet
+	span    *trace.Span
+}
+
+func (r *Registry) invokeAll(ctx context.Context, proto, ref string, inputs []value.Tuple, at Instant, out []InvokeResult) {
+	if len(inputs) == 0 {
+		return
+	}
 	r.mu.RLock()
 	p, okP := r.protos[proto]
 	e, okS := r.services[ref]
-	retry := r.retry
-	breakers := r.breakers
-	nodeBreakers := r.nodeBreakers
-	timeout := r.invokeTimeout
-	admission := r.admission
-	var cands []provider
+	retry, breakers := r.retry, r.breakers
+	v := invocation{proto: proto, at: at, timeout: r.invokeTimeout, nb: r.nodeBreakers}
 	if okS {
-		cands = e.candidates(nodeBreakers)
+		v.provs = e.providers
 	}
 	r.mu.RUnlock()
-	if !okP {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownPrototype, proto)
-	}
-	if !okS {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownService, ref)
-	}
-	impl := cands[:0:0]
-	for _, c := range cands {
-		if c.svc.Implements(proto) {
-			impl = append(impl, c)
+	for i, pv := range v.provs {
+		if !pv.svc.Implements(proto) {
+			continue
+		}
+		v.impl++
+		if pv.node != "" && i < 64 && v.nb.State(pv.node) == resilience.Open {
+			v.demoted |= 1 << i
 		}
 	}
-	if len(impl) == 0 {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNotImplemented, proto, ref)
+	var err error
+	switch {
+	case !okP:
+		err = fmt.Errorf("%w: %s", ErrUnknownPrototype, proto)
+	case !okS:
+		err = fmt.Errorf("%w: %s", ErrUnknownService, ref)
+	case v.impl == 0:
+		err = fmt.Errorf("%w: %s on %s", ErrNotImplemented, proto, ref)
 	}
-	cands = impl
-	in, err := p.Input.Conforms(input)
 	if err != nil {
-		return nil, fmt.Errorf("service: invoke %s on %s: input: %w", proto, ref, err)
+		for i := range out {
+			out[i].Err = err
+		}
+		return
 	}
+
+	// One item (the per-tuple path) keeps its buffers on the stack.
+	var inBuf [1]value.Tuple
+	var pendBuf, todoBuf [1]int
+	in, pending, todo := inBuf[:], pendBuf[:0], todoBuf[:0]
+	if len(inputs) > 1 {
+		in = make([]value.Tuple, len(inputs))
+		pending, todo = make([]int, 0, len(inputs)), make([]int, 0, len(inputs))
+	}
+	for i, t := range inputs {
+		c, err := p.Input.Conforms(t)
+		if err != nil {
+			out[i].Err = fmt.Errorf("service: invoke %s on %s: input: %w", proto, ref, err)
+			continue
+		}
+		in[i] = c
+		pending = append(pending, i)
+	}
+	if len(pending) == 0 {
+		return
+	}
+	v.active = p.Active
 	if p.Active {
 		// An active request that reaches a peer must never be transparently
 		// re-sent by the transport: a lost answer surfaces as
@@ -230,7 +258,7 @@ func (r *Registry) InvokeCtx(ctx context.Context, proto, ref string, input value
 		attempts = retry.MaxAttempts
 	}
 	im := e.metricsFor(proto, ref)
-	obsInvokeCalls.Inc()
+	obsInvokeCalls.Add(int64(len(pending)))
 	// Counters are exact; latency is sampled — the first call per
 	// (prototype, service) and every 8th after that. The two clock reads
 	// and two histogram updates are the costliest part of always-on
@@ -241,159 +269,180 @@ func (r *Registry) InvokeCtx(ctx context.Context, proto, ref string, input value
 	// sampling call 1 means even a single invocation shows up in
 	// .metrics.
 	nCall := im.calls.Next()
+	im.calls.Add(int64(len(pending) - 1))
 	sampleLatency := nCall == 1 || nCall&7 == 0
 	// The enclosing β span, when this evaluation is sampled. The Active()
 	// gate keeps the untraced hot path to one atomic load — no ctx.Value
 	// walk, no interface assertion.
-	var span *trace.Span
 	if trace.Default.Active() {
-		span = trace.FromContext(ctx)
+		v.span = trace.FromContext(ctx)
 	}
-	var rows []value.Tuple
-	var lastErr error
 	tried := 0
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < attempts && len(pending) > 0; attempt++ {
 		if attempt > 0 {
 			if err := resilience.SleepCtx(ctx, retry.Backoff(attempt-1, proto+"|"+ref)); err != nil {
 				break // the deadline expired during backoff; report the last failure
 			}
-			obsInvokeRetries.Inc()
-			im.retries.Inc()
+			obsInvokeRetries.Add(int64(len(pending)))
+			im.retries.Add(int64(len(pending)))
 		}
 		if breakers != nil && !breakers.Allow(ref) {
 			obsInvokeShortCirc.Inc()
-			span.SetAttr("breaker", "open")
-			return nil, fmt.Errorf("service: invoke %s on %s: %w", proto, ref, resilience.ErrOpen)
+			v.span.SetAttr("breaker", "open")
+			err := fmt.Errorf("service: invoke %s on %s: %w", proto, ref, resilience.ErrOpen)
+			for _, i := range pending {
+				out[i] = InvokeResult{Err: err}
+			}
+			pending = pending[:0]
+			break
 		}
 		tried++
-		// Admission is per physical attempt: the slot is never held across
-		// a retry backoff, and a rejection is a fast local failure that
-		// does NOT feed the breaker — overload here says nothing about the
-		// callee's health.
-		if admission != nil {
-			if err := admission.Acquire(ctx); err != nil {
-				if errors.Is(err, resilience.ErrOverloaded) {
-					obsInvokeOverload.Inc()
-					span.SetAttr("admission", "rejected")
-				}
-				lastErr = err
-				if ctx.Err() != nil {
-					break
-				}
-				continue
-			}
-		}
 		var start time.Time
 		if sampleLatency {
 			start = time.Now()
 		}
-		rows, lastErr = invokeCandidates(ctx, cands, nodeBreakers, p.Active, proto, in, at, timeout, span)
-		if admission != nil {
-			admission.Release()
-		}
+		v.attempt(ctx, in, out, append(todo[:0], pending...))
 		if sampleLatency {
 			elapsed := time.Since(start)
 			obsInvokeLatency.Observe(elapsed)
 			im.latency.Observe(elapsed)
 		}
-		if breakers != nil {
-			breakers.OnResult(ref, lastErr == nil)
+		failing := pending[:0]
+		for _, i := range pending {
+			if breakers != nil {
+				breakers.OnResult(ref, out[i].Err == nil)
+			}
+			if out[i].Err != nil {
+				failing = append(failing, i)
+			}
 		}
-		if lastErr == nil {
-			break
-		}
+		pending = failing
 		if ctx.Err() != nil {
 			break
 		}
 	}
 	if tried > 1 {
-		span.SetAttrInt("attempts", int64(tried))
+		v.span.SetAttrInt("attempts", int64(tried))
 	}
-	if lastErr != nil {
-		obsInvokeFailures.Inc()
-		im.failures.Inc()
-		return nil, fmt.Errorf("service: invoke %s on %s: %w", proto, ref, lastErr)
+	obsInvokeFailures.Add(int64(len(pending)))
+	im.failures.Add(int64(len(pending)))
+	for _, i := range pending {
+		out[i] = InvokeResult{Err: fmt.Errorf("service: invoke %s on %s: %w", proto, ref, out[i].Err)}
 	}
 
-	out := make([]value.Tuple, len(rows))
-	for i, row := range rows {
-		c, err := p.Output.Conforms(row)
-		if err != nil {
-			return nil, fmt.Errorf("service: invoke %s on %s: output tuple %d: %w", proto, ref, i, err)
+	// Conform into a fresh slice: a service may share the one it returns
+	// between calls.
+	for i := range out {
+		if out[i].Err != nil {
+			continue
 		}
-		out[i] = c
-	}
-	return out, nil
-}
-
-// invokeCandidates runs one physical attempt across a reference's
-// providers in routing order: the rendezvous owner first, then — on
-// transport-class failures only — the surviving replicas, all within the
-// same call (so a tick evaluated during a node loss still sees the same
-// rows the never-crashed control would). Application errors never fail
-// over: the owner answered, and Section 3.2 determinism means a replica
-// would answer the same. Active invocations fail over only on
-// ErrUnreachable (the request never left this node); once an active
-// request MAY have reached a peer (ErrOutcomeUnknown) it is never re-fired
-// — the error propagates for the query layer to pin (Definition 8). Each
-// attempt is individually bounded by the per-invocation timeout.
-func invokeCandidates(ctx context.Context, cands []provider, nb *resilience.BreakerSet, active bool, proto string, in value.Tuple, at Instant, timeout time.Duration, span *trace.Span) ([]value.Tuple, error) {
-	var lastErr error
-	for i, c := range cands {
-		if i > 0 {
-			obsInvokeFailovers.Inc()
-		}
-		rows, err := callService(ctx, c.svc, proto, in, at, timeout)
-		onProviderResult(nb, c, err)
-		if err == nil {
-			if i > 0 {
-				span.SetAttr("failover_node", c.node)
+		rows := make([]value.Tuple, len(out[i].Rows))
+		for j, row := range out[i].Rows {
+			c, err := p.Output.Conforms(row)
+			if err != nil {
+				rows, out[i].Err = nil, fmt.Errorf("service: invoke %s on %s: output tuple %d: %w", proto, ref, j, err)
+				break
 			}
-			return rows, nil
+			rows[j] = c
 		}
-		lastErr = err
-		if ctx.Err() != nil || !resilience.IsTransport(err) {
-			return nil, err
-		}
-		if active && !errors.Is(err, resilience.ErrUnreachable) {
-			return nil, err
-		}
+		out[i].Rows = rows
 	}
-	if len(cands) > 1 {
-		obsInvokeExhausted.Inc()
-	}
-	return nil, lastErr
 }
 
-// callService runs one physical attempt, bounded by the per-invocation
-// timeout and the caller's context. Context-aware services get the context
-// directly; others run in a goroutine that is abandoned (never joined) if
-// the deadline fires first — its eventual result is discarded.
-func callService(ctx context.Context, s Service, proto string, in value.Tuple, at Instant, timeout time.Duration) ([]value.Tuple, error) {
-	if timeout > 0 {
+// attempt runs one physical attempt of the items todo across the
+// providers in routing order: the rendezvous owner first, providers on
+// Open-breaker nodes last (still reachable — if every node looks down,
+// trying one beats failing without a call). Only items that failed at the
+// transport layer move on to the next provider, within the same call (so
+// a tick evaluated during a node loss still sees the rows the
+// never-crashed control would). Application errors never fail over: the
+// owner answered, and Section 3.2 determinism means a replica would answer
+// the same. Active items fail over only on ErrUnreachable (the request
+// never left this node); once an active request MAY have reached a peer
+// (ErrOutcomeUnknown) it is never re-fired — the error propagates for the
+// query layer to pin (Definition 8). Raw outcomes land in out.
+func (v *invocation) attempt(ctx context.Context, in []value.Tuple, out []InvokeResult, todo []int) {
+	tried := 0
+	for pass := 0; pass < 2; pass++ {
+		for i, pv := range v.provs {
+			if len(todo) == 0 {
+				return
+			}
+			if !pv.svc.Implements(v.proto) || (v.demoted>>i&1 == 1) != (pass == 1) {
+				continue
+			}
+			if tried > 0 {
+				obsInvokeFailovers.Add(int64(len(todo)))
+			}
+			tried++
+			v.call(ctx, pv, in, out, todo)
+			// The node is down only if EVERY item failed at the transport
+			// layer; any other answer proves it alive.
+			var down error
+			alive, answered := false, false
+			moved := todo[:0]
+			for _, k := range todo {
+				err := out[k].Err
+				if err == nil || !resilience.IsTransport(err) {
+					alive = true
+				} else {
+					down = err
+				}
+				switch {
+				case err == nil:
+					answered = true
+				case ctx.Err() != nil || !resilience.IsTransport(err),
+					v.active && !errors.Is(err, resilience.ErrUnreachable):
+					// Final: the provider answered, the caller gave up, or
+					// an active request may have fired.
+				case tried == v.impl:
+					if v.impl > 1 {
+						obsInvokeExhausted.Inc()
+					}
+				default:
+					moved = append(moved, k)
+				}
+			}
+			if alive {
+				down = nil
+			}
+			onProviderResult(v.nb, pv, down)
+			if answered && tried > 1 {
+				v.span.SetAttr("failover_node", pv.node)
+			}
+			todo = moved
+		}
+	}
+}
+
+// call sends the items todo to one provider under the invoke timeout: one
+// frame to a Batcher when more than one item is pending, one Invoke per
+// item otherwise.
+func (v *invocation) call(ctx context.Context, pv provider, in []value.Tuple, out []InvokeResult, todo []int) {
+	if v.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, v.timeout)
 		defer cancel()
 	}
-	if cs, ok := s.(CtxService); ok {
-		return cs.InvokeCtx(ctx, proto, in, at)
+	if b, ok := pv.svc.(Batcher); ok && len(todo) > 1 {
+		inputs := make([]value.Tuple, len(todo))
+		for j, k := range todo {
+			inputs[j] = in[k]
+		}
+		res := b.InvokeBatch(ctx, v.proto, inputs, v.at)
+		for j, k := range todo {
+			if j < len(res) {
+				out[k] = res[j]
+			} else {
+				// A short frame (buggy transport) fails the unanswered tail
+				// explicitly rather than returning silent empty results.
+				out[k] = InvokeResult{Err: fmt.Errorf("batch transport returned %d of %d results", len(res), len(todo))}
+			}
+		}
+		return
 	}
-	if ctx.Done() == nil {
-		return s.Invoke(proto, in, at)
-	}
-	type result struct {
-		rows []value.Tuple
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		rows, err := s.Invoke(proto, in, at)
-		ch <- result{rows, err}
-	}()
-	select {
-	case res := <-ch:
-		return res.rows, res.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	for _, k := range todo {
+		rows, err := pv.svc.Invoke(ctx, v.proto, in[k], v.at)
+		out[k] = InvokeResult{Rows: rows, Err: err}
 	}
 }

@@ -104,17 +104,14 @@ func TestInvokeTimeoutBoundsHangingService(t *testing.T) {
 	if err := reg.RegisterPrototype(probeProto()); err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
-	hang := service.NewFunc("hang", map[string]service.InvokeFunc{
-		"probe": func(value.Tuple, service.Instant) ([]value.Tuple, error) {
-			<-release
-			return []value.Tuple{{value.NewReal(0)}}, nil
-		},
+	var calls atomic.Int64
+	hang := service.NewFaulty(flakyN("hang", "probe", 0, &calls), &resilience.FaultPlan{
+		StallIntervals: [][2]int64{{0, 0}},
+		StallFor:       time.Hour,
 	})
 	if err := reg.Register(hang); err != nil {
 		t.Fatal(err)
 	}
-	defer close(release)
 	reg.SetInvokeTimeout(30 * time.Millisecond)
 	start := time.Now()
 	_, err := reg.Invoke("probe", "hang", nil, 0)
@@ -237,8 +234,8 @@ func TestFaultyWrapperDeterminism(t *testing.T) {
 	f1 := service.NewFaulty(inner, plan)
 	f2 := service.NewFaulty(inner, plan)
 	for at := service.Instant(0); at < 50; at++ {
-		_, e1 := f1.Invoke("probe", nil, at)
-		_, e2 := f2.Invoke("probe", nil, at)
+		_, e1 := f1.Invoke(context.Background(), "probe", nil, at)
+		_, e2 := f2.Invoke(context.Background(), "probe", nil, at)
 		if (e1 == nil) != (e2 == nil) {
 			t.Fatalf("fault plan not deterministic at instant %d", at)
 		}
@@ -247,10 +244,97 @@ func TestFaultyWrapperDeterminism(t *testing.T) {
 		t.Fatalf("calls = %d", f1.Calls())
 	}
 	down := service.NewFaulty(inner, &resilience.FaultPlan{DownIntervals: [][2]int64{{2, 3}}})
-	if _, err := down.Invoke("probe", nil, 2); !errors.Is(err, resilience.ErrInjected) {
+	if _, err := down.Invoke(context.Background(), "probe", nil, 2); !errors.Is(err, resilience.ErrInjected) {
 		t.Fatalf("down interval err = %v", err)
 	}
-	if _, err := down.Invoke("probe", nil, 4); err != nil {
+	if _, err := down.Invoke(context.Background(), "probe", nil, 4); err != nil {
 		t.Fatalf("outside down interval: %v", err)
+	}
+}
+
+// frameFake is a Batcher whose first failFrames frames fail every item;
+// later frames answer each item through the wrapped Func.
+type frameFake struct {
+	*service.Func
+	failFrames int64
+	frames     atomic.Int64
+}
+
+func (f *frameFake) InvokeBatch(ctx context.Context, proto string, inputs []value.Tuple, at service.Instant) []service.InvokeResult {
+	n := f.frames.Add(1)
+	out := make([]service.InvokeResult, len(inputs))
+	for i, in := range inputs {
+		if n <= f.failFrames {
+			out[i].Err = errors.New("frame lost")
+			continue
+		}
+		out[i].Rows, out[i].Err = f.Func.Invoke(ctx, proto, in, at)
+	}
+	return out
+}
+
+// A frame goes through the same retry loop as a single call: a passive
+// frame whose first attempt fails is re-sent, an active one never is.
+func TestFrameRetryMatchesSingleCall(t *testing.T) {
+	for _, tc := range []struct {
+		proto      *schema.Prototype
+		wantFrames int64
+		wantOK     bool
+	}{
+		{probeProto(), 2, true},
+		{fireProto(), 1, false},
+	} {
+		t.Run(tc.proto.Name, func(t *testing.T) {
+			reg := service.NewRegistry()
+			if err := reg.RegisterPrototype(tc.proto); err != nil {
+				t.Fatal(err)
+			}
+			var calls atomic.Int64
+			fake := &frameFake{Func: flakyN("s", tc.proto.Name, 0, &calls), failFrames: 1}
+			if err := reg.Register(fake); err != nil {
+				t.Fatal(err)
+			}
+			reg.SetRetryPolicy(resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
+			for i, res := range reg.InvokeAll(context.Background(), tc.proto.Name, "s", []value.Tuple{nil, nil}, 0) {
+				if ok := res.Err == nil && len(res.Rows) == 1; ok != tc.wantOK {
+					t.Fatalf("item %d = %v, %v; want success %v", i, res.Rows, res.Err, tc.wantOK)
+				}
+			}
+			if got := fake.frames.Load(); got != tc.wantFrames {
+				t.Fatalf("frames = %d, want %d", got, tc.wantFrames)
+			}
+		})
+	}
+}
+
+// A local β invocation's allocations, pinned: oneshot makes hundreds of
+// these per operation, so one more allocation each shows in its
+// allocs_per_op. The service itself allocates two per call (the row slice
+// and its tuple); the registry adds the conformed output slice, and a
+// multi-item call its result and work slices.
+func TestLocalInvokeAllocations(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	reg := service.NewRegistry()
+	if err := reg.RegisterPrototype(probeProto()); err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	if err := reg.Register(flakyN("s", "probe", 0, &calls)); err != nil {
+		t.Fatal(err)
+	}
+	inputs := []value.Tuple{nil, nil, nil, nil}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		call func()
+	}{
+		{"invoke", 3, func() { _, _ = reg.Invoke("probe", "s", nil, 1) }},
+		{"invoke all of 4", 16, func() { _ = reg.InvokeAll(context.Background(), "probe", "s", inputs, 1) }},
+	} {
+		if got := testing.AllocsPerRun(200, tc.call); got > tc.max {
+			t.Errorf("%s: %.0f allocations, ceiling %.0f", tc.name, got, tc.max)
+		}
 	}
 }

@@ -4,9 +4,8 @@
 // invoke_ψ(s, t) → relation over Output_ψ (Definition 1).
 //
 // The registry is the in-process core of the paper's Environment Resource
-// Manager: services register and withdraw dynamically and observers receive
-// discovery events, which the PEMS layer turns into live service-discovery
-// X-Relations.
+// Manager: services register and withdraw dynamically, and the PEMS layer
+// syncs its live service-discovery X-Relations from Implementing.
 package service
 
 import (
@@ -39,6 +38,10 @@ var (
 // its service reference id(ω) (Section 2.3.1). Invoke must terminate (the
 // paper's tractability assumption) and must be deterministic for a fixed
 // (proto, input, at) triple within one instant.
+//
+// Invoke must return once ctx is done: the registry's invoke timeout and the
+// caller's deadline reach a service only through ctx. A service that ignores
+// its context can stall the operator that invoked it.
 type Service interface {
 	// Ref returns the service reference id(ω) ∈ D.
 	Ref() string
@@ -48,10 +51,25 @@ type Service interface {
 	Implements(proto string) bool
 	// Invoke runs the named prototype with the given input tuple (over
 	// Input_ψ) at the given instant and returns a relation over Output_ψ.
-	Invoke(proto string, input value.Tuple, at Instant) ([]value.Tuple, error)
+	Invoke(ctx context.Context, proto string, input value.Tuple, at Instant) ([]value.Tuple, error)
 }
 
-// InvokeFunc is the body of one prototype implementation.
+// InvokeResult is one input's outcome within a multi-input invocation.
+type InvokeResult struct {
+	Rows []value.Tuple
+	Err  error
+}
+
+// Batcher is the optional Service extension for a transport that carries
+// many invocations of one prototype in one round trip (the wire's batch
+// frame). Results are positional — out[i] is inputs[i]'s outcome — and one
+// item's failure must not fail its neighbours.
+type Batcher interface {
+	InvokeBatch(ctx context.Context, proto string, inputs []value.Tuple, at Instant) []InvokeResult
+}
+
+// InvokeFunc is the body of one prototype implementation. It receives no
+// context, so it must return promptly: a deadline cannot cut it short.
 type InvokeFunc func(input value.Tuple, at Instant) ([]value.Tuple, error)
 
 // Func is a Service assembled from per-prototype functions. It is the
@@ -86,29 +104,13 @@ func (f *Func) PrototypeNames() []string {
 // Implements implements Service.
 func (f *Func) Implements(proto string) bool { _, ok := f.impls[proto]; return ok }
 
-// Invoke implements Service.
-func (f *Func) Invoke(proto string, input value.Tuple, at Instant) ([]value.Tuple, error) {
+// Invoke implements Service. The context is not consulted; see InvokeFunc.
+func (f *Func) Invoke(_ context.Context, proto string, input value.Tuple, at Instant) ([]value.Tuple, error) {
 	fn, ok := f.impls[proto]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s on %s", ErrNotImplemented, proto, f.ref)
 	}
 	return fn(input, at)
-}
-
-// EventKind tags discovery events.
-type EventKind uint8
-
-// Discovery event kinds.
-const (
-	Added EventKind = iota
-	Removed
-)
-
-// Event describes a service arriving in or leaving the environment.
-type Event struct {
-	Kind       EventKind
-	Ref        string
-	Prototypes []string
 }
 
 // Registry tracks the prototypes and services of a relational pervasive
@@ -121,11 +123,9 @@ type Registry struct {
 	mu       sync.RWMutex
 	protos   map[string]*schema.Prototype
 	services map[string]*svcEntry
-	watchers map[int]chan Event
-	nextW    int
 
 	// batchable counts registered services exposing a batch transport
-	// (BatchCtxService — remote proxies). The β dispatcher consults it:
+	// (a Batcher — remote proxies). The β dispatcher consults it:
 	// with none registered, grouping is pure overhead over the per-item
 	// path, so its default stays off.
 	batchable int
@@ -137,9 +137,6 @@ type Registry struct {
 	// outcomes of provider-backed invocations, an Open node breaker demotes
 	// all of that node's providers in routing order (see provider.go).
 	nodeBreakers *resilience.BreakerSet
-	// admission, when set, caps concurrent physical invocations through
-	// this registry (see SetAdmissionLimit in resilient.go).
-	admission *resilience.Limiter
 }
 
 // NewRegistry returns an empty registry.
@@ -147,7 +144,6 @@ func NewRegistry() *Registry {
 	r := &Registry{
 		protos:   make(map[string]*schema.Prototype),
 		services: make(map[string]*svcEntry),
-		watchers: make(map[int]chan Event),
 	}
 	r.SetNodeBreakerPolicy(resilience.BreakerPolicy{})
 	return r
@@ -194,8 +190,8 @@ func (r *Registry) Prototypes() []*schema.Prototype {
 	return out
 }
 
-// Register adds a service to the environment and notifies watchers. Every
-// prototype the service claims must have been declared.
+// Register adds a service to the environment. Every prototype the service
+// claims must have been declared.
 func (r *Registry) Register(s Service) error {
 	if s == nil || s.Ref() == "" {
 		return fmt.Errorf("service: service needs a non-empty reference")
@@ -211,7 +207,7 @@ func (r *Registry) Register(s Service) error {
 			return fmt.Errorf("%w: %s (claimed by service %s)", ErrUnknownPrototype, pn, s.Ref())
 		}
 	}
-	e := &svcEntry{svc: s}
+	e := &svcEntry{providers: []provider{{svc: s}}}
 	r.services[s.Ref()] = e
 	r.recountBatchableLocked(e, true)
 	if r.breakers != nil {
@@ -220,13 +216,12 @@ func (r *Registry) Register(s Service) error {
 		// instance.
 		r.breakers.Reset(s.Ref())
 	}
-	r.broadcastLocked(Event{Kind: Added, Ref: s.Ref(), Prototypes: s.PrototypeNames()})
 	r.mu.Unlock()
 	return nil
 }
 
-// Unregister removes a service (e.g. a failing sensor) and notifies
-// watchers. Unknown references error.
+// Unregister removes a service (e.g. a failing sensor). Unknown references
+// error.
 func (r *Registry) Unregister(ref string) error {
 	r.mu.Lock()
 	e, ok := r.services[ref]
@@ -238,13 +233,12 @@ func (r *Registry) Unregister(ref string) error {
 	if e.batchCounted {
 		r.batchable--
 	}
-	r.broadcastLocked(Event{Kind: Removed, Ref: ref, Prototypes: e.svc.PrototypeNames()})
 	r.mu.Unlock()
 	return nil
 }
 
 // HasBatchTransport reports whether any registered service can carry many
-// invocations in one frame (a BatchCtxService, e.g. a wire.Remote proxy).
+// invocations in one frame (a Batcher, e.g. a wire.Remote proxy).
 func (r *Registry) HasBatchTransport() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -259,7 +253,7 @@ func (r *Registry) Lookup(ref string) (Service, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownService, ref)
 	}
-	return e.svc, nil
+	return e.providers[0].svc, nil
 }
 
 // Refs returns all registered service references, sorted.
@@ -285,7 +279,7 @@ func (r *Registry) Implementing(proto string) []string {
 	breakers := r.breakers
 	var out []string
 	for ref, e := range r.services {
-		if e.svc.Implements(proto) {
+		if e.providers[0].svc.Implements(proto) {
 			out = append(out, ref)
 		}
 	}
@@ -301,60 +295,4 @@ func (r *Registry) Implementing(proto string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Invoke implements invoke_ψ (Definition 1): it resolves the reference,
-// checks the prototype declaration, conforms the input tuple to Input_ψ,
-// runs the service and conforms every output tuple to Output_ψ. It applies
-// the registry's fault-tolerance settings (timeout, passive-only retry,
-// breakers); InvokeCtx additionally propagates a caller deadline.
-func (r *Registry) Invoke(proto, ref string, input value.Tuple, at Instant) ([]value.Tuple, error) {
-	return r.InvokeCtx(context.Background(), proto, ref, input, at)
-}
-
-// Watch subscribes to discovery events. The returned cancel function
-// unsubscribes and closes the channel. Events are delivered asynchronously
-// on a buffered channel; slow consumers drop the oldest pending event rather
-// than blocking registration (discovery is best-effort, like UPnP
-// announcements).
-func (r *Registry) Watch() (<-chan Event, func()) {
-	r.mu.Lock()
-	id := r.nextW
-	r.nextW++
-	ch := make(chan Event, 64)
-	r.watchers[id] = ch
-	r.mu.Unlock()
-	cancel := func() {
-		r.mu.Lock()
-		if c, ok := r.watchers[id]; ok {
-			delete(r.watchers, id)
-			close(c)
-		}
-		r.mu.Unlock()
-	}
-	return ch, cancel
-}
-
-// broadcastLocked delivers an event to every watcher while r.mu is held.
-// Sends never block (slow consumers drop their oldest pending event), so
-// holding the lock is cheap — and it is what makes delivery safe against a
-// concurrent Watch cancel, which closes the channel under the same lock.
-// Snapshotting channels and sending unlocked would race a send against
-// that close.
-func (r *Registry) broadcastLocked(ev Event) {
-	for _, ch := range r.watchers {
-		for {
-			select {
-			case ch <- ev:
-			default:
-				// Drop the oldest pending event to make room.
-				select {
-				case <-ch:
-				default:
-				}
-				continue
-			}
-			break
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -50,11 +51,11 @@ func TestFuncService(t *testing.T) {
 	if got := s.PrototypeNames(); len(got) != 1 || got[0] != "getTemperature" {
 		t.Fatalf("PrototypeNames = %v", got)
 	}
-	rows, err := s.Invoke("getTemperature", nil, 5)
+	rows, err := s.Invoke(context.Background(), "getTemperature", nil, 5)
 	if err != nil || len(rows) != 1 || rows[0][0].Real() != 25 {
 		t.Fatalf("Invoke = %v, %v", rows, err)
 	}
-	if _, err := s.Invoke("nope", nil, 0); !errors.Is(err, ErrNotImplemented) {
+	if _, err := s.Invoke(context.Background(), "nope", nil, 0); !errors.Is(err, ErrNotImplemented) {
 		t.Fatalf("want ErrNotImplemented, got %v", err)
 	}
 }
@@ -200,57 +201,6 @@ func TestRegistryInvokeErrorWrapping(t *testing.T) {
 	_, err := r.Invoke("getTemperature", "bad", nil, 0)
 	if !errors.Is(err, boom) {
 		t.Fatalf("service error not wrapped: %v", err)
-	}
-}
-
-func TestWatchDiscoveryEvents(t *testing.T) {
-	r := newTestRegistry(t)
-	ch, cancel := r.Watch()
-	defer cancel()
-	_ = r.Register(tempService("sensor01", 20))
-	ev := <-ch
-	if ev.Kind != Added || ev.Ref != "sensor01" || len(ev.Prototypes) != 1 {
-		t.Fatalf("added event = %+v", ev)
-	}
-	_ = r.Unregister("sensor01")
-	ev = <-ch
-	if ev.Kind != Removed || ev.Ref != "sensor01" {
-		t.Fatalf("removed event = %+v", ev)
-	}
-	cancel()
-	if _, open := <-ch; open {
-		t.Fatal("channel should be closed after cancel")
-	}
-	// Double-cancel must not panic.
-	cancel()
-}
-
-func TestWatchSlowConsumerDoesNotBlock(t *testing.T) {
-	r := newTestRegistry(t)
-	ch, cancel := r.Watch()
-	defer cancel()
-	// Overflow the 64-slot buffer; registration must not block.
-	for i := 0; i < 200; i++ {
-		if err := r.Register(tempService(fmt.Sprintf("s%03d", i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(r.Refs()) != 200 {
-		t.Fatal("registrations lost")
-	}
-	// We should still be able to drain some (the most recent) events.
-	drained := 0
-	for {
-		select {
-		case <-ch:
-			drained++
-			continue
-		default:
-		}
-		break
-	}
-	if drained == 0 || drained > 64 {
-		t.Fatalf("drained %d events, want 1..64", drained)
 	}
 }
 

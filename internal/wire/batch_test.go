@@ -79,29 +79,9 @@ func TestBatchInvokeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchServerParallelismOne: -batch-parallel 1 executes a frame's items
-// sequentially; results stay positional and correct.
-func TestBatchServerParallelismOne(t *testing.T) {
-	addr, srv := startBatchNode(t)
-	srv.SetBatchParallelism(1)
-	c, err := wire.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out := c.InvokeBatchCtx(ctx, "sendMessage", "picky", []value.Tuple{msg("x"), msg("y")}, 1)
-	for i := range out {
-		if out[i].Err != nil || len(out[i].Rows) != 1 {
-			t.Fatalf("item %d: %+v", i, out[i])
-		}
-	}
-}
-
 // TestRemoteProxyBatchesThroughRegistry: a Remote proxy registered locally
-// is a BatchCtxService, so Registry.InvokeBatchCtx sends ONE wire frame for
-// the whole group instead of per-item round trips.
+// is a Batcher, so Registry.InvokeAll sends ONE wire frame for the whole
+// group instead of per-item round trips.
 func TestRemoteProxyBatchesThroughRegistry(t *testing.T) {
 	addr, _ := startBatchNode(t)
 	c, err := wire.Dial(addr, time.Second)
@@ -129,12 +109,11 @@ func TestRemoteProxyBatchesThroughRegistry(t *testing.T) {
 	if err := local.Register(remote); err != nil {
 		t.Fatal(err)
 	}
-	var bcs service.BatchCtxService = remote // compile-time: proxies batch
-	_ = bcs
+	var _ service.Batcher = remote // compile-time: proxies batch
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out := local.InvokeBatchCtx(ctx, "sendMessage", "picky",
+	out := local.InvokeAll(ctx, "sendMessage", "picky",
 		[]value.Tuple{msg("a"), msg("bad"), msg("c")}, 2)
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("healthy items failed: %+v", out)

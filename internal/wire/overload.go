@@ -62,9 +62,8 @@ func (e *overloadedError) Error() string { return e.msg }
 func (e *overloadedError) Unwrap() error { return resilience.ErrOverloaded }
 
 // remoteError turns a Response.Err string back into a typed error:
-// messages carrying the overload marker (a server fast-rejection, or the
-// remote registry's own admission limiter) become errors.Is-able
-// resilience.ErrOverloaded; everything else stays opaque.
+// messages carrying the overload marker (a server fast-rejection) become
+// errors.Is-able resilience.ErrOverloaded; everything else stays opaque.
 func remoteError(msg string) error {
 	if strings.Contains(msg, resilience.ErrOverloaded.Error()) {
 		return &overloadedError{msg: msg}

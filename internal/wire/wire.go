@@ -162,20 +162,15 @@ type Response struct {
 	ItemResults []BatchItemResult // batch
 }
 
-// DefaultServerBatchParallelism bounds how many items of one batch frame
-// the server executes concurrently.
-const DefaultServerBatchParallelism = 8
-
 // Server exposes a Local ERM's services over TCP.
 type Server struct {
 	node string
 	reg  *service.Registry
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]bool
-	done     chan struct{}
-	batchPar int
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]bool
+	done  chan struct{}
 
 	// Overload limits (see overload.go): maxInFlight caps concurrently
 	// executing requests (0 = unlimited); readTimeout drops connections
@@ -193,18 +188,7 @@ type Server struct {
 
 // NewServer wraps a registry of local services under a node name.
 func NewServer(node string, reg *service.Registry) *Server {
-	return &Server{node: node, reg: reg, conns: make(map[net.Conn]bool), done: make(chan struct{}), batchPar: DefaultServerBatchParallelism}
-}
-
-// SetBatchParallelism bounds concurrent execution of one batch frame's
-// items. Values < 2 execute items one at a time.
-func (s *Server) SetBatchParallelism(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	s.batchPar = n
+	return &Server{node: node, reg: reg, conns: make(map[net.Conn]bool), done: make(chan struct{})}
 }
 
 // Node returns the node name.
@@ -396,47 +380,36 @@ func (s *Server) handle(req *Request) *Response {
 	return &Response{Err: fmt.Sprintf("wire: unknown op %q", req.Op)}
 }
 
-// handleBatch executes a batch frame: every item independently, on a
-// bounded worker pool, with per-item errors so one bad tuple cannot fail
-// its neighbours. Results are positional.
+// handleBatch executes a batch frame: every item independently, each on
+// its own goroutine as separate requests are, with per-item errors so one
+// bad tuple cannot fail its neighbours. Results are positional. The frame
+// counts as one request against SetMaxInFlight, and the client's
+// BatchSize bounds its items.
 func (s *Server) handleBatch(req *Request) *Response {
 	span := trace.Default.StartRemote("wire.server.batch", req.TraceID, req.SpanID)
 	span.SetAttr("node", s.node)
 	span.SetAttrInt("items", int64(len(req.Items)))
 	defer span.Finish()
+	ctx := trace.ContextWith(context.Background(), span)
 	results := make([]BatchItemResult, len(req.Items))
-	run := func(i int) {
-		item := req.Items[i]
-		input, err := value.DecodeTuple(item.Input)
-		if err != nil {
-			results[i].Err = err.Error()
-			return
-		}
-		rows, err := s.reg.InvokeCtx(trace.ContextWith(context.Background(), span), item.Proto, item.Ref, input, service.Instant(item.At))
-		if err != nil {
-			results[i].Err = err.Error()
-			return
-		}
-		results[i].Rows = value.EncodeRows(rows)
-	}
-	s.mu.Lock()
-	workers := min(s.batchPar, len(req.Items))
-	s.mu.Unlock()
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				run(i)
-			}
-		}()
-	}
 	for i := range req.Items {
-		next <- i
+		wg.Add(1)
+		go func(item *BatchItem, res *BatchItemResult) {
+			defer wg.Done()
+			input, err := value.DecodeTuple(item.Input)
+			if err != nil {
+				res.Err = err.Error()
+				return
+			}
+			rows, err := s.reg.InvokeCtx(ctx, item.Proto, item.Ref, input, service.Instant(item.At))
+			if err != nil {
+				res.Err = err.Error()
+				return
+			}
+			res.Rows = value.EncodeRows(rows)
+		}(&req.Items[i], &results[i])
 	}
-	close(next)
 	wg.Wait()
 	return &Response{ItemResults: results}
 }
@@ -446,19 +419,13 @@ func (s *Server) handleBatch(req *Request) *Response {
 //
 // The connection self-heals: when a round trip finds the connection lost
 // (dial failure, write failure, or the read loop dying mid-request), the
-// client redials with capped exponential backoff and retries, up to a
-// bounded number of attempts. A request that TIMED OUT is never retried —
+// client redials with capped exponential backoff and retries, up to
+// reconnectAttempts attempts. A request that TIMED OUT is never retried —
 // it may have reached the server, and replaying it could duplicate an
 // active invocation's side effect.
 type Client struct {
 	addr    string
 	timeout time.Duration
-
-	// Reconnection policy (SetReconnect): total attempts per round trip
-	// and the capped backoff between them.
-	attempts    int
-	backoffBase time.Duration
-	backoffMax  time.Duration
 
 	mu     sync.Mutex // guards cur/nextID and writes
 	cur    *clientConn
@@ -480,7 +447,7 @@ type clientConn struct {
 // handshake, every write, and each round trip's wait for a response. A node
 // speaking another protocol version fails with ErrVersionMismatch.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
-	c := &Client{addr: addr, timeout: timeout, attempts: 3, backoffBase: 5 * time.Millisecond, backoffMax: 250 * time.Millisecond}
+	c := &Client{addr: addr, timeout: timeout}
 	c.mu.Lock()
 	err := c.connectLocked()
 	c.mu.Unlock()
@@ -488,24 +455,6 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// SetReconnect tunes the round-trip reconnection policy: total attempts
-// (values < 1 disable retrying entirely) and the base/cap of the
-// exponential backoff between them.
-func (c *Client) SetReconnect(attempts int, base, max time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if attempts < 1 {
-		attempts = 1
-	}
-	c.attempts = attempts
-	if base > 0 {
-		c.backoffBase = base
-	}
-	if max > 0 {
-		c.backoffMax = max
-	}
 }
 
 // connectLocked (re)establishes the connection, checks the peer's protocol
@@ -612,21 +561,23 @@ func (c *Client) roundTripCtx(ctx context.Context, req *Request) (*Response, err
 	return resp, err
 }
 
+// The round-trip reconnection policy: total attempts per round trip and
+// the capped exponential backoff between them.
+const (
+	reconnectAttempts = 3
+	reconnectBase     = 5 * time.Millisecond
+	reconnectMax      = 250 * time.Millisecond
+)
+
 func (c *Client) doRoundTripCtx(ctx context.Context, req *Request) (*Response, error) {
-	c.mu.Lock()
-	attempts := c.attempts
-	c.mu.Unlock()
-	backoff := c.backoffBase
+	backoff := reconnectBase
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < reconnectAttempts; attempt++ {
 		if attempt > 0 {
 			if err := resilience.SleepCtx(ctx, backoff); err != nil {
 				return nil, fmt.Errorf("wire: %s: %w", c.addr, err)
 			}
-			backoff *= 2
-			if backoff > c.backoffMax {
-				backoff = c.backoffMax
-			}
+			backoff = min(2*backoff, reconnectMax)
 			obsWireRetries.Inc()
 		}
 		resp, err, retryable := c.tryRoundTrip(ctx, req)
@@ -827,20 +778,14 @@ func (r *Remote) PrototypeNames() []string { return r.names }
 // Implements implements service.Service.
 func (r *Remote) Implements(p string) bool { return r.protos[p] }
 
-// Invoke implements service.Service by a wire round trip.
-func (r *Remote) Invoke(proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
-	return r.client.Invoke(proto, r.ref, input, at)
-}
-
-// InvokeCtx implements service.CtxService: the registry's per-invocation
-// deadline propagates all the way into the wire round trip instead of
-// being enforced by goroutine abandonment.
-func (r *Remote) InvokeCtx(ctx context.Context, proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
+// Invoke implements service.Service by a wire round trip: the registry's
+// per-invocation deadline propagates into the round trip.
+func (r *Remote) Invoke(ctx context.Context, proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
 	return r.client.InvokeCtx(ctx, proto, r.ref, input, at)
 }
 
-// InvokeBatchCtx implements service.BatchCtxService: the registry hands a
-// whole (proto, ref) group to the proxy, which ships it as one batch frame.
-func (r *Remote) InvokeBatchCtx(ctx context.Context, proto string, inputs []value.Tuple, at service.Instant) []service.InvokeResult {
+// InvokeBatch implements service.Batcher: the registry hands a whole
+// (proto, ref) group to the proxy, which ships it as one batch frame.
+func (r *Remote) InvokeBatch(ctx context.Context, proto string, inputs []value.Tuple, at service.Instant) []service.InvokeResult {
 	return r.client.InvokeBatchCtx(ctx, proto, r.ref, inputs, at)
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # soak.sh — run the overload soak harness under the race detector: a
 # producer flooding a bounded SHED_NEWEST stream at far beyond drain
-# capacity, latency-faulted invocations, a tick budget every tick overruns,
-# passive coalescing and an admission limiter, all at once. The harness
+# capacity, latency-faulted invocations, a tick budget every tick overruns
+# and passive coalescing, all at once. The harness
 # asserts sheds are honored and counted, buffer depth and retained stream
 # state stay bounded, and the active query's action set exactly equals an
 # unloaded control run — plus the SIGKILL crash-during-overload variant.
