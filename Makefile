@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-stress loc cover bench bench-check benchpair soak e2e chaos experiments fuzz examples fmt vet check clean
+.PHONY: all build test race race-stress loc cover bench benchpair soak e2e chaos fuzz examples fmt vet check clean
 
 all: build vet test
 
@@ -45,29 +45,10 @@ loc:
 cover:
 	$(GO) test -cover ./...
 
-# Full benchmark suite → machine-readable BENCH_<date>.json at the repo
-# root (BENCHTIME=10x for a quick pass; see scripts/bench.sh).
+# serenabench, the repository's benchmark: every workload, timed then
+# traced, results and traces under benchmark/out/ (see benchmark/README.md).
 bench:
-	sh scripts/bench.sh
-
-# Regression gate: run the suite into BENCH_check.json, then (a) fail if a
-# gated benchmark (BenchmarkInvoke*/BenchmarkDurableTick/
-# BenchmarkDeltaInvocation*) regressed >20% against the previous report —
-# missing or cross-machine baselines pass with a warning (cmd/benchfmt
-# -diff) — (b) fail unless the incremental evaluator beats the naive one at
-# every window size of the sweep, and (c) fail unless N readers over one
-# materialized INTO relation beat N re-evaluated window queries at every
-# fan-in width — both same-run comparisons with no cannot-compare escape
-# (cmd/benchfmt -faster).
-bench-check:
-	OUT=BENCH_check.json sh scripts/bench.sh
-	$(GO) run ./cmd/benchfmt -diff BENCH_check.json
-	$(GO) run ./cmd/benchfmt \
-		-faster 'BenchmarkDeltaInvocation/delta<BenchmarkDeltaInvocation/naive' \
-		BENCH_check.json
-	$(GO) run ./cmd/benchfmt \
-		-faster 'BenchmarkMaterializedFanIn/materialized<BenchmarkMaterializedFanIn/reeval' \
-		BENCH_check.json
+	bash benchmark/run.sh
 
 # Alternating before/after serenabench runs (--seconds 10 --trace 0) of one
 # workload, HEAD against a base revision, with a -compare per pair (see
@@ -95,10 +76,6 @@ e2e:
 # (see scripts/cluster_chaos.sh; CHAOS_ITERS bounds the kill loop).
 chaos:
 	bash scripts/cluster_chaos.sh
-
-# Regenerate the EXPERIMENTS.md tables.
-experiments:
-	$(GO) run ./cmd/benchrun -exp all
 
 # Quick fuzz pass over the three parsers, the value codec the WAL and the
 # wire share, and the WAL's framing, records and checkpoints.

@@ -4,7 +4,7 @@
 // Pervasive Environments", EDBT 2010.
 //
 // The implementation lives under internal/: see DESIGN.md for the system
-// inventory, EXPERIMENTS.md for the reproduced experiments, and examples/
-// for runnable programs. The root package only anchors the repository-wide
-// benchmarks in bench_test.go.
+// inventory, EXPERIMENTS.md for the paper's tables and figures reproduced
+// as tests, benchmark/ for the benchmark, and examples/ for runnable
+// programs. The root package holds no code.
 package serena

@@ -150,13 +150,17 @@ func TestPublishExpvar(t *testing.T) {
 	if v == nil {
 		t.Fatal("expvar key serena not published")
 	}
-	Default.Counter("expvar.test").Add(7)
+	// Default is process-global: a repeated run (-count=2) finds the
+	// counter already raised, so assert the growth, not the value.
+	c := Default.Counter("expvar.test")
+	before := c.Value()
+	c.Add(7)
 	var s Snapshot
 	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
 		t.Fatalf("expvar payload not JSON: %v", err)
 	}
-	if s.Counters["expvar.test"] != 7 {
-		t.Fatalf("expvar snapshot missing counter: %+v", s.Counters)
+	if got := s.Counters["expvar.test"] - before; got != 7 {
+		t.Fatalf("expvar counter grew by %d, want 7: %+v", got, s.Counters)
 	}
 }
 
@@ -194,36 +198,5 @@ func TestConcurrentExactness(t *testing.T) {
 	}
 	if got := m.Histogram("lat").Count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
-	}
-}
-
-func BenchmarkCounterInc(b *testing.B) {
-	m := New()
-	c := m.Counter("bench")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	m := New()
-	h := m.Histogram("bench")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			h.Observe(time.Microsecond * 37)
-		}
-	})
-}
-
-func BenchmarkRegistryLookup(b *testing.B) {
-	m := New()
-	m.Counter("hot")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Counter("hot").Inc()
 	}
 }

@@ -1,4 +1,4 @@
-package bench_test
+package pems_test
 
 import (
 	"fmt"

@@ -20,5 +20,5 @@ export SOAK_DUMP
 echo "running overload soak (dump on failure: $SOAK_DUMP)..." >&2
 go test -race -count=1 -v \
 	-run '^(TestOverloadSoak|TestCrashDuringOverloadSIGKILL)$' \
-	./internal/bench/ ./internal/pems/
+	./internal/pems/
 echo "soak passed" >&2
