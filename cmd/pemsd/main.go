@@ -130,7 +130,7 @@ func main() {
 			if ref == "" {
 				continue
 			}
-			m := device.NewMessenger(ref, ref)
+			m := device.NewMessenger(ref)
 			if *outbox != "" {
 				m.SetOutboxFile(*outbox)
 			}

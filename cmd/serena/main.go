@@ -275,7 +275,7 @@ func loadDemoServices(p *pems.PEMS) error {
 		}
 	}
 	for _, m := range []string{"email", "jabber"} {
-		if err := p.Registry().Register(device.NewMessenger(m, m)); err != nil {
+		if err := p.Registry().Register(device.NewMessenger(m)); err != nil {
 			return err
 		}
 	}

@@ -29,7 +29,7 @@ EXTENDED RELATION contacts (
 ) USING BINDING PATTERNS ( sendMessage[messenger] ( address, text ) : ( sent ) );
 INSERT INTO contacts VALUES ("Carla", "carla@elysee.fr", email);`))
 
-	email := device.NewMessenger("email", "email")
+	email := device.NewMessenger("email")
 	must(p.Registry().Register(email))
 	sensors := map[string]*device.Sensor{}
 	for _, s := range []struct {

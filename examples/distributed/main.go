@@ -45,7 +45,7 @@ INSERT INTO contacts VALUES ("Carla", "carla@elysee.fr", email);`))
 	// Local ERM "gateway": the e-mail service.
 	nodeB := discovery.NewNode("gateway", bus)
 	must(nodeB.Registry().RegisterPrototype(device.SendMessageProto()))
-	email := device.NewMessenger("email", "email")
+	email := device.NewMessenger("email")
 	must(nodeB.Registry().Register(email))
 	must(nodeB.Start("127.0.0.1:0"))
 	defer nodeB.Stop()

@@ -48,8 +48,8 @@ func main() {
 
 	// Register the simulated devices (email/jabber gateways, cameras) with
 	// the core Environment Resource Manager.
-	email := device.NewMessenger("email", "email")
-	jabber := device.NewMessenger("jabber", "jabber")
+	email := device.NewMessenger("email")
+	jabber := device.NewMessenger("jabber")
 	if err := p.ExecuteDDL(environment[:findFirstRelation(environment)]); err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 	if err := p.ExecuteDDL(environment); err != nil {
 		log.Fatal(err)
 	}
-	email := device.NewMessenger("email", "email")
+	email := device.NewMessenger("email")
 	if err := p.Registry().Register(email); err != nil {
 		log.Fatal(err)
 	}

@@ -67,8 +67,8 @@ func main() {
 		sensors[s.ref] = d
 		must(p.Registry().Register(d))
 	}
-	email := device.NewMessenger("email", "email")
-	jabber := device.NewMessenger("jabber", "jabber")
+	email := device.NewMessenger("email")
+	jabber := device.NewMessenger("jabber")
 	must(p.Registry().Register(email))
 	must(p.Registry().Register(jabber))
 	for _, c := range []struct {

@@ -155,9 +155,6 @@ func NewDeltaSelect(in *schema.Extended, f Formula) (*DeltaSelect, error) {
 	return &DeltaSelect{sch: in, f: f}, nil
 }
 
-// Schema returns the (unchanged) output schema.
-func (s *DeltaSelect) Schema() *schema.Extended { return s.sch }
-
 // Reset implements the delta-operator contract (no state).
 func (s *DeltaSelect) Reset() {}
 
@@ -179,21 +176,15 @@ func (s *DeltaSelect) Apply(child Delta) (Delta, error) {
 
 // DeltaRename is the delta form of ρ: tuples are unchanged (only the schema
 // relabels), so deltas pass through.
-type DeltaRename struct {
-	out *schema.Extended
-}
+type DeltaRename struct{}
 
 // NewDeltaRename validates the renaming and returns the delta operator.
 func NewDeltaRename(in *schema.Extended, oldName, newName string) (*DeltaRename, error) {
-	out, err := schema.RenameSchema(in, oldName, newName)
-	if err != nil {
+	if _, err := schema.RenameSchema(in, oldName, newName); err != nil {
 		return nil, err
 	}
-	return &DeltaRename{out: out}, nil
+	return &DeltaRename{}, nil
 }
-
-// Schema returns the relabeled schema.
-func (r *DeltaRename) Schema() *schema.Extended { return r.out }
 
 // Reset implements the delta-operator contract (no state).
 func (r *DeltaRename) Reset() {}
@@ -205,7 +196,6 @@ func (r *DeltaRename) Apply(child Delta) (Delta, error) { return child, nil }
 // input to output tuple is injective (the input's real attributes are all
 // preserved), so deltas transform tuple-wise with no support counting.
 type DeltaAssign struct {
-	out  *schema.Extended
 	plan []realizeStep
 	gen  func(value.Tuple) value.Value
 }
@@ -216,7 +206,7 @@ func NewDeltaAssignConst(in *schema.Extended, attr string, v value.Value) (*Delt
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaAssign{out: out, plan: buildRealizePlan(in, out), gen: gen}, nil
+	return &DeltaAssign{plan: buildRealizePlan(in, out), gen: gen}, nil
 }
 
 // NewDeltaAssignAttr builds the delta form of α_{attr := src}.
@@ -225,11 +215,8 @@ func NewDeltaAssignAttr(in *schema.Extended, attr, src string) (*DeltaAssign, er
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaAssign{out: out, plan: buildRealizePlan(in, out), gen: gen}, nil
+	return &DeltaAssign{plan: buildRealizePlan(in, out), gen: gen}, nil
 }
-
-// Schema returns the output schema (attr realized).
-func (a *DeltaAssign) Schema() *schema.Extended { return a.out }
 
 // Reset implements the delta-operator contract (no state).
 func (a *DeltaAssign) Reset() {}
@@ -253,7 +240,6 @@ func (a *DeltaAssign) Apply(child Delta) (Delta, error) {
 // several input tuples may project to one output tuple, so an output
 // deletion is emitted only when its LAST supporting input disappears.
 type DeltaProject struct {
-	out     *schema.Extended
 	idx     []int
 	support map[string]int
 }
@@ -268,11 +254,8 @@ func NewDeltaProject(in *schema.Extended, names []string) (*DeltaProject, error)
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaProject{out: out, idx: idx, support: map[string]int{}}, nil
+	return &DeltaProject{idx: idx, support: map[string]int{}}, nil
 }
-
-// Schema returns the projected schema.
-func (p *DeltaProject) Schema() *schema.Extended { return p.out }
 
 // Reset clears the support counts.
 func (p *DeltaProject) Reset() { p.support = map[string]int{} }
@@ -330,9 +313,6 @@ func NewDeltaJoin(s1, s2 *schema.Extended) (*DeltaJoin, error) {
 		right: map[string]map[string]value.Tuple{},
 	}, nil
 }
-
-// Schema returns the joined schema.
-func (j *DeltaJoin) Schema() *schema.Extended { return j.plan.out }
 
 // Reset clears both hash indexes.
 func (j *DeltaJoin) Reset() {
@@ -414,7 +394,6 @@ func (j *DeltaJoin) Apply(dl, dr Delta) (Delta, error) {
 // transitions.
 type DeltaSetOp struct {
 	kind  int // 0 union, 1 intersect, 2 diff — mirrors query.SetOpKind order
-	sch   *schema.Extended
 	left  map[string]value.Tuple
 	right map[string]value.Tuple
 }
@@ -438,14 +417,10 @@ func NewDeltaSetOp(kind int, s1, s2 *schema.Extended) (*DeltaSetOp, error) {
 	}
 	return &DeltaSetOp{
 		kind:  kind,
-		sch:   s1,
 		left:  map[string]value.Tuple{},
 		right: map[string]value.Tuple{},
 	}, nil
 }
-
-// Schema returns the (shared) operand schema.
-func (s *DeltaSetOp) Schema() *schema.Extended { return s.sch }
 
 // Reset clears the side-membership sets.
 func (s *DeltaSetOp) Reset() {
@@ -528,7 +503,6 @@ func (s *DeltaSetOp) Apply(dl, dr Delta) (Delta, error) {
 // key-sorted member order — the same order the one-shot operator uses — so
 // floating-point results are bit-identical between the two evaluators.
 type DeltaAggregate struct {
-	out     *schema.Extended
 	groupBy []string
 	aggs    []AggSpec
 	keyIdx  []int
@@ -545,8 +519,7 @@ type deltaGroup struct {
 // NewDeltaAggregate resolves the aggregation and returns the delta
 // operator.
 func NewDeltaAggregate(in *schema.Extended, groupBy []string, aggs []AggSpec) (*DeltaAggregate, error) {
-	out, err := AggregateSchema(in, groupBy, aggs)
-	if err != nil {
+	if _, err := AggregateSchema(in, groupBy, aggs); err != nil {
 		return nil, err
 	}
 	keyIdx, err := in.RealIndexes(groupBy)
@@ -558,14 +531,11 @@ func NewDeltaAggregate(in *schema.Extended, groupBy []string, aggs []AggSpec) (*
 		return nil, err
 	}
 	return &DeltaAggregate{
-		out: out, groupBy: groupBy, aggs: aggs,
+		groupBy: groupBy, aggs: aggs,
 		keyIdx: keyIdx, aggIdx: aggIdx,
 		groups: map[string]*deltaGroup{},
 	}, nil
 }
-
-// Schema returns the aggregate result schema.
-func (a *DeltaAggregate) Schema() *schema.Extended { return a.out }
 
 // Reset clears all group accumulators.
 func (a *DeltaAggregate) Reset() { a.groups = map[string]*deltaGroup{} }

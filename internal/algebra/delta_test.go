@@ -85,9 +85,9 @@ func fold(t *testing.T, out map[string]value.Tuple, d algebra.Delta, seed int64,
 	}
 }
 
-func requireEqual(t *testing.T, sch *schema.Extended, out map[string]value.Tuple, want *algebra.XRelation, seed int64, step int) {
+func requireEqual(t *testing.T, out map[string]value.Tuple, want *algebra.XRelation, seed int64, step int) {
 	t.Helper()
-	got := algebra.FromKeyed(sch, out)
+	got := algebra.FromKeyed(want.Schema(), out)
 	if !got.EqualContents(want) {
 		t.Fatalf("seed %d step %d: delta-maintained output diverged\ngot:\n%s\nwant:\n%s",
 			seed, step, got.Table(), want.Table())
@@ -121,7 +121,6 @@ func genStaff(rng *rand.Rand) value.Tuple {
 // reference over random histories.
 func runUnary(t *testing.T, mk func() interface {
 	Apply(algebra.Delta) (algebra.Delta, error)
-	Schema() *schema.Extended
 }, oneShot func(*algebra.XRelation) (*algebra.XRelation, error)) {
 	t.Helper()
 	for seed := int64(0); seed < deltaSeeds; seed++ {
@@ -139,7 +138,7 @@ func runUnary(t *testing.T, mk func() interface {
 			if err != nil {
 				t.Fatalf("seed %d step %d: one-shot: %v", seed, step, err)
 			}
-			requireEqual(t, op.Schema(), out, want, seed, step)
+			requireEqual(t, out, want, seed, step)
 		}
 	}
 }
@@ -148,7 +147,6 @@ func TestDeltaSelectMatchesOneShot(t *testing.T) {
 	f := algebra.Compare(algebra.Attr("temperature"), algebra.Gt, algebra.Const(value.NewReal(6)))
 	runUnary(t, func() interface {
 		Apply(algebra.Delta) (algebra.Delta, error)
-		Schema() *schema.Extended
 	} {
 		op, err := algebra.NewDeltaSelect(paperenv.TemperaturesSchema(), f)
 		if err != nil {
@@ -165,7 +163,6 @@ func TestDeltaProjectMatchesOneShot(t *testing.T) {
 	// the support-counting case.
 	runUnary(t, func() interface {
 		Apply(algebra.Delta) (algebra.Delta, error)
-		Schema() *schema.Extended
 	} {
 		op, err := algebra.NewDeltaProject(paperenv.TemperaturesSchema(), []string{"location"})
 		if err != nil {
@@ -180,7 +177,6 @@ func TestDeltaProjectMatchesOneShot(t *testing.T) {
 func TestDeltaRenameMatchesOneShot(t *testing.T) {
 	runUnary(t, func() interface {
 		Apply(algebra.Delta) (algebra.Delta, error)
-		Schema() *schema.Extended
 	} {
 		op, err := algebra.NewDeltaRename(paperenv.TemperaturesSchema(), "location", "place")
 		if err != nil {
@@ -221,7 +217,7 @@ func TestDeltaAssignMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: one-shot: %v", seed, step, err)
 			}
-			requireEqual(t, op.Schema(), out, want, seed, step)
+			requireEqual(t, out, want, seed, step)
 		}
 	}
 }
@@ -246,7 +242,7 @@ func TestDeltaJoinMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: one-shot: %v", seed, step, err)
 			}
-			requireEqual(t, op.Schema(), out, want, seed, step)
+			requireEqual(t, out, want, seed, step)
 		}
 	}
 }
@@ -284,7 +280,7 @@ func TestDeltaSetOpsMatchOneShot(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d step %d: one-shot: %v", seed, step, err)
 					}
-					requireEqual(t, op.Schema(), out, want, seed, step)
+					requireEqual(t, out, want, seed, step)
 				}
 			}
 		})
@@ -302,7 +298,6 @@ func TestDeltaAggregateMatchesOneShot(t *testing.T) {
 	}
 	runUnary(t, func() interface {
 		Apply(algebra.Delta) (algebra.Delta, error)
-		Schema() *schema.Extended
 	} {
 		op, err := algebra.NewDeltaAggregate(paperenv.TemperaturesSchema(), groupBy, aggs)
 		if err != nil {
@@ -389,5 +384,5 @@ func TestDeltaOperatorsResetClearState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireEqual(t, op.Schema(), out, want, 42, 0)
+	requireEqual(t, out, want, 42, 0)
 }

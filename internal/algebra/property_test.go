@@ -39,18 +39,17 @@ var _ quick.Generator = genRelation{}
 func TestQuickPartitionInvariant(t *testing.T) {
 	check := func(r *algebra.XRelation) bool {
 		sch := r.Schema()
-		if len(sch.RealNames())+len(sch.VirtualNames()) != sch.Arity() {
+		nReal := 0
+		for _, a := range sch.Attrs() {
+			if sch.IsReal(a.Name) == a.Virtual || sch.IsVirtual(a.Name) != a.Virtual {
+				return false
+			}
+			if !a.Virtual {
+				nReal++
+			}
+		}
+		if nReal != len(sch.RealNames()) {
 			return false
-		}
-		for _, n := range sch.RealNames() {
-			if sch.IsVirtual(n) {
-				return false
-			}
-		}
-		for _, n := range sch.VirtualNames() {
-			if sch.IsReal(n) {
-				return false
-			}
 		}
 		for _, tu := range r.Tuples() {
 			if len(tu) != sch.RealArity() {

@@ -126,8 +126,8 @@ func TestMustNewPanics(t *testing.T) {
 
 func TestXRelationOverPlainSchema(t *testing.T) {
 	// Standard relations are a special case of X-Relations (Section 2.3).
-	rel := schema.FromRel("nums", schema.MustRel(
-		schema.Attribute{Name: "n", Type: value.Int}))
+	rel := schema.MustExtended("nums", []schema.ExtAttr{
+		{Attribute: schema.Attribute{Name: "n", Type: value.Int}}}, nil)
 	r := algebra.MustNew(rel, []value.Tuple{{value.NewInt(1)}, {value.NewInt(2)}})
 	if r.Len() != 2 || r.Schema().RealArity() != 1 {
 		t.Fatal("plain relation lifting broken")

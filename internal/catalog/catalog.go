@@ -10,9 +10,7 @@ import (
 	"strings"
 	"sync"
 
-	"serena/internal/algebra"
 	"serena/internal/ddl"
-	"serena/internal/query"
 	"serena/internal/resilience"
 	"serena/internal/schema"
 	"serena/internal/service"
@@ -20,27 +18,23 @@ import (
 	"serena/internal/value"
 )
 
-// ServiceFactory builds an implementation for a SERVICE … IMPLEMENTS …
-// declaration. The default factory produces inert stubs that return empty
-// relations; real environments register live services through the ERM
-// instead of DDL.
-type ServiceFactory func(ref string, protos []string) (service.Service, error)
-
-func stubFactory(ref string, protos []string) (service.Service, error) {
+// stubService implements a SERVICE … IMPLEMENTS … declaration as an inert
+// stub that returns empty relations; real environments register live
+// services through the ERM instead of DDL.
+func stubService(ref string, protos []string) service.Service {
 	impls := make(map[string]service.InvokeFunc, len(protos))
 	for _, p := range protos {
 		impls[p] = func(value.Tuple, service.Instant) ([]value.Tuple, error) { return nil, nil }
 	}
-	return service.NewFunc(ref, impls), nil
+	return service.NewFunc(ref, impls)
 }
 
 // Catalog is the table manager: named XD-Relations plus the prototype and
 // service declarations living in a registry. It is safe for concurrent use.
 type Catalog struct {
-	mu      sync.RWMutex
-	reg     *service.Registry
-	rels    map[string]*stream.XDRelation
-	factory ServiceFactory
+	mu   sync.RWMutex
+	reg  *service.Registry
+	rels map[string]*stream.XDRelation
 	// ddlServices remembers SERVICE … IMPLEMENTS … declarations (ref →
 	// prototype names) so a schema dump can re-declare them; code-registered
 	// services are not recorded — their owners re-register them on restart.
@@ -58,20 +52,9 @@ func New(reg *service.Registry) *Catalog {
 	return &Catalog{
 		reg:         reg,
 		rels:        make(map[string]*stream.XDRelation),
-		factory:     stubFactory,
 		ddlServices: make(map[string][]string),
 	}
 }
-
-// SetServiceFactory overrides how SERVICE declarations are materialized.
-func (c *Catalog) SetServiceFactory(f ServiceFactory) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.factory = f
-}
-
-// Registry returns the underlying service registry.
-func (c *Catalog) Registry() *service.Registry { return c.reg }
 
 // Relation resolves a dynamic relation by name.
 func (c *Catalog) Relation(name string) (*stream.XDRelation, error) {
@@ -108,14 +91,7 @@ func (c *Catalog) Execute(st ddl.Statement, at service.Instant) error {
 		return c.reg.RegisterPrototype(p)
 
 	case *ddl.CreateService:
-		c.mu.RLock()
-		factory := c.factory
-		c.mu.RUnlock()
-		svc, err := factory(t.Ref, t.Prototypes)
-		if err != nil {
-			return fmt.Errorf("catalog: service %s: %w", t.Ref, err)
-		}
-		if err := c.reg.Register(svc); err != nil {
+		if err := c.reg.Register(stubService(t.Ref, t.Prototypes)); err != nil {
 			return err
 		}
 		c.mu.Lock()
@@ -203,20 +179,6 @@ func (c *Catalog) Execute(st ddl.Statement, at service.Instant) error {
 	return fmt.Errorf("catalog: unsupported statement %T", st)
 }
 
-// ExecuteScript parses and executes a whole DDL script.
-func (c *Catalog) ExecuteScript(src string, at service.Instant) error {
-	stmts, err := ddl.Parse(src)
-	if err != nil {
-		return err
-	}
-	for i, st := range stmts {
-		if err := c.Execute(st, at); err != nil {
-			return fmt.Errorf("catalog: statement %d: %w", i+1, err)
-		}
-	}
-	return nil
-}
-
 func buildPrototype(t *ddl.CreatePrototype) (*schema.Prototype, error) {
 	toRel := func(ps []ddl.Param) (*schema.Rel, error) {
 		attrs := make([]schema.Attribute, len(ps))
@@ -293,32 +255,4 @@ func checkNames(kind string, names []string, rel *schema.Rel) error {
 		}
 	}
 	return nil
-}
-
-// Env returns a snapshot query.Environment over the catalog's relations at
-// the given instant, for one-shot query evaluation.
-func (c *Catalog) Env(at service.Instant) query.Environment {
-	return catalogEnv{c: c, at: at}
-}
-
-type catalogEnv struct {
-	c  *Catalog
-	at service.Instant
-}
-
-// Relation implements query.Environment. Infinite relations are exposed
-// with their retained history (useful for one-shot inspection);
-// continuous queries go through the executor's window semantics instead.
-func (e catalogEnv) Relation(name string) (*algebra.XRelation, error) {
-	x, err := e.c.Relation(name)
-	if err != nil {
-		return nil, err
-	}
-	var tuples []value.Tuple
-	if x.LastInstant() <= e.at {
-		tuples = x.Current()
-	} else {
-		tuples = x.At(e.at)
-	}
-	return algebra.New(x.Schema(), tuples)
 }

@@ -4,13 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"serena/internal/algebra"
 	"serena/internal/catalog"
 	"serena/internal/ddl"
 	"serena/internal/paperenv"
 	"serena/internal/query"
 	"serena/internal/sal"
 	"serena/internal/service"
-	"serena/internal/value"
 )
 
 // scenarioDDL declares the paper's environment (Tables 1+2 plus the data of
@@ -44,12 +44,27 @@ INSERT INTO cameras VALUES
   (camera01, "corridor"), (camera02, "office"), (webcam07, "roof");
 `
 
+// execScript parses a DDL script and executes its statements in order, as
+// a PEMS does.
+func execScript(c *catalog.Catalog, src string, at service.Instant) error {
+	stmts, err := ddl.Parse(src)
+	if err != nil {
+		return err
+	}
+	for _, st := range stmts {
+		if err := c.Execute(st, at); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func newCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	reg, _ := paperenv.MustRegistry() // live devices + prototypes
 	c := catalog.New(reg)
 	// Prototypes in the script are idempotent re-registrations.
-	if err := c.ExecuteScript(scenarioDDL, 0); err != nil {
+	if err := execScript(c, scenarioDDL, 0); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -88,14 +103,22 @@ func TestDDLQueriesEndToEnd(t *testing.T) {
 	// DDL-declared environment + SAL-parsed Q1 = the full declarative loop.
 	reg, dev := paperenv.MustRegistry()
 	c := catalog.New(reg)
-	if err := c.ExecuteScript(scenarioDDL, 0); err != nil {
+	if err := execScript(c, scenarioDDL, 0); err != nil {
 		t.Fatal(err)
 	}
 	q, err := sal.Parse(`invoke[sendMessage](assign[text := "Bonjour!"](select[name != "Carla"](contacts)))`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := query.Evaluate(q, c.Env(0), reg, 0)
+	contacts, err := c.Relation("contacts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := algebra.New(contacts.Schema(), contacts.Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := query.Evaluate(q, query.MapEnv{"contacts": rel}, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,21 +134,21 @@ func TestExplicitBPListValidation(t *testing.T) {
 	reg, _ := paperenv.MustRegistry()
 	c := catalog.New(reg)
 	// Wrong input list order vs prototype declaration.
-	err := c.ExecuteScript(`EXTENDED RELATION r (
+	err := execScript(c, `EXTENDED RELATION r (
 		a STRING, t STRING VIRTUAL, m SERVICE, s BOOLEAN VIRTUAL
 	) USING BINDING PATTERNS ( sendMessage[m] ( t, a ) : ( s ) );`, 0)
 	if err == nil {
 		t.Fatal("mismatched explicit BP list accepted")
 	}
 	// Wrong arity.
-	err = c.ExecuteScript(`EXTENDED RELATION r2 (
+	err = execScript(c, `EXTENDED RELATION r2 (
 		address STRING, text STRING VIRTUAL, m SERVICE, sent BOOLEAN VIRTUAL
 	) USING BINDING PATTERNS ( sendMessage[m] ( address ) : ( sent ) );`, 0)
 	if err == nil {
 		t.Fatal("wrong-arity explicit BP list accepted")
 	}
 	// Matching lists pass (attribute names must equal prototype names).
-	err = c.ExecuteScript(`EXTENDED RELATION r3 (
+	err = execScript(c, `EXTENDED RELATION r3 (
 		address STRING, text STRING VIRTUAL, m SERVICE, sent BOOLEAN VIRTUAL
 	) USING BINDING PATTERNS ( sendMessage[m] ( address, text ) : ( sent ) );`, 0)
 	if err != nil {
@@ -136,7 +159,7 @@ func TestExplicitBPListValidation(t *testing.T) {
 func TestUnknownPrototypeInBP(t *testing.T) {
 	reg := service.NewRegistry()
 	c := catalog.New(reg)
-	err := c.ExecuteScript(`EXTENDED RELATION r (
+	err := execScript(c, `EXTENDED RELATION r (
 		s SERVICE, x REAL VIRTUAL
 	) USING BINDING PATTERNS ( mystery[s] );`, 0)
 	if err == nil {
@@ -146,32 +169,32 @@ func TestUnknownPrototypeInBP(t *testing.T) {
 
 func TestInsertDeleteLifecycle(t *testing.T) {
 	c := newCatalog(t)
-	if err := c.ExecuteScript(`INSERT INTO contacts VALUES ("Zoe", "zoe@x", email);`, 1); err != nil {
+	if err := execScript(c, `INSERT INTO contacts VALUES ("Zoe", "zoe@x", email);`, 1); err != nil {
 		t.Fatal(err)
 	}
 	contacts, _ := c.Relation("contacts")
 	if len(contacts.Current()) != 4 {
 		t.Fatal("insert failed")
 	}
-	if err := c.ExecuteScript(`DELETE FROM contacts VALUES ("Zoe", "zoe@x", email);`, 2); err != nil {
+	if err := execScript(c, `DELETE FROM contacts VALUES ("Zoe", "zoe@x", email);`, 2); err != nil {
 		t.Fatal(err)
 	}
 	if len(contacts.Current()) != 3 {
 		t.Fatal("delete failed")
 	}
 	// Deleting a never-inserted row errors.
-	if err := c.ExecuteScript(`DELETE FROM contacts VALUES ("Ghost", "g@x", email);`, 3); err == nil {
+	if err := execScript(c, `DELETE FROM contacts VALUES ("Ghost", "g@x", email);`, 3); err == nil {
 		t.Fatal("deleting absent row accepted")
 	}
 	// Ill-typed insert errors.
-	if err := c.ExecuteScript(`INSERT INTO contacts VALUES (42, "x@y", email);`, 4); err == nil {
+	if err := execScript(c, `INSERT INTO contacts VALUES (42, "x@y", email);`, 4); err == nil {
 		t.Fatal("ill-typed insert accepted")
 	}
 	// Insert into stream works; delete from stream fails.
-	if err := c.ExecuteScript(`INSERT INTO temperatures VALUES (sensor01, "corridor", 20.5);`, 5); err != nil {
+	if err := execScript(c, `INSERT INTO temperatures VALUES (sensor01, "corridor", 20.5);`, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ExecuteScript(`DELETE FROM temperatures VALUES (sensor01, "corridor", 20.5);`, 6); err == nil {
+	if err := execScript(c, `DELETE FROM temperatures VALUES (sensor01, "corridor", 20.5);`, 6); err == nil {
 		t.Fatal("stream delete accepted")
 	}
 }
@@ -196,7 +219,7 @@ func TestDropRelation(t *testing.T) {
 
 func TestDuplicateRelation(t *testing.T) {
 	c := newCatalog(t)
-	err := c.ExecuteScript(`EXTENDED RELATION contacts ( x STRING );`, 0)
+	err := execScript(c, `EXTENDED RELATION contacts ( x STRING );`, 0)
 	if err == nil {
 		t.Fatal("duplicate relation accepted")
 	}
@@ -209,7 +232,7 @@ func TestServiceFactoryStub(t *testing.T) {
 PROTOTYPE ping( ) : ( pong BOOLEAN );
 SERVICE stub01 IMPLEMENTS ping;
 `
-	if err := c.ExecuteScript(script, 0); err != nil {
+	if err := execScript(c, script, 0); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := reg.Invoke("ping", "stub01", nil, 0)
@@ -218,43 +241,23 @@ SERVICE stub01 IMPLEMENTS ping;
 	}
 }
 
-func TestCustomServiceFactory(t *testing.T) {
-	reg := service.NewRegistry()
-	c := catalog.New(reg)
-	c.SetServiceFactory(func(ref string, protos []string) (service.Service, error) {
-		impls := map[string]service.InvokeFunc{}
-		for _, p := range protos {
-			impls[p] = func(value.Tuple, service.Instant) ([]value.Tuple, error) {
-				return []value.Tuple{{value.NewBool(true)}}, nil
-			}
-		}
-		return service.NewFunc(ref, impls), nil
-	})
-	if err := c.ExecuteScript(`PROTOTYPE ping( ) : ( pong BOOLEAN ); SERVICE s IMPLEMENTS ping;`, 0); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := reg.Invoke("ping", "s", nil, 0)
-	if err != nil || len(rows) != 1 || !rows[0][0].Bool() {
-		t.Fatalf("custom factory service broken: %v %v", rows, err)
-	}
-}
-
 func TestCatalogEnvSnapshot(t *testing.T) {
 	c := newCatalog(t)
-	_ = c.ExecuteScript(`INSERT INTO contacts VALUES ("Zoe", "zoe@x", email);`, 10)
-	// Snapshot at instant 5 must not see Zoe.
-	r5, err := c.Env(5).Relation("contacts")
+	if err := execScript(c, `INSERT INTO contacts VALUES ("Zoe", "zoe@x", email);`, 10); err != nil {
+		t.Fatal(err)
+	}
+	contacts, err := c.Relation("contacts")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r5.Len() != 3 {
-		t.Fatalf("Env(5) sees %d rows, want 3", r5.Len())
+	// The relation at instant 5 must not see Zoe.
+	if n := len(contacts.At(5)); n != 3 {
+		t.Fatalf("contacts at 5 has %d rows, want 3", n)
 	}
-	r10, _ := c.Env(10).Relation("contacts")
-	if r10.Len() != 4 {
-		t.Fatalf("Env(10) sees %d rows, want 4", r10.Len())
+	if n := len(contacts.At(10)); n != 4 {
+		t.Fatalf("contacts at 10 has %d rows, want 4", n)
 	}
-	if _, err := c.Env(0).Relation("ghost"); err == nil {
+	if _, err := c.Relation("ghost"); err == nil {
 		t.Fatal("unknown relation accepted")
 	}
 }
@@ -263,12 +266,12 @@ func TestURSAEnforcement(t *testing.T) {
 	c := newCatalog(t)
 	// 'name' is STRING in contacts; declaring it INTEGER elsewhere violates
 	// URSA (Section 2.3.2).
-	err := c.ExecuteScript(`EXTENDED RELATION badges ( name INTEGER, badge STRING );`, 0)
+	err := execScript(c, `EXTENDED RELATION badges ( name INTEGER, badge STRING );`, 0)
 	if err == nil || !strings.Contains(err.Error(), "URSA") {
 		t.Fatalf("URSA violation accepted: %v", err)
 	}
 	// Same name with the same type is fine.
-	if err := c.ExecuteScript(`EXTENDED RELATION badges ( name STRING, badge STRING );`, 0); err != nil {
+	if err := execScript(c, `EXTENDED RELATION badges ( name STRING, badge STRING );`, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -276,7 +279,7 @@ func TestURSAEnforcement(t *testing.T) {
 func TestSysPrefixReservedForRelations(t *testing.T) {
 	reg := service.NewRegistry()
 	c := catalog.New(reg)
-	err := c.ExecuteScript(`EXTENDED RELATION sys$mine ( n INTEGER );`, 0)
+	err := execScript(c, `EXTENDED RELATION sys$mine ( n INTEGER );`, 0)
 	if err == nil || !strings.Contains(err.Error(), "reserved") {
 		t.Fatalf("creating a sys$ relation must be rejected, got %v", err)
 	}

@@ -15,7 +15,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	c := newCatalog(t)
 	// Add some tricky values: a REAL without a decimal point, a NULL, a
 	// non-identifier service ref, a blob.
-	if err := c.ExecuteScript(`
+	if err := execScript(c, `
 		EXTENDED RELATION extra (
 		  n INTEGER, r REAL, flag BOOLEAN, note STRING, svc SERVICE, data BLOB
 		);`, 0); err != nil {
@@ -43,7 +43,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	// Restore into a fresh catalog (same live services).
 	reg2, _ := paperenv.MustRegistry()
 	c2 := catalog.New(reg2)
-	if err := c2.ExecuteScript(dump, 0); err != nil {
+	if err := execScript(c2, dump, 0); err != nil {
 		t.Fatalf("restoring dump failed: %v\n%s", err, dump)
 	}
 	if got, want := strings.Join(c2.Names(), ","), strings.Join(c.Names(), ","); got != want {
@@ -89,7 +89,7 @@ func TestDumpRoundTrip(t *testing.T) {
 // bytes, quotes, backslashes).
 func TestDumpRoundTripActiveAndControlChars(t *testing.T) {
 	c := newCatalog(t)
-	if err := c.ExecuteScript(`EXTENDED RELATION weird ( note STRING );`, 0); err != nil {
+	if err := execScript(c, `EXTENDED RELATION weird ( note STRING );`, 0); err != nil {
 		t.Fatal(err)
 	}
 	weird, _ := c.Relation("weird")
@@ -106,7 +106,7 @@ func TestDumpRoundTripActiveAndControlChars(t *testing.T) {
 	// their active flags, service stubs — must come from the dump text.
 	reg2 := service.NewRegistry()
 	c2 := catalog.New(reg2)
-	if err := c2.ExecuteScript(dump, 0); err != nil {
+	if err := execScript(c2, dump, 0); err != nil {
 		t.Fatalf("restoring dump into empty registry failed: %v\n%s", err, dump)
 	}
 	send, err := reg2.Prototype("sendMessage")
@@ -140,7 +140,7 @@ func TestDumpRoundTripActiveAndControlChars(t *testing.T) {
 // restore, so WAL replay and checkpoints rebuild the ingest bound.
 func TestDumpRoundTripOverloadPolicy(t *testing.T) {
 	c := newCatalog(t)
-	if err := c.ExecuteScript(`
+	if err := execScript(c, `
 		EXTENDED STREAM firehose ( src SERVICE, v REAL )
 		ON OVERLOAD SHED_NEWEST CAPACITY 32;`, 0); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestDumpRoundTripOverloadPolicy(t *testing.T) {
 	}
 	reg2, _ := paperenv.MustRegistry()
 	c2 := catalog.New(reg2)
-	if err := c2.ExecuteScript(dump, 0); err != nil {
+	if err := execScript(c2, dump, 0); err != nil {
 		t.Fatalf("restoring dump failed: %v\n%s", err, dump)
 	}
 	x, err := c2.Relation("firehose")

@@ -241,7 +241,7 @@ func keysEqual(a, b []string) bool {
 func remakeService(ref string) service.Service {
 	switch ref {
 	case "email":
-		return device.NewMessenger("email", "email")
+		return device.NewMessenger("email")
 	case "camera01":
 		return device.NewCamera("camera01", "corridor", 8, 0.2)
 	case "sensor07":
@@ -436,7 +436,7 @@ func runDifferential(t *testing.T, seed int64, ticks int) {
 				fail(tick, "query %s: action sets diverged (Definition 8)\ndelta: %s\nnaive: %s",
 					name, qd.Actions(), qn.Actions())
 			}
-			if qd.Infinite() {
+			if qd.Output().Infinite() {
 				if gd, gn := qd.Output().EventCount(), qn.Output().EventCount(); gd != gn {
 					fail(tick, "query %s: output stream grew differently: %d vs %d", name, gd, gn)
 				}

@@ -303,10 +303,6 @@ func (q *Query) Name() string { return q.name }
 // Plan returns the registered plan.
 func (q *Query) Plan() query.Node { return q.plan }
 
-// Infinite reports whether the result is an infinite XD-Relation (the root
-// operator is a streaming operator, like the paper's Q4).
-func (q *Query) Infinite() bool { return q.infinite }
-
 // Output returns the result XD-Relation, fed with the query's deltas.
 func (q *Query) Output() *stream.XDRelation { return q.out }
 
@@ -318,11 +314,6 @@ func (q *Query) Into() string { return q.into }
 // instants (0 = none configured; the output then falls back to
 // DefaultDerivedRetention).
 func (q *Query) Retain() service.Instant { return q.retain }
-
-// IsMaterialized reports whether the query materializes its output into a
-// named derived relation (INTO): such outputs are WAL-logged and
-// checkpointed like base relations instead of being recomputed on replay.
-func (q *Query) IsMaterialized() bool { return q.into != "" }
 
 // OutName returns the name the query's output relation is registered
 // under: the INTO target when set, the query name otherwise.
@@ -431,18 +422,14 @@ type RegisterOptions struct {
 	Degradation resilience.DegradationPolicy
 }
 
-// Register adds a continuous query under a unique name. The plan is
+// RegisterWith adds a continuous query under a unique name. The plan is
 // validated: schemas must derive, and every base reference to an infinite
 // XD-Relation must appear directly under a Window operator (an unwindowed
-// stream has no finite instantaneous relation).
-func (e *Executor) Register(name string, plan query.Node) (*Query, error) {
-	return e.RegisterWith(name, plan, RegisterOptions{})
-}
-
-// RegisterWith is Register plus the ON ERROR/INTO/RETAIN clauses: the
-// query degrades under opts.Degradation from its first evaluation on, and
-// its output relation is registered under opts.Into, WAL-logged and
-// checkpointed like a base relation, and trimmed to opts.Retain instants.
+// stream has no finite instantaneous relation). The options carry the ON
+// ERROR/INTO/RETAIN clauses: the query degrades under opts.Degradation from
+// its first evaluation on, and its output relation is registered under
+// opts.Into, WAL-logged and checkpointed like a base relation, and trimmed
+// to opts.Retain instants.
 func (e *Executor) RegisterWith(name string, plan query.Node, opts RegisterOptions) (*Query, error) {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()

@@ -152,7 +152,7 @@ func TestQ4PhotoStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.Infinite() {
+	if !q.Output().Infinite() {
 		t.Fatal("Q4's result must be an infinite XD-Relation (root is S[insertion])")
 	}
 	// Cool sensor22 (roof, base 15) by −5 over [3,4] → 10 °C < 12.

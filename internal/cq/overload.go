@@ -71,11 +71,6 @@ func (q *Query) Coalesced() int64 {
 	return q.coalesced
 }
 
-// HasActive reports whether the query's plan contains an active β — such a
-// query (and everything upstream of it) is exempt from every shedding
-// mechanism.
-func (q *Query) HasActive() bool { return q.hasActive }
-
 func (q *Query) noteCoalesced() {
 	q.mu.Lock()
 	q.coalesced++

@@ -271,18 +271,6 @@ func (t *Telemetry) SetPeerSource(fn func() []PeerReport) {
 	t.mu.Unlock()
 }
 
-// MetricsRelation returns sys$metrics.
-func (t *Telemetry) MetricsRelation() *stream.XDRelation { return t.metricsRel }
-
-// HealthRelation returns sys$health.
-func (t *Telemetry) HealthRelation() *stream.XDRelation { return t.healthRel }
-
-// StreamsRelation returns sys$streams.
-func (t *Telemetry) StreamsRelation() *stream.XDRelation { return t.streamsRel }
-
-// PeersRelation returns sys$peers.
-func (t *Telemetry) PeersRelation() *stream.XDRelation { return t.peersRel }
-
 // HealthSnapshot is a point-in-time copy of every health assessment.
 type HealthSnapshot struct {
 	At      service.Instant // instant of the last scrape

@@ -21,6 +21,16 @@ import (
 // telemetryEnv is a minimal executor with self-telemetry enabled FIRST, so
 // the scraper source runs ahead of any feed source (the production wiring:
 // EnableSelfTelemetry is called before streams are attached to sources).
+// rel returns the executor's relation name, which must exist.
+func (e *telemetryEnv) rel(t *testing.T, name string) *stream.XDRelation {
+	t.Helper()
+	x, ok := e.exec.Relation(name)
+	if !ok {
+		t.Fatalf("relation %s not registered", name)
+	}
+	return x
+}
+
 type telemetryEnv struct {
 	exec  *cq.Executor
 	reg   *service.Registry
@@ -98,9 +108,6 @@ func TestTelemetryRelationsRegistered(t *testing.T) {
 			t.Fatalf("relation %s must be ephemeral (never WAL-logged)", name)
 		}
 	}
-	if env.tel.MetricsRelation() == nil || env.tel.HealthRelation() == nil || env.tel.StreamsRelation() == nil {
-		t.Fatal("relation accessors returned nil")
-	}
 	if env.exec.Telemetry() != env.tel {
 		t.Fatal("Executor.Telemetry() did not return the enabled subsystem")
 	}
@@ -130,7 +137,7 @@ func TestSysMetricsRowsAndDeltas(t *testing.T) {
 
 	find := func(at service.Instant) (val, delta float64) {
 		t.Helper()
-		for _, tu := range env.tel.MetricsRelation().InsertedIn(at-1, at) { // (from, to]
+		for _, tu := range env.rel(t, cq.SysMetrics).InsertedIn(at-1, at) { // (from, to]
 			if tu[0].Str() == "test.widgets" {
 				if k := tu[1].Str(); k != "counter" {
 					t.Fatalf("kind = %q, want counter", k)
@@ -191,7 +198,7 @@ func TestSysMetricsRetention(t *testing.T) {
 	}
 	// One metric row per scrape; with retention 2 the trimmer keeps only
 	// the last few instants' events, not all 12.
-	if n := env.tel.MetricsRelation().EventCount(); n > 4 {
+	if n := env.rel(t, cq.SysMetrics).EventCount(); n > 4 {
 		t.Fatalf("sys$metrics holds %d events after 12 ticks with retention 2", n)
 	}
 }
@@ -242,7 +249,7 @@ func TestQueryHealthDegradedOnInvokeErrors(t *testing.T) {
 
 	// Edge-triggered: OK insert, OK→DEGRADED (delete+insert), DEGRADED→OK
 	// (delete+insert) — exactly 5 events despite 4 scrapes.
-	if n := env.tel.HealthRelation().EventCount(); n != 5 {
+	if n := env.rel(t, cq.SysHealth).EventCount(); n != 5 {
 		t.Fatalf("sys$health events = %d, want 5 (edge-triggered reconciliation)", n)
 	}
 }
@@ -469,14 +476,14 @@ func TestUnregisterRetractsHealthTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.tick(t)
-	if n := len(env.tel.HealthRelation().Current()); n != 1 {
+	if n := len(env.rel(t, cq.SysHealth).Current()); n != 1 {
 		t.Fatalf("sys$health holds %d tuples, want 1", n)
 	}
 	if err := env.exec.Unregister("w"); err != nil {
 		t.Fatal(err)
 	}
 	env.tick(t)
-	if n := len(env.tel.HealthRelation().Current()); n != 0 {
+	if n := len(env.rel(t, cq.SysHealth).Current()); n != 0 {
 		t.Fatalf("sys$health holds %d tuples after unregister, want 0", n)
 	}
 	if len(env.tel.Health().Queries) != 0 {
@@ -495,7 +502,7 @@ func TestScrapeInterval(t *testing.T) {
 		env.tick(t)
 	}
 	rows := 0
-	for _, tu := range env.tel.MetricsRelation().InsertedIn(-1, 5) {
+	for _, tu := range env.rel(t, cq.SysMetrics).InsertedIn(-1, 5) {
 		if tu[0].Str() == "test.widgets" {
 			rows++
 		}

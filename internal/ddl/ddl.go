@@ -180,18 +180,6 @@ func Parse(src string) ([]Statement, error) {
 	}
 }
 
-// ParseOne parses exactly one statement.
-func ParseOne(src string) (Statement, error) {
-	sts, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(sts) != 1 {
-		return nil, fmt.Errorf("ddl: expected exactly one statement, got %d", len(sts))
-	}
-	return sts[0], nil
-}
-
 type parser struct{ lx *lexer.Lexer }
 
 func (p *parser) errf(tok lexer.Token, format string, args ...any) error {

@@ -1,6 +1,7 @@
 package ddl_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -49,6 +50,18 @@ USING BINDING PATTERNS (
   takePhoto[camera] ( area, quality ) : ( photo )
 );
 `
+
+// parseOne parses exactly one statement.
+func parseOne(src string) (ddl.Statement, error) {
+	sts, err := ddl.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(sts) != 1 {
+		return nil, fmt.Errorf("ddl: expected exactly one statement, got %d", len(sts))
+	}
+	return sts[0], nil
+}
 
 func TestTable1DDL(t *testing.T) {
 	sts, err := ddl.Parse(table1)
@@ -126,7 +139,7 @@ func TestTable2DDL(t *testing.T) {
 }
 
 func TestStreamDDL(t *testing.T) {
-	st, err := ddl.ParseOne(`EXTENDED STREAM temperatures (
+	st, err := parseOne(`EXTENDED STREAM temperatures (
 		sensor SERVICE, location STRING, temperature REAL );`)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +149,7 @@ func TestStreamDDL(t *testing.T) {
 		t.Fatalf("stream = %+v", rel)
 	}
 	// Short form: STREAM also accepted.
-	st2, err := ddl.ParseOne(`STREAM t2 ( x INTEGER );`)
+	st2, err := parseOne(`STREAM t2 ( x INTEGER );`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +159,7 @@ func TestStreamDDL(t *testing.T) {
 }
 
 func TestBPWithoutExplicitParams(t *testing.T) {
-	st, err := ddl.ParseOne(`EXTENDED RELATION sensors (
+	st, err := parseOne(`EXTENDED RELATION sensors (
 		sensor SERVICE, location STRING, temperature REAL VIRTUAL )
 		USING BINDING PATTERNS ( getTemperature[sensor] );`)
 	if err != nil {
@@ -159,7 +172,7 @@ func TestBPWithoutExplicitParams(t *testing.T) {
 }
 
 func TestInsertDelete(t *testing.T) {
-	st, err := ddl.ParseOne(`INSERT INTO contacts VALUES
+	st, err := parseOne(`INSERT INTO contacts VALUES
 		("Nicolas", "nicolas@elysee.fr", email),
 		("Carla", "carla@elysee.fr", email);`)
 	if err != nil {
@@ -175,7 +188,7 @@ func TestInsertDelete(t *testing.T) {
 	if ins.Rows[0][2].Kind() != value.Service || ins.Rows[0][2].ServiceRef() != "email" {
 		t.Fatalf("bare identifier should parse as service ref: %v", ins.Rows[0][2])
 	}
-	st2, err := ddl.ParseOne(`DELETE FROM contacts VALUES ("Carla", "carla@elysee.fr", email);`)
+	st2, err := parseOne(`DELETE FROM contacts VALUES ("Carla", "carla@elysee.fr", email);`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +199,7 @@ func TestInsertDelete(t *testing.T) {
 }
 
 func TestLiteralKinds(t *testing.T) {
-	st, err := ddl.ParseOne(`INSERT INTO r VALUES (42, -3.5, true, FALSE, null, *, "str");`)
+	st, err := parseOne(`INSERT INTO r VALUES (42, -3.5, true, FALSE, null, *, "str");`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +213,7 @@ func TestLiteralKinds(t *testing.T) {
 }
 
 func TestDrop(t *testing.T) {
-	st, err := ddl.ParseOne(`DROP RELATION contacts;`)
+	st, err := parseOne(`DROP RELATION contacts;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +235,10 @@ func TestParseErrors(t *testing.T) {
 		`INSERT INTO contacts (1);`,                         // missing VALUES
 		`DROP t;`,                                           // missing RELATION
 		`FROBNICATE;`,                                       // unknown statement
-		``,                                                  // caught by ParseOne
+		``,                                                  // caught by parseOne
 	}
 	for _, src := range bad {
-		if _, err := ddl.ParseOne(src); err == nil {
+		if _, err := parseOne(src); err == nil {
 			t.Errorf("accepted invalid DDL: %s", src)
 		}
 	}
@@ -249,7 +262,7 @@ func TestCommentsInDDL(t *testing.T) {
 }
 
 func TestRegisterQueryStatement(t *testing.T) {
-	st, err := ddl.ParseOne(`REGISTER QUERY alerts AS
+	st, err := parseOne(`REGISTER QUERY alerts AS
 		invoke[sendMessage](assign[text := "Hot!"](select[name != "Carla"](contacts)));`)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +278,7 @@ func TestRegisterQueryStatement(t *testing.T) {
 		}
 	}
 	// SQL body.
-	st2, err := ddl.ParseOne(`REGISTER QUERY means AS
+	st2, err := parseOne(`REGISTER QUERY means AS
 		SELECT location, mean(temperature) AS avg FROM temperatures[5] GROUP BY location;`)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +287,7 @@ func TestRegisterQueryStatement(t *testing.T) {
 		t.Fatalf("SQL source = %q", src)
 	}
 	// Unregister.
-	st3, err := ddl.ParseOne(`UNREGISTER QUERY alerts;`)
+	st3, err := parseOne(`UNREGISTER QUERY alerts;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +301,7 @@ func TestRegisterQueryStatement(t *testing.T) {
 		`REGISTER x AS r;`,
 		`UNREGISTER QUERY;`,
 	} {
-		if _, err := ddl.ParseOne(src); err == nil {
+		if _, err := parseOne(src); err == nil {
 			t.Errorf("accepted: %s", src)
 		}
 	}
@@ -304,7 +317,7 @@ func TestRegisterQueryOnError(t *testing.T) {
 		{`REGISTER QUERY q ON ERROR skip AS select[true](r);`, "SKIP"},
 		{`REGISTER QUERY q ON ERROR NULL AS select[true](r);`, "NULL"},
 	} {
-		st, err := ddl.ParseOne(tc.src)
+		st, err := parseOne(tc.src)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
@@ -321,7 +334,7 @@ func TestRegisterQueryOnError(t *testing.T) {
 		`REGISTER QUERY q ON ERROR RETRY AS select[true](r);`,
 		`REGISTER QUERY q ON FAIL AS select[true](r);`,
 	} {
-		if _, err := ddl.ParseOne(src); err == nil {
+		if _, err := parseOne(src); err == nil {
 			t.Errorf("accepted: %s", src)
 		}
 	}
@@ -340,7 +353,7 @@ func TestRegisterQueryInto(t *testing.T) {
 		{`REGISTER QUERY q ON ERROR SKIP INTO hot RETAIN 1 INSTANTS AS select[true](r);`, "hot", 1, "SKIP"},
 		{`REGISTER QUERY q into Hot retain 7 instants AS select[true](r);`, "Hot", 7, ""},
 	} {
-		st, err := ddl.ParseOne(tc.src)
+		st, err := parseOne(tc.src)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
@@ -362,7 +375,7 @@ func TestRegisterQueryInto(t *testing.T) {
 		`REGISTER QUERY q INTO hot RETAIN 5 AS select[true](r);`, // missing INSTANTS
 		`REGISTER QUERY q RETAIN 5 INSTANTS AS select[true](r);`, // RETAIN without INTO
 	} {
-		if _, err := ddl.ParseOne(src); err == nil {
+		if _, err := parseOne(src); err == nil {
 			t.Errorf("accepted: %s", src)
 		}
 	}
@@ -370,7 +383,7 @@ func TestRegisterQueryInto(t *testing.T) {
 
 func TestOnOverloadClause(t *testing.T) {
 	// Bare form, no binding patterns.
-	st, err := ddl.ParseOne(`EXTENDED STREAM readings (
+	st, err := parseOne(`EXTENDED STREAM readings (
 		sensor SERVICE, v REAL ) ON OVERLOAD SHED_OLDEST CAPACITY 64;`)
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +393,7 @@ func TestOnOverloadClause(t *testing.T) {
 		t.Fatalf("overload = %q capacity = %d", rel.OnOverload, rel.Capacity)
 	}
 	// After a binding-pattern list, capacity omitted.
-	st, err = ddl.ParseOne(`EXTENDED RELATION sensors (
+	st, err = parseOne(`EXTENDED RELATION sensors (
 		sensor SERVICE, temperature REAL VIRTUAL )
 		USING BINDING PATTERNS ( getTemperature[sensor] )
 		ON OVERLOAD block;`)
@@ -392,14 +405,14 @@ func TestOnOverloadClause(t *testing.T) {
 		t.Fatalf("rel = %+v", rel)
 	}
 	// Unknown policy and bad capacity are rejected.
-	if _, err := ddl.ParseOne(`STREAM s ( x INTEGER ) ON OVERLOAD whatever;`); err == nil {
+	if _, err := parseOne(`STREAM s ( x INTEGER ) ON OVERLOAD whatever;`); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := ddl.ParseOne(`STREAM s ( x INTEGER ) ON OVERLOAD BLOCK CAPACITY 0;`); err == nil {
+	if _, err := parseOne(`STREAM s ( x INTEGER ) ON OVERLOAD BLOCK CAPACITY 0;`); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 	// Statements without the clause still parse.
-	if _, err := ddl.ParseOne(`STREAM s ( x INTEGER );`); err != nil {
+	if _, err := parseOne(`STREAM s ( x INTEGER );`); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -230,9 +230,6 @@ func NewCamera(ref, area string, quality int64, delay float64) *Camera {
 // Ref implements service.Service.
 func (c *Camera) Ref() string { return c.ref }
 
-// Area returns the area the camera covers.
-func (c *Camera) Area() string { return c.area }
-
 // PrototypeNames implements service.Service.
 func (c *Camera) PrototypeNames() []string { return []string{"checkPhoto", "takePhoto"} }
 
@@ -328,41 +325,29 @@ type Delivery struct {
 // gateway). All accepted messages are appended to an outbox so tests can
 // assert on the exact physical effects of active invocations.
 type Messenger struct {
-	ref  string
-	kind string
+	ref string
 
 	mu         sync.Mutex
 	outbox     []Delivery
 	outboxFile string
-	failAddr   map[string]bool
 	errAddr    map[string]bool
 	latency    time.Duration
 }
 
-// NewMessenger builds a messenger gateway of the given kind
+// NewMessenger builds a messenger gateway; its reference names its kind
 // ("email", "jabber", "sms", …).
-func NewMessenger(ref, kind string) *Messenger {
-	return &Messenger{ref: ref, kind: kind, failAddr: map[string]bool{}, errAddr: map[string]bool{}}
+func NewMessenger(ref string) *Messenger {
+	return &Messenger{ref: ref, errAddr: map[string]bool{}}
 }
 
 // Ref implements service.Service.
 func (m *Messenger) Ref() string { return m.ref }
-
-// Kind returns the gateway kind.
-func (m *Messenger) Kind() string { return m.kind }
 
 // PrototypeNames implements service.Service.
 func (m *Messenger) PrototypeNames() []string { return []string{"sendMessage"} }
 
 // Implements implements service.Service.
 func (m *Messenger) Implements(p string) bool { return p == "sendMessage" }
-
-// FailFor makes deliveries to an address report sent=false (soft failure).
-func (m *Messenger) FailFor(address string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.failAddr[address] = true
-}
 
 // ErrorFor makes deliveries to an address return an invocation error
 // (network-level failure).
@@ -400,13 +385,6 @@ func (m *Messenger) Outbox() []Delivery {
 	return out
 }
 
-// Reset clears the outbox.
-func (m *Messenger) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.outbox = nil
-}
-
 // Invoke implements service.Service. The injected latency follows the
 // delivery and ends early, with ctx's error, when ctx is done.
 func (m *Messenger) Invoke(ctx context.Context, proto string, input value.Tuple, at service.Instant) ([]value.Tuple, error) {
@@ -419,10 +397,6 @@ func (m *Messenger) Invoke(ctx context.Context, proto string, input value.Tuple,
 	if m.errAddr[address] {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("device: %s: cannot reach %s", m.ref, address)
-	}
-	if m.failAddr[address] {
-		m.mu.Unlock()
-		return []value.Tuple{{value.NewBool(false)}}, nil
 	}
 	m.outbox = append(m.outbox, Delivery{At: at, Address: address, Text: text})
 	file := m.outboxFile

@@ -54,9 +54,6 @@ func NewFeed(ref, name string, period service.Instant, topics []string) *Feed {
 // Ref implements service.Service.
 func (f *Feed) Ref() string { return f.ref }
 
-// Name returns the feed's display name.
-func (f *Feed) Name() string { return f.name }
-
 // PrototypeNames implements service.Service.
 func (f *Feed) PrototypeNames() []string { return []string{"getItems"} }
 

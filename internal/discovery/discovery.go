@@ -117,9 +117,6 @@ func NewNode(name string, bus Bus) *Node {
 // register device services here).
 func (n *Node) Registry() *service.Registry { return n.local }
 
-// Name returns the node name.
-func (n *Node) Name() string { return n.name }
-
 // Addr returns the bound wire address (after Start).
 func (n *Node) Addr() string { return n.addr }
 
@@ -155,7 +152,6 @@ func (n *Node) Stop() error {
 type Manager struct {
 	central *service.Registry
 	bus     Bus
-	timeout time.Duration
 	lease   time.Duration
 
 	mu     sync.Mutex
@@ -201,13 +197,12 @@ type PeerInfo struct {
 	Since    time.Time // when the peer entered its current state
 }
 
+// dialTimeout bounds the manager's wire dial to an announced node and the
+// bus's dial and send to a joined peer.
+const dialTimeout = 2 * time.Second
+
 // Option configures a Manager.
 type Option func(*Manager)
-
-// WithDialTimeout sets the wire dial/IO timeout (default 2s).
-func WithDialTimeout(d time.Duration) Option {
-	return func(m *Manager) { m.timeout = d }
-}
 
 // WithLease sets how long a node stays registered without re-announcing
 // (default 30s; 0 disables expiry).
@@ -221,7 +216,6 @@ func NewManager(central *service.Registry, bus Bus, opts ...Option) *Manager {
 	m := &Manager{
 		central: central,
 		bus:     bus,
-		timeout: 2 * time.Second,
 		lease:   30 * time.Second,
 		nodes:   make(map[string]*nodeState),
 		downs:   make(map[string]*peerDown),
@@ -328,7 +322,7 @@ func (m *Manager) handleAlive(a Announcement) error {
 	if known {
 		m.removeNode(a.Node, "") // node moved address
 	}
-	client, err := wire.Dial(a.Addr, m.timeout)
+	client, err := wire.Dial(a.Addr, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -377,40 +371,6 @@ func (m *Manager) removeNode(name, reason string) {
 		_ = m.central.UnregisterProvider(name, ref)
 	}
 	_ = st.client.Close()
-}
-
-// Refresh rediscovers a known node's service list (e.g. after it gained a
-// new device). It re-describes and registers any new services.
-func (m *Manager) Refresh(nodeName string) error {
-	m.mu.Lock()
-	st, ok := m.nodes[nodeName]
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("discovery: unknown node %q", nodeName)
-	}
-	_, infos, err := st.client.Describe()
-	if err != nil {
-		return err
-	}
-	have := map[string]bool{}
-	m.mu.Lock()
-	for _, ref := range st.refs {
-		have[ref] = true
-	}
-	m.mu.Unlock()
-	for _, info := range infos {
-		if have[info.Ref] {
-			continue
-		}
-		proxy := wire.NewRemote(st.client, info)
-		if err := m.central.RegisterProvider(nodeName, proxy); err != nil {
-			continue
-		}
-		m.mu.Lock()
-		st.refs = append(st.refs, info.Ref)
-		m.mu.Unlock()
-	}
-	return nil
 }
 
 // SweepExpired drops nodes whose lease has lapsed; it returns the names of

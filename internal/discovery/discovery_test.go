@@ -132,35 +132,6 @@ func TestLateManagerMissesNothingAfterReannounce(t *testing.T) {
 	waitFor(t, "reannounce discovery", func() bool { return len(central.Refs()) == 1 })
 }
 
-func TestRefreshFindsNewServices(t *testing.T) {
-	bus := discovery.NewInProcBus()
-	central := newCentral(t)
-	m := discovery.NewManager(central, bus)
-	m.Start()
-	defer m.Stop()
-
-	node := newNode(t, bus, "node-A", "sensorA1")
-	if err := node.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer node.Stop()
-	waitFor(t, "initial discovery", func() bool { return len(central.Refs()) == 1 })
-
-	// A new device appears on the node at runtime.
-	if err := node.Registry().Register(device.NewSensor("sensorA2", "roof", 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Refresh("node-A"); err != nil {
-		t.Fatal(err)
-	}
-	if len(central.Refs()) != 2 {
-		t.Fatalf("refresh missed the new service: %v", central.Refs())
-	}
-	if err := m.Refresh("ghost"); err == nil {
-		t.Fatal("refresh of unknown node accepted")
-	}
-}
-
 func TestLeaseExpiry(t *testing.T) {
 	bus := discovery.NewInProcBus()
 	central := newCentral(t)
@@ -226,7 +197,7 @@ func TestBackgroundSweepMasksDeadNode(t *testing.T) {
 func TestUnreachableAnnouncementIgnored(t *testing.T) {
 	bus := discovery.NewInProcBus()
 	central := newCentral(t)
-	m := discovery.NewManager(central, bus, discovery.WithDialTimeout(100*time.Millisecond))
+	m := discovery.NewManager(central, bus)
 	m.Start()
 	defer m.Stop()
 	bus.Announce(discovery.Announcement{Kind: discovery.Alive, Node: "phantom", Addr: "127.0.0.1:1"})

@@ -54,9 +54,8 @@ type wireBusPeer struct {
 // discovery Manager) receive REMOTE-origin announcements; locally announced
 // frames go to the joined peers only — a node does not discover itself.
 type WireBus struct {
-	node    string
-	timeout time.Duration
-	lease   time.Duration // drives the heartbeat period (lease/4)
+	node  string
+	lease time.Duration // drives the heartbeat period (lease/4)
 
 	mu      sync.Mutex
 	catalog func() []wire.ServiceInfo
@@ -74,11 +73,6 @@ type WireBus struct {
 // WireBusOption configures a WireBus.
 type WireBusOption func(*WireBus)
 
-// WithBusDialTimeout sets the per-frame send timeout (default 2s).
-func WithBusDialTimeout(d time.Duration) WireBusOption {
-	return func(b *WireBus) { b.timeout = d }
-}
-
 // WithBusLease sets the lease the bus advertises against: the heartbeat
 // re-announces the local node every lease/4, so a listening Manager with the
 // same lease never expires a live peer (default 30s).
@@ -86,22 +80,15 @@ func WithBusLease(d time.Duration) WireBusOption {
 	return func(b *WireBus) { b.lease = d }
 }
 
-// WithBusCatalog sets the source of the local node's hosted service list,
-// embedded in every Alive frame so relayed announcements describe the node.
-func WithBusCatalog(fn func() []wire.ServiceInfo) WireBusOption {
-	return func(b *WireBus) { b.catalog = fn }
-}
-
 // NewWireBus builds a bus for the named local node.
 func NewWireBus(node string, opts ...WireBusOption) *WireBus {
 	b := &WireBus{
-		node:    node,
-		timeout: 2 * time.Second,
-		lease:   30 * time.Second,
-		subs:    make(map[int]chan Announcement),
-		peers:   make(map[string]*wireBusPeer),
-		seen:    make(map[string]uint64),
-		stop:    make(chan struct{}),
+		node:  node,
+		lease: 30 * time.Second,
+		subs:  make(map[int]chan Announcement),
+		peers: make(map[string]*wireBusPeer),
+		seen:  make(map[string]uint64),
+		stop:  make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(b)
@@ -307,7 +294,7 @@ func (b *WireBus) sendTo(p *wireBusPeer, frame wire.Announce) {
 	b.mu.Unlock()
 
 	if client == nil {
-		c, err := wire.Dial(p.addr, b.timeout)
+		c, err := wire.Dial(p.addr, dialTimeout)
 		if err != nil {
 			b.linkFailed(p)
 			return
@@ -325,7 +312,7 @@ func (b *WireBus) sendTo(p *wireBusPeer, frame wire.Announce) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), b.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
 	peerNode, err := client.Announce(ctx, []wire.Announce{frame})
 	cancel()
 	if err != nil {

@@ -34,7 +34,7 @@ func newBusNode(t *testing.T, name string, lease time.Duration, refs ...string) 
 		}
 	}
 	srv := wire.NewServer(name, reg)
-	bus := discovery.NewWireBus(name, discovery.WithBusLease(lease), discovery.WithBusDialTimeout(time.Second))
+	bus := discovery.NewWireBus(name, discovery.WithBusLease(lease))
 	bus.SetCatalogFromRegistry(reg)
 	bus.Serve(srv)
 	addr, err := srv.Listen("127.0.0.1:0")

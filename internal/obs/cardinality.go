@@ -4,7 +4,7 @@ package obs
 // per-relation lag gauges, per-query eval gauges — anything created through
 // Key(name, label)) are driven by dynamic environment content, so millions
 // of discovered services must not grow the registry unboundedly. Each base
-// name admits at most MaxKeyedSeries distinct labels; past the cap, new
+// name admits at most maxKeyedSeries distinct labels; past the cap, new
 // labels collapse into one overflow series Key(base, OverflowLabel) and the
 // obs.dropped_series counter records every collapsed creation. Unkeyed
 // metrics (static package-level names) are never capped.
@@ -17,25 +17,8 @@ const OverflowLabel = "__overflow__"
 // overflow series because their base name was at the cardinality cap.
 const DroppedSeriesMetric = "obs.dropped_series"
 
-// DefaultMaxKeyedSeries is the per-base-name keyed-series cap applied to
-// new registries (override with SetMaxKeyedSeries).
-const DefaultMaxKeyedSeries = 1024
-
-// SetMaxKeyedSeries sets the per-base-name cap on keyed series (n ≤ 0
-// disables the guard). Lowering the cap does not remove existing series; it
-// only redirects future creations.
-func (m *Metrics) SetMaxKeyedSeries(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.maxSeries = n
-}
-
-// MaxKeyedSeries returns the per-base-name keyed-series cap (0 = unlimited).
-func (m *Metrics) MaxKeyedSeries() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.maxSeries
-}
+// maxKeyedSeries is the per-base-name cap on keyed series.
+const maxKeyedSeries = 1024
 
 // splitSeries splits a metric name produced by Key into its base name and
 // label. keyed is false for plain (unkeyed) names.
@@ -60,7 +43,7 @@ func (m *Metrics) admitLocked(name string) string {
 	if !keyed || label == OverflowLabel {
 		return name
 	}
-	if m.maxSeries > 0 && m.seriesCount[base] >= m.maxSeries {
+	if m.seriesCount[base] >= maxKeyedSeries {
 		// Direct map access — the registry lock is already held, so going
 		// through Counter() here would deadlock.
 		c := m.counters[DroppedSeriesMetric]

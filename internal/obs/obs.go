@@ -52,8 +52,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge is a last-observation-wins integer metric (queue depths, lags,
 // breaker states). The zero value is ready to use.
 type Gauge struct {
@@ -63,13 +61,8 @@ type Gauge struct {
 // Set records the current level.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Value returns the last recorded level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) reset() { g.v.Store(0) }
 
 // histBuckets exponential buckets: bucket i holds observations in
 // [1µs·2^i, 1µs·2^(i+1)); bucket 0 also absorbs sub-microsecond
@@ -172,15 +165,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.Max()
 }
 
-func (h *Histogram) reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
 // HistogramStats is a point-in-time summary of a Histogram.
 type HistogramStats struct {
 	Count int64         `json:"count"`
@@ -214,20 +198,17 @@ type Metrics struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	// Cardinality guard (see cardinality.go): seriesCount tracks, per base
-	// name, how many keyed series exist across all three kinds; maxSeries
-	// caps it (0 = unlimited).
+	// name, how many keyed series exist across all three kinds.
 	seriesCount map[string]int
-	maxSeries   int
 }
 
-// New returns an empty registry with the default keyed-series cap.
+// New returns an empty registry.
 func New() *Metrics {
 	return &Metrics{
 		counters:    make(map[string]*Counter),
 		gauges:      make(map[string]*Gauge),
 		histograms:  make(map[string]*Histogram),
 		seriesCount: make(map[string]int),
-		maxSeries:   DefaultMaxKeyedSeries,
 	}
 }
 
@@ -303,22 +284,6 @@ func (m *Metrics) Histogram(name string) *Histogram {
 		m.histograms[name] = h
 	}
 	return h
-}
-
-// Reset zeroes every registered metric in place. Pointers handed out
-// earlier remain valid. Intended for tests and benchmarks.
-func (m *Metrics) Reset() {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, c := range m.counters {
-		c.reset()
-	}
-	for _, g := range m.gauges {
-		g.reset()
-	}
-	for _, h := range m.histograms {
-		h.reset()
-	}
 }
 
 // Snapshot is a consistent-enough point-in-time copy of a registry: each

@@ -177,9 +177,9 @@ func NewRegistry() (*service.Registry, *Devices, error) {
 			return nil, nil, err
 		}
 	}
-	for _, m := range []struct{ ref, kind string }{{"email", "email"}, {"jabber", "jabber"}} {
-		mv := device.NewMessenger(m.ref, m.kind)
-		d.Messengers[m.ref] = mv
+	for _, ref := range []string{"email", "jabber"} {
+		mv := device.NewMessenger(ref)
+		d.Messengers[ref] = mv
 		if err := reg.Register(mv); err != nil {
 			return nil, nil, err
 		}

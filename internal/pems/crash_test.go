@@ -102,7 +102,7 @@ func buildCrashEnv(dir, side string) (*pems.PEMS, wal.Info, error) {
 	if err := p.ExecuteDDL(table1Prototypes); err != nil {
 		return nil, wal.Info{}, err
 	}
-	if err := p.Catalog().Registry().RegisterPrototype(device.GetItemsProto()); err != nil {
+	if err := p.Registry().RegisterPrototype(device.GetItemsProto()); err != nil {
 		return nil, wal.Info{}, err
 	}
 	if err := p.Registry().Register(&fileMessenger{ref: "email", path: side}); err != nil {
@@ -156,7 +156,7 @@ func controlEnv(t *testing.T, side string) *pems.PEMS {
 	if err := p.ExecuteDDL(table1Prototypes); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Catalog().Registry().RegisterPrototype(device.GetItemsProto()); err != nil {
+	if err := p.Registry().RegisterPrototype(device.GetItemsProto()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Registry().Register(&fileMessenger{ref: "email", path: side}); err != nil {

@@ -413,7 +413,6 @@ func TestDurableDiscoveryRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Trip sensor22's breaker; breaker state is deliberately not durable.
-	bs1.For("sensor22")
 	bs1.OnResult("sensor22", false)
 	if bs1.State("sensor22") != resilience.Open {
 		t.Fatalf("breaker not open: %v", bs1.State("sensor22"))
@@ -503,7 +502,7 @@ func TestDurableFeedStreamNoReplayDuplicates(t *testing.T) {
 		if err := p.ExecuteDDL(table1Prototypes); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Catalog().Registry().RegisterPrototype(device.GetItemsProto()); err != nil {
+		if err := p.Registry().RegisterPrototype(device.GetItemsProto()); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Registry().Register(device.NewFeed("lemonde", "Le Monde", 2, []string{"Obama"})); err != nil {

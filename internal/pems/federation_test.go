@@ -54,7 +54,7 @@ func newFedPeer(t *testing.T, bus *discovery.InProcBus, name string) *fedPeer {
 	fp := &fedPeer{
 		name:      name,
 		sensor:    device.NewSensor("sensor06", "office", 21),
-		messenger: device.NewMessenger("email", "email"),
+		messenger: device.NewMessenger("email"),
 		stopHB:    make(chan struct{}),
 	}
 	if err := reg.Register(fp.sensor); err != nil {
@@ -134,8 +134,7 @@ func runFederatedScenario(t *testing.T, killRef string) fedRun {
 	t.Helper()
 	bus := discovery.NewInProcBus()
 	p := pems.New(pems.WithDiscovery(bus,
-		discovery.WithLease(300*time.Millisecond),
-		discovery.WithDialTimeout(time.Second)))
+		discovery.WithLease(300*time.Millisecond)))
 	defer p.Close()
 	if err := p.ExecuteDDL(table1Prototypes); err != nil {
 		t.Fatal(err)
@@ -256,8 +255,7 @@ func TestFederatedNodeLossMasking(t *testing.T) {
 func TestActiveOutcomeUnknownPinsDelivery(t *testing.T) {
 	bus := discovery.NewInProcBus()
 	p := pems.New(pems.WithDiscovery(bus,
-		discovery.WithLease(2*time.Second),
-		discovery.WithDialTimeout(time.Second)))
+		discovery.WithLease(2*time.Second)))
 	defer p.Close()
 	if err := p.ExecuteDDL(table1Prototypes); err != nil {
 		t.Fatal(err)
@@ -319,14 +317,12 @@ func TestActiveOutcomeUnknownPinsDelivery(t *testing.T) {
 func TestSysPeersRelation(t *testing.T) {
 	bus := discovery.NewInProcBus()
 	p := pems.New(pems.WithDiscovery(bus,
-		discovery.WithLease(150*time.Millisecond),
-		discovery.WithDialTimeout(time.Second)))
+		discovery.WithLease(150*time.Millisecond)))
 	defer p.Close()
 	if err := p.ExecuteDDL(table1Prototypes); err != nil {
 		t.Fatal(err)
 	}
-	tel, err := p.EnableSelfTelemetry(cq.TelemetryOptions{})
-	if err != nil {
+	if _, err := p.EnableSelfTelemetry(cq.TelemetryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	fp := newFedPeer(t, bus, "peer-T")
@@ -336,7 +332,8 @@ func TestSysPeersRelation(t *testing.T) {
 	if _, err := p.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	rows := tel.PeersRelation().Current()
+	peers, _ := p.Executor().Relation(cq.SysPeers)
+	rows := peers.Current()
 	if len(rows) != 1 || rows[0][0].Str() != "peer-T" || rows[0][1].Str() != discovery.PeerAlive {
 		t.Fatalf("sys$peers alive rows = %v", rows)
 	}
@@ -358,7 +355,7 @@ func TestSysPeersRelation(t *testing.T) {
 	if _, err := p.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	rows = tel.PeersRelation().Current()
+	rows = peers.Current()
 	if len(rows) != 1 || rows[0][1].Str() != discovery.PeerDown {
 		t.Fatalf("sys$peers down rows = %v", rows)
 	}

@@ -57,3 +57,33 @@ EXTENDED RELATION readings ( v INTEGER ) ON OVERLOAD SHED_NEWEST CAPACITY 2;
 		}
 	}
 }
+
+// TestCloseUnblocksBlockedProducer: a producer blocked on a full BLOCK
+// buffer returns an error once the PEMS closes, instead of waiting for a
+// tick that never comes.
+func TestCloseUnblocksBlockedProducer(t *testing.T) {
+	p := pems.New()
+	defer p.Close()
+	if err := p.ExecuteDDL(`EXTENDED STREAM readings ( v INTEGER ) ON OVERLOAD BLOCK CAPACITY 1;`); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Offer("readings", value.Tuple{value.NewInt(1)}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.Offer("readings", value.Tuple{value.NewInt(2)}) }()
+	select {
+	case err := <-done:
+		t.Fatalf("offer into a full BLOCK buffer returned before Close: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	p.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("offer into a closed PEMS succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("producer still blocked 5s after Close")
+	}
+}

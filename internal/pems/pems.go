@@ -91,11 +91,18 @@ func New(opts ...Option) *PEMS {
 }
 
 // Close stops the real-time ticker (if running), discovery, and the HTTP
-// observability endpoint. With durability enabled it writes a final
+// observability endpoint. It closes every relation's ingest buffer, so a
+// producer blocked on backpressure returns an error instead of waiting for
+// a tick that no longer comes. With durability enabled it writes a final
 // checkpoint and closes the WAL, so a clean shutdown restarts without any
 // log replay.
 func (p *PEMS) Close() {
 	p.StopTicker()
+	for _, name := range p.exec.RelationNames() {
+		if x, ok := p.exec.Relation(name); ok {
+			x.CloseIngest()
+		}
+	}
 	if p.manager != nil {
 		p.manager.Stop()
 	}

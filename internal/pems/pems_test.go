@@ -66,7 +66,7 @@ func localDevices(t *testing.T, p *pems.PEMS) (sensors map[string]*device.Sensor
 		}
 	}
 	for _, m := range []string{"email", "jabber"} {
-		d := device.NewMessenger(m, m)
+		d := device.NewMessenger(m)
 		messengers[m] = d
 		if err := p.Registry().Register(d); err != nil {
 			t.Fatal(err)
@@ -198,7 +198,7 @@ func TestScenarioRSS(t *testing.T) {
 	if err := p.ExecuteDDL(table1Prototypes); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Catalog().Registry().RegisterPrototype(device.GetItemsProto()); err != nil {
+	if err := p.Registry().RegisterPrototype(device.GetItemsProto()); err != nil {
 		t.Fatal(err)
 	}
 	_, messengers, _ := localDevices(t, p)
@@ -256,7 +256,7 @@ func TestScenarioRSS(t *testing.T) {
 // and a continuous query drives remote invocations end to end.
 func TestFigure1Architecture(t *testing.T) {
 	bus := discovery.NewInProcBus()
-	p := pems.New(pems.WithDiscovery(bus, discovery.WithDialTimeout(2*time.Second)))
+	p := pems.New(pems.WithDiscovery(bus))
 	defer p.Close()
 	if err := p.ExecuteDDL(table1Prototypes); err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestFigure1Architecture(t *testing.T) {
 	if err := nodeB.Registry().RegisterPrototype(device.SendMessageProto()); err != nil {
 		t.Fatal(err)
 	}
-	email := device.NewMessenger("email", "email")
+	email := device.NewMessenger("email")
 	if err := nodeB.Registry().Register(email); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func buildSoakEnv(t *testing.T, faulty bool) *pems.PEMS {
 	if err := p.ExecuteDDL(soakPrototypes); err != nil {
 		t.Fatal(err)
 	}
-	var messenger service.Service = device.NewMessenger("email", "email")
+	var messenger service.Service = device.NewMessenger("email")
 	if faulty {
 		messenger = service.NewFaulty(messenger, &resilience.FaultPlan{
 			Latency:       200 * time.Microsecond,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"serena/internal/ddl"
 	"serena/internal/device"
 )
 
@@ -175,7 +176,11 @@ func TestRegisterQueryViaDDL(t *testing.T) {
 		t.Fatal("means view should be gone")
 	}
 	// Catalog alone refuses query statements.
-	if err := p.Catalog().ExecuteScript(`REGISTER QUERY q AS contacts;`, 0); err == nil {
+	stmts, err := ddl.Parse(`REGISTER QUERY q AS contacts;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Catalog().Execute(stmts[0], 0); err == nil {
 		t.Fatal("catalog accepted a query statement")
 	}
 	// Bad query bodies surface with statement numbers.

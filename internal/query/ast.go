@@ -568,31 +568,3 @@ func WithChildren(n Node, kids []Node) (Node, error) {
 	}
 	return nil, fmt.Errorf("query: cannot rebuild node %T", n)
 }
-
-// HasActiveInvoke reports whether the subtree contains an invocation of an
-// active prototype — the property that blocks reordering rewrites
-// (Section 3.3). Resolution is static: it needs the environment to resolve
-// base schemas.
-func HasActiveInvoke(n Node, env Environment) (bool, error) {
-	switch t := n.(type) {
-	case *Invoke:
-		cs, err := t.Child.ResultSchema(env)
-		if err != nil {
-			return false, err
-		}
-		bp, err := t.resolveBP(cs)
-		if err != nil {
-			return false, err
-		}
-		if bp.Active() {
-			return true, nil
-		}
-	}
-	for _, c := range n.Children() {
-		has, err := HasActiveInvoke(c, env)
-		if err != nil || has {
-			return has, err
-		}
-	}
-	return false, nil
-}

@@ -69,14 +69,6 @@ func (s *ActionSet) Len() int {
 	return len(s.byKey)
 }
 
-// Contains reports membership.
-func (s *ActionSet) Contains(a Action) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.byKey[a.Key()]
-	return ok
-}
-
 // Equal reports set equality — the action-set half of query equivalence
 // (Definition 9).
 func (s *ActionSet) Equal(o *ActionSet) bool {

@@ -207,20 +207,8 @@ func NewBreakerSet(policy BreakerPolicy) *BreakerSet {
 	return &BreakerSet{policy: policy.normalized(), m: make(map[string]*Breaker)}
 }
 
-// For returns the breaker for a key, creating it closed.
-func (s *BreakerSet) For(key string) *Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.m[key]
-	if !ok {
-		b = NewBreaker(s.policy)
-		s.m[key] = b
-	}
-	return b
-}
-
-// Allow is For(key).Allow without creating a breaker for keys never seen
-// failing: an untracked key is always allowed (and stays untracked).
+// Allow reports whether a key's breaker admits a call. A key never seen
+// failing has no breaker and is always allowed (and stays untracked).
 func (s *BreakerSet) Allow(key string) bool {
 	s.mu.Lock()
 	b, ok := s.m[key]

@@ -164,9 +164,7 @@ func TestBreakerSet(t *testing.T) {
 	if s.State("never-seen") != Closed {
 		t.Fatal("untracked key not closed")
 	}
-	b := s.For("cam")
-	b.Allow()
-	b.Failure()
+	s.OnResult("cam", false)
 	if s.Allow("cam") {
 		t.Fatal("open key allowed")
 	}

@@ -168,17 +168,6 @@ func (e *Extended) Names() []string {
 // RealNames returns the names of real attributes in schema order.
 func (e *Extended) RealNames() []string { return e.realRel.Names() }
 
-// VirtualNames returns the names of virtual attributes in schema order.
-func (e *Extended) VirtualNames() []string {
-	out := make([]string, 0, len(e.attrs)-e.realCount)
-	for _, a := range e.attrs {
-		if a.Virtual {
-			out = append(out, a.Name)
-		}
-	}
-	return out
-}
-
 // RealRel returns the relation schema over the real attributes — the layout
 // of stored tuples (Definition 3).
 func (e *Extended) RealRel() *Rel { return e.realRel }
@@ -201,15 +190,6 @@ func (e *Extended) TypeOf(name string) (value.Kind, bool) {
 		return e.attrs[i].Type, true
 	}
 	return 0, false
-}
-
-// AttrIndex returns the position of the named attribute within schema(R),
-// or -1 when absent.
-func (e *Extended) AttrIndex(name string) int {
-	if i, ok := e.index[name]; ok {
-		return i
-	}
-	return -1
 }
 
 // RealIndex implements δ_R of Definition 4 (0-based): the coordinate of the
@@ -301,15 +281,6 @@ func protoEqual(a, b *Prototype) bool {
 		a.Input.Equal(b.Input) && a.Output.Equal(b.Output)
 }
 
-// NameSet returns schema(R) as a set.
-func (e *Extended) NameSet() map[string]bool {
-	s := make(map[string]bool, len(e.attrs))
-	for _, a := range e.attrs {
-		s[a.Name] = true
-	}
-	return s
-}
-
 // String renders the Table 2 pseudo-DDL.
 func (e *Extended) String() string {
 	var b strings.Builder
@@ -342,15 +313,4 @@ func (e *Extended) String() string {
 	}
 	b.WriteString(";")
 	return b.String()
-}
-
-// FromRel lifts a plain relation schema into an extended schema with only
-// real attributes and no binding patterns — the paper's observation that
-// standard relations are a special case of extended relations.
-func FromRel(name string, r *Rel) *Extended {
-	attrs := make([]ExtAttr, r.Arity())
-	for i, a := range r.Attrs() {
-		attrs[i] = ExtAttr{Attribute: a}
-	}
-	return MustExtended(name, attrs, nil)
 }

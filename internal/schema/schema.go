@@ -89,14 +89,6 @@ func (r *Rel) Index(name string) int {
 // Has reports whether the named attribute belongs to the schema.
 func (r *Rel) Has(name string) bool { _, ok := r.index[name]; return ok }
 
-// TypeOf returns the type of the named attribute; ok is false if absent.
-func (r *Rel) TypeOf(name string) (value.Kind, bool) {
-	if i, ok := r.index[name]; ok {
-		return r.attrs[i].Type, true
-	}
-	return 0, false
-}
-
 // Equal reports ordered schema equality (same names and types in the same
 // positions).
 func (r *Rel) Equal(o *Rel) bool {

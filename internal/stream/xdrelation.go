@@ -257,23 +257,6 @@ func (x *XDRelation) InsertedIn(from, to service.Instant) []value.Tuple {
 	return out
 }
 
-// DeletedIn returns the multiset of tuples deleted in (from, to].
-func (x *XDRelation) DeletedIn(from, to service.Instant) []value.Tuple {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	var out []value.Tuple
-	for i := x.firstEventAfterLocked(from); i < len(x.events); i++ {
-		ev := x.events[i]
-		if ev.At > to {
-			break
-		}
-		if ev.Kind == Delete {
-			out = append(out, ev.Tuple)
-		}
-	}
-	return out
-}
-
 // EventsIn returns the events (inserts AND deletes, in log order) recorded
 // in (from, to]. This is the delta-emission primitive of the incremental
 // evaluator: a consumer that saw the multiset as of `from` reconstructs the

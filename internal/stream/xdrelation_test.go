@@ -111,11 +111,19 @@ func TestDeletedIn(t *testing.T) {
 	row := value.Tuple{value.NewString("Carla"), value.NewString("office")}
 	_ = x.Insert(0, row)
 	_ = x.Delete(3, row)
-	if got := x.DeletedIn(2, 3); len(got) != 1 {
-		t.Fatalf("DeletedIn = %v", got)
+	deleted := func(from, to service.Instant) (n int) {
+		for _, ev := range x.EventsIn(from, to) {
+			if ev.Kind == stream.Delete {
+				n++
+			}
+		}
+		return n
 	}
-	if got := x.DeletedIn(3, 9); len(got) != 0 {
-		t.Fatalf("DeletedIn after = %v", got)
+	if n := deleted(2, 3); n != 1 {
+		t.Fatalf("deletes in (2, 3] = %d, want 1", n)
+	}
+	if n := deleted(3, 9); n != 0 {
+		t.Fatalf("deletes in (3, 9] = %d, want 0", n)
 	}
 }
 

@@ -28,13 +28,6 @@ func (t Tuple) Project(idx []int) Tuple {
 	return out
 }
 
-// Concat returns the concatenation t ++ u as a fresh tuple.
-func (t Tuple) Concat(u Tuple) Tuple {
-	out := make(Tuple, 0, len(t)+len(u))
-	out = append(out, t...)
-	return append(out, u...)
-}
-
 // Equal reports coordinate-wise equality of equal-length tuples.
 func (t Tuple) Equal(u Tuple) bool {
 	if len(t) != len(u) {

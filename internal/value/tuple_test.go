@@ -34,20 +34,6 @@ func TestTupleProject(t *testing.T) {
 	}
 }
 
-func TestTupleConcat(t *testing.T) {
-	a := tup(NewInt(1))
-	b := tup(NewInt(2), NewInt(3))
-	got := a.Concat(b)
-	if !got.Equal(tup(NewInt(1), NewInt(2), NewInt(3))) {
-		t.Fatalf("Concat = %v", got)
-	}
-	// Concat must not alias a's backing array in a way that mutates it.
-	got[0] = NewInt(9)
-	if a[0].Int() != 1 {
-		t.Fatal("Concat aliases input")
-	}
-}
-
 func TestTupleEqualAndCompare(t *testing.T) {
 	a := tup(NewInt(1), NewString("x"))
 	b := tup(NewInt(1), NewString("x"))

@@ -114,9 +114,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 // Dir returns the managed data directory.
 func (m *Manager) Dir() string { return m.dir }
 
-// Policy returns the configured fsync policy.
-func (m *Manager) Policy() SyncPolicy { return m.opts.Fsync }
-
 // Recovered reports whether Recover has run.
 func (m *Manager) Recovered() bool {
 	m.mu.Lock()

@@ -42,17 +42,6 @@ func (s *Server) SetWriteTimeout(d time.Duration) {
 	s.writeTimeout = d
 }
 
-// ActiveConns returns how many client connections the server currently
-// holds.
-func (s *Server) ActiveConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
-// InFlight returns how many requests the server is executing right now.
-func (s *Server) InFlight() int64 { return s.inFlight.Load() }
-
 // overloadedError carries a remote overload rejection verbatim while
 // unwrapping to resilience.ErrOverloaded, so errors.Is works across the
 // wire boundary.

@@ -191,9 +191,6 @@ func NewServer(node string, reg *service.Registry) *Server {
 	return &Server{node: node, reg: reg, conns: make(map[net.Conn]bool), done: make(chan struct{})}
 }
 
-// Node returns the node name.
-func (s *Server) Node() string { return s.node }
-
 // SetAnnounceHandler installs the receiver for incoming announce frames
 // (nil uninstalls it, making the server answer them with an error). The
 // handler runs on the per-request goroutine and must not block
@@ -520,9 +517,6 @@ func (c *Client) Close() error {
 	}
 	return nil
 }
-
-// Addr returns the remote address.
-func (c *Client) Addr() string { return c.addr }
 
 // call is roundTripCtx with a remote error folded into the error result.
 func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {

@@ -34,7 +34,7 @@ func startNode(t *testing.T) (addr string, reg *service.Registry, srv *wire.Serv
 	if err := reg.Register(device.NewSensor("sensor01", "corridor", 20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(device.NewMessenger("email", "email")); err != nil {
+	if err := reg.Register(device.NewMessenger("email")); err != nil {
 		t.Fatal(err)
 	}
 	srv = wire.NewServer("node-A", reg)
