@@ -31,11 +31,24 @@ race:
 
 # The concurrency tests, twenty times each under the race detector: a
 # few-percent flake (a lost increment, a missed coalescing bucket) shows up
-# on the push that introduces it instead of weeks later.
+# on the push that introduces it instead of weeks later. Each entry is a
+# package and its -run pattern. `go test -run` passes silently when nothing
+# matches, so every alternative of a pattern must match a test first: a
+# renamed or deleted test fails the target instead of leaving CI.
+RACE_STRESS = \
+	'./internal/query:TestMetricsConcurrentExactness|TestParallel|TestBatchedParallel' \
+	'./internal/cq:TestParallelDeltaEquivalentToSequentialNaive|TestParallelTickEquivalentToSequential' \
+	'./internal/service:TestMemo'
+
 race-stress:
-	$(GO) test -race -count=20 -run 'TestMetricsConcurrentExactness|TestParallel|TestBatchedParallel' ./internal/query
-	$(GO) test -race -count=20 -run 'TestParallelDeltaEquivalentToSequentialNaive|TestParallelTickEquivalentToSequential' ./internal/cq
-	$(GO) test -race -count=20 -run 'TestMemo' ./internal/service
+	@set -e; for spec in $(RACE_STRESS); do \
+		pkg=$${spec%%:*}; pat=$${spec#*:}; \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			$(GO) test -list "$$alt" "$$pkg" | grep -q '^Test' || { echo "race-stress: no test in $$pkg matches $$alt"; exit 1; }; \
+		done; \
+		echo "$(GO) test -race -count=20 -run '$$pat' $$pkg"; \
+		$(GO) test -race -count=20 -run "$$pat" "$$pkg"; \
+	done
 
 # Engine size per package (non-test, benchmark/ excluded) — the count a
 # deletion PR quotes; see scripts/loc.sh.

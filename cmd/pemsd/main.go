@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -38,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"serena/internal/cq"
 	"serena/internal/device"
 	"serena/internal/discovery"
 	"serena/internal/obs"
@@ -46,28 +44,26 @@ import (
 	"serena/internal/service"
 	"serena/internal/trace"
 	"serena/internal/value"
-	"serena/internal/wal"
 	"serena/internal/wire"
 )
 
 func main() {
+	cfg := pems.DefaultConfig()
+	cfg.Bind(flag.CommandLine)
+	var srvOpts wire.ServerOptions
+	flag.IntVar(&srvOpts.MaxInFlight, "max-inflight", 0, "cap concurrent requests across all connections; excess rejected as overloaded (0 = unlimited)")
+	flag.DurationVar(&srvOpts.ReadTimeout, "read-timeout", 0, "per-connection idle read deadline; silent clients are dropped (0 = none)")
+	flag.DurationVar(&srvOpts.WriteTimeout, "write-timeout", 0, "per-response write deadline (0 = none)")
 	node := flag.String("node", "node", "node name")
 	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address")
-	maxInFlight := flag.Int("max-inflight", 0, "cap concurrent requests across all connections; excess rejected as overloaded (0 = unlimited)")
-	readTimeout := flag.Duration("read-timeout", 0, "per-connection idle read deadline; silent clients are dropped (0 = none)")
-	writeTimeout := flag.Duration("write-timeout", 0, "per-response write deadline (0 = none)")
 	sensors := flag.Int("sensors", 0, "number of simulated temperature sensors")
 	cameras := flag.Int("cameras", 0, "number of simulated cameras")
 	messengers := flag.String("messengers", "", "comma-separated messenger refs (e.g. email,jabber)")
 	base := flag.Float64("base", 20, "base temperature for sensors")
 	location := flag.String("location", "lab", "location/area for hosted devices")
 	debugAddr := flag.String("debug", "", "HTTP observability listen address (empty = disabled)")
-	dataDir := flag.String("data-dir", "", "run an embedded durable PEMS core: WAL + checkpoints in this directory")
-	fsyncPolicy := flag.String("fsync", "interval", "WAL fsync policy: always|interval|off (with -data-dir)")
-	ckptEvery := flag.Int("checkpoint-interval", 0, "ticks between automatic checkpoints (0 = default, with -data-dir)")
 	tick := flag.Duration("tick", time.Second, "continuous clock interval of the embedded core (with -data-dir)")
 	initScript := flag.String("init", "", "DDL script executed once, on a fresh data dir (with -data-dir)")
-	telemetry := flag.Bool("telemetry", true, "feed the embedded core's sys$ system relations and health states (with -data-dir)")
 	poll := flag.String("poll", "", "comma-separated name=prototype pairs: poll streams over passive input-free prototypes (with -data-dir)")
 	join := flag.String("join", "", "comma-separated wire addresses of peer pemsd nodes to federate with")
 	lease := flag.Duration("lease", 30*time.Second, "discovery lease: peers silent this long are masked out (heartbeats go every lease/4)")
@@ -82,6 +78,9 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(logger)
+	if err := cfg.Validate(); err != nil {
+		fatal(logger, err)
+	}
 
 	// The federation bus: wire v4 announce frames between pemsd peers. It is
 	// always constructed (cheap and silent without peers) so any node can be
@@ -91,12 +90,12 @@ func main() {
 
 	var core *pems.PEMS
 	reg := service.NewRegistry()
-	if *dataDir != "" {
+	if cfg.DataDir != "" {
 		// The embedded core shares one registry with the wire server, so
 		// hosted devices are both remotely invocable and locally queryable.
 		// The discovery manager turns peer announcements into provider
 		// registrations in that same registry.
-		core = pems.New(pems.WithDiscovery(bus, discovery.WithLease(*lease)))
+		core = pems.New(pems.WithConfig(cfg), pems.WithDiscovery(bus, discovery.WithLease(*lease)))
 		reg = core.Registry()
 	}
 	for _, p := range device.ScenarioPrototypes() {
@@ -147,15 +146,12 @@ func main() {
 	bus.SetCatalogFromRegistry(reg)
 
 	if core != nil {
-		if err := startCore(logger, core, *dataDir, *fsyncPolicy, *ckptEvery, *tick, *initScript, *telemetry, *poll); err != nil {
+		if err := startCore(logger, core, cfg.DataDir, *tick, *initScript, *poll); err != nil {
 			fatal(logger, err)
 		}
 	}
 
-	srv := wire.NewServer(*node, reg)
-	srv.SetMaxInFlight(*maxInFlight)
-	srv.SetReadTimeout(*readTimeout)
-	srv.SetWriteTimeout(*writeTimeout)
+	srv := wire.NewServer(*node, reg, srvOpts)
 	bus.Serve(srv)
 	addr, err := srv.Listen(*listen)
 	if err != nil {
@@ -183,19 +179,10 @@ func main() {
 			"/debug/trace": trace.Handler(trace.Default),
 		}
 		if core != nil {
-			c := core
-			extra["/debug/health"] = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				_ = enc.Encode(c.HealthReport())
-			})
-			extra["/debug/peers"] = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				_ = enc.Encode(c.PeersReport())
-			})
+			// The embedded core's own mux answers its health and
+			// membership routes.
+			h := core.DebugHandler()
+			extra["/debug/health"], extra["/debug/peers"] = h, h
 		}
 		mux := obs.DebugMux(func(w io.Writer) { writeStatus(w, *node, addr, reg) }, extra)
 		// Listen before serving so ":0" resolves to the real port in the
@@ -228,30 +215,18 @@ func main() {
 		// writes a final checkpoint and closes the WAL, so the next start
 		// recovers without replaying any log.
 		core.Close()
-		logger.Info("pemsd: final checkpoint written", "dir", *dataDir)
+		logger.Info("pemsd: final checkpoint written", "dir", cfg.DataDir)
 	}
 	bus.Stop()
 	_ = srv.Close()
 }
 
-// startCore enables durability on the embedded PEMS, recovers the
+// startCore adds the poll streams to the embedded PEMS, recovers the
 // environment from the data directory, runs the init script on a fresh
 // directory, and starts the real-time clock.
-func startCore(logger *slog.Logger, core *pems.PEMS, dataDir, fsyncPolicy string, ckptEvery int, tick time.Duration, initScript string, telemetry bool, poll string) error {
-	pol, err := wal.ParseSyncPolicy(fsyncPolicy)
-	if err != nil {
-		return err
-	}
-	if err := core.EnableDurability(dataDir, wal.Options{Fsync: pol, CheckpointEvery: ckptEvery}); err != nil {
-		return err
-	}
-	// Before Recover: WAL-logged queries over sys$ relations or poll
-	// streams need those relations to exist to re-register.
-	if telemetry {
-		if _, err := core.EnableSelfTelemetry(cq.TelemetryOptions{}); err != nil {
-			return err
-		}
-	}
+func startCore(logger *slog.Logger, core *pems.PEMS, dataDir string, tick time.Duration, initScript, poll string) error {
+	// Before Recover: WAL-logged queries over poll streams need those
+	// relations to exist to re-register.
 	if poll != "" {
 		for _, spec := range strings.Split(poll, ",") {
 			spec = strings.TrimSpace(spec)

@@ -30,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"serena/internal/cq"
 	"serena/internal/device"
 	"serena/internal/obs"
 	"serena/internal/pems"
@@ -49,34 +48,35 @@ import (
 var lastRecovery *wal.Info
 
 func main() {
+	cfg := pems.DefaultConfig()
+	cfg.Bind(flag.CommandLine)
+	flag.IntVar(&cfg.Executor.Parallelism, "parallel", cfg.Executor.Parallelism, "invocation parallelism per β operator (1 = sequential)")
+	flag.DurationVar(&cfg.Executor.TickBudget, "tick-budget", 0, "tick duration budget; longer ticks count as overruns (0 = none)")
+	flag.BoolVar(&cfg.Executor.Coalesce, "coalesce", false, "after a tick overrun, skip passive-only queries one instant (never queries feeding actions)")
+	flag.DurationVar(&cfg.Registry.InvokeTimeout, "invoke-timeout", 0, "deadline per service invocation (0 = none)")
+	flag.IntVar(&cfg.Registry.Retry.MaxAttempts, "retries", cfg.Registry.Retry.MaxAttempts, "max attempts per passive invocation (1 = no retry)")
+	flag.DurationVar(&cfg.Registry.Retry.BaseDelay, "retry-base", cfg.Registry.Retry.BaseDelay, "base backoff between retries")
+	breakers := flag.Bool("breakers", false, "enable per-service circuit breakers")
+	breaker := resilience.BreakerPolicy{FailureThreshold: 5, Cooldown: 5 * time.Second}
+	flag.IntVar(&breaker.FailureThreshold, "breaker-failures", breaker.FailureThreshold, "consecutive failures before a breaker opens")
+	flag.DurationVar(&breaker.Cooldown, "breaker-cooldown", breaker.Cooldown, "open-state cooldown before a half-open probe")
 	demo := flag.Bool("demo", false, "load the paper's temperature-surveillance scenario")
 	script := flag.String("script", "", "DDL script to execute before going interactive")
 	connect := flag.String("connect", "", "comma-separated pemsd addresses to attach")
-	invokeTimeout := flag.Duration("invoke-timeout", 0, "deadline per service invocation (0 = none)")
-	parallel := flag.Int("parallel", 1, "invocation parallelism per β operator (1 = sequential)")
-	queryParallel := flag.Int("query-parallel", 1, "continuous queries evaluated concurrently per tick (1 = sequential)")
-	batchSize := flag.Int("batch-size", 0, "β batch-planner dispatch size (0 = default, negative disables batching)")
-	retries := flag.Int("retries", 1, "max attempts per passive invocation (1 = no retry)")
-	retryBase := flag.Duration("retry-base", 10*time.Millisecond, "base backoff between retries")
-	breakers := flag.Bool("breakers", false, "enable per-service circuit breakers")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive failures before a breaker opens")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-state cooldown before a half-open probe")
-	tickBudget := flag.Duration("tick-budget", 0, "tick duration budget; longer ticks count as overruns (0 = none)")
-	coalesce := flag.Bool("coalesce", false, "after a tick overrun, skip passive-only queries one instant (never queries feeding actions)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/serena on this address (e.g. 127.0.0.1:8077)")
 	traceSample := flag.Int64("trace-sample", trace.DefaultSampleEvery, "trace one in N ticks/evaluations (0 disables tracing)")
-	dataDir := flag.String("data-dir", "", "enable durability: WAL + checkpoints in this directory")
-	fsyncPolicy := flag.String("fsync", "interval", "WAL fsync policy: always|interval|off (with -data-dir)")
-	ckptEvery := flag.Int("checkpoint-interval", 0, "ticks between automatic checkpoints (0 = default, with -data-dir)")
-	telemetry := flag.Bool("telemetry", true, "feed the sys$metrics/sys$health/sys$streams system relations and the health state machine")
-	telemetryInterval := flag.Int("telemetry-interval", 1, "instants between telemetry scrapes")
 	flag.Parse()
+	if *breakers {
+		cfg.Registry.Breakers = &breaker
+	}
+	if err := cfg.Validate(); err != nil {
+		log.Fatalf("serena: %v", err)
+	}
+	cfg.ExplainOutput = os.Stdout
 
-	p := pems.New()
+	p := pems.New(pems.WithConfig(cfg))
 	defer p.Close()
-	p.SetExplainOutput(os.Stdout)
 	trace.Default.SetSampleEvery(*traceSample)
-	exec, reg := p.Executor(), p.Registry()
 
 	if *metricsAddr != "" {
 		bound, err := p.ServeMetrics(*metricsAddr)
@@ -84,55 +84,6 @@ func main() {
 			log.Fatalf("serena: metrics: %v", err)
 		}
 		fmt.Printf("metrics on http://%s/metrics (debug: /debug/serena, traces: /debug/trace)\n", bound)
-	}
-
-	if *invokeTimeout > 0 {
-		reg.SetInvokeTimeout(*invokeTimeout)
-	}
-	if *parallel > 1 {
-		exec.SetParallelism(*parallel)
-	}
-	if *queryParallel > 1 {
-		exec.SetQueryParallelism(*queryParallel)
-	}
-	if *batchSize != 0 {
-		exec.SetBatchSize(*batchSize)
-	}
-	if *tickBudget > 0 {
-		exec.SetTickBudget(*tickBudget)
-	}
-	if *coalesce {
-		exec.SetOverloadCoalescing(true)
-	}
-	if *retries > 1 {
-		rp := resilience.DefaultRetry()
-		rp.MaxAttempts = *retries
-		rp.BaseDelay = *retryBase
-		reg.SetRetryPolicy(rp)
-	}
-	if *breakers {
-		reg.EnableBreakers(resilience.BreakerPolicy{
-			FailureThreshold: *breakerFailures,
-			Cooldown:         *breakerCooldown,
-		})
-	}
-
-	// Self-telemetry must precede Recover: a WAL-logged query over a sys$
-	// relation can only re-register if the relation already exists.
-	if *telemetry {
-		if _, err := p.EnableSelfTelemetry(cq.TelemetryOptions{Interval: service.Instant(*telemetryInterval)}); err != nil {
-			log.Fatalf("serena: telemetry: %v", err)
-		}
-	}
-
-	if *dataDir != "" {
-		pol, err := wal.ParseSyncPolicy(*fsyncPolicy)
-		if err != nil {
-			log.Fatalf("serena: %v", err)
-		}
-		if err := p.EnableDurability(*dataDir, wal.Options{Fsync: pol, CheckpointEvery: *ckptEvery}); err != nil {
-			log.Fatalf("serena: durability: %v", err)
-		}
 	}
 
 	if err := p.ExecuteDDL(prototypesDDL); err != nil {
@@ -158,7 +109,7 @@ func main() {
 		}
 	}
 	fresh := true
-	if *dataDir != "" {
+	if cfg.DataDir != "" {
 		info, err := p.Recover()
 		if err != nil {
 			log.Fatalf("serena: recovery: %v", err)
@@ -167,7 +118,7 @@ func main() {
 		fresh = info.Fresh
 		if !fresh {
 			fmt.Printf("recovered environment from %s: checkpoint at instant %d, %d record(s) replayed over %d tick(s), %d orphan invocation(s)\n",
-				*dataDir, info.CheckpointAt, info.Records, info.Ticks, info.Orphans)
+				cfg.DataDir, info.CheckpointAt, info.Records, info.Ticks, info.Orphans)
 		}
 	}
 	if *demo {
@@ -418,9 +369,6 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
   .schema <relation>              print a relation's DDL
   .queries                        list continuous queries
   .services                       list discovered services
-  .parallel <n>                   set invocation parallelism (default 1)
-  .qparallel <n>                  set per-tick query parallelism (default 1)
-  .batch <n>                      set β batch size (0 = default, -1 disables)
   .errors <name>                  show a query's recorded invocation failures
   .breakers                       show circuit-breaker states (-breakers)
   .explain <query>                show the optimized plan and rewrite steps
@@ -492,49 +440,6 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 		}
 		fmt.Fprint(out, rel.Table())
 		fmt.Fprintf(out, "(%d tuple(s))\n", rel.Len())
-	case ".parallel":
-		if len(fields) != 2 {
-			fmt.Fprintln(out, "usage: .parallel <n>")
-			break
-		}
-		n, err := strconv.Atoi(fields[1])
-		if err != nil || n < 1 {
-			fmt.Fprintln(out, "usage: .parallel <n>  (n >= 1)")
-			break
-		}
-		p.SetInvocationParallelism(n)
-		fmt.Fprintf(out, "invocation parallelism set to %d\n", n)
-	case ".qparallel":
-		if len(fields) != 2 {
-			fmt.Fprintln(out, "usage: .qparallel <n>")
-			break
-		}
-		n, err := strconv.Atoi(fields[1])
-		if err != nil || n < 1 {
-			fmt.Fprintln(out, "usage: .qparallel <n>  (n >= 1)")
-			break
-		}
-		p.Executor().SetQueryParallelism(n)
-		fmt.Fprintf(out, "query parallelism set to %d\n", n)
-	case ".batch":
-		if len(fields) != 2 {
-			fmt.Fprintln(out, "usage: .batch <n>  (0 = default, negative disables)")
-			break
-		}
-		n, err := strconv.Atoi(fields[1])
-		if err != nil {
-			fmt.Fprintln(out, "usage: .batch <n>  (0 = default, negative disables)")
-			break
-		}
-		p.Executor().SetBatchSize(n)
-		switch {
-		case n < 0:
-			fmt.Fprintln(out, "invocation batching disabled")
-		case n == 0:
-			fmt.Fprintf(out, "invocation batch size reset to default (%d)\n", query.DefaultBatchSize)
-		default:
-			fmt.Fprintf(out, "invocation batch size set to %d\n", n)
-		}
 	case ".errors":
 		if len(fields) != 2 {
 			fmt.Fprintln(out, "usage: .errors <query>")

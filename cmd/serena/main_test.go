@@ -183,19 +183,3 @@ func newTestNode(t *testing.T) string {
 	t.Cleanup(func() { _ = srv.Close() })
 	return addr
 }
-
-func TestParallelCommand(t *testing.T) {
-	p := demoPEMS(t)
-	var buf bytes.Buffer
-	command(p, ".parallel 8", &buf)
-	if !strings.Contains(buf.String(), "parallelism set to 8") {
-		t.Fatalf("output = %q", buf.String())
-	}
-	for _, bad := range []string{".parallel", ".parallel x", ".parallel 0"} {
-		buf.Reset()
-		command(p, bad, &buf)
-		if !strings.Contains(buf.String(), "usage:") {
-			t.Fatalf("%s: output = %q", bad, buf.String())
-		}
-	}
-}

@@ -12,6 +12,7 @@ import (
 	"log"
 	"time"
 
+	"serena/internal/cq"
 	"serena/internal/device"
 	"serena/internal/discovery"
 	"serena/internal/pems"
@@ -21,7 +22,9 @@ import (
 
 func main() {
 	bus := discovery.NewInProcBus()
-	p := pems.New(pems.WithDiscovery(bus))
+	// Remote invocations fan out concurrently over the multiplexed TCP
+	// connection (Section 5.1: asynchronous invocation handling).
+	p := pems.New(pems.WithDiscovery(bus), pems.WithConfig(pems.Config{Executor: cq.Options{Parallelism: 8}}))
 	defer p.Close()
 	must(p.ExecuteDDL(`
 PROTOTYPE sendMessage( address STRING, text STRING ) : (sent BOOLEAN) ACTIVE;
@@ -56,10 +59,6 @@ INSERT INTO contacts VALUES ("Carla", "carla@elysee.fr", email);`))
 		time.Sleep(5 * time.Millisecond)
 	}
 	fmt.Printf("core discovered services: %v (nodes %v)\n", p.Registry().Refs(), p.Discovery().Nodes())
-
-	// Remote invocations fan out concurrently over the multiplexed TCP
-	// connection (Section 5.1: asynchronous invocation handling).
-	p.SetInvocationParallelism(8)
 
 	// The temperatures stream now polls the REMOTE sensors every tick.
 	_, err := p.AddPollStream("temperatures", "getTemperature", "sensor",

@@ -25,7 +25,7 @@ const modulePath = "serena"
 // facadeMethodLimit caps the *PEMS method set, unexported methods included.
 // A setting or accessor that belongs to one layer of the PEMS is called on
 // that layer (Executor(), Registry(), trace.Default), not forwarded here.
-const facadeMethodLimit = 59
+const facadeMethodLimit = 57
 
 // testOnlyExports lists the exported functions and methods under internal/
 // that may have no caller outside tests, each with the reason it stays. A

@@ -503,11 +503,10 @@ func (s *DeltaSetOp) Apply(dl, dr Delta) (Delta, error) {
 // key-sorted member order — the same order the one-shot operator uses — so
 // floating-point results are bit-identical between the two evaluators.
 type DeltaAggregate struct {
-	groupBy []string
-	aggs    []AggSpec
-	keyIdx  []int
-	aggIdx  []int
-	groups  map[string]*deltaGroup
+	aggs   []AggSpec
+	keyIdx []int
+	aggIdx []int
+	groups map[string]*deltaGroup
 }
 
 type deltaGroup struct {
@@ -531,7 +530,7 @@ func NewDeltaAggregate(in *schema.Extended, groupBy []string, aggs []AggSpec) (*
 		return nil, err
 	}
 	return &DeltaAggregate{
-		groupBy: groupBy, aggs: aggs,
+		aggs:   aggs,
 		keyIdx: keyIdx, aggIdx: aggIdx,
 		groups: map[string]*deltaGroup{},
 	}, nil

@@ -60,7 +60,7 @@ func deltaSweepAllocs(t *testing.T, n int, naive bool) float64 {
 		{Attribute: schema.Attribute{Name: "location", Type: value.String}},
 		{Attribute: schema.Attribute{Name: "temperature", Type: value.Real}, Virtual: true},
 	}, []schema.BindingPattern{{Proto: device.GetTemperatureProto(), ServiceAttr: "sensor"}}))
-	exec := cq.NewExecutor(reg)
+	exec := cq.NewExecutor(reg, cq.Options{})
 	if err := exec.AddRelation(readings); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func fanInAllocs(t *testing.T, readers int, materialized bool) float64 {
 		churn  = 16 // fresh events per instant
 		period = 64 // window the shared selection scans
 	)
-	exec := cq.NewExecutor(service.NewRegistry())
+	exec := cq.NewExecutor(service.NewRegistry(), cq.Options{})
 	events := stream.NewInfinite(schema.MustExtended("events", []schema.ExtAttr{
 		{Attribute: schema.Attribute{Name: "id", Type: value.Int}},
 		{Attribute: schema.Attribute{Name: "payload", Type: value.String}},

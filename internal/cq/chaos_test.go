@@ -37,7 +37,7 @@ func chaosEnv(t *testing.T, plan *resilience.FaultPlan) (*cq.Executor, *service.
 	if err := reg.Register(faulty); err != nil {
 		t.Fatal(err)
 	}
-	exec := cq.NewExecutor(reg)
+	exec := cq.NewExecutor(reg, cq.Options{})
 	sch := schema.MustExtended("work",
 		[]schema.ExtAttr{
 			{Attribute: schema.Attribute{Name: "dev", Type: value.Service}},
@@ -233,7 +233,7 @@ func TestServiceWithdrawnMidQuery(t *testing.T) {
 			if err := reg.Register(mkDev()); err != nil {
 				t.Fatal(err)
 			}
-			exec := cq.NewExecutor(reg)
+			exec := cq.NewExecutor(reg, cq.Options{})
 			sch := schema.MustExtended("work",
 				[]schema.ExtAttr{
 					{Attribute: schema.Attribute{Name: "dev", Type: value.Service}},
@@ -295,7 +295,7 @@ func TestServiceWithdrawnMidQuery(t *testing.T) {
 func TestBreakerShortCircuitsUnderExecutor(t *testing.T) {
 	proto := schema.MustPrototype("probe", nil,
 		schema.MustRel(schema.Attribute{Name: "v", Type: value.Real}), false)
-	reg := service.NewRegistry()
+	reg := service.NewRegistry(service.Options{Breakers: &resilience.BreakerPolicy{FailureThreshold: 2, Cooldown: time.Hour}})
 	if err := reg.RegisterPrototype(proto); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,6 @@ func TestBreakerShortCircuitsUnderExecutor(t *testing.T) {
 	if err := reg.Register(faulty); err != nil {
 		t.Fatal(err)
 	}
-	reg.EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 2, Cooldown: time.Hour})
 
 	for i := 0; i < 2; i++ {
 		if _, err := reg.Invoke("probe", "dev", nil, service.Instant(i)); err == nil {

@@ -364,11 +364,10 @@ func TestExplicitRetainTrimsFiniteOutput(t *testing.T) {
 	}
 }
 
-// TestExecutorParallelInvocation: SetParallelism keeps continuous-query
+// TestExecutorParallelInvocation: β parallelism keeps continuous-query
 // semantics (delta caches, actions) intact.
 func TestExecutorParallelInvocation(t *testing.T) {
-	s := newScenario(t)
-	s.exec.SetParallelism(4)
+	s := newScenarioWith(t, cq.Options{Parallelism: 4})
 	q, err := s.exec.Register("q3p", q3())
 	if err != nil {
 		t.Fatal(err)

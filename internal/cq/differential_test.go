@@ -44,7 +44,7 @@ type diffWorld struct {
 func newDiffWorld(t *testing.T) *diffWorld {
 	t.Helper()
 	reg, dev := paperenv.MustRegistry()
-	exec := cq.NewExecutor(reg)
+	exec := cq.NewExecutor(reg, cq.Options{})
 
 	contacts := stream.NewFinite(paperenv.ContactsSchema())
 	for _, tu := range paperenv.Contacts().Tuples() {

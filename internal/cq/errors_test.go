@@ -43,7 +43,7 @@ func TestContinuousQuerySurvivesDeviceFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exec := cq.NewExecutor(reg)
+	exec := cq.NewExecutor(reg, cq.Options{})
 	sensors := stream.NewFinite(paperenv.SensorsSchema())
 	for _, tu := range paperenv.Sensors().Tuples() {
 		if err := sensors.Insert(0, tu); err != nil {
@@ -157,7 +157,7 @@ func TestDuplicateActionAttemptedOncePerInstant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exec := cq.NewExecutor(reg)
+		exec := cq.NewExecutor(reg, cq.Options{})
 		contacts := stream.NewFinite(paperenv.ContactsSchema())
 		for _, name := range []string{"Ann", "Annie"} {
 			tu := value.Tuple{value.NewString(name), value.NewString("ann@example.org"), value.NewService("pager")}

@@ -77,12 +77,6 @@ type Executor struct {
 	now       service.Instant
 	// parallelism sizes the β dispatch pool of one invocation operator.
 	parallelism int
-	// queryParallelism bounds how many independent queries one tick
-	// evaluates concurrently (1 = sequential, the default).
-	queryParallelism int
-	// batchSize bounds the β dispatcher's grouped frames
-	// (0 = query.DefaultBatchSize, negative disables grouping).
-	batchSize int
 	// maxWindow tracks, per stream name, the largest window period any
 	// registered query uses — the retention horizon for log trimming.
 	maxWindow map[string]service.Instant
@@ -92,13 +86,14 @@ type Executor struct {
 	// onCheckpoint persists a state snapshot when dur reports one is due.
 	onCheckpoint func(CheckpointState) error
 	// Overload protection (see overload.go): tickBudget is the soft tick
-	// deadline (0 = none); coalescePassive lets the tick after an overrun
-	// skip shedable passive-only queries; overranLast carries the overrun
-	// signal from one tick to the next; tickOverruns counts them.
-	tickBudget      time.Duration
-	coalescePassive bool
-	overranLast     bool
-	tickOverruns    int64
+	// deadline (0 = none) and coalesce lets the tick after an overrun skip
+	// shedable passive-only queries, both fixed at construction;
+	// overranLast carries the overrun signal from one tick to the next;
+	// tickOverruns counts them.
+	tickBudget   time.Duration
+	coalesce     bool
+	overranLast  bool
+	tickOverruns int64
 	// telemetry, when enabled, owns the sys$ system relations and the
 	// health scraper source (see telemetry.go).
 	telemetry *Telemetry
@@ -108,15 +103,38 @@ type Executor struct {
 // query evaluation — e.g. a sensor poller or an RSS feed wrapper.
 type Source func(at service.Instant) error
 
+// Options is an executor's operating point, fixed at construction.
+type Options struct {
+	// Parallelism sizes the β dispatch pool of one invocation operator, for
+	// continuous and one-shot queries alike (Section 5.1's asynchronous
+	// invocation handling). Values < 2 mean sequential.
+	Parallelism int
+	// TickBudget is a soft deadline for one tick: a longer tick counts as
+	// an overrun (cq.tick.overruns). It never aborts a running tick —
+	// cutting an active β mid-flight could lose an action result — it only
+	// informs the next instant's scheduling. 0 means no budget.
+	TickBudget time.Duration
+	// Coalesce lets the tick after an overrun skip shedable passive-only
+	// queries for one instant (see overload.go). Without it overruns are
+	// only counted.
+	Coalesce bool
+}
+
 // NewExecutor returns an executor starting before instant 0.
-func NewExecutor(reg *service.Registry) *Executor {
+func NewExecutor(reg *service.Registry, opts Options) *Executor {
+	if opts.TickBudget > 0 {
+		obsLastTickBudget.Set(int64(opts.TickBudget))
+	}
 	return &Executor{
-		reg:       reg,
-		rels:      make(map[string]*stream.XDRelation),
-		queries:   make(map[string]*Query),
-		producers: make(map[string]*Query),
-		maxWindow: make(map[string]service.Instant),
-		now:       -1,
+		reg:         reg,
+		rels:        make(map[string]*stream.XDRelation),
+		queries:     make(map[string]*Query),
+		producers:   make(map[string]*Query),
+		maxWindow:   make(map[string]service.Instant),
+		now:         -1,
+		parallelism: opts.Parallelism,
+		tickBudget:  opts.TickBudget,
+		coalesce:    opts.Coalesce,
 	}
 }
 
@@ -166,40 +184,20 @@ func (e *Executor) Materialized(name string) bool {
 }
 
 // SetParallelism bounds how many service invocations one invocation
-// operator may run concurrently (default 1 = sequential; Section 5.1's
-// asynchronous invocation handling).
+// operator may run concurrently (Options.Parallelism at construction).
 func (e *Executor) SetParallelism(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.parallelism = n
 }
 
-// SetQueryParallelism bounds how many registered queries one tick evaluates
-// concurrently (default 1 = sequential). Queries reading another query's
-// output relation always run after their producer — see stageQueries — so
-// derived views keep their same-instant semantics.
-func (e *Executor) SetQueryParallelism(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.queryParallelism = n
-}
-
-// SetBatchSize bounds the β dispatcher's grouped frames: 0 restores
-// query.DefaultBatchSize, negative disables grouping entirely (one
-// dispatch per job).
-func (e *Executor) SetBatchSize(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.batchSize = n
-}
-
 // NewContext returns an evaluation context at instant at over env that
-// carries the executor's invocation parallelism and batch size, so one-shot
-// queries invoke services exactly as continuous ones do.
+// carries the executor's invocation parallelism, so one-shot queries invoke
+// services exactly as continuous ones do.
 func (e *Executor) NewContext(env query.Environment, at service.Instant) *query.Context {
 	ctx := query.NewContext(env, e.reg, at)
 	e.mu.Lock()
-	ctx.Parallelism, ctx.BatchSize = e.parallelism, e.batchSize
+	ctx.Parallelism = e.parallelism
 	e.mu.Unlock()
 	return ctx
 }
@@ -700,7 +698,7 @@ func (e *Executor) checkStreamsWindowed(n query.Node, directlyUnderWindow bool) 
 // Only tickMu is held across the tick; e.mu is taken briefly around field
 // access, so Query/QueryNames/Relation readers and the metrics pollers
 // never wait a whole tick out. WAL BeginTick/CommitTick still bracket
-// everything the tick does, and queries evaluate in dependency stages (see
+// everything the tick does, and queries evaluate in registration order (see
 // evalTickQueries) so derived views keep reading their producer's
 // same-instant output.
 func (e *Executor) Tick() (service.Instant, error) {
@@ -710,17 +708,14 @@ func (e *Executor) Tick() (service.Instant, error) {
 	e.mu.Lock()
 	e.now++
 	at := e.now
-	order := append([]string(nil), e.order...)
-	qs := make([]*Query, len(order))
-	for i, name := range order {
+	qs := make([]*Query, len(e.order))
+	for i, name := range e.order {
 		qs[i] = e.queries[name]
 	}
 	sources := append([]Source(nil), e.sources...)
 	dur := e.dur
 	onCheckpoint := e.onCheckpoint
-	workers := e.queryParallelism
-	budget := e.tickBudget
-	skipPassive := e.coalescePassive && e.overranLast
+	skipPassive := e.coalesce && e.overranLast
 	rels := make([]*stream.XDRelation, 0, len(e.rels))
 	for _, x := range e.rels {
 		rels = append(rels, x)
@@ -754,7 +749,7 @@ func (e *Executor) Tick() (service.Instant, error) {
 			return at, fmt.Errorf("cq: source at instant %d: %w", at, err)
 		}
 	}
-	if err := e.evalTickQueries(order, qs, at, tick, nil, workers, skipPassive); err != nil {
+	if err := e.evalTickQueries(qs, at, tick, skipPassive); err != nil {
 		return at, err
 	}
 	e.mu.Lock()
@@ -781,7 +776,7 @@ func (e *Executor) Tick() (service.Instant, error) {
 	elapsed := time.Since(start)
 	e.mu.Lock()
 	e.recordLag(at)
-	overran := budget > 0 && elapsed > budget
+	overran := e.tickBudget > 0 && elapsed > e.tickBudget
 	e.overranLast = overran
 	if overran {
 		e.tickOverruns++
@@ -797,132 +792,34 @@ func (e *Executor) Tick() (service.Instant, error) {
 	return at, nil
 }
 
-// evalTickQueries evaluates one tick's queries in dependency stages. A
+// evalTickQueries evaluates one tick's queries in registration order. A
 // query reading another registered query's output relation (a derived
-// view) must evaluate after its producer to see the producer's
-// same-instant output; registration order is topological (Register only
-// accepts plans whose relations already exist), so one pass over the
-// queries assigns each its stage. Within a stage, queries are independent
-// and evaluate concurrently on a bounded pool when workers > 1. Errors are
-// deterministic: the failing query earliest in registration order wins.
+// view) sees its producer's same-instant output, because registration
+// order is topological: Register only accepts plans whose relations
+// already exist. The first failing query ends the tick.
 //
 // skipPassive is the overload-coalescing signal: when set (only ever on a
 // live tick following a budget overrun — replay never coalesces), queries
 // that shedableQueries proves safe are skipped for this instant. A skipped
 // query's cross-instant state is untouched, so its next evaluation emits
 // the accumulated delta.
-func (e *Executor) evalTickQueries(order []string, qs []*Query, at service.Instant, tick *trace.Span, replay ReplayLedger, workers int, skipPassive bool) error {
-	fail := func(i int, err error) error {
-		tick.SetAttr("error", err.Error())
-		e.logTickError(tick, at, order[i], err)
-		return fmt.Errorf("cq: query %q at instant %d: %w", order[i], at, err)
-	}
+func (e *Executor) evalTickQueries(qs []*Query, at service.Instant, tick *trace.Span, skipPassive bool) error {
 	var skip []bool
 	if skipPassive {
-		skip = shedableQueries(order, qs)
+		skip = shedableQueries(qs)
 	}
-	skipped := func(i int) bool {
+	for i, q := range qs {
 		if skip != nil && skip[i] {
-			qs[i].noteCoalesced()
-			return true
-		}
-		return false
-	}
-	if workers < 2 || len(qs) < 2 {
-		for i, q := range qs {
-			if skipped(i) {
-				continue
-			}
-			if err := e.evalQuery(q, at, tick, replay); err != nil {
-				return fail(i, err)
-			}
-		}
-		return nil
-	}
-	for _, stage := range stageQueries(order, qs) {
-		w := workers
-		if w > len(stage) {
-			w = len(stage)
-		}
-		if w < 2 {
-			for _, i := range stage {
-				if skipped(i) {
-					continue
-				}
-				if err := e.evalQuery(qs[i], at, tick, replay); err != nil {
-					return fail(i, err)
-				}
-			}
+			q.noteCoalesced()
 			continue
 		}
-		var (
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			errIdx   = -1
-			firstErr error
-		)
-		next := make(chan int)
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if err := e.evalQuery(qs[i], at, tick, replay); err != nil {
-						errMu.Lock()
-						if errIdx == -1 || i < errIdx {
-							errIdx, firstErr = i, err
-						}
-						errMu.Unlock()
-					}
-				}
-			}()
-		}
-		for _, i := range stage {
-			if skipped(i) {
-				continue
-			}
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		if firstErr != nil {
-			return fail(errIdx, firstErr)
+		if err := e.evalQuery(q, at, tick, nil); err != nil {
+			tick.SetAttr("error", err.Error())
+			e.logTickError(tick, at, q.name, err)
+			return fmt.Errorf("cq: query %q at instant %d: %w", q.name, at, err)
 		}
 	}
 	return nil
-}
-
-// stageQueries groups query indexes into evaluation stages by derived-view
-// dependency depth: stage 0 reads only base relations, stage k reads at
-// least one stage k−1 output. The dependency index is keyed by each
-// query's OUTPUT relation name (the INTO target when set) — a consumer
-// reads its producer through that name, not through the producer's query
-// name. Dependencies always point at earlier registrations, so depths
-// resolve in one forward pass.
-func stageQueries(order []string, qs []*Query) [][]int {
-	idxOf := make(map[string]int, len(qs))
-	for i, q := range qs {
-		idxOf[q.OutName()] = i
-	}
-	depth := make([]int, len(qs))
-	maxDepth := 0
-	for i, q := range qs {
-		d := 0
-		for _, dep := range planBaseNames(q.plan) {
-			if j, ok := idxOf[dep]; ok && j < i && depth[j]+1 > d {
-				d = depth[j] + 1
-			}
-		}
-		depth[i] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	stages := make([][]int, maxDepth+1)
-	for i, d := range depth {
-		stages[d] = append(stages[d], i)
-	}
-	return stages
 }
 
 // planBaseNames collects every base-relation name a plan reads.
@@ -984,7 +881,7 @@ func (e *Executor) RunUntil(at service.Instant) error {
 }
 
 // evalQuery evaluates one query at one instant (tickMu held by the caller;
-// e.mu is NOT held — parallel stages run several evalQuery calls at once).
+// e.mu is NOT held, so readers of the executor never wait on an evaluation).
 // tick is the enclosing tick span (nil when the tick is unsampled). replay,
 // non-nil during recovery, carries the tick's logged active-invocation
 // outcomes; live ticks pass nil.

@@ -25,8 +25,14 @@ type scenario struct {
 
 func newScenario(t *testing.T) *scenario {
 	t.Helper()
+	return newScenarioWith(t, cq.Options{})
+}
+
+// newScenarioWith is newScenario over an executor built with opts.
+func newScenarioWith(t *testing.T, opts cq.Options) *scenario {
+	t.Helper()
 	reg, dev := paperenv.MustRegistry()
-	exec := cq.NewExecutor(reg)
+	exec := cq.NewExecutor(reg, opts)
 
 	contacts := stream.NewFinite(paperenv.ContactsSchema())
 	for _, tu := range paperenv.Contacts().Tuples() {
@@ -226,7 +232,7 @@ func TestWindowAccumulation(t *testing.T) {
 
 func TestStreamKindsOverFiniteRelation(t *testing.T) {
 	reg, _ := paperenv.MustRegistry()
-	exec := cq.NewExecutor(reg)
+	exec := cq.NewExecutor(reg, cq.Options{})
 	contacts := stream.NewFinite(paperenv.ContactsSchema())
 	if err := exec.AddRelation(contacts); err != nil {
 		t.Fatal(err)
@@ -344,7 +350,7 @@ func TestMemoizationAcrossQueriesWithinTick(t *testing.T) {
 	// own context/memo, so physical invocations happen per query — but the
 	// delta cache keeps each query from re-invoking across ticks.
 	reg, dev := paperenv.MustRegistry()
-	exec := cq.NewExecutor(reg)
+	exec := cq.NewExecutor(reg, cq.Options{})
 	sensors := stream.NewFinite(paperenv.SensorsSchema())
 	for _, tu := range paperenv.Sensors().Tuples() {
 		_ = sensors.Insert(0, tu)

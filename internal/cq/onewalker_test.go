@@ -52,7 +52,7 @@ func TestOneShotAgreesWithBothTickEvaluators(t *testing.T) {
 	}
 	reg, _ := paperenv.MustRegistry()
 	newWorld := func(naive bool) world {
-		w := world{exec: NewExecutor(reg), rels: map[string]*stream.XDRelation{
+		w := world{exec: NewExecutor(reg, Options{}), rels: map[string]*stream.XDRelation{
 			"contacts":     stream.NewFinite(paperenv.ContactsSchema()),
 			"surveillance": stream.NewFinite(paperenv.SurveillanceSchema()),
 		}}

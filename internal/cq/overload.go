@@ -1,6 +1,7 @@
 // Tick-level overload protection: bounded ingest drains, a tick deadline
-// with overrun detection, and optional coalescing of passive-only queries
-// when the previous tick overran its budget.
+// with overrun detection (Options.TickBudget), and optional coalescing of
+// passive-only queries when the previous tick overran its budget
+// (Options.Coalesce).
 //
 // The coalescing invariant is the algebra's: a query whose plan contains an
 // active β — or whose output feeds one, directly or through any chain of
@@ -26,34 +27,10 @@ var (
 	obsLastTickElapsed = obs.Default.Gauge("cq.tick.last_ns")
 )
 
-// SetTickBudget installs a soft deadline for one tick: a tick taking longer
-// than d is recorded as an overrun (cq.tick.overruns in .metrics) and, when
-// coalescing is enabled, the NEXT tick skips shedable passive-only queries
-// to catch up. d <= 0 disables the budget (the default). The budget never
-// aborts a running tick — cutting an active β mid-flight could lose an
-// action result — it only informs the next instant's scheduling.
-func (e *Executor) SetTickBudget(d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.tickBudget = d
-	obsLastTickBudget.Set(int64(d))
-}
-
-// SetOverloadCoalescing enables (or disables) skipping passive-only queries
-// for one instant after an overrun tick. Default off: overruns are then
-// only counted.
-func (e *Executor) SetOverloadCoalescing(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.coalescePassive = on
-}
-
 // OverloadSettings returns the tick budget (0 = none) and whether
-// coalescing is enabled.
+// coalescing is enabled (Options.TickBudget and Options.Coalesce).
 func (e *Executor) OverloadSettings() (budget time.Duration, coalescing bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tickBudget, e.coalescePassive
+	return e.tickBudget, e.coalesce
 }
 
 // TickOverruns returns how many ticks exceeded the budget so far.
@@ -99,7 +76,7 @@ func (e *Executor) computeHasActive(q *Query) {
 // active query down to everything it reads.
 // The dependency index is keyed by each query's OUTPUT relation name (the
 // INTO target when set), matching how consumers reference their producers.
-func shedableQueries(order []string, qs []*Query) []bool {
+func shedableQueries(qs []*Query) []bool {
 	idxOf := make(map[string]int, len(qs))
 	for i, q := range qs {
 		idxOf[q.OutName()] = i

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"serena/internal/algebra"
+	"serena/internal/cq"
 	"serena/internal/device"
 	"serena/internal/query"
 	"serena/internal/resilience"
@@ -37,22 +38,20 @@ func TestIngestDrainOnTick(t *testing.T) {
 	}
 }
 
-// TestTickOverrunDetection: a tick slower than its budget is counted.
+// TestTickOverrunDetection: a tick slower than its budget is counted, and
+// without a budget no tick is.
 func TestTickOverrunDetection(t *testing.T) {
-	s := newScenario(t)
-	s.exec.SetTickBudget(time.Nanosecond)
-	if _, err := s.exec.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.exec.TickOverruns(); n != 1 {
-		t.Fatalf("overruns = %d, want 1", n)
-	}
-	s.exec.SetTickBudget(0)
-	if _, err := s.exec.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.exec.TickOverruns(); n != 1 {
-		t.Fatalf("overruns after disabling budget = %d, want still 1", n)
+	for _, c := range []struct {
+		budget time.Duration
+		want   int64
+	}{{time.Nanosecond, 1}, {0, 0}} {
+		s := newScenarioWith(t, cq.Options{TickBudget: c.budget})
+		if _, err := s.exec.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.exec.TickOverruns(); n != c.want {
+			t.Fatalf("budget %v: overruns = %d, want %d", c.budget, n, c.want)
+		}
 	}
 }
 
@@ -71,11 +70,11 @@ func passiveView() query.Node {
 // active query is protected.
 func TestCoalescingNeverShedsActiveCone(t *testing.T) {
 	run := func(overloaded bool) (actions string, coalescedView, coalescedHot, coalescedAlert int64) {
-		s := newScenario(t)
+		var opts cq.Options
 		if overloaded {
-			s.exec.SetTickBudget(time.Nanosecond)
-			s.exec.SetOverloadCoalescing(true)
+			opts = cq.Options{TickBudget: time.Nanosecond, Coalesce: true}
 		}
+		s := newScenarioWith(t, opts)
 		// "hot" is passive but feeds the active "alerts" query → protected.
 		hot, err := s.exec.Register("hot", passiveView())
 		if err != nil {

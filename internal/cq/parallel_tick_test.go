@@ -1,6 +1,8 @@
 package cq_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"serena/internal/algebra"
 	"serena/internal/cq"
 	"serena/internal/device"
+	"serena/internal/obs"
 	"serena/internal/paperenv"
 	"serena/internal/query"
 	"serena/internal/service"
@@ -41,7 +44,7 @@ func slowTickExec(t *testing.T, n int, lat time.Duration) *cq.Executor {
 			t.Fatal(err)
 		}
 	}
-	exec := cq.NewExecutor(reg)
+	exec := cq.NewExecutor(reg, cq.Options{})
 	if err := exec.AddRelation(fin); err != nil {
 		t.Fatal(err)
 	}
@@ -96,60 +99,54 @@ func TestReadersDoNotBlockDuringSlowTick(t *testing.T) {
 	}
 }
 
-// TestDependentQueriesUnderParallelTick: with query-level parallelism on,
-// a query reading another's derived relation must still see the SAME
-// instant's output — dependents run in a later stage, not concurrently
-// with their producer.
-func TestDependentQueriesUnderParallelTick(t *testing.T) {
-	s := newScenario(t)
-	s.exec.SetQueryParallelism(4)
-	if _, err := s.exec.Register("hot", query.NewSelect(
-		query.NewWindow(query.NewBase("temperatures"), 1),
-		algebra.Compare(algebra.Attr("temperature"), algebra.Gt, algebra.Const(value.NewReal(28))))); err != nil {
-		t.Fatal(err)
+// batchTransport stands in for a remote proxy: a registered Batcher is
+// what turns the β dispatcher's grouping on (Registry.HasBatchTransport).
+// No relation names its reference, so it is never invoked.
+type batchTransport struct{}
+
+func (batchTransport) Ref() string                  { return "transport" }
+func (batchTransport) PrototypeNames() []string     { return []string{"checkPhoto"} }
+func (batchTransport) Implements(proto string) bool { return proto == "checkPhoto" }
+
+func (batchTransport) Invoke(context.Context, string, value.Tuple, service.Instant) ([]value.Tuple, error) {
+	return nil, errors.New("transport: not reachable from the scenario")
+}
+
+func (t batchTransport) InvokeBatch(ctx context.Context, proto string, inputs []value.Tuple, at service.Instant) []service.InvokeResult {
+	out := make([]service.InvokeResult, len(inputs))
+	for i, in := range inputs {
+		out[i].Rows, out[i].Err = t.Invoke(ctx, proto, in, at)
 	}
-	alerts, err := s.exec.Register("alerts", query.NewInvoke(
-		query.NewAssignConst(
-			query.NewJoin(query.NewBase("contacts"), query.NewBase("hot")),
-			"text", value.NewString("Hot!")),
-		"sendMessage", ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An independent third query rides in the same stage pool.
-	if _, err := s.exec.Register("views", query.NewBase("cameras")); err != nil {
-		t.Fatal(err)
-	}
-	s.dev.Sensors["sensor06"].Heat(device.HeatEvent{From: 2, To: 4, Delta: 10})
-	if err := s.exec.RunUntil(6); err != nil {
-		t.Fatal(err)
-	}
-	if alerts.Actions().Len() != 3 {
-		t.Fatalf("actions = %s, want the 3 contacts alerted in the hot instant", alerts.Actions())
-	}
-	total := len(s.dev.Messengers["email"].Outbox()) + len(s.dev.Messengers["jabber"].Outbox())
-	if total != 3 {
-		t.Fatalf("deliveries = %d, want 3", total)
-	}
+	return out
 }
 
 // TestParallelTickEquivalentToSequential runs the same scenario twice —
-// fully sequential vs query-parallel + invocation-parallel + batched — and
+// fully sequential vs invocation-parallel with grouped β dispatch — and
 // demands identical query results, action sets and physical deliveries
 // (Definition 9 equivalence, end to end through the continuous executor).
+// The passive queries (photos, q4) send several jobs per instant, so the
+// grouped run goes through the fold/group planner.
 func TestParallelTickEquivalentToSequential(t *testing.T) {
 	type outcome struct {
 		actions    int
 		deliveries int
+		shots      int64
 		lastQ3     *algebra.XRelation
 		lastHot    *algebra.XRelation
+		lastPhotos *algebra.XRelation
+		q4Events   int
 	}
+	plans := obs.Default.Counter("query.batch.plans")
 	run := func(parallel bool) outcome {
-		s := newScenario(t)
+		var opts cq.Options
 		if parallel {
-			s.exec.SetQueryParallelism(4)
-			s.exec.SetParallelism(8)
-			s.exec.SetBatchSize(4)
+			opts.Parallelism = 8
+		}
+		s := newScenarioWith(t, opts)
+		if parallel {
+			if err := s.reg.Register(batchTransport{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		q, err := s.exec.Register("q3", q3())
 		if err != nil {
@@ -161,15 +158,36 @@ func TestParallelTickEquivalentToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		photos, err := s.exec.Register("photos", query.NewInvoke(query.NewBase("cameras"), "checkPhoto", "camera"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q4q, err := s.exec.Register("q4", q4())
+		if err != nil {
+			t.Fatal(err)
+		}
 		s.dev.Sensors["sensor06"].Heat(device.HeatEvent{From: 5, To: 8, Delta: 20})
+		s.dev.Sensors["sensor22"].Heat(device.HeatEvent{From: 3, To: 4, Delta: -5})
+		s.dev.Sensors["sensor01"].Heat(device.HeatEvent{From: 6, To: 7, Delta: -10})
+		before := plans.Value()
 		if err := s.exec.RunUntil(10); err != nil {
 			t.Fatal(err)
+		}
+		if grouped := plans.Value() - before; parallel && grouped == 0 {
+			t.Fatal("fixture broken: the grouped run planned no grouped dispatch")
+		}
+		var shots int64
+		for _, c := range s.dev.Cameras {
+			shots += c.Shots()
 		}
 		return outcome{
 			actions:    q.Actions().Len(),
 			deliveries: len(s.dev.Messengers["email"].Outbox()) + len(s.dev.Messengers["jabber"].Outbox()),
+			shots:      shots,
 			lastQ3:     q.LastResult(),
 			lastHot:    hot.LastResult(),
+			lastPhotos: photos.LastResult(),
+			q4Events:   q4q.Output().EventCount(),
 		}
 	}
 	seq := run(false)
@@ -180,21 +198,31 @@ func TestParallelTickEquivalentToSequential(t *testing.T) {
 	if seq.deliveries != par.deliveries {
 		t.Fatalf("physical deliveries differ: %d sequential vs %d parallel", seq.deliveries, par.deliveries)
 	}
+	if seq.shots != par.shots || seq.q4Events != par.q4Events {
+		t.Fatalf("photos differ: %d shots / %d q4 events sequential vs %d / %d grouped",
+			seq.shots, seq.q4Events, par.shots, par.q4Events)
+	}
+	if seq.q4Events == 0 {
+		t.Fatal("fixture broken: q4 never fired")
+	}
 	if !seq.lastQ3.EqualContents(par.lastQ3) {
 		t.Fatal("q3 results differ between sequential and parallel ticks")
 	}
 	if !seq.lastHot.EqualContents(par.lastHot) {
 		t.Fatal("hot view differs between sequential and parallel ticks")
 	}
+	if !seq.lastPhotos.EqualContents(par.lastPhotos) {
+		t.Fatal("photos view differs between sequential and grouped ticks")
+	}
 }
 
 // TestParallelDeltaEquivalentToSequentialNaive is the incremental
 // evaluator's concurrency gate (run it under -race): four delta queries
-// tick under SetQueryParallelism(4) — so independent operator trees mutate
-// their join indexes, gates, and accumulators on different goroutines in
-// the same stage — while reader goroutines hammer the delta observability
-// surface mid-tick. The outcome must be bit-identical to the oracle: the
-// same scenario, fully sequential (P=1), every query pinned naive.
+// tick with β parallelism 4 — so invocation results reach the delta
+// operators from several dispatch goroutines — while reader goroutines
+// hammer the delta observability surface mid-tick. The outcome must be
+// bit-identical to the oracle: the same scenario, fully sequential (P=1),
+// every query pinned naive.
 func TestParallelDeltaEquivalentToSequentialNaive(t *testing.T) {
 	plans := func() map[string]query.Node {
 		return map[string]query.Node{
@@ -221,7 +249,11 @@ func TestParallelDeltaEquivalentToSequentialNaive(t *testing.T) {
 		deliveries int
 	}
 	run := func(parallelDelta bool) outcome {
-		s := newScenario(t)
+		var opts cq.Options
+		if parallelDelta {
+			opts.Parallelism = 4
+		}
+		s := newScenarioWith(t, opts)
 		qs := map[string]*cq.Query{}
 		for name, plan := range plans() {
 			q, err := s.exec.Register(name, plan)
@@ -231,7 +263,6 @@ func TestParallelDeltaEquivalentToSequentialNaive(t *testing.T) {
 			qs[name] = q
 		}
 		if parallelDelta {
-			s.exec.SetQueryParallelism(4)
 			for _, name := range names {
 				if got := qs[name].EvaluationMode(); got != "delta" {
 					t.Fatalf("query %s runs %q, want delta", name, got)

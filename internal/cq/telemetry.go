@@ -1,7 +1,8 @@
 // Self-telemetry: the engine's own health as first-class XD-Relations.
 //
-// A periodic scraper — an ordinary tick Source — samples the obs registry,
-// computes per-interval deltas, and feeds three built-in system relations:
+// A scraper — an ordinary tick Source, run every instant — samples the obs
+// registry, computes per-instant deltas, and feeds three built-in system
+// relations:
 //
 //	sys$metrics  infinite  (metric STRING, kind STRING, value REAL, delta REAL)
 //	sys$health   finite    (query STRING, state STRING)
@@ -106,24 +107,21 @@ type StreamHealth struct {
 	Cadence service.Instant // expected cadence, 0 = no dead-man configured
 }
 
-// TelemetryOptions configures EnableSelfTelemetry. The zero value means:
-// scrape every instant, retain ~32 instants of sys$metrics, feed the
-// process-wide obs.Default registry.
+// metricsRetention is the sys$metrics trim horizon in instants. A
+// registered window over sys$metrics larger than this extends it.
+const metricsRetention service.Instant = 32
+
+// TelemetryOptions configures EnableSelfTelemetry. The scraper runs every
+// instant and sys$metrics keeps metricsRetention instants of rows.
 type TelemetryOptions struct {
-	// Interval scrapes every N instants (≤ 1 = every instant).
-	Interval service.Instant
-	// Retention is the sys$metrics trim horizon in instants (≤ 0 = 32).
-	// A registered window larger than this extends it automatically.
-	Retention service.Instant
 	// Registry to sample (nil = obs.Default).
 	Registry *obs.Metrics
 }
 
 // Telemetry is the self-telemetry subsystem attached to one Executor.
 type Telemetry struct {
-	e        *Executor
-	reg      *obs.Metrics
-	interval service.Instant
+	e   *Executor
+	reg *obs.Metrics
 
 	metricsRel *stream.XDRelation
 	healthRel  *stream.XDRelation
@@ -165,12 +163,6 @@ type queryPrev struct {
 // Call it before the first tick and — in durable environments — before
 // recovery, so WAL-logged queries over sys$ relations can re-register.
 func (e *Executor) EnableSelfTelemetry(opts TelemetryOptions) (*Telemetry, error) {
-	if opts.Interval < 1 {
-		opts.Interval = 1
-	}
-	if opts.Retention < 1 {
-		opts.Retention = 32
-	}
 	if opts.Registry == nil {
 		opts.Registry = obs.Default
 	}
@@ -183,7 +175,6 @@ func (e *Executor) EnableSelfTelemetry(opts TelemetryOptions) (*Telemetry, error
 	t := &Telemetry{
 		e:        e,
 		reg:      opts.Registry,
-		interval: opts.Interval,
 		prev:     map[string]float64{},
 		queries:  map[string]*QueryHealth{},
 		streams:  map[string]*StreamHealth{},
@@ -222,8 +213,8 @@ func (e *Executor) EnableSelfTelemetry(opts TelemetryOptions) (*Telemetry, error
 	// Registering the retention horizon as a pseudo-window lets the
 	// executor's existing trimmer bound the sys$metrics log; larger real
 	// windows registered later extend it (recordWindows never shrinks).
-	if opts.Retention > e.maxWindow[SysMetrics] {
-		e.maxWindow[SysMetrics] = opts.Retention
+	if metricsRetention > e.maxWindow[SysMetrics] {
+		e.maxWindow[SysMetrics] = metricsRetention
 	}
 	e.mu.Unlock()
 	e.AddSource(t.scrape)
@@ -300,9 +291,6 @@ func (t *Telemetry) Health() HealthSnapshot {
 // queries (eval latency, counters) is therefore the state after instant
 // at−1 — health lags evaluation by exactly one instant.
 func (t *Telemetry) scrape(at service.Instant) error {
-	if t.interval > 1 && at%t.interval != 0 {
-		return nil
-	}
 	e := t.e
 	e.mu.Lock()
 	budget := e.tickBudget

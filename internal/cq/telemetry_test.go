@@ -1,6 +1,7 @@
 package cq_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -43,8 +44,15 @@ type telemetryEnv struct {
 
 func newTelemetryEnv(t *testing.T, opts cq.TelemetryOptions) *telemetryEnv {
 	t.Helper()
-	reg, _ := paperenv.MustRegistry()
-	exec := cq.NewExecutor(reg)
+	return newTelemetryEnvWith(t, opts, cq.Options{}, service.Options{})
+}
+
+// newTelemetryEnvWith is newTelemetryEnv over an executor and a registry
+// built with the given options.
+func newTelemetryEnvWith(t *testing.T, opts cq.TelemetryOptions, execOpts cq.Options, regOpts service.Options) *telemetryEnv {
+	t.Helper()
+	reg, _ := paperenv.MustRegistry(regOpts)
+	exec := cq.NewExecutor(reg, execOpts)
 	tel, err := exec.EnableSelfTelemetry(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -186,20 +194,20 @@ func TestQueryOverSysMetrics(t *testing.T) {
 	}
 }
 
-// TestSysMetricsRetention checks the pseudo-window trim horizon bounds the
-// sys$metrics event log.
+// TestSysMetricsRetention checks the pseudo-window trim horizon (32
+// instants) bounds the sys$metrics event log.
 func TestSysMetricsRetention(t *testing.T) {
 	reg := obs.New()
-	env := newTelemetryEnv(t, cq.TelemetryOptions{Registry: reg, Retention: 2})
+	env := newTelemetryEnv(t, cq.TelemetryOptions{Registry: reg})
 	c := reg.Counter("test.widgets")
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 100; i++ {
 		c.Inc() // one fresh row per scrape
 		env.tick(t)
 	}
-	// One metric row per scrape; with retention 2 the trimmer keeps only
-	// the last few instants' events, not all 12.
-	if n := env.rel(t, cq.SysMetrics).EventCount(); n > 4 {
-		t.Fatalf("sys$metrics holds %d events after 12 ticks with retention 2", n)
+	// One metric row per scrape; with retention 32 the trimmer keeps only
+	// the last few dozen instants' events, not all 100.
+	if n := env.rel(t, cq.SysMetrics).EventCount(); n > 34 {
+		t.Fatalf("sys$metrics holds %d events after 100 ticks with retention 32", n)
 	}
 }
 
@@ -254,37 +262,65 @@ func TestQueryHealthDegradedOnInvokeErrors(t *testing.T) {
 	}
 }
 
+// slowSensor is a sensor whose invocation at one instant takes delay.
+type slowSensor struct {
+	*device.Sensor
+	slowAt service.Instant
+	delay  time.Duration
+}
+
+func (s *slowSensor) Invoke(ctx context.Context, proto string, in value.Tuple, at service.Instant) ([]value.Tuple, error) {
+	if at == s.slowAt {
+		time.Sleep(s.delay)
+	}
+	return s.Sensor.Invoke(ctx, proto, in, at)
+}
+
 func TestQueryHealthOverloadedOnBudget(t *testing.T) {
-	env := newTelemetryEnv(t, cq.TelemetryOptions{})
-	if _, err := env.exec.Register("w", query.NewWindow(query.NewBase("temperatures"), 4)); err != nil {
+	const budget = 50 * time.Millisecond
+	env := newTelemetryEnvWith(t, cq.TelemetryOptions{}, cq.Options{TickBudget: budget}, service.Options{})
+	// Replace sensor01 with a variant whose instant-0 reading takes twice
+	// the budget; every other evaluation stays far below it.
+	if err := env.reg.Unregister("sensor01"); err != nil {
 		t.Fatal(err)
 	}
-	env.exec.SetTickBudget(time.Nanosecond) // any evaluation overruns
-	env.tick(t)                             // instant 0: first eval, latency recorded
-	env.tick(t)                             // instant 1: scrape sees the overrun
-	st := env.queryState(t, "w")
+	slow := &slowSensor{Sensor: device.NewSensor("sensor01", "corridor", 19), slowAt: 0, delay: 2 * budget}
+	if err := env.reg.Register(slow); err != nil {
+		t.Fatal(err)
+	}
+	sensors := stream.NewFinite(paperenv.SensorsSchema())
+	for _, tu := range paperenv.Sensors().Tuples() {
+		if err := sensors.Insert(0, tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := env.exec.AddRelation(sensors); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.exec.Register("poll", query.NewInvoke(query.NewBase("sensors"), "getTemperature", "")); err != nil {
+		t.Fatal(err)
+	}
+	env.tick(t) // instant 0: the slow evaluation, latency recorded
+	env.tick(t) // instant 1: scrape sees the overrun
+	st := env.queryState(t, "poll")
 	if st.State != cq.HealthOverloaded {
 		t.Fatalf("state = %s, want OVERLOADED", st.State)
 	}
 	if !strings.Contains(st.Reason, "tick budget") {
 		t.Fatalf("reason = %q", st.Reason)
 	}
-	env.exec.SetTickBudget(time.Hour)
-	env.tick(t)
-	env.tick(t)
-	if st := env.queryState(t, "w"); st.State != cq.HealthOK {
-		t.Fatalf("after budget relaxed: state = %s, want OK", st.State)
+	env.tick(t) // instant 2: scrape sees instant 1's evaluation, within budget
+	if st := env.queryState(t, "poll"); st.State != cq.HealthOK {
+		t.Fatalf("after a fast evaluation: state = %s, want OK", st.State)
 	}
 }
 
 func TestQueryHealthOverloadedOnCoalescing(t *testing.T) {
-	env := newTelemetryEnv(t, cq.TelemetryOptions{})
+	env := newTelemetryEnvWith(t, cq.TelemetryOptions{}, cq.Options{TickBudget: time.Nanosecond, Coalesce: true}, service.Options{})
 	q, err := env.exec.Register("w", query.NewWindow(query.NewBase("temperatures"), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.exec.SetTickBudget(time.Nanosecond)
-	env.exec.SetOverloadCoalescing(true)
 	for i := 0; i < 4; i++ {
 		env.tick(t)
 	}
@@ -329,7 +365,8 @@ func TestQueryHealthDegradedOnNaiveFallback(t *testing.T) {
 }
 
 func TestQueryHealthDegradedOnOpenBreaker(t *testing.T) {
-	env := newTelemetryEnv(t, cq.TelemetryOptions{})
+	env := newTelemetryEnvWith(t, cq.TelemetryOptions{}, cq.Options{},
+		service.Options{Breakers: &resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour}})
 	sensors := stream.NewFinite(paperenv.SensorsSchema())
 	for _, tu := range paperenv.Sensors().Tuples() {
 		if err := sensors.Insert(0, tu); err != nil {
@@ -342,7 +379,7 @@ func TestQueryHealthDegradedOnOpenBreaker(t *testing.T) {
 	if _, err := env.exec.Register("poll", query.NewInvoke(query.NewBase("sensors"), "getTemperature", "")); err != nil {
 		t.Fatal(err)
 	}
-	bs := env.reg.EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour})
+	bs := env.reg.Breakers()
 	env.tick(t)
 	if st := env.queryState(t, "poll"); st.State != cq.HealthOK {
 		t.Fatalf("closed breakers: state = %s, want OK", st.State)
@@ -488,26 +525,5 @@ func TestUnregisterRetractsHealthTuple(t *testing.T) {
 	}
 	if len(env.tel.Health().Queries) != 0 {
 		t.Fatal("health snapshot still lists the unregistered query")
-	}
-}
-
-// TestScrapeInterval: with Interval 3 the scraper only feeds sys$metrics
-// every third instant.
-func TestScrapeInterval(t *testing.T) {
-	reg := obs.New()
-	env := newTelemetryEnv(t, cq.TelemetryOptions{Registry: reg, Interval: 3})
-	c := reg.Counter("test.widgets")
-	for i := 0; i < 6; i++ {
-		c.Inc() // changes every instant, but only scrapes sample it
-		env.tick(t)
-	}
-	rows := 0
-	for _, tu := range env.rel(t, cq.SysMetrics).InsertedIn(-1, 5) {
-		if tu[0].Str() == "test.widgets" {
-			rows++
-		}
-	}
-	if rows != 2 { // instants 0 and 3
-		t.Fatalf("scrapes in 6 instants at interval 3 = %d, want 2", rows)
 	}
 }

@@ -10,6 +10,7 @@ package discovery
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -35,12 +36,15 @@ const (
 // Announcement is one presence message from a Local ERM. Services
 // optionally carries the announcing node's hosted service catalog, so a
 // relayed announcement (the wire-backed bus forwards frames between pemsd
-// peers) describes the node without every listener dialing it.
+// peers) describes the node without every listener dialing it. Catalog
+// marks Services as that whole catalog, even when it is empty; without it
+// the announcement carries no catalog.
 type Announcement struct {
 	Kind     Kind
 	Node     string
 	Addr     string // TCP address of the node's wire server
 	Services []wire.ServiceInfo
+	Catalog  bool
 }
 
 // Bus transports announcements between Local ERMs and core ERMs. The
@@ -128,15 +132,33 @@ func (n *Node) Start(addr string) error {
 		return err
 	}
 	n.addr = bound
-	n.bus.Announce(Announcement{Kind: Alive, Node: n.name, Addr: bound})
+	n.Announce()
 	return nil
 }
 
-// Announce re-broadcasts an alive message (lease renewal).
+// Announce re-broadcasts an alive message carrying the node's current
+// service catalog: a lease renewal, and a re-describe for managers whose
+// view of the catalog is stale.
 func (n *Node) Announce() {
 	if n.addr != "" {
-		n.bus.Announce(Announcement{Kind: Alive, Node: n.name, Addr: n.addr})
+		n.bus.Announce(Announcement{Kind: Alive, Node: n.name, Addr: n.addr, Services: hostedCatalog(n.local), Catalog: true})
 	}
+}
+
+// hostedCatalog lists the registry's locally hosted services (LocalRefs —
+// never discovered providers, which would re-export other nodes' catalogs
+// and create forwarding chains).
+func hostedCatalog(reg *service.Registry) []wire.ServiceInfo {
+	refs := reg.LocalRefs()
+	out := make([]wire.ServiceInfo, 0, len(refs))
+	for _, ref := range refs {
+		svc, err := reg.Lookup(ref)
+		if err != nil {
+			continue
+		}
+		out = append(out, wire.ServiceInfo{Ref: ref, Prototypes: svc.PrototypeNames()})
+	}
+	return out
 }
 
 // Stop announces a bye and shuts the wire server down.
@@ -163,9 +185,13 @@ type Manager struct {
 }
 
 type nodeState struct {
-	addr     string
-	client   *wire.Client
+	addr   string
+	client *wire.Client
+	// refs are the references registered as this node's providers;
+	// catalog is every reference the node last described, sorted (a
+	// reference colliding with a local service is in catalog only).
 	refs     []string
+	catalog  []string
 	deadline time.Time
 	since    time.Time
 }
@@ -309,14 +335,22 @@ func (m *Manager) Stop() {
 // registered as PROVIDERS keyed by the node name: a reference replicated on
 // several nodes stays ONE service to discovery (rendezvous hashing picks
 // the routing owner), and losing one replica raises no Removed event — the
-// node-loss masking at the heart of federation.
+// node-loss masking at the heart of federation. A known node announcing
+// from the same address renews its lease; when its announced catalog
+// differs from the one it last described (it gained or lost a service), it
+// is described again over its open connection. An announcement without a
+// catalog renews the lease only.
 func (m *Manager) handleAlive(a Announcement) error {
 	m.mu.Lock()
 	st, known := m.nodes[a.Node]
 	if known && st.addr == a.Addr {
 		st.deadline = time.Now().Add(m.lease)
+		stale := a.Catalog && !sameRefs(st.catalog, a.Services)
 		m.mu.Unlock()
-		return nil // lease renewal
+		if !stale {
+			return nil // lease renewal
+		}
+		return m.describe(a.Node, st)
 	}
 	m.mu.Unlock()
 	if known {
@@ -326,23 +360,11 @@ func (m *Manager) handleAlive(a Announcement) error {
 	if err != nil {
 		return err
 	}
-	node, infos, err := client.Describe()
-	if err != nil {
-		_ = client.Close()
-		return err
-	}
-	if node != a.Node {
-		_ = client.Close()
-		return fmt.Errorf("discovery: node %q announced as %q", node, a.Node)
-	}
 	now := time.Now()
 	st = &nodeState{addr: a.Addr, client: client, deadline: now.Add(m.lease), since: now}
-	for _, info := range infos {
-		proxy := wire.NewRemote(client, info)
-		if err := m.central.RegisterProvider(a.Node, proxy); err != nil {
-			continue // ref collision with a provider-less local service: skip
-		}
-		st.refs = append(st.refs, info.Ref)
+	if err := m.describe(a.Node, st); err != nil {
+		_ = client.Close()
+		return err
 	}
 	m.mu.Lock()
 	m.nodes[a.Node] = st
@@ -351,14 +373,63 @@ func (m *Manager) handleAlive(a Announcement) error {
 	return nil
 }
 
+// describe asks a node for its service catalog over its connection and
+// reconciles the node's providers in the central registry with it: every
+// described service registers (re-registering replaces the node's
+// provider), and a service the node no longer describes unregisters.
+func (m *Manager) describe(name string, st *nodeState) error {
+	node, infos, err := st.client.Describe()
+	if err != nil {
+		return err
+	}
+	if node != name {
+		return fmt.Errorf("discovery: node %q announced as %q", node, name)
+	}
+	var refs, catalog []string
+	for _, info := range infos {
+		catalog = append(catalog, info.Ref)
+		if err := m.central.RegisterProvider(name, wire.NewRemote(st.client, info)); err != nil {
+			continue // ref collision with a provider-less local service: skip
+		}
+		refs = append(refs, info.Ref)
+	}
+	sort.Strings(catalog)
+	m.mu.Lock()
+	gone := st.refs
+	st.refs, st.catalog = refs, catalog
+	m.mu.Unlock()
+	for _, ref := range gone {
+		if !slices.Contains(refs, ref) {
+			_ = m.central.UnregisterProvider(name, ref)
+		}
+	}
+	return nil
+}
+
+// sameRefs reports whether an announced catalog names exactly the sorted
+// references in catalog.
+func sameRefs(catalog []string, announced []wire.ServiceInfo) bool {
+	if len(catalog) != len(announced) {
+		return false
+	}
+	refs := make([]string, len(announced))
+	for i, info := range announced {
+		refs[i] = info.Ref
+	}
+	sort.Strings(refs)
+	return slices.Equal(catalog, refs)
+}
+
 // removeNode unregisters a node's providers and closes its client. A
 // non-empty reason leaves a tombstone for the membership view (sys$peers
 // and friends); address moves and manager shutdown pass "".
 func (m *Manager) removeNode(name, reason string) {
 	m.mu.Lock()
 	st, ok := m.nodes[name]
+	var refs []string
 	if ok {
 		delete(m.nodes, name)
+		refs = st.refs
 		if reason != "" {
 			m.downs[name] = &peerDown{addr: st.addr, reason: reason, since: time.Now()}
 		}
@@ -367,7 +438,7 @@ func (m *Manager) removeNode(name, reason string) {
 	if !ok {
 		return
 	}
-	for _, ref := range st.refs {
+	for _, ref := range refs {
 		_ = m.central.UnregisterProvider(name, ref)
 	}
 	_ = st.client.Close()

@@ -132,6 +132,50 @@ func TestLateManagerMissesNothingAfterReannounce(t *testing.T) {
 	waitFor(t, "reannounce discovery", func() bool { return len(central.Refs()) == 1 })
 }
 
+// TestReannounceRedescribesChangedCatalog: a known node that gains or
+// loses a service after discovery re-announces its catalog from the same
+// address, and the manager describes it again — the gained service reaches
+// the central registry and the lost one leaves it, without the node moving
+// or dropping.
+func TestReannounceRedescribesChangedCatalog(t *testing.T) {
+	bus := discovery.NewInProcBus()
+	central := newCentral(t)
+	m := discovery.NewManager(central, bus)
+	m.Start()
+	defer m.Stop()
+
+	node := newNode(t, bus, "node-A", "sensorA1")
+	if err := node.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	waitFor(t, "discovery", func() bool { return len(central.Refs()) == 1 })
+
+	if err := node.Registry().Register(device.NewSensor("sensorA2", "lab", 21)); err != nil {
+		t.Fatal(err)
+	}
+	node.Announce()
+	waitFor(t, "the gained service", func() bool {
+		_, err := central.Lookup("sensorA2")
+		return err == nil
+	})
+	if rows, err := central.Invoke("getTemperature", "sensorA2", nil, 1); err != nil || len(rows) != 1 {
+		t.Fatalf("invoke of the gained service via central = %v %v", rows, err)
+	}
+
+	if err := node.Registry().Unregister("sensorA1"); err != nil {
+		t.Fatal(err)
+	}
+	node.Announce()
+	waitFor(t, "the lost service to leave", func() bool {
+		refs := central.Refs()
+		return len(refs) == 1 && refs[0] == "sensorA2"
+	})
+	if got := m.Nodes(); len(got) != 1 || got[0] != "node-A" {
+		t.Fatalf("Nodes = %v, want the node kept across re-describes", got)
+	}
+}
+
 func TestLeaseExpiry(t *testing.T) {
 	bus := discovery.NewInProcBus()
 	central := newCentral(t)

@@ -216,30 +216,18 @@ func (b *WireBus) AnnounceSelfNow() {
 	if addr == "" {
 		return
 	}
-	var svcs []wire.ServiceInfo
+	a := Announcement{Kind: Alive, Node: b.node, Addr: addr}
 	if catalog != nil {
-		svcs = catalog()
+		a.Services, a.Catalog = catalog(), true
 	}
-	b.Announce(Announcement{Kind: Alive, Node: b.node, Addr: addr, Services: svcs})
+	b.Announce(a)
 }
 
 // SetCatalogFromRegistry installs a catalog that advertises the registry's
-// locally hosted services (LocalRefs — never discovered providers, which
-// would re-export other nodes' catalogs and create forwarding chains).
+// locally hosted services (see hostedCatalog).
 func (b *WireBus) SetCatalogFromRegistry(reg *service.Registry) {
 	b.mu.Lock()
-	b.catalog = func() []wire.ServiceInfo {
-		refs := reg.LocalRefs()
-		out := make([]wire.ServiceInfo, 0, len(refs))
-		for _, ref := range refs {
-			svc, err := reg.Lookup(ref)
-			if err != nil {
-				continue
-			}
-			out = append(out, wire.ServiceInfo{Ref: ref, Prototypes: svc.PrototypeNames()})
-		}
-		return out
-	}
+	b.catalog = func() []wire.ServiceInfo { return hostedCatalog(reg) }
 	b.mu.Unlock()
 }
 
@@ -254,7 +242,7 @@ func (b *WireBus) stamp(a Announcement) wire.Announce {
 	b.seq++
 	seq := b.seq
 	b.mu.Unlock()
-	return wire.Announce{Kind: kind, Node: a.Node, Addr: a.Addr, Seq: seq, From: b.node, Services: a.Services}
+	return wire.Announce{Kind: kind, Node: a.Node, Addr: a.Addr, Seq: seq, From: b.node, Services: a.Services, Catalog: a.Catalog}
 }
 
 // broadcast pushes one frame to every joined peer, excluding the frame's
@@ -382,7 +370,7 @@ func (b *WireBus) handleFrames(frames []wire.Announce) {
 		if f.Kind == wire.AnnounceBye {
 			kind = Bye
 		}
-		b.deliverLocal(Announcement{Kind: kind, Node: f.Node, Addr: f.Addr, Services: f.Services})
+		b.deliverLocal(Announcement{Kind: kind, Node: f.Node, Addr: f.Addr, Services: f.Services, Catalog: f.Catalog})
 
 		// Mesh convergence: an Alive from a node we have no link to adds
 		// one, so announcements (and failover traffic) need not funnel

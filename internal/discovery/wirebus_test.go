@@ -168,3 +168,38 @@ func TestWireBusFeedsManager(t *testing.T) {
 		return len(central.ProviderNodes("p-sensor")) == 0
 	})
 }
+
+// TestWireBusRedescribesEmptiedCatalog: over the wire bus a node's catalog
+// changes reach the manager too, including the last service leaving — an
+// empty catalog must still read as a catalog, not as a bare lease renewal.
+func TestWireBusRedescribesEmptiedCatalog(t *testing.T) {
+	lease := 2 * time.Second
+	peer := newBusNode(t, "node-P", lease, "p1")
+	coord := newBusNode(t, "node-K", lease)
+
+	central := newCentral(t)
+	m := discovery.NewManager(central, coord.bus, discovery.WithLease(lease))
+	m.Start()
+	defer m.Stop()
+
+	peer.bus.Join(coord.addr)
+	peer.bus.AnnounceSelfNow()
+	waitFor(t, "the peer's first service", func() bool { return len(central.ProviderNodes("p1")) == 1 })
+
+	if err := peer.reg.Register(device.NewSensor("p2", "lab", 21)); err != nil {
+		t.Fatal(err)
+	}
+	peer.bus.AnnounceSelfNow()
+	waitFor(t, "the gained service", func() bool { return len(central.ProviderNodes("p2")) == 1 })
+
+	for _, ref := range []string{"p1", "p2"} {
+		if err := peer.reg.Unregister(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	peer.bus.AnnounceSelfNow()
+	waitFor(t, "the emptied catalog", func() bool { return len(central.Refs()) == 0 })
+	if got := m.Nodes(); len(got) != 1 || got[0] != "node-P" {
+		t.Fatalf("Nodes = %v, want the node kept across re-describes", got)
+	}
+}

@@ -133,8 +133,9 @@ type Devices struct {
 // services (Table 1): email, jabber, camera01, camera02, webcam07,
 // sensor01, sensor06, sensor07, sensor22. Base temperatures are chosen so
 // that, absent heat events, all sensors read below the scenario thresholds.
-func NewRegistry() (*service.Registry, *Devices, error) {
-	reg := service.NewRegistry()
+// Options, if given, set the registry's fault-tolerance policy.
+func NewRegistry(opts ...service.Options) (*service.Registry, *Devices, error) {
+	reg := service.NewRegistry(opts...)
 	for _, p := range device.ScenarioPrototypes() {
 		if err := reg.RegisterPrototype(p); err != nil {
 			return nil, nil, err
@@ -188,8 +189,8 @@ func NewRegistry() (*service.Registry, *Devices, error) {
 }
 
 // MustRegistry is NewRegistry panicking on error.
-func MustRegistry() (*service.Registry, *Devices) {
-	reg, d, err := NewRegistry()
+func MustRegistry(opts ...service.Options) (*service.Registry, *Devices) {
+	reg, d, err := NewRegistry(opts...)
 	if err != nil {
 		panic(err)
 	}

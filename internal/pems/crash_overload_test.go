@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"serena/internal/cq"
 	"serena/internal/pems"
 	"serena/internal/value"
 	"serena/internal/wal"
@@ -33,7 +34,7 @@ EXTENDED STREAM flood ( v INTEGER ) ON OVERLOAD SHED_NEWEST CAPACITY 16;
 // coalescing. Identical in the child, every restarted life, and the final
 // verification pass.
 func buildOverloadCrashEnv(dir, side string) (*pems.PEMS, wal.Info, error) {
-	p, info, err := buildCrashEnv(dir, side)
+	p, info, err := buildCrashEnv(dir, side, pems.Config{Executor: cq.Options{TickBudget: 100 * time.Microsecond, Coalesce: true}})
 	if err != nil {
 		return nil, wal.Info{}, err
 	}
@@ -45,8 +46,6 @@ func buildOverloadCrashEnv(dir, side string) (*pems.PEMS, wal.Info, error) {
 			return nil, wal.Info{}, err
 		}
 	}
-	p.Executor().SetTickBudget(100 * time.Microsecond)
-	p.Executor().SetOverloadCoalescing(true)
 	return p, info, nil
 }
 

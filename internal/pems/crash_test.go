@@ -91,14 +91,15 @@ func (m *fileMessenger) Invoke(_ context.Context, proto string, input value.Tupl
 	return []value.Tuple{{value.NewBool(true)}}, nil
 }
 
-// buildCrashEnv assembles the durable crash environment — the exact same
-// steps in the child, in every restarted life, and in the final
-// verification pass.
-func buildCrashEnv(dir, side string) (*pems.PEMS, wal.Info, error) {
-	p := pems.New()
-	if err := p.EnableDurability(dir, wal.Options{Fsync: wal.SyncInterval, CheckpointEvery: 10}); err != nil {
-		return nil, wal.Info{}, err
-	}
+// buildCrashEnv assembles the durable crash environment over cfg — the
+// exact same steps in the child, in every restarted life, and in the final
+// verification pass. The configuration makes it durable in dir and turns
+// self-telemetry on: system relations active during the crash runs must
+// never leak into the WAL or checkpoints, and recovery must replay
+// identically with the scraper installed.
+func buildCrashEnv(dir, side string, cfg pems.Config) (*pems.PEMS, wal.Info, error) {
+	cfg.DataDir, cfg.WAL, cfg.Telemetry = dir, wal.Options{Fsync: wal.SyncInterval, CheckpointEvery: 10}, true
+	p := pems.New(pems.WithConfig(cfg))
 	if err := p.ExecuteDDL(table1Prototypes); err != nil {
 		return nil, wal.Info{}, err
 	}
@@ -112,12 +113,6 @@ func buildCrashEnv(dir, side string) (*pems.PEMS, wal.Info, error) {
 		return nil, wal.Info{}, err
 	}
 	if _, err := p.AddFeedStream("news"); err != nil {
-		return nil, wal.Info{}, err
-	}
-	// System relations active during the crash runs: they must never leak
-	// into the WAL or checkpoints, and recovery must replay identically
-	// with the scraper installed.
-	if _, err := p.EnableSelfTelemetry(cq.TelemetryOptions{}); err != nil {
 		return nil, wal.Info{}, err
 	}
 	info, err := p.Recover()
@@ -196,7 +191,7 @@ func controlEnv(t *testing.T, side string) *pems.PEMS {
 // environment, tick as fast as possible, run until killed.
 func crashChild() {
 	dir, side := os.Getenv("SERENA_CRASH_DIR"), os.Getenv("SERENA_CRASH_SIDE")
-	p, _, err := buildCrashEnv(dir, side)
+	p, _, err := buildCrashEnv(dir, side, pems.Config{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash child:", err)
 		os.Exit(3)
@@ -257,7 +252,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 
 	// Final life: recover, then run two more instants so any β whose intent
 	// never became durable is re-evaluated and fired live.
-	p, info, err := buildCrashEnv(dir, side)
+	p, info, err := buildCrashEnv(dir, side, pems.Config{})
 	if err != nil {
 		t.Fatalf("final recovery failed: %v", err)
 	}

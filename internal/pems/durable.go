@@ -27,15 +27,15 @@ import (
 // logged instant is sound).
 
 // EnableDurability opens (or creates) the WAL + checkpoint store in dir and
-// attaches it to this PEMS. Call it before Recover, which must run before
-// the first tick. The embedder re-registers its code services, poll
-// streams and discovery relations between the two calls — checkpoints only
-// carry DDL-declared schema; live implementations are the embedder's to
-// restore. Everything that changes a query's result is DDL and therefore
-// logged: a query's ON ERROR, INTO and RETAIN clauses, a relation's ON
-// OVERLOAD buffer. Operational knobs set on Executor() or Registry()
-// (parallelism, batch size, tick budget, timeouts, retries, breakers) are
-// not; the embedder sets them again on every start.
+// attaches it to this PEMS; New does the same for Config.DataDir. Call it
+// before Recover, which must run before the first tick. The embedder
+// re-registers its code services, poll streams and discovery relations
+// between the two calls — checkpoints only carry DDL-declared schema; live
+// implementations are the embedder's to restore. Everything that changes a
+// query's result is DDL and therefore logged: a query's ON ERROR, INTO and
+// RETAIN clauses, a relation's ON OVERLOAD buffer. The operational knobs of
+// Config (parallelism, tick budget, timeouts, retries, breakers, telemetry)
+// are not; the embedder passes the same Config to New on every start.
 func (p *PEMS) EnableDurability(dir string, opts wal.Options) error {
 	m, err := wal.Open(dir, opts)
 	if err != nil {
@@ -66,9 +66,13 @@ func (p *PEMS) WAL() *wal.Manager {
 // Recover restores the last checkpoint (if any), replays the WAL tail, and
 // writes a fresh post-recovery checkpoint so the next restart does not
 // replay the same log again. It must be called exactly once, after
-// EnableDurability and the embedder's code registrations, before the first
-// tick.
+// durability is enabled (Config.DataDir or EnableDurability) and after the
+// embedder's code registrations, before the first tick. It also reports a
+// failure of New to open Config.DataDir.
 func (p *PEMS) Recover() (wal.Info, error) {
+	if p.openErr != nil {
+		return wal.Info{}, p.openErr
+	}
 	m := p.WAL()
 	if m == nil {
 		return wal.Info{}, fmt.Errorf("pems: durability not enabled")

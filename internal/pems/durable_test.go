@@ -8,6 +8,7 @@ import (
 	"serena/internal/pems"
 	"serena/internal/resilience"
 	"serena/internal/schema"
+	"serena/internal/service"
 	"serena/internal/value"
 	"serena/internal/wal"
 )
@@ -394,7 +395,8 @@ func TestDurableDiscoveryRecovery(t *testing.T) {
 		}, nil)
 	}
 
-	p1 := pems.New()
+	breakersOn := pems.WithConfig(pems.Config{Registry: service.Options{Breakers: &resilience.BreakerPolicy{FailureThreshold: 1}}})
+	p1 := pems.New(breakersOn)
 	if err := p1.EnableDurability(dir, wal.Options{Fsync: wal.SyncOff}); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +407,7 @@ func TestDurableDiscoveryRecovery(t *testing.T) {
 	if _, err := p1.AddDiscoveryRelation(liveSchema(), "sensor", "getTemperature", nil); err != nil {
 		t.Fatal(err)
 	}
-	bs1 := p1.Registry().EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1})
+	bs1 := p1.Registry().Breakers()
 	if _, err := p1.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +424,7 @@ func TestDurableDiscoveryRecovery(t *testing.T) {
 
 	// Second life: sensor22's lease expired while the system was down — it
 	// is not re-registered.
-	p2 := pems.New()
+	p2 := pems.New(breakersOn)
 	defer p2.Close()
 	if err := p2.EnableDurability(dir, wal.Options{Fsync: wal.SyncOff}); err != nil {
 		t.Fatal(err)
@@ -442,7 +444,7 @@ func TestDurableDiscoveryRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	breakers := p2.Registry().EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1})
+	breakers := p2.Registry().Breakers()
 	if _, err := p2.Recover(); err != nil {
 		t.Fatal(err)
 	}

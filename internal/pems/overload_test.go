@@ -5,16 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"serena/internal/cq"
 	"serena/internal/pems"
 	"serena/internal/value"
 )
 
 // TestOverloadFacade drives the end-to-end overload surface through PEMS:
 // DDL-declared ingest buffer, Offer/drain on tick, tick budget + overruns
-// set on the executor, and the report the shell's .overload command
-// prints.
+// from the Config, and the report the shell's .overload command prints.
 func TestOverloadFacade(t *testing.T) {
-	p := pems.New()
+	// The buffer policy is the DDL's; budget + coalescing are Config knobs.
+	p := pems.New(pems.WithConfig(pems.Config{Executor: cq.Options{TickBudget: time.Nanosecond, Coalesce: true}}))
 	defer p.Close()
 	const ddlSrc = `
 EXTENDED RELATION readings ( v INTEGER ) ON OVERLOAD SHED_NEWEST CAPACITY 2;
@@ -40,9 +41,6 @@ EXTENDED RELATION readings ( v INTEGER ) ON OVERLOAD SHED_NEWEST CAPACITY 2;
 		t.Fatalf("drained %d tuples, want 2 (capacity)", rel.Len())
 	}
 
-	// The buffer policy is the DDL's; budget + coalescing are executor knobs.
-	p.Executor().SetTickBudget(time.Nanosecond)
-	p.Executor().SetOverloadCoalescing(true)
 	if _, err := p.Tick(); err != nil {
 		t.Fatal(err)
 	}

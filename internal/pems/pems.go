@@ -50,39 +50,76 @@ type PEMS struct {
 	tickerDone chan struct{}
 
 	// explainOut receives the output of EXPLAIN [ANALYZE] DDL statements
-	// (default: discarded; the serena shell points it at stdout).
+	// (Config.ExplainOutput; io.Discard when unset).
 	explainOut io.Writer
+	// openErr is the failure to open Config.DataDir at construction;
+	// Recover reports it.
+	openErr error
 	// metricsShutdown stops the HTTP observability endpoint, if running.
 	metricsShutdown func()
 }
 
-// Option configures a PEMS.
-type Option func(*PEMS)
+// Option configures a PEMS at construction.
+type Option func(*options)
+
+type options struct {
+	cfg   Config
+	bus   discovery.Bus
+	disco []discovery.Option
+}
+
+// WithConfig sets the engine's configuration (see Config); without it the
+// engine runs the zero Config.
+func WithConfig(cfg Config) Option {
+	return func(o *options) { o.cfg = cfg }
+}
 
 // WithDiscovery attaches a discovery bus: Local ERM nodes announcing on the
 // bus are dialed and their services registered centrally.
 func WithDiscovery(bus discovery.Bus, opts ...discovery.Option) Option {
-	return func(p *PEMS) {
-		p.manager = discovery.NewManager(p.registry, bus, opts...)
-	}
+	return func(o *options) { o.bus, o.disco = bus, opts }
 }
 
-// New builds a PEMS. The catalog's relations are automatically registered
-// with the continuous executor.
+// New builds a PEMS and applies its Config: the registry and executor
+// knobs, self-telemetry, and durability over Config.DataDir (opened here
+// and restored by Recover, which also reports a failure to open it). The
+// catalog's relations are automatically registered with the continuous
+// executor.
 func New(opts ...Option) *PEMS {
-	reg := service.NewRegistry()
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	cfg := o.cfg
+	reg := service.NewRegistry(cfg.Registry)
 	p := &PEMS{
 		registry:   reg,
 		catalog:    catalog.New(reg),
-		exec:       cq.NewExecutor(reg),
+		exec:       cq.NewExecutor(reg, cfg.Executor),
 		feedStates: map[string]*feedState{},
+		explainOut: cfg.ExplainOutput,
+	}
+	if p.explainOut == nil {
+		p.explainOut = io.Discard
 	}
 	p.catalog.OnCreateRelation = func(x *stream.XDRelation) {
 		_ = p.exec.AddRelation(x)
 	}
 	obs.PublishExpvar()
-	for _, o := range opts {
-		o(p)
+	if o.bus != nil {
+		p.manager = discovery.NewManager(reg, o.bus, o.disco...)
+	}
+	// Telemetry and durability both precede the embedder's Recover: a
+	// WAL-logged query over a sys$ relation re-registers only if the
+	// relation exists.
+	if cfg.Telemetry {
+		// A new executor holds no sys$ relation yet, so only a bug fails this.
+		if _, err := p.EnableSelfTelemetry(cq.TelemetryOptions{}); err != nil {
+			panic(fmt.Sprintf("pems: self-telemetry on a new engine: %v", err))
+		}
+	}
+	if cfg.DataDir != "" {
+		p.openErr = p.EnableDurability(cfg.DataDir, cfg.WAL)
 	}
 	if p.manager != nil {
 		p.manager.Start()
@@ -293,28 +330,10 @@ func (p *PEMS) Explain(src string) (*Explanation, error) {
 	}, nil
 }
 
-// SetExplainOutput directs the output of EXPLAIN [ANALYZE] DDL statements
-// to w (nil restores the default of discarding it). The serena shell sets
-// this to its stdout so scripted EXPLAINs print like interactive ones.
-func (p *PEMS) SetExplainOutput(w io.Writer) {
-	p.mu.Lock()
-	p.explainOut = w
-	p.mu.Unlock()
-}
-
-func (p *PEMS) explainWriter() io.Writer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.explainOut == nil {
-		return io.Discard
-	}
-	return p.explainOut
-}
-
 // runExplain executes an EXPLAIN [ANALYZE] DDL statement, writing the plan
-// (or trace) to the configured explain output.
+// (or trace) to Config.ExplainOutput.
 func (p *PEMS) runExplain(st *ddl.Explain) error {
-	w := p.explainWriter()
+	w := p.explainOut
 	if st.Analyze {
 		rep, err := p.ExplainAnalyze(st.Source)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"serena/internal/pems"
 	"serena/internal/resilience"
+	"serena/internal/service"
 	"serena/internal/value"
 )
 
@@ -79,17 +80,19 @@ func TestDDLOnErrorPolicies(t *testing.T) {
 }
 
 // TestPEMSResilienceFacade exercises the resilience knobs an embedder sets
-// on the PEMS's registry: invocation timeout, retry policy and circuit
+// in the PEMS's Config: invocation timeout, retry policy and circuit
 // breakers, with DDL running against the configured registry.
 func TestPEMSResilienceFacade(t *testing.T) {
-	p := pems.New()
-	defer p.Close()
-	p.Registry().SetInvokeTimeout(50 * time.Millisecond)
-	p.Registry().SetRetryPolicy(resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond})
-	if p.Registry().Breakers() != nil {
-		t.Fatal("breakers reported before EnableBreakers")
+	if pems.New().Registry().Breakers() != nil {
+		t.Fatal("breakers reported without Config.Breakers")
 	}
-	breakers := p.Registry().EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour})
+	p := pems.New(pems.WithConfig(pems.Config{Registry: service.Options{
+		InvokeTimeout: 50 * time.Millisecond,
+		Retry:         resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
+		Breakers:      &resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour},
+	}}))
+	defer p.Close()
+	breakers := p.Registry().Breakers()
 	if err := p.ExecuteDDL(resilienceScript); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"serena/internal/cq"
 	"serena/internal/device"
 	"serena/internal/obs"
 	"serena/internal/pems"
@@ -51,7 +52,12 @@ const (
 // (the control run).
 func buildSoakEnv(t *testing.T, faulty bool) *pems.PEMS {
 	t.Helper()
-	p := pems.New()
+	var cfg pems.Config
+	if faulty {
+		// Far below the faulted β latency: ticks overrun.
+		cfg.Executor = cq.Options{TickBudget: 100 * time.Microsecond, Coalesce: true}
+	}
+	p := pems.New(pems.WithConfig(cfg))
 	t.Cleanup(p.Close)
 	if err := p.ExecuteDDL(soakPrototypes); err != nil {
 		t.Fatal(err)
@@ -119,8 +125,6 @@ func TestOverloadSoak(t *testing.T) {
 	})
 
 	p := buildSoakEnv(t, true)
-	p.Executor().SetTickBudget(100 * time.Microsecond) // far below the faulted β latency: ticks overrun
-	p.Executor().SetOverloadCoalescing(true)
 
 	var before runtime.MemStats
 	runtime.GC()

@@ -94,12 +94,14 @@ func TestBatchedParallelEquivalentToSequential(t *testing.T) {
 		stats           query.InvokeStats
 		counts          map[string]int64
 	}
-	eval := func(parallelism, batchSize int) run {
+	eval := func(parallelism int, batched bool) run {
 		env, reg, counts := countingEnv(t, 8, 4)
 		registerCountingMessengers(t, reg, counts)
+		if batched {
+			withBatchTransport(t, reg)
+		}
 		ctx := query.NewContext(env, reg, 0)
 		ctx.Parallelism = parallelism
-		ctx.BatchSize = batchSize
 		rp, err := query.EvaluateCtx(qPassive, ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -115,8 +117,8 @@ func TestBatchedParallelEquivalentToSequential(t *testing.T) {
 		return run{passive: rp, active: ra, stats: ctx.Stats, counts: flat}
 	}
 
-	seq := eval(1, -1) // per-tuple, no batching, no parallelism
-	par := eval(8, 4)  // batched (chunks of 4) on 8 workers
+	seq := eval(1, false) // per-tuple, no batching, no parallelism
+	par := eval(8, true)  // batched on 8 workers
 
 	if !seq.passive.Relation.EqualContents(par.passive.Relation) {
 		t.Fatal("passive result differs between sequential and batched evaluation")
@@ -157,14 +159,14 @@ func jobsTo(refs ...string) []algebra.InvokeJob {
 	return jobs
 }
 
-// TestBatchPlannerFoldsDuplicates drives InvokeAll with grouping forced on:
+// TestBatchPlannerFoldsDuplicates drives InvokeAll with grouping on:
 // identical (ref, input) jobs share one physical call, results fan back out
 // positionally, and stats count like the sequential memo path (first dup
 // passive, later dups memoized).
 func TestBatchPlannerFoldsDuplicates(t *testing.T) {
 	env, reg, counts := countingEnv(t, 2, 0)
+	withBatchTransport(t, reg)
 	ctx := query.NewContext(env, reg, 0)
-	ctx.BatchSize = 64
 	sensors := env["sensors"]
 	bp, err := sensors.Schema().FindBP("getTemperature", "")
 	if err != nil {
@@ -238,6 +240,15 @@ func (b *batchSizeRecorder) InvokeBatch(_ context.Context, proto string, inputs 
 	return out
 }
 
+// withBatchTransport registers a batch-capable service (a Batcher, as a
+// remote proxy is) in reg, which turns the β dispatcher's grouping on.
+func withBatchTransport(t *testing.T, reg *service.Registry) {
+	t.Helper()
+	if err := reg.Register(&batchSizeRecorder{ref: "transport", proto: "getTemperature"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // recorderContext registers rec (and its prototype) in a fresh registry and
 // returns a one-shot context over it with the memo off, so identical jobs
 // stay distinct calls.
@@ -257,18 +268,17 @@ func recorderContext(t *testing.T, rec *batchSizeRecorder) *query.Context {
 	return ctx
 }
 
-// TestBatchChunksAtMaxBatch: a group larger than BatchSize is dispatched in
-// BatchSize-bounded frames.
+// TestBatchChunksAtMaxBatch: a group larger than the dispatcher's frame
+// bound (64 items) is dispatched in bounded frames.
 func TestBatchChunksAtMaxBatch(t *testing.T) {
 	rec := &batchSizeRecorder{ref: "bulk", proto: "getTemperature"}
 	ctx := recorderContext(t, rec)
-	ctx.BatchSize = 4
 
 	bp, err := paperenv.SensorsSchema().FindBP("getTemperature", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := make([]string, 10)
+	refs := make([]string, 130)
 	for i := range refs {
 		refs[i] = "bulk"
 	}
@@ -277,18 +287,17 @@ func TestBatchChunksAtMaxBatch(t *testing.T) {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
 	}
-	if want := []int{4, 4, 2}; len(rec.frames) != 3 || rec.frames[0] != want[0] || rec.frames[1] != want[1] || rec.frames[2] != want[2] {
+	if want := []int{64, 64, 2}; len(rec.frames) != 3 || rec.frames[0] != want[0] || rec.frames[1] != want[1] || rec.frames[2] != want[2] {
 		t.Fatalf("frames = %v, want %v", rec.frames, want)
 	}
 }
 
 // TestInvokeNeverBatchesActiveBP: each active occurrence is a distinct
 // Definition 8 action and fires on its own — grouping is for passive
-// binding patterns only, even with BatchSize forced on.
+// binding patterns only, even with grouping on.
 func TestInvokeNeverBatchesActiveBP(t *testing.T) {
 	rec := &batchSizeRecorder{ref: "bulk", proto: "sendMessage"}
 	ctx := recorderContext(t, rec)
-	ctx.BatchSize = 64
 	bp := schema.BindingPattern{Proto: device.SendMessageProto(), ServiceAttr: "messenger"}
 	jobs := make([]algebra.InvokeJob, 3)
 	for i := range jobs {
@@ -335,8 +344,8 @@ func TestBatchDegradationPerItem(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		withBatchTransport(t, reg)
 		ctx := query.NewContext(query.MapEnv{}, reg, 0)
-		ctx.BatchSize = 64
 		return ctx, counts
 	}
 	bp, err := paperenv.SensorsSchema().FindBP("getTemperature", "")
@@ -392,7 +401,6 @@ func TestBatchDegradationPerItem(t *testing.T) {
 	t.Run("failfast-in-frame", func(t *testing.T) {
 		rec := &batchSizeRecorder{ref: "bulk", proto: "getTemperature", failOdd: true}
 		ctx := recorderContext(t, rec)
-		ctx.BatchSize = 64
 		ctx.Degradation = resilience.FailFast
 		out := ctx.InvokeAll(bp, jobsTo("bulk", "bulk", "bulk", "bulk"))
 		if len(rec.frames) != 1 || rec.frames[0] != 4 {

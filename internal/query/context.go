@@ -187,14 +187,6 @@ type Context struct {
 	// Values < 2 mean sequential, in input order.
 	Parallelism int
 
-	// BatchSize bounds how many passive invocations of one service InvokeAll
-	// groups into one registry dispatch (one wire frame for remote
-	// services). Zero means DefaultBatchSize when the registry holds at
-	// least one batch-capable service (a remote proxy) and no grouping
-	// otherwise; positive forces grouping on at that frame size; negative
-	// disables grouping entirely (ablation and interop escape hatch).
-	BatchSize int
-
 	// Span is the enclosing trace span for this evaluation (nil when the
 	// evaluation is unsampled — the common case). When set, every β
 	// invocation records a per-tuple child span carrying the binding

@@ -23,27 +23,21 @@ var (
 	obsPlanDispatches = obs.Default.Counter("query.batch.dispatches")
 )
 
-// DefaultBatchSize is the frame bound used when Context.BatchSize is zero.
+// batchSize bounds how many passive invocations of one service InvokeAll
+// groups into one registry dispatch (one wire frame for remote services).
 // Large enough to amortize a wire round trip, small enough that a frame
 // stays cheap to encode and one slow item does not stall hundreds.
-const DefaultBatchSize = 64
+const batchSize = 64
 
 // maxBatch is the largest group InvokeAll packs into one dispatch; values
-// < 2 turn grouping off. The default (BatchSize 0) consults the registry:
-// grouping exists to amortize transport round trips, so with no
-// batch-capable service registered (a pure-local environment) it would be
-// pure overhead. An explicit positive BatchSize forces it on regardless.
+// < 2 turn grouping off. Grouping exists to amortize transport round trips,
+// so it is on only when the registry holds a batch-capable service (a
+// remote proxy); in a pure-local environment it would be pure overhead.
 func (c *Context) maxBatch() int {
-	if c.BatchSize > 0 {
-		return c.BatchSize
-	}
-	if c.BatchSize < 0 {
-		return 1
-	}
 	if c.Registry != nil && !c.Registry.HasBatchTransport() {
 		return 1
 	}
-	return DefaultBatchSize
+	return batchSize
 }
 
 // InvokeAll implements algebra.Invoker. It is the only place a β job is
@@ -57,7 +51,7 @@ func (c *Context) maxBatch() int {
 //     determinism), which also coalesces concurrent duplicates;
 //   - with grouping on (see maxBatch), identical passive jobs fold into
 //     one call, and the calls are grouped by service reference into
-//     BatchSize-bounded frames sent through Registry.InvokeAll;
+//     batchSize-bounded frames sent through Registry.InvokeAll;
 //   - every dispatch runs on one pool of Parallelism workers, and no new
 //     dispatch starts after a fatal outcome;
 //   - a failure goes through the degradation policy per job: the result

@@ -231,30 +231,14 @@ func (r *Registry) recountBatchableLocked(e *svcEntry, created bool) {
 	e.batchCounted = has
 }
 
-// SetNodeBreakerPolicy replaces the per-NODE breaker set's policy (and
-// resets its state). Node breakers are always on — they are fed exclusively
-// by transport-class outcomes, so a healthy single-process deployment never
-// trips one — and an Open node breaker deprioritizes ALL of that node's
-// providers in routing order, the cluster-level analogue of how an open
-// per-service breaker masks one reference.
-func (r *Registry) SetNodeBreakerPolicy(policy resilience.BreakerPolicy) {
-	if policy.OnTransition == nil {
-		policy.OnTransition = func(from, to resilience.State) {
-			obs.Default.Counter(obs.Key("resilience.node_breaker.transitions", from.String()+"->"+to.String())).Inc()
-		}
-	}
-	set := resilience.NewBreakerSet(policy)
-	r.mu.Lock()
-	r.nodeBreakers = set
-	r.mu.Unlock()
-}
-
-// NodeBreakers returns the per-node breaker set (never nil).
-func (r *Registry) NodeBreakers() *resilience.BreakerSet {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.nodeBreakers
-}
+// NodeBreakers returns the per-node breaker set (never nil). Node breakers
+// are always on, with the default resilience.BreakerPolicy: they are fed
+// exclusively by transport-class outcomes of provider-backed invocations,
+// so a healthy single-process deployment never trips one, and an Open node
+// breaker deprioritizes ALL of that node's providers in routing order — the
+// cluster-level analogue of how an open per-service breaker masks one
+// reference.
+func (r *Registry) NodeBreakers() *resilience.BreakerSet { return r.nodeBreakers }
 
 // NodeBreakerStates snapshots every tracked node breaker.
 func (r *Registry) NodeBreakerStates() map[string]resilience.State {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"serena/internal/resilience"
 	"serena/internal/value"
@@ -228,29 +227,34 @@ func TestActiveFailoverRules(t *testing.T) {
 
 func TestNodeBreakerDemotesOpenNode(t *testing.T) {
 	r := newTestRegistry(t)
-	r.SetNodeBreakerPolicy(resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour})
 	ownerNode, ownerErr, ownerCalls, _, backupCalls := twoProviders(t, r, "s", false)
 
+	// Every call to the unreachable owner fails over to the replica, until
+	// the owner's node breaker (default policy: 5 consecutive failures)
+	// opens.
 	ownerErr.Store(resilience.ErrUnreachable)
-	if _, err := r.InvokeCtx(context.Background(), "getTemperature", "s", nil, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.NodeBreakerStates()[ownerNode]; got != resilience.Open {
-		t.Fatalf("owner breaker = %v, want Open", got)
+	failures := int64(0)
+	for r.NodeBreakerStates()[ownerNode] != resilience.Open {
+		if failures++; failures > 5 {
+			t.Fatalf("owner breaker = %v after 5 transport failures, want Open", r.NodeBreakerStates()[ownerNode])
+		}
+		if _, err := r.InvokeCtx(context.Background(), "getTemperature", "s", nil, Instant(failures)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// The owner heals, but with its breaker open the replica is tried
 	// first: no traffic goes to a node presumed down.
 	ownerErr.Store(errHealed)
 	before := ownerCalls.Load()
-	if _, err := r.InvokeCtx(context.Background(), "getTemperature", "s", nil, 2); err != nil {
+	if _, err := r.InvokeCtx(context.Background(), "getTemperature", "s", nil, Instant(failures+1)); err != nil {
 		t.Fatal(err)
 	}
 	if ownerCalls.Load() != before {
 		t.Fatalf("open-breaker owner still received traffic")
 	}
-	if backupCalls.Load() != 2 {
-		t.Fatalf("backup calls = %d, want 2", backupCalls.Load())
+	if backupCalls.Load() != failures+1 {
+		t.Fatalf("backup calls = %d, want %d", backupCalls.Load(), failures+1)
 	}
 }
 

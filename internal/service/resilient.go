@@ -88,53 +88,42 @@ func (e *svcEntry) metricsFor(proto, ref string) *invokeMetrics {
 	return im
 }
 
-// SetInvokeTimeout bounds every physical invocation through this registry:
-// a service (local or remote) that does not answer within d fails with
-// context.DeadlineExceeded instead of stalling the operator. d <= 0
-// disables the bound (the default).
-func (r *Registry) SetInvokeTimeout(d time.Duration) {
-	r.mu.Lock()
-	r.invokeTimeout = d
-	r.mu.Unlock()
+// Options is a registry's fault-tolerance policy, fixed at construction.
+type Options struct {
+	// InvokeTimeout bounds every physical invocation through the registry:
+	// a service (local or remote) that does not answer within it fails
+	// with context.DeadlineExceeded instead of stalling the operator. 0
+	// means no bound.
+	InvokeTimeout time.Duration
+	// Retry re-attempts failed invocations of passive prototypes ONLY:
+	// re-invoking an active prototype would duplicate the query's action
+	// set (Definition 8) — the same soundness rule that restricts the
+	// paper's Table 5 rewritings to passive invocations. The zero policy
+	// never retries.
+	Retry resilience.RetryPolicy
+	// Breakers, when non-nil, attaches per-service circuit breakers: after
+	// FailureThreshold consecutive failures a service's breaker opens,
+	// calls to it short-circuit with resilience.ErrOpen (no physical
+	// attempt), and the service is masked out of Implementing — an open
+	// breaker looks like temporary service withdrawal to the discovery
+	// X-Relations. After the cooldown a half-open probe tests recovery.
+	Breakers *resilience.BreakerPolicy
 }
 
-// SetRetryPolicy installs a retry policy for failed invocations. Retries
-// apply ONLY to passive prototypes: re-invoking an active prototype would
-// duplicate the query's action set (Definition 8) — the same soundness rule
-// that restricts the paper's Table 5 rewritings to passive invocations. The
-// zero policy disables retrying (the default).
-func (r *Registry) SetRetryPolicy(p resilience.RetryPolicy) {
-	r.mu.Lock()
-	r.retry = p
-	r.mu.Unlock()
-}
-
-// EnableBreakers attaches per-service circuit breakers: after
-// FailureThreshold consecutive failures a service's breaker opens, calls to
-// it short-circuit with resilience.ErrOpen (no physical attempt), and the
-// service is masked out of Implementing — an open breaker looks like
-// temporary service withdrawal to the discovery X-Relations. After the
-// cooldown a half-open probe tests recovery. The returned set can be
-// inspected for operational visibility.
-func (r *Registry) EnableBreakers(policy resilience.BreakerPolicy) *resilience.BreakerSet {
+// newBreakerSet builds a breaker set whose transitions count under the
+// metric base name unless the policy observes them itself.
+func newBreakerSet(policy resilience.BreakerPolicy, metric string) *resilience.BreakerSet {
 	if policy.OnTransition == nil {
 		policy.OnTransition = func(from, to resilience.State) {
-			obs.Default.Counter(obs.Key("resilience.breaker.transitions", from.String()+"->"+to.String())).Inc()
+			obs.Default.Counter(obs.Key(metric, from.String()+"->"+to.String())).Inc()
 		}
 	}
-	set := resilience.NewBreakerSet(policy)
-	r.mu.Lock()
-	r.breakers = set
-	r.mu.Unlock()
-	return set
+	return resilience.NewBreakerSet(policy)
 }
 
-// Breakers returns the attached breaker set, or nil when disabled.
-func (r *Registry) Breakers() *resilience.BreakerSet {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.breakers
-}
+// Breakers returns the per-service breaker set, or nil when
+// Options.Breakers was not set.
+func (r *Registry) Breakers() *resilience.BreakerSet { return r.breakers }
 
 // Invoke implements invoke_ψ (Definition 1) for one input tuple: InvokeCtx
 // with no caller deadline.
@@ -188,11 +177,11 @@ func (r *Registry) invokeAll(ctx context.Context, proto, ref string, inputs []va
 	if len(inputs) == 0 {
 		return
 	}
+	retry, breakers := r.retry, r.breakers
+	v := invocation{proto: proto, at: at, timeout: r.invokeTimeout, nb: r.nodeBreakers}
 	r.mu.RLock()
 	p, okP := r.protos[proto]
 	e, okS := r.services[ref]
-	retry, breakers := r.retry, r.breakers
-	v := invocation{proto: proto, at: at, timeout: r.invokeTimeout, nb: r.nodeBreakers}
 	if okS {
 		v.provs = e.providers
 	}

@@ -39,7 +39,7 @@ func flakyN(ref, proto string, n int64, calls *atomic.Int64) *service.Func {
 }
 
 func TestPassiveRetryRecovers(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.NewRegistry(service.Options{Retry: resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
 	if err := reg.RegisterPrototype(probeProto()); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,6 @@ func TestPassiveRetryRecovers(t *testing.T) {
 	if err := reg.Register(flakyN("s", "probe", 2, &calls)); err != nil {
 		t.Fatal(err)
 	}
-	reg.SetRetryPolicy(resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
 	rows, err := reg.Invoke("probe", "s", nil, 0)
 	if err != nil {
 		t.Fatalf("retry did not recover: %v", err)
@@ -58,7 +57,7 @@ func TestPassiveRetryRecovers(t *testing.T) {
 }
 
 func TestActivePrototypeNeverRetried(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.NewRegistry(service.Options{Retry: resilience.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}})
 	if err := reg.RegisterPrototype(fireProto()); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,6 @@ func TestActivePrototypeNeverRetried(t *testing.T) {
 	if err := reg.Register(flakyN("a", "fire", 1, &calls)); err != nil {
 		t.Fatal(err)
 	}
-	reg.SetRetryPolicy(resilience.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond})
 	if _, err := reg.Invoke("fire", "a", nil, 0); err == nil {
 		t.Fatal("failed active invocation reported success")
 	}
@@ -78,7 +76,7 @@ func TestActivePrototypeNeverRetried(t *testing.T) {
 }
 
 func TestRetryStopsAtDeadline(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.NewRegistry(service.Options{Retry: resilience.RetryPolicy{MaxAttempts: 1000, BaseDelay: 20 * time.Millisecond}})
 	if err := reg.RegisterPrototype(probeProto()); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +84,6 @@ func TestRetryStopsAtDeadline(t *testing.T) {
 	if err := reg.Register(flakyN("s", "probe", 1000, &calls)); err != nil {
 		t.Fatal(err)
 	}
-	reg.SetRetryPolicy(resilience.RetryPolicy{MaxAttempts: 1000, BaseDelay: 20 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -100,7 +97,7 @@ func TestRetryStopsAtDeadline(t *testing.T) {
 }
 
 func TestInvokeTimeoutBoundsHangingService(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.NewRegistry(service.Options{InvokeTimeout: 30 * time.Millisecond})
 	if err := reg.RegisterPrototype(probeProto()); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +109,6 @@ func TestInvokeTimeoutBoundsHangingService(t *testing.T) {
 	if err := reg.Register(hang); err != nil {
 		t.Fatal(err)
 	}
-	reg.SetInvokeTimeout(30 * time.Millisecond)
 	start := time.Now()
 	_, err := reg.Invoke("probe", "hang", nil, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -124,11 +120,15 @@ func TestInvokeTimeoutBoundsHangingService(t *testing.T) {
 }
 
 func TestBreakerShortCircuitsAndRecovers(t *testing.T) {
-	reg := service.NewRegistry()
+	var now atomic.Int64 // fake clock, nanoseconds
+	reg := service.NewRegistry(service.Options{Breakers: &resilience.BreakerPolicy{
+		FailureThreshold: 3,
+		Cooldown:         time.Second,
+		Now:              func() time.Time { return time.Unix(0, now.Load()) },
+	}})
 	if err := reg.RegisterPrototype(probeProto()); err != nil {
 		t.Fatal(err)
 	}
-	var now atomic.Int64 // fake clock, nanoseconds
 	healthy := atomic.Bool{}
 	inner := service.NewFunc("cam", map[string]service.InvokeFunc{
 		"probe": func(value.Tuple, service.Instant) ([]value.Tuple, error) {
@@ -142,11 +142,6 @@ func TestBreakerShortCircuitsAndRecovers(t *testing.T) {
 	if err := reg.Register(faulty); err != nil {
 		t.Fatal(err)
 	}
-	reg.EnableBreakers(resilience.BreakerPolicy{
-		FailureThreshold: 3,
-		Cooldown:         time.Second,
-		Now:              func() time.Time { return time.Unix(0, now.Load()) },
-	})
 
 	// Three consecutive failures trip the breaker.
 	for i := 0; i < 3; i++ {
@@ -189,7 +184,7 @@ func TestBreakerShortCircuitsAndRecovers(t *testing.T) {
 }
 
 func TestReregisterResetsBreaker(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.NewRegistry(service.Options{Breakers: &resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour}})
 	if err := reg.RegisterPrototype(probeProto()); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +196,6 @@ func TestReregisterResetsBreaker(t *testing.T) {
 	if err := reg.Register(down); err != nil {
 		t.Fatal(err)
 	}
-	reg.EnableBreakers(resilience.BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour})
 	_, _ = reg.Invoke("probe", "s", nil, 0)
 	if reg.Breakers().State("s") != resilience.Open {
 		t.Fatal("breaker did not trip")
@@ -285,7 +279,7 @@ func TestFrameRetryMatchesSingleCall(t *testing.T) {
 		{fireProto(), 1, false},
 	} {
 		t.Run(tc.proto.Name, func(t *testing.T) {
-			reg := service.NewRegistry()
+			reg := service.NewRegistry(service.Options{Retry: resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
 			if err := reg.RegisterPrototype(tc.proto); err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +288,6 @@ func TestFrameRetryMatchesSingleCall(t *testing.T) {
 			if err := reg.Register(fake); err != nil {
 				t.Fatal(err)
 			}
-			reg.SetRetryPolicy(resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
 			for i, res := range reg.InvokeAll(context.Background(), tc.proto.Name, "s", []value.Tuple{nil, nil}, 0) {
 				if ok := res.Err == nil && len(res.Rows) == 1; ok != tc.wantOK {
 					t.Fatalf("item %d = %v, %v; want success %v", i, res.Rows, res.Err, tc.wantOK)

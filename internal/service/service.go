@@ -116,9 +116,10 @@ func (f *Func) Invoke(_ context.Context, proto string, input value.Tuple, at Ins
 // Registry tracks the prototypes and services of a relational pervasive
 // environment. It is safe for concurrent use.
 //
-// Fault tolerance (see resilient.go): an optional per-invocation timeout,
-// a retry policy applied only to passive prototypes, and per-service
-// circuit breakers whose open state masks the service out of discovery.
+// Fault tolerance (see resilient.go), fixed at construction by Options: an
+// optional per-invocation timeout, a retry policy applied only to passive
+// prototypes, and per-service circuit breakers whose open state masks the
+// service out of discovery.
 type Registry struct {
 	mu       sync.RWMutex
 	protos   map[string]*schema.Prototype
@@ -130,6 +131,8 @@ type Registry struct {
 	// path, so its default stays off.
 	batchable int
 
+	// The fault-tolerance policy, fixed at construction and read without
+	// the lock.
 	invokeTimeout time.Duration
 	retry         resilience.RetryPolicy
 	breakers      *resilience.BreakerSet
@@ -139,13 +142,22 @@ type Registry struct {
 	nodeBreakers *resilience.BreakerSet
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// NewRegistry returns an empty registry. An Options value, if given, sets
+// its fault-tolerance policy; without one the registry has no invoke
+// timeout, no retry and no per-service breakers.
+func NewRegistry(opts ...Options) *Registry {
 	r := &Registry{
-		protos:   make(map[string]*schema.Prototype),
-		services: make(map[string]*svcEntry),
+		protos:       make(map[string]*schema.Prototype),
+		services:     make(map[string]*svcEntry),
+		nodeBreakers: newBreakerSet(resilience.BreakerPolicy{}, "resilience.node_breaker.transitions"),
 	}
-	r.SetNodeBreakerPolicy(resilience.BreakerPolicy{})
+	if len(opts) > 0 {
+		o := opts[0]
+		r.invokeTimeout, r.retry = o.InvokeTimeout, o.Retry
+		if o.Breakers != nil {
+			r.breakers = newBreakerSet(*o.Breakers, "resilience.breaker.transitions")
+		}
+	}
 	return r
 }
 
@@ -275,8 +287,8 @@ func (r *Registry) Refs() []string {
 // reappears once the breaker cools down to half-open (Section 2.3's dynamic
 // register/withdraw, driven by observed health).
 func (r *Registry) Implementing(proto string) []string {
-	r.mu.RLock()
 	breakers := r.breakers
+	r.mu.RLock()
 	var out []string
 	for ref, e := range r.services {
 		if e.providers[0].svc.Implements(proto) {

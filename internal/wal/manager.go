@@ -64,9 +64,8 @@ type Manager struct {
 	ticksSinceCkpt int
 
 	// Loaded at Open, consumed by Recover.
-	ckpt          *Checkpoint
-	replaySegs    []uint64
-	truncatedTail int64
+	ckpt       *Checkpoint
+	replaySegs []uint64
 }
 
 // Open prepares a data directory: creates it if needed, loads the

@@ -11,35 +11,24 @@ import (
 
 var obsWireServerOverload = obs.Default.Counter("wire.server.overload_rejections")
 
-// SetMaxInFlight caps how many requests this server executes concurrently
-// across all connections. Excess requests are rejected immediately — no
-// registry work, no goroutine pile-up — with an error the client maps back
-// onto resilience.ErrOverloaded, so the caller's degradation policy (PR 1)
-// decides what the miss means. n <= 0 removes the limit (the default).
-func (s *Server) SetMaxInFlight(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxInFlight = n
-}
-
-// SetReadTimeout bounds how long a connection may sit idle between
-// requests: a client that connects and goes silent (or dies without FIN)
-// is dropped after d instead of pinning a server goroutine forever.
-// Healthy-but-quiet clients are dropped too — their next request transparently
-// redials (the client retries connection loss, never timeouts). d <= 0
-// disables (the default).
-func (s *Server) SetReadTimeout(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.readTimeout = d
-}
-
-// SetWriteTimeout bounds each response write, so a client that stops
-// reading cannot wedge the shared response encoder. d <= 0 disables.
-func (s *Server) SetWriteTimeout(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writeTimeout = d
+// ServerOptions are a Server's overload limits. The zero value sets none.
+type ServerOptions struct {
+	// MaxInFlight caps how many requests the server executes concurrently
+	// across all connections. Excess requests are rejected immediately —
+	// no registry work, no goroutine pile-up — with an error the client
+	// maps back onto resilience.ErrOverloaded, so the caller's degradation
+	// policy decides what the miss means. 0 means unlimited.
+	MaxInFlight int
+	// ReadTimeout bounds how long a connection may sit idle between
+	// requests: a client that connects and goes silent (or dies without
+	// FIN) is dropped instead of pinning a server goroutine forever.
+	// Healthy-but-quiet clients are dropped too — their next request
+	// transparently redials (the client retries connection loss, never
+	// timeouts). 0 means none.
+	ReadTimeout time.Duration
+	// WriteTimeout bounds each response write, so a client that stops
+	// reading cannot wedge the shared response encoder. 0 means none.
+	WriteTimeout time.Duration
 }
 
 // overloadedError carries a remote overload rejection verbatim while

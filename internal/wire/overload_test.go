@@ -21,7 +21,7 @@ func slowProbeProto() *schema.Prototype {
 
 // startSlowNode hosts one "probe" service whose invocations block until
 // release is closed — a deterministic way to hold server capacity.
-func startSlowNode(t *testing.T, release chan struct{}) (string, *service.Registry, *wire.Server) {
+func startSlowNode(t *testing.T, release chan struct{}, opts wire.ServerOptions) (string, *service.Registry, *wire.Server) {
 	t.Helper()
 	reg := service.NewRegistry()
 	if err := reg.RegisterPrototype(slowProbeProto()); err != nil {
@@ -36,7 +36,7 @@ func startSlowNode(t *testing.T, release chan struct{}) (string, *service.Regist
 	if err := reg.Register(svc); err != nil {
 		t.Fatal(err)
 	}
-	srv := wire.NewServer("node-slow", reg)
+	srv := wire.NewServer("node-slow", reg, opts)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +48,7 @@ func startSlowNode(t *testing.T, release chan struct{}) (string, *service.Regist
 // TestSilentClientDropped: a client that connects and never speaks must not
 // pin a server goroutine forever once a read deadline is set.
 func TestSilentClientDropped(t *testing.T) {
-	addr, _, srv := startNode(t)
-	srv.SetReadTimeout(100 * time.Millisecond)
+	addr, _, srv := startNode(t, wire.ServerOptions{ReadTimeout: 100 * time.Millisecond})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -79,8 +78,7 @@ func TestSilentClientDropped(t *testing.T) {
 // so a client slower than the deadline overall — but never silent longer
 // than it between requests — keeps its connection.
 func TestReadTimeoutSparesTalkingClients(t *testing.T) {
-	addr, _, srv := startNode(t)
-	srv.SetReadTimeout(150 * time.Millisecond)
+	addr, _, _ := startNode(t, wire.ServerOptions{ReadTimeout: 150 * time.Millisecond})
 	c, err := wire.Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +98,7 @@ func TestReadTimeoutSparesTalkingClients(t *testing.T) {
 // policies absorb like any β failure.
 func TestServerMaxInFlightRejectsOverloaded(t *testing.T) {
 	release := make(chan struct{})
-	addr, _, srv := startSlowNode(t, release)
-	srv.SetMaxInFlight(1)
+	addr, _, srv := startSlowNode(t, release, wire.ServerOptions{MaxInFlight: 1})
 
 	c, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {

@@ -118,7 +118,9 @@ const (
 // Seq increases monotonically per origin, so a receiver drops any frame at
 // or below the last sequence it saw from that origin. From names the
 // immediate sender (≠ Origin on relayed frames), letting a relaying node
-// skip echoing a frame straight back to whoever sent it.
+// skip echoing a frame straight back to whoever sent it. Catalog marks
+// Services as the origin's whole catalog: gob sends no empty slice, so an
+// empty catalog and an absent one arrive alike without it.
 type Announce struct {
 	Kind     uint8
 	Node     string // the node this frame is about (the origin)
@@ -126,6 +128,7 @@ type Announce struct {
 	Seq      uint64 // per-origin monotonic sequence number
 	From     string // immediate sender of this frame
 	Services []ServiceInfo
+	Catalog  bool
 }
 
 // BatchItem is one invocation within a batch frame. Carrying proto and ref
@@ -172,13 +175,10 @@ type Server struct {
 	conns map[net.Conn]bool
 	done  chan struct{}
 
-	// Overload limits (see overload.go): maxInFlight caps concurrently
-	// executing requests (0 = unlimited); readTimeout drops connections
-	// idle between requests; writeTimeout bounds each response write.
-	maxInFlight  int
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-	inFlight     atomic.Int64
+	// opts holds the overload limits (see overload.go), fixed at
+	// construction; inFlight counts requests executing against MaxInFlight.
+	opts     ServerOptions
+	inFlight atomic.Int64
 
 	// announceHandler receives incoming announce frames (the WireBus
 	// attaches itself here). Without one, announce frames are answered with
@@ -186,9 +186,15 @@ type Server struct {
 	announceHandler atomic.Pointer[func([]Announce)]
 }
 
-// NewServer wraps a registry of local services under a node name.
-func NewServer(node string, reg *service.Registry) *Server {
-	return &Server{node: node, reg: reg, conns: make(map[net.Conn]bool), done: make(chan struct{})}
+// NewServer wraps a registry of local services under a node name. A
+// ServerOptions value, if given, sets the server's overload limits; without
+// one the server has none.
+func NewServer(node string, reg *service.Registry, opts ...ServerOptions) *Server {
+	s := &Server{node: node, reg: reg, conns: make(map[net.Conn]bool), done: make(chan struct{})}
+	if len(opts) > 0 {
+		s.opts = opts[0]
+	}
+	return s
 }
 
 // SetAnnounceHandler installs the receiver for incoming announce frames
@@ -266,16 +272,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	s.mu.Lock()
-	readT := s.readTimeout
-	s.mu.Unlock()
+	readT, writeT, maxIF := s.opts.ReadTimeout, s.opts.WriteTimeout, s.opts.MaxInFlight
 	if handshake(conn, readT) != nil {
 		return // another version, or not a wire peer: no request is read
 	}
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	var writeMu sync.Mutex
-	send := func(resp *Response, writeT time.Duration) {
+	send := func(resp *Response) {
 		writeMu.Lock()
 		defer writeMu.Unlock()
 		if writeT > 0 {
@@ -284,9 +288,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = enc.Encode(resp)
 	}
 	for {
-		s.mu.Lock()
-		readT, writeT, maxIF := s.readTimeout, s.writeTimeout, s.maxInFlight
-		s.mu.Unlock()
 		if readT > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(readT))
 		} else {
@@ -306,7 +307,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			send(&Response{
 				ID:  req.ID,
 				Err: fmt.Sprintf("wire: %s: %v: %d requests in flight", s.node, resilience.ErrOverloaded, maxIF),
-			}, writeT)
+			})
 			continue
 		}
 		wg.Add(1)
@@ -317,7 +318,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			resp := s.handle(&req)
 			resp.ID = req.ID
-			send(resp, writeT)
+			send(resp)
 		}(req, maxIF > 0)
 	}
 }
@@ -380,8 +381,8 @@ func (s *Server) handle(req *Request) *Response {
 // handleBatch executes a batch frame: every item independently, each on
 // its own goroutine as separate requests are, with per-item errors so one
 // bad tuple cannot fail its neighbours. Results are positional. The frame
-// counts as one request against SetMaxInFlight, and the client's
-// BatchSize bounds its items.
+// counts as one request against ServerOptions.MaxInFlight, and the
+// client's β dispatcher bounds its items.
 func (s *Server) handleBatch(req *Request) *Response {
 	span := trace.Default.StartRemote("wire.server.batch", req.TraceID, req.SpanID)
 	span.SetAttr("node", s.node)

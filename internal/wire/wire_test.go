@@ -22,7 +22,7 @@ import (
 )
 
 // startNode spins up a Local-ERM-style wire server hosting one sensor.
-func startNode(t *testing.T) (addr string, reg *service.Registry, srv *wire.Server) {
+func startNode(t *testing.T, opts ...wire.ServerOptions) (addr string, reg *service.Registry, srv *wire.Server) {
 	t.Helper()
 	reg = service.NewRegistry()
 	if err := reg.RegisterPrototype(device.GetTemperatureProto()); err != nil {
@@ -37,7 +37,7 @@ func startNode(t *testing.T) (addr string, reg *service.Registry, srv *wire.Serv
 	if err := reg.Register(device.NewMessenger("email")); err != nil {
 		t.Fatal(err)
 	}
-	srv = wire.NewServer("node-A", reg)
+	srv = wire.NewServer("node-A", reg, opts...)
 	bound, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestRemoteProxyHonorsRegistryTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	central := service.NewRegistry()
+	central := service.NewRegistry(service.Options{InvokeTimeout: 50 * time.Millisecond})
 	if err := central.RegisterPrototype(device.GetTemperatureProto()); err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,6 @@ func TestRemoteProxyHonorsRegistryTimeout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	central.SetInvokeTimeout(50 * time.Millisecond)
 	start := time.Now()
 	_, err = central.Invoke("getTemperature", "hang", nil, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
