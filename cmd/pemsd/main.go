@@ -11,8 +11,10 @@
 //	pemsd -node core -sensors 4 -data-dir /var/lib/serena -init env.ddl
 //
 // With -debug, the node exposes the same observability surface as the core
-// (/metrics, /debug/serena, /debug/vars, /debug/trace, /debug/pprof/*), so
-// a remote invocation can be followed server-side: the wire server resumes
+// (/metrics, /debug/serena, /debug/vars, /debug/trace, /debug/pprof/*, and
+// with -data-dir /debug/health and /debug/peers) over the node's own
+// registry — shared with the embedded core and the wire server — so a
+// remote invocation can be followed server-side: the wire server resumes
 // the client's trace and its spans land in this node's /debug/trace.
 //
 // With -data-dir, the node additionally runs an embedded durable PEMS core
@@ -176,7 +178,7 @@ func main() {
 
 	if *debugAddr != "" {
 		extra := map[string]http.Handler{
-			"/debug/trace": trace.Handler(trace.Default),
+			"/debug/trace": trace.Handler(reg.Tracer()),
 		}
 		if core != nil {
 			// The embedded core's own mux answers its health and
@@ -184,7 +186,7 @@ func main() {
 			h := core.DebugHandler()
 			extra["/debug/health"], extra["/debug/peers"] = h, h
 		}
-		mux := obs.DebugMux(func(w io.Writer) { writeStatus(w, *node, addr, reg) }, extra)
+		mux := obs.DebugMux(reg.Metrics(), func(w io.Writer) { writeStatus(w, *node, addr, reg) }, extra)
 		// Listen before serving so ":0" resolves to the real port in the
 		// printed URL — harnesses parse it to find /debug/peers.
 		ln, err := net.Listen("tcp", *debugAddr)
@@ -285,7 +287,7 @@ func writeStatus(w io.Writer, node, addr string, reg *service.Registry) {
 		}
 		fmt.Fprintf(w, "  %-24s %s\n", ref, strings.Join(svc.PrototypeNames(), ", "))
 	}
-	fmt.Fprintf(w, "\nmetrics:\n%s", obs.Default.Snapshot().Render())
+	fmt.Fprintf(w, "\nmetrics:\n%s", reg.Metrics().Snapshot().Render())
 }
 
 func fatal(logger *slog.Logger, err error) {

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"serena/internal/device"
-	"serena/internal/obs"
 	"serena/internal/pems"
 	"serena/internal/query"
 	"serena/internal/resilience"
@@ -76,7 +75,7 @@ func main() {
 
 	p := pems.New(pems.WithConfig(cfg))
 	defer p.Close()
-	trace.Default.SetSampleEvery(*traceSample)
+	p.Registry().Tracer().SetSampleEvery(*traceSample)
 
 	if *metricsAddr != "" {
 		bound, err := p.ServeMetrics(*metricsAddr)
@@ -153,7 +152,7 @@ func main() {
 // attach dials a pemsd node and registers its services centrally (manual
 // discovery for cross-process deployments without a shared bus).
 func attach(p *pems.PEMS, addr string) error {
-	client, err := wire.Dial(addr, 3*time.Second)
+	client, err := wire.Dial(addr, 3*time.Second, p.Registry())
 	if err != nil {
 		return err
 	}
@@ -381,7 +380,7 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
   .peers                          show federation membership, lease ages and node breakers
   .cadence <stream> <n>           dead-man: flag <stream> STALLED after n silent instants (0 = off)
   .poll <name> <proto> <svcAttr>  create a poll stream over a passive input-free prototype
-  .metrics                        dump the process-wide metrics registry
+  .metrics                        dump this engine's metrics registry
   .dump                           print the environment as re-executable DDL
   .checkpoint                     force a durable snapshot now (-data-dir)
   .recovery                       show the startup recovery summary (-data-dir)
@@ -581,7 +580,7 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 			fmt.Fprintln(out, "usage: .sample <n>  (n >= 0)")
 			break
 		}
-		trace.Default.SetSampleEvery(n)
+		p.Registry().Tracer().SetSampleEvery(n)
 		if n == 0 {
 			fmt.Fprintln(out, "tracing disabled")
 		} else {
@@ -645,7 +644,7 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 		}
 		fmt.Fprintf(out, "poll stream %s: every tick, %s on every implementing service\n", fields[1], fields[2])
 	case ".metrics":
-		fmt.Fprint(out, obs.Default.Snapshot().Render())
+		fmt.Fprint(out, p.Registry().Metrics().Snapshot().Render())
 	case ".dump":
 		fmt.Fprint(out, p.Catalog().Dump())
 	case ".schema":

@@ -101,7 +101,7 @@ func TestCommandDispatch(t *testing.T) {
 		{".bogus", "unknown command"},
 		{".queries", "no continuous queries"},
 		{".stats", "no continuous queries"},
-		{".metrics", "query.invoke.passive"},
+		{".metrics", "service.invoke.calls{getTemperature|sensor01}"},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer

@@ -24,7 +24,8 @@ const modulePath = "serena"
 
 // facadeMethodLimit caps the *PEMS method set, unexported methods included.
 // A setting or accessor that belongs to one layer of the PEMS is called on
-// that layer (Executor(), Registry(), trace.Default), not forwarded here.
+// that layer (Executor(), Registry(), Registry().Tracer()), not forwarded
+// here.
 const facadeMethodLimit = 57
 
 // testOnlyExports lists the exported functions and methods under internal/
@@ -51,7 +52,6 @@ var testOnlyExports = map[string]string{
 	"service.NewFaulty":              "fault injection for the cq and pems tests",
 	"service.Registry.ProviderNodes": "discovery and pems tests observe which nodes provide a reference",
 	"service.Registry.Unregister":    "cq and pems tests withdraw a service mid-run",
-	"trace.Tracer.Reset":             "cq, pems and wire tests clear the process-global trace.Default ring",
 }
 
 // unnamedInterfaces are the interfaces the standard library asserts

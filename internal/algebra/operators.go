@@ -3,24 +3,8 @@ package algebra
 import (
 	"fmt"
 
-	"serena/internal/obs"
 	"serena/internal/schema"
 	"serena/internal/value"
-)
-
-// Operator cardinality metrics, recorded once per operator evaluation (not
-// per tuple) so always-on instrumentation stays off the per-row path.
-var (
-	obsSelectCalls = obs.Default.Counter("algebra.select.calls")
-	obsSelectIn    = obs.Default.Counter("algebra.select.rows_in")
-	obsSelectOut   = obs.Default.Counter("algebra.select.rows_out")
-	obsJoinCalls   = obs.Default.Counter("algebra.join.calls")
-	obsJoinIn      = obs.Default.Counter("algebra.join.rows_in")
-	obsJoinOut     = obs.Default.Counter("algebra.join.rows_out")
-	obsAssignCalls = obs.Default.Counter("algebra.assign.calls")
-	obsAssignRows  = obs.Default.Counter("algebra.assign.rows")
-	obsInvokeOps   = obs.Default.Counter("algebra.invoke.calls")
-	obsInvokeJobs  = obs.Default.Counter("algebra.invoke.jobs")
 )
 
 // InvokeJob is one element of an invocation operator's work list: the
@@ -158,9 +142,6 @@ func Select(r *XRelation, f Formula) (*XRelation, error) {
 			out.add(t)
 		}
 	}
-	obsSelectCalls.Inc()
-	obsSelectIn.Add(int64(r.Len()))
-	obsSelectOut.Add(int64(out.Len()))
 	return out, nil
 }
 
@@ -256,9 +237,6 @@ func NaturalJoin(r1, r2 *XRelation) (*XRelation, error) {
 			out.add(plan.combine(t1, t2))
 		}
 	}
-	obsJoinCalls.Inc()
-	obsJoinIn.Add(int64(r1.Len() + r2.Len()))
-	obsJoinOut.Add(int64(out.Len()))
 	return out, nil
 }
 
@@ -323,8 +301,6 @@ func AssignAttr(r *XRelation, attr, src string) (*XRelation, error) {
 // realize rebuilds tuples for a schema where exactly the named attributes
 // changed from virtual to real, pulling new coordinates from gen.
 func realize(r *XRelation, outSch *schema.Extended, gen func(value.Tuple) value.Value) *XRelation {
-	obsAssignCalls.Inc()
-	obsAssignRows.Add(int64(r.Len()))
 	plan := buildRealizePlan(r.Schema(), outSch)
 	out := Empty(outSch)
 	for _, t := range r.Tuples() {
@@ -452,9 +428,6 @@ func Invoke(r *XRelation, bp schema.BindingPattern, inv Invoker) (*XRelation, er
 		}
 		jobs = append(jobs, InvokeJob{Ref: ref, Input: t.Project(ip.InIdx)})
 	}
-	obsInvokeOps.Inc()
-	obsInvokeJobs.Add(int64(len(jobs)))
-
 	results := inv.InvokeAll(bp, jobs)
 	for _, res := range results {
 		if res.Err != nil {

@@ -566,7 +566,7 @@ func (ev *evaluator) evalDelta() (res *algebra.XRelation, cur map[string]value.T
 		// trimmed, so catching up from the event log is not safe — rebuild.
 		p.root.reset()
 		p.reinits.Add(1)
-		obsDeltaReinits.Inc()
+		ev.exec.m.deltaReinits.Inc()
 	}
 	fail := func(e error) (*algebra.XRelation, map[string]value.Tuple, []value.Tuple, []value.Tuple, error) {
 		p.invalidate()
@@ -628,8 +628,8 @@ func (ev *evaluator) evalDeltaNode(n *deltaNode, init bool, from service.Instant
 	n.calls.Add(1)
 	n.rowsIn.Add(int64(in))
 	n.rowsOut.Add(int64(out.Rows()))
-	obsDeltaRowsIn.Add(int64(in))
-	obsDeltaRowsOut.Add(int64(out.Rows()))
+	ev.exec.m.deltaRowsIn.Add(int64(in))
+	ev.exec.m.deltaRowsOut.Add(int64(out.Rows()))
 	return out, nil
 }
 

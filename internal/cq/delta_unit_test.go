@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"serena/internal/algebra"
-	"serena/internal/obs"
 	"serena/internal/query"
 	"serena/internal/value"
 )
@@ -83,7 +82,7 @@ func TestEvaluationModeFlips(t *testing.T) {
 
 	// Flipping back must not trust stale operator state: the next delta
 	// tick is a re-init (the naive ticks advanced the world underneath).
-	reinits := obs.Default.Counter("cq.delta.reinits").Value()
+	reinits := s.reg.Metrics().Counter("cq.delta.reinits").Value()
 	if err := s.exec.SetNaiveEvaluation("hot", false); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestEvaluationModeFlips(t *testing.T) {
 	if d, n := q.EvalCounts(); d != 4 || n != 2 {
 		t.Fatalf("after unpin EvalCounts = (%d, %d), want (4, 2)", d, n)
 	}
-	if got := obs.Default.Counter("cq.delta.reinits").Value() - reinits; got != 1 {
+	if got := s.reg.Metrics().Counter("cq.delta.reinits").Value() - reinits; got != 1 {
 		t.Fatalf("unpinning recorded %d re-inits, want 1", got)
 	}
 }
@@ -107,10 +106,10 @@ func TestDeltaMetricsSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := func() (ticks, fallback, hits, misses int64) {
-		return obs.Default.Counter("cq.delta.ticks").Value(),
-			obs.Default.Counter("cq.delta.fallback_ticks").Value(),
-			obs.Default.Counter("cq.invoke_cache.hits").Value(),
-			obs.Default.Counter("cq.invoke_cache.misses").Value()
+		return s.reg.Metrics().Counter("cq.delta.ticks").Value(),
+			s.reg.Metrics().Counter("cq.delta.fallback_ticks").Value(),
+			s.reg.Metrics().Counter("cq.invoke_cache.hits").Value(),
+			s.reg.Metrics().Counter("cq.invoke_cache.misses").Value()
 	}
 
 	// Instant 0, delta path: re-init invokes all three cameras (misses).
@@ -173,7 +172,7 @@ func TestDeltaReinitOnTickGap(t *testing.T) {
 	if err := s.exec.SetNaiveEvaluation("hot_naive", true); err != nil {
 		t.Fatal(err)
 	}
-	reinits := func() int64 { return obs.Default.Counter("cq.delta.reinits").Value() }
+	reinits := func() int64 { return s.reg.Metrics().Counter("cq.delta.reinits").Value() }
 
 	base := reinits()
 	if _, err := s.exec.Tick(); err != nil {

@@ -29,27 +29,44 @@ import (
 	"serena/internal/value"
 )
 
-// Continuous-execution metrics: tick latency, Section 4.2 invocation-cache
-// effectiveness, operator-level delta-path volume, and per-stream instant
-// lag (clock instant minus the last instant with events — how stale each
-// stream is).
-//
-// cq.invoke_cache.* is the Section 4.2 cross-instant invocation memo
-// (formerly misnamed cq.delta_cache.*, which conflated it with the
-// operator-level delta evaluation the cq.delta.* family now covers).
-var (
-	obsTickLatency        = obs.Default.Histogram("cq.tick.latency")
-	obsTicks              = obs.Default.Counter("cq.ticks")
-	obsInvokeCacheHits    = obs.Default.Counter("cq.invoke_cache.hits")
-	obsInvokeCacheMisses  = obs.Default.Counter("cq.invoke_cache.misses")
-	obsQueryEvals         = obs.Default.Counter("cq.query.evals")
-	obsQueryEvalTime      = obs.Default.Histogram("cq.query.eval_latency")
-	obsDeltaTicks         = obs.Default.Counter("cq.delta.ticks")
-	obsDeltaFallbackTicks = obs.Default.Counter("cq.delta.fallback_ticks")
-	obsDeltaReinits       = obs.Default.Counter("cq.delta.reinits")
-	obsDeltaRowsIn        = obs.Default.Counter("cq.delta.rows_in")
-	obsDeltaRowsOut       = obs.Default.Counter("cq.delta.rows_out")
-)
+// execObs is an executor's continuous-execution metrics, looked up once in
+// its registry's: tick latency, Section 4.2 invocation-cache effectiveness
+// (cq.invoke_cache.*, the cross-instant invocation memo), operator-level
+// delta-path volume (cq.delta.*), and the overload and ingest counters of
+// overload.go. Keyed series — per-stream instant lag (clock instant minus
+// the last instant with events: how stale each stream is), per-query eval
+// cost, per-relation ingest — are cached where they are kept.
+type execObs struct {
+	tickLatency, queryEvalTime *obs.Histogram
+
+	ticks, invokeCacheHits, invokeCacheMisses                 *obs.Counter
+	deltaTicks, deltaFallbackTicks, deltaReinits, deltaRowsIn *obs.Counter
+	deltaRowsOut, tickOverruns, coalescedEvals, ingestDrained *obs.Counter
+	ingestOffered, ingestShed                                 *obs.Counter
+	tickBudget, tickLast                                      *obs.Gauge
+}
+
+func newExecObs(m *obs.Metrics) execObs {
+	return execObs{
+		tickLatency:        m.Histogram("cq.tick.latency"),
+		queryEvalTime:      m.Histogram("cq.query.eval_latency"),
+		ticks:              m.Counter("cq.ticks"),
+		invokeCacheHits:    m.Counter("cq.invoke_cache.hits"),
+		invokeCacheMisses:  m.Counter("cq.invoke_cache.misses"),
+		deltaTicks:         m.Counter("cq.delta.ticks"),
+		deltaFallbackTicks: m.Counter("cq.delta.fallback_ticks"),
+		deltaReinits:       m.Counter("cq.delta.reinits"),
+		deltaRowsIn:        m.Counter("cq.delta.rows_in"),
+		deltaRowsOut:       m.Counter("cq.delta.rows_out"),
+		tickOverruns:       m.Counter("cq.tick.overruns"),
+		coalescedEvals:     m.Counter("cq.queries.coalesced"),
+		ingestDrained:      m.Counter("cq.ingest.drained"),
+		ingestOffered:      m.Counter("stream.ingest.offered"),
+		ingestShed:         m.Counter("stream.ingest.shed"),
+		tickBudget:         m.Gauge("cq.tick.budget_ns"),
+		tickLast:           m.Gauge("cq.tick.last_ns"),
+	}
+}
 
 // Executor owns a set of dynamic relations and registered continuous
 // queries, and advances them over a shared discrete clock.
@@ -97,6 +114,12 @@ type Executor struct {
 	// telemetry, when enabled, owns the sys$ system relations and the
 	// health scraper source (see telemetry.go).
 	telemetry *Telemetry
+
+	// m holds the executor's metrics in its registry's; lag (under mu)
+	// and ingest (under tickMu) cache the keyed series per relation name.
+	m      execObs
+	lag    map[string]*obs.Gauge
+	ingest map[string]*ingestObs
 }
 
 // Source is a data producer pumped at the start of every tick, before
@@ -122,10 +145,7 @@ type Options struct {
 
 // NewExecutor returns an executor starting before instant 0.
 func NewExecutor(reg *service.Registry, opts Options) *Executor {
-	if opts.TickBudget > 0 {
-		obsLastTickBudget.Set(int64(opts.TickBudget))
-	}
-	return &Executor{
+	e := &Executor{
 		reg:         reg,
 		rels:        make(map[string]*stream.XDRelation),
 		queries:     make(map[string]*Query),
@@ -135,7 +155,14 @@ func NewExecutor(reg *service.Registry, opts Options) *Executor {
 		parallelism: opts.Parallelism,
 		tickBudget:  opts.TickBudget,
 		coalesce:    opts.Coalesce,
+		m:           newExecObs(reg.Metrics()),
+		lag:         make(map[string]*obs.Gauge),
+		ingest:      make(map[string]*ingestObs),
 	}
+	if opts.TickBudget > 0 {
+		e.m.tickBudget.Set(int64(opts.TickBudget))
+	}
+	return e
 }
 
 // Now returns the last executed instant (−1 before the first tick).
@@ -257,6 +284,8 @@ type Query struct {
 	// lastEvalNS is the wall-clock cost of the query's latest evaluation,
 	// compared against the tick budget by the health state machine.
 	lastEvalNS int64
+	// evalGauge publishes lastEvalNS as cq.query.eval_ns{name}.
+	evalGauge *obs.Gauge
 
 	// degradation selects the query's β failure policy (set at Register,
 	// then read-only; resilience.Default behaves like SkipTuple here).
@@ -492,6 +521,7 @@ func (e *Executor) RegisterWith(name string, plan query.Node, opts RegisterOptio
 		streamPrev:  map[*query.Stream]map[string]value.Tuple{},
 		actions:     query.NewActionSet(),
 		lastDelta:   queryDelta{at: -1},
+		evalGauge:   e.reg.Metrics().Gauge(obs.Key("cq.query.eval_ns", name)),
 	}
 	q.indexPlanNodes()
 	e.computeHasActive(q)
@@ -725,7 +755,7 @@ func (e *Executor) Tick() (service.Instant, error) {
 	// root span; everything below (query evals, operators, β tuples, wire
 	// round trips) records as its descendants. An unsampled tick threads a
 	// nil span and every instrumentation site below degrades to a nil check.
-	tick := trace.Default.StartRoot("cq.tick")
+	tick := e.reg.Tracer().StartRoot("cq.tick")
 	tick.SetAttrInt("instant", int64(at))
 	defer tick.Finish()
 	if dur != nil {
@@ -783,12 +813,12 @@ func (e *Executor) Tick() (service.Instant, error) {
 	}
 	e.mu.Unlock()
 	if overran {
-		obsTickOverruns.Inc()
+		e.m.tickOverruns.Inc()
 		tick.SetAttr("overrun", "true")
 	}
-	obsLastTickElapsed.Set(int64(elapsed))
-	obsTicks.Inc()
-	obsTickLatency.Observe(elapsed)
+	e.m.tickLast.Set(int64(elapsed))
+	e.m.ticks.Inc()
+	e.m.tickLatency.Observe(elapsed)
 	return at, nil
 }
 
@@ -811,6 +841,7 @@ func (e *Executor) evalTickQueries(qs []*Query, at service.Instant, tick *trace.
 	for i, q := range qs {
 		if skip != nil && skip[i] {
 			q.noteCoalesced()
+			e.m.coalescedEvals.Inc()
 			continue
 		}
 		if err := e.evalQuery(q, at, tick, nil); err != nil {
@@ -855,7 +886,7 @@ const LagNeverProduced int64 = -1
 
 // recordLag publishes, per infinite XD-Relation, how many instants behind
 // the clock its newest event is (0 = produced this instant,
-// LagNeverProduced = never produced anything).
+// LagNeverProduced = never produced anything). e.mu is held.
 func (e *Executor) recordLag(at service.Instant) {
 	for name, x := range e.rels {
 		if !x.Infinite() {
@@ -866,7 +897,12 @@ func (e *Executor) recordLag(at service.Instant) {
 		if last < 0 {
 			lag = LagNeverProduced
 		}
-		obs.Default.Gauge(obs.Key("cq.stream.lag", name)).Set(lag)
+		g := e.lag[name]
+		if g == nil {
+			g = e.reg.Metrics().Gauge(obs.Key("cq.stream.lag", name))
+			e.lag[name] = g
+		}
+		g.Set(lag)
 	}
 }
 
@@ -929,18 +965,17 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 	}
 	evalElapsed := time.Since(evalStart)
 	ctx.PublishObsStats()
-	obsQueryEvals.Inc()
-	obsQueryEvalTime.Observe(evalElapsed)
-	obs.Default.Gauge(obs.Key("cq.query.eval_ns", q.name)).Set(int64(evalElapsed))
+	e.m.queryEvalTime.Observe(evalElapsed)
+	q.evalGauge.Set(int64(evalElapsed))
 	if err != nil {
 		qspan.SetAttr("error", err.Error())
 		qspan.Finish()
 		return err
 	}
 	if useDelta {
-		obsDeltaTicks.Inc()
+		e.m.deltaTicks.Inc()
 	} else {
-		obsDeltaFallbackTicks.Inc()
+		e.m.deltaFallbackTicks.Inc()
 	}
 	qspan.SetAttrInt("rows", int64(res.Len()))
 	qspan.Finish()
@@ -1265,8 +1300,8 @@ func (ev *evaluator) invokeCached(node *query.Invoke, bp schema.BindingPattern, 
 		miss = append(miss, i)
 	}
 	misses = int64(len(miss))
-	obsInvokeCacheHits.Add(hits)
-	obsInvokeCacheMisses.Add(misses)
+	ev.exec.m.invokeCacheHits.Add(hits)
+	ev.exec.m.invokeCacheMisses.Add(misses)
 	switch {
 	case len(miss) == 0:
 	case bp.Active():

@@ -19,14 +19,6 @@ import (
 	"serena/internal/stream"
 )
 
-var (
-	obsTickOverruns    = obs.Default.Counter("cq.tick.overruns")
-	obsCoalescedEvals  = obs.Default.Counter("cq.queries.coalesced")
-	obsIngestDrained   = obs.Default.Counter("cq.ingest.drained")
-	obsLastTickBudget  = obs.Default.Gauge("cq.tick.budget_ns")
-	obsLastTickElapsed = obs.Default.Gauge("cq.tick.last_ns")
-)
-
 // OverloadSettings returns the tick budget (0 = none) and whether
 // coalescing is enabled (Options.TickBudget and Options.Coalesce).
 func (e *Executor) OverloadSettings() (budget time.Duration, coalescing bool) {
@@ -52,7 +44,6 @@ func (q *Query) noteCoalesced() {
 	q.mu.Lock()
 	q.coalesced++
 	q.mu.Unlock()
-	obsCoalescedEvals.Inc()
 }
 
 // computeHasActive resolves each β node's prototype against the registry
@@ -102,18 +93,44 @@ func shedableQueries(qs []*Query) []bool {
 	return shedable
 }
 
+// ingestObs is one relation's ingest series: tuples shed by its overload
+// policy, and the buffer depth the last tick drained. offered is the
+// relation's offered count already published.
+type ingestObs struct {
+	shed    *obs.Counter
+	depth   *obs.Gauge
+	offered int64
+}
+
 // drainIngest moves every relation's buffered producer tuples into the
 // relation at the tick instant (after WAL BeginTick, before sources), so
-// drained events are logged inside this tick's WAL window.
+// drained events are logged inside this tick's WAL window. It publishes
+// each buffer's counts: stream.ingest.offered and stream.ingest.shed grow
+// by what the relation counted since the last tick, and
+// stream.ingest.depth{rel} reads the depth this tick drained.
 func (e *Executor) drainIngest(rels []*stream.XDRelation, at service.Instant) error {
 	for _, r := range rels {
 		n, err := r.DrainIngest(at)
 		if err != nil {
 			return err
 		}
-		if n > 0 {
-			obsIngestDrained.Add(int64(n))
+		e.m.ingestDrained.Add(int64(n))
+		offered, shed := r.IngestStats()
+		if offered == 0 {
+			continue // no buffer, or nothing offered yet
 		}
+		st := e.ingest[r.Name()]
+		if st == nil {
+			m := e.reg.Metrics()
+			st = &ingestObs{shed: m.Counter(obs.Key("stream.ingest.shed", r.Name())), depth: m.Gauge(obs.Key("stream.ingest.depth", r.Name()))}
+			e.ingest[r.Name()] = st
+		}
+		newShed := shed - st.shed.Value()
+		e.m.ingestOffered.Add(offered - st.offered)
+		e.m.ingestShed.Add(newShed)
+		st.shed.Add(newShed)
+		st.offered = offered
+		st.depth.Set(int64(n))
 	}
 	return nil
 }

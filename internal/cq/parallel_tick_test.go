@@ -11,7 +11,6 @@ import (
 	"serena/internal/algebra"
 	"serena/internal/cq"
 	"serena/internal/device"
-	"serena/internal/obs"
 	"serena/internal/paperenv"
 	"serena/internal/query"
 	"serena/internal/service"
@@ -136,13 +135,13 @@ func TestParallelTickEquivalentToSequential(t *testing.T) {
 		lastPhotos *algebra.XRelation
 		q4Events   int
 	}
-	plans := obs.Default.Counter("query.batch.plans")
 	run := func(parallel bool) outcome {
 		var opts cq.Options
 		if parallel {
 			opts.Parallelism = 8
 		}
 		s := newScenarioWith(t, opts)
+		plans := s.reg.Metrics().Counter("query.batch.plans")
 		if parallel {
 			if err := s.reg.Register(batchTransport{}); err != nil {
 				t.Fatal(err)

@@ -1,7 +1,8 @@
 // Self-telemetry: the engine's own health as first-class XD-Relations.
 //
-// A scraper — an ordinary tick Source, run every instant — samples the obs
-// registry, computes per-instant deltas, and feeds three built-in system
+// A scraper — an ordinary tick Source, run every instant — samples the
+// engine's metrics (its registry's, which only this engine's layers record
+// into), computes per-instant deltas, and feeds three built-in system
 // relations:
 //
 //	sys$metrics  infinite  (metric STRING, kind STRING, value REAL, delta REAL)
@@ -111,17 +112,17 @@ type StreamHealth struct {
 // registered window over sys$metrics larger than this extends it.
 const metricsRetention service.Instant = 32
 
-// TelemetryOptions configures EnableSelfTelemetry. The scraper runs every
-// instant and sys$metrics keeps metricsRetention instants of rows.
-type TelemetryOptions struct {
-	// Registry to sample (nil = obs.Default).
-	Registry *obs.Metrics
-}
+// TelemetryOptions configures EnableSelfTelemetry; it has no fields. The
+// scraper runs every instant over the executor's registry's metrics, and
+// sys$metrics keeps metricsRetention instants of rows.
+type TelemetryOptions struct{}
 
 // Telemetry is the self-telemetry subsystem attached to one Executor.
 type Telemetry struct {
 	e   *Executor
 	reg *obs.Metrics
+	// transitions counts health state changes (cq.health.transitions).
+	transitions *obs.Counter
 
 	metricsRel *stream.XDRelation
 	healthRel  *stream.XDRelation
@@ -162,10 +163,7 @@ type queryPrev struct {
 // EnableSelfTelemetry registers the sys$ relations and the scraper source.
 // Call it before the first tick and — in durable environments — before
 // recovery, so WAL-logged queries over sys$ relations can re-register.
-func (e *Executor) EnableSelfTelemetry(opts TelemetryOptions) (*Telemetry, error) {
-	if opts.Registry == nil {
-		opts.Registry = obs.Default
-	}
+func (e *Executor) EnableSelfTelemetry(TelemetryOptions) (*Telemetry, error) {
 	e.mu.Lock()
 	already := e.telemetry != nil
 	e.mu.Unlock()
@@ -173,14 +171,15 @@ func (e *Executor) EnableSelfTelemetry(opts TelemetryOptions) (*Telemetry, error
 		return nil, fmt.Errorf("cq: self-telemetry already enabled")
 	}
 	t := &Telemetry{
-		e:        e,
-		reg:      opts.Registry,
-		prev:     map[string]float64{},
-		queries:  map[string]*QueryHealth{},
-		streams:  map[string]*StreamHealth{},
-		qprev:    map[string]queryPrev{},
-		cadence:  map[string]service.Instant{},
-		peerRows: map[string]value.Tuple{},
+		e:           e,
+		reg:         e.reg.Metrics(),
+		transitions: e.reg.Metrics().Counter("cq.health.transitions"),
+		prev:        map[string]float64{},
+		queries:     map[string]*QueryHealth{},
+		streams:     map[string]*StreamHealth{},
+		qprev:       map[string]queryPrev{},
+		cadence:     map[string]service.Instant{},
+		peerRows:    map[string]value.Tuple{},
 	}
 	t.metricsRel = stream.NewInfinite(schema.MustExtended(SysMetrics, []schema.ExtAttr{
 		{Attribute: schema.Attribute{Name: "metric", Type: value.String}},
@@ -359,7 +358,7 @@ func (t *Telemetry) scrapePeers(at service.Instant) error {
 			return err
 		}
 		t.peerRows[pr.Node] = row
-		obs.Default.Counter("cq.health.transitions").Inc()
+		t.transitions.Inc()
 	}
 	for node, old := range t.peerRows {
 		if seen[node] {
@@ -457,7 +456,7 @@ func (t *Telemetry) scrapeQueries(at service.Instant, order []string, qs []*Quer
 			if err := t.healthRel.Insert(at, healthTuple(name, state)); err != nil {
 				return err
 			}
-			obs.Default.Counter("cq.health.transitions").Inc()
+			t.transition("cq.query.health", name, state)
 		} else if state != qh.State {
 			if err := t.healthRel.Delete(at, healthTuple(name, qh.State)); err != nil {
 				return err
@@ -466,14 +465,13 @@ func (t *Telemetry) scrapeQueries(at service.Instant, order []string, qs []*Quer
 				return err
 			}
 			qh.State, qh.Since, qh.Reason = state, at, reason
-			obs.Default.Counter("cq.health.transitions").Inc()
+			t.transition("cq.query.health", name, state)
 		} else {
 			qh.Reason = reason
 		}
 		qh.LastEval = q.LastEvalLatency()
 		qh.Coalesced = q.Coalesced()
 		qh.InvokeErrors = q.InvokeErrorTotal()
-		obs.Default.Gauge(obs.Key("cq.query.health", name)).Set(int64(state))
 		_, naive := q.EvalCounts()
 		t.qprev[name] = queryPrev{
 			coalesced:  qh.Coalesced,
@@ -493,6 +491,13 @@ func (t *Telemetry) scrapeQueries(at service.Instant, order []string, qs []*Quer
 		delete(t.qprev, name)
 	}
 	return nil
+}
+
+// transition counts one health state change and publishes the new state
+// as the keyed gauge metric{name}; a gauge keeps its value between changes.
+func (t *Telemetry) transition(metric, name string, state HealthState) {
+	t.transitions.Inc()
+	t.reg.Gauge(obs.Key(metric, name)).Set(int64(state))
 }
 
 // assessQuery applies the health rules, worst state first:
@@ -596,7 +601,7 @@ func (t *Telemetry) scrapeStreams(at service.Instant, rels map[string]*stream.XD
 			if err := t.streamsRel.Insert(at, streamTuple(name, state)); err != nil {
 				return err
 			}
-			obs.Default.Counter("cq.health.transitions").Inc()
+			t.transition("cq.stream.health", name, state)
 		} else if state != sh.State {
 			if err := t.streamsRel.Delete(at, streamTuple(name, sh.State)); err != nil {
 				return err
@@ -605,11 +610,10 @@ func (t *Telemetry) scrapeStreams(at service.Instant, rels map[string]*stream.XD
 				return err
 			}
 			sh.State, sh.Since = state, at
-			obs.Default.Counter("cq.health.transitions").Inc()
+			t.transition("cq.stream.health", name, state)
 		}
 		sh.Lag = lag
 		sh.Cadence = t.cadence[name]
-		obs.Default.Gauge(obs.Key("cq.stream.health", name)).Set(int64(state))
 	}
 	for name, sh := range t.streams {
 		if seen[name] {

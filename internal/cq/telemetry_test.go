@@ -133,10 +133,10 @@ func TestSysPrefixReservedForQueries(t *testing.T) {
 }
 
 // TestSysMetricsRowsAndDeltas checks the scrape's value/delta semantics
-// against a private registry with a fully controlled counter.
+// on a counter only the test moves.
 func TestSysMetricsRowsAndDeltas(t *testing.T) {
-	reg := obs.New()
-	env := newTelemetryEnv(t, cq.TelemetryOptions{Registry: reg})
+	env := newTelemetryEnv(t, cq.TelemetryOptions{})
+	reg := env.reg.Metrics()
 	c := reg.Counter("test.widgets")
 	c.Add(5)
 	at0 := env.tick(t)
@@ -167,8 +167,8 @@ func TestSysMetricsRowsAndDeltas(t *testing.T) {
 // TestQueryOverSysMetrics is the headline behaviour: REGISTER QUERY works
 // over engine health exactly like over a device feed.
 func TestQueryOverSysMetrics(t *testing.T) {
-	reg := obs.New()
-	env := newTelemetryEnv(t, cq.TelemetryOptions{Registry: reg})
+	env := newTelemetryEnv(t, cq.TelemetryOptions{})
+	reg := env.reg.Metrics()
 	c := reg.Counter("test.widgets")
 	c.Inc()
 	q, err := env.exec.Register("meter", query.NewSelect(
@@ -197,17 +197,23 @@ func TestQueryOverSysMetrics(t *testing.T) {
 // TestSysMetricsRetention checks the pseudo-window trim horizon (32
 // instants) bounds the sys$metrics event log.
 func TestSysMetricsRetention(t *testing.T) {
-	reg := obs.New()
-	env := newTelemetryEnv(t, cq.TelemetryOptions{Registry: reg})
+	env := newTelemetryEnv(t, cq.TelemetryOptions{})
+	reg := env.reg.Metrics()
 	c := reg.Counter("test.widgets")
 	for i := 0; i < 100; i++ {
 		c.Inc() // one fresh row per scrape
 		env.tick(t)
 	}
-	// One metric row per scrape; with retention 32 the trimmer keeps only
-	// the last few dozen instants' events, not all 100.
-	if n := env.rel(t, cq.SysMetrics).EventCount(); n > 34 {
-		t.Fatalf("sys$metrics holds %d events after 100 ticks with retention 32", n)
+	// One test.widgets row per scrape; with retention 32 the trimmer keeps
+	// only the last few dozen instants' events, not all 100.
+	n := 0
+	for _, ev := range env.rel(t, cq.SysMetrics).EventsIn(-1, env.exec.Now()) {
+		if ev.Tuple[0].Str() == "test.widgets" {
+			n++
+		}
+	}
+	if n > 34 {
+		t.Fatalf("sys$metrics holds %d test.widgets events after 100 ticks with retention 32", n)
 	}
 }
 
@@ -444,6 +450,44 @@ func TestStreamDeadMan(t *testing.T) {
 	}
 }
 
+// TestHealthTransitionsInEngineRegistry: the health state machine records
+// its transitions and states in the executor's registry — the one
+// sys$metrics samples and /metrics serves — not in a registry shared with
+// other engines.
+func TestHealthTransitionsInEngineRegistry(t *testing.T) {
+	env := newTelemetryEnv(t, cq.TelemetryOptions{})
+	env.tel.SetStreamCadence("temperatures", 1)
+	env.feedUntil = 0
+	if _, err := env.exec.Register("recent", query.NewWindow(query.NewBase("temperatures"), 1)); err != nil {
+		t.Fatal(err)
+	}
+	m := env.reg.Metrics()
+	transitions := m.Counter("cq.health.transitions")
+	env.tick(t) // first scrape: the query and the stream enter OK
+	if got := transitions.Value(); got != 2 {
+		t.Fatalf("cq.health.transitions = %d after the first scrape, want 2", got)
+	}
+	queryGauge, streamGauge := obs.Key("cq.query.health", "recent"), obs.Key("cq.stream.health", "temperatures")
+	if g, ok := m.Snapshot().Gauges[queryGauge]; !ok || g != int64(cq.HealthOK) {
+		t.Fatalf("%s = %d (present %v), want OK", queryGauge, g, ok)
+	}
+	for env.streamState(t, "temperatures").State != cq.HealthStalled {
+		if env.tick(t) > 5 {
+			t.Fatal("temperatures never stalled")
+		}
+	}
+	// The stream stalled, and so did the query reading it.
+	if got := transitions.Value(); got != 4 {
+		t.Fatalf("cq.health.transitions = %d after the stall, want 4", got)
+	}
+	snap := m.Snapshot()
+	for _, name := range []string{queryGauge, streamGauge} {
+		if g := snap.Gauges[name]; g != int64(cq.HealthStalled) {
+			t.Fatalf("%s = %d, want STALLED (%d)", name, g, cq.HealthStalled)
+		}
+	}
+}
+
 // TestStalledInputStreamStallsQuery: a query reading a dead stream is
 // itself STALLED — the worst state wins over any other rule.
 func TestStalledInputStreamStallsQuery(t *testing.T) {
@@ -485,7 +529,7 @@ func TestStreamNeverProduced(t *testing.T) {
 	}
 	// Satellite fix: the cq.stream.lag gauge uses the explicit sentinel,
 	// not the old at+1 encoding.
-	if g := obs.Default.Gauge(obs.Key("cq.stream.lag", "void")).Value(); g != cq.LagNeverProduced {
+	if g := env.reg.Metrics().Gauge(obs.Key("cq.stream.lag", "void")).Value(); g != cq.LagNeverProduced {
 		t.Fatalf("cq.stream.lag gauge = %d, want %d", g, cq.LagNeverProduced)
 	}
 }

@@ -34,13 +34,8 @@ func TestTickSpans(t *testing.T) {
 		}
 	}
 
-	prev := trace.Default.SampleEvery()
-	trace.Default.SetSampleEvery(1)
-	trace.Default.Reset()
-	defer func() {
-		trace.Default.SetSampleEvery(prev)
-		trace.Default.Reset()
-	}()
+	tr := s.reg.Tracer()
+	tr.SetSampleEvery(1)
 
 	for i := 0; i < 2; i++ {
 		if _, err := s.exec.Tick(); err != nil {
@@ -50,7 +45,7 @@ func TestTickSpans(t *testing.T) {
 
 	// Index the two tick traces by instant.
 	ticks := map[string]*trace.Span{}
-	for _, sp := range trace.Default.Snapshot() {
+	for _, sp := range tr.Snapshot() {
 		if sp.Name == "cq.tick" {
 			ticks[sp.Attr("instant")] = sp
 		}
@@ -67,7 +62,7 @@ func TestTickSpans(t *testing.T) {
 	}
 	view := func(root *trace.Span) tickView {
 		var v tickView
-		for _, sp := range trace.Default.TraceSpans(root.TraceID) {
+		for _, sp := range tr.TraceSpans(root.TraceID) {
 			switch sp.Name {
 			case "cq.invoke":
 				v.invokeOp = sp
@@ -134,13 +129,8 @@ func TestTickSpansDelta(t *testing.T) {
 		}
 	}
 
-	prev := trace.Default.SampleEvery()
-	trace.Default.SetSampleEvery(1)
-	trace.Default.Reset()
-	defer func() {
-		trace.Default.SetSampleEvery(prev)
-		trace.Default.Reset()
-	}()
+	tr := s.reg.Tracer()
+	tr.SetSampleEvery(1)
 
 	for i := 0; i < 2; i++ {
 		if _, err := s.exec.Tick(); err != nil {
@@ -149,7 +139,7 @@ func TestTickSpansDelta(t *testing.T) {
 	}
 
 	ticks := map[string]*trace.Span{}
-	for _, sp := range trace.Default.Snapshot() {
+	for _, sp := range tr.Snapshot() {
 		if sp.Name == "cq.tick" {
 			ticks[sp.Attr("instant")] = sp
 		}
@@ -162,7 +152,7 @@ func TestTickSpansDelta(t *testing.T) {
 	}
 	view := func(root *trace.Span) tickView {
 		var v tickView
-		for _, sp := range trace.Default.TraceSpans(root.TraceID) {
+		for _, sp := range tr.TraceSpans(root.TraceID) {
 			switch sp.Name {
 			case "cq.invoke":
 				v.invokeOp = sp
@@ -218,17 +208,12 @@ func TestUnsampledTickRecordsNothing(t *testing.T) {
 	if _, err := s.exec.Register("photos", query.NewInvoke(query.NewBase("cameras"), "checkPhoto", "camera")); err != nil {
 		t.Fatal(err)
 	}
-	prev := trace.Default.SampleEvery()
-	trace.Default.SetSampleEvery(0)
-	trace.Default.Reset()
-	defer func() {
-		trace.Default.SetSampleEvery(prev)
-		trace.Default.Reset()
-	}()
+	tr := s.reg.Tracer()
+	tr.SetSampleEvery(0)
 	if _, err := s.exec.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(trace.Default.Snapshot()); got != 0 {
+	if got := len(tr.Snapshot()); got != 0 {
 		t.Fatalf("disabled tracer retained %d spans", got)
 	}
 }

@@ -15,14 +15,9 @@ import (
 	"sync"
 	"time"
 
-	"serena/internal/obs"
 	"serena/internal/service"
 	"serena/internal/wire"
 )
-
-// obsLeaseExpired counts nodes dropped because their lease lapsed without a
-// renewal — the discovery-layer signal that a Local ERM died silently.
-var obsLeaseExpired = obs.Default.Counter("discovery.lease.expired")
 
 // Kind tags announcements.
 type Kind uint8
@@ -356,7 +351,7 @@ func (m *Manager) handleAlive(a Announcement) error {
 	if known {
 		m.removeNode(a.Node, "") // node moved address
 	}
-	client, err := wire.Dial(a.Addr, dialTimeout)
+	client, err := wire.Dial(a.Addr, dialTimeout, m.central)
 	if err != nil {
 		return err
 	}
@@ -459,7 +454,8 @@ func (m *Manager) SweepExpired(now time.Time) []string {
 	}
 	m.mu.Unlock()
 	for _, name := range expired {
-		obsLeaseExpired.Inc()
+		// discovery.lease.expired: the signal that a Local ERM died silently.
+		m.central.Metrics().Counter("discovery.lease.expired").Inc()
 		m.removeNode(name, "lease_expired")
 	}
 	return expired

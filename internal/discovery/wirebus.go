@@ -26,18 +26,8 @@ import (
 	"sync"
 	"time"
 
-	"serena/internal/obs"
 	"serena/internal/service"
 	"serena/internal/wire"
-)
-
-// WireBus announce metrics.
-var (
-	obsBusSent    = obs.Default.Counter("discovery.bus.frames_sent")
-	obsBusRecv    = obs.Default.Counter("discovery.bus.frames_received")
-	obsBusDropped = obs.Default.Counter("discovery.bus.frames_deduped")
-	obsBusRelayed = obs.Default.Counter("discovery.bus.frames_relayed")
-	obsBusSynthe  = obs.Default.Counter("discovery.bus.synthesized_byes")
 )
 
 // wireBusPeer is one outbound announce link.
@@ -57,7 +47,10 @@ type WireBus struct {
 	node  string
 	lease time.Duration // drives the heartbeat period (lease/4)
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// reg is the engine the bus serves: its links count in reg's metrics
+	// (discovery.bus.*, wire.*). SetCatalogFromRegistry installs it.
+	reg     *service.Registry
 	catalog func() []wire.ServiceInfo
 	addr    string // advertised wire address of the local server
 	subs    map[int]chan Announcement
@@ -85,6 +78,7 @@ func NewWireBus(node string, opts ...WireBusOption) *WireBus {
 	b := &WireBus{
 		node:  node,
 		lease: 30 * time.Second,
+		reg:   service.NewRegistry(),
 		subs:  make(map[int]chan Announcement),
 		peers: make(map[string]*wireBusPeer),
 		seen:  make(map[string]uint64),
@@ -224,11 +218,21 @@ func (b *WireBus) AnnounceSelfNow() {
 }
 
 // SetCatalogFromRegistry installs a catalog that advertises the registry's
-// locally hosted services (see hostedCatalog).
+// locally hosted services (see hostedCatalog), and makes the bus count its
+// frames and links in the registry's metrics.
 func (b *WireBus) SetCatalogFromRegistry(reg *service.Registry) {
 	b.mu.Lock()
+	b.reg = reg
 	b.catalog = func() []wire.ServiceInfo { return hostedCatalog(reg) }
 	b.mu.Unlock()
+}
+
+// count adds one to the named counter of the bus's registry.
+func (b *WireBus) count(name string) {
+	b.mu.Lock()
+	reg := b.reg
+	b.mu.Unlock()
+	reg.Metrics().Counter(name).Inc()
 }
 
 // stamp converts a local Announcement into a wire frame with a fresh
@@ -278,11 +282,11 @@ func (b *WireBus) sendTo(p *wireBusPeer, frame wire.Announce) {
 		b.mu.Unlock()
 		return // still backing off
 	}
-	client := p.client
+	client, reg := p.client, b.reg
 	b.mu.Unlock()
 
 	if client == nil {
-		c, err := wire.Dial(p.addr, dialTimeout)
+		c, err := wire.Dial(p.addr, dialTimeout, reg)
 		if err != nil {
 			b.linkFailed(p)
 			return
@@ -307,7 +311,7 @@ func (b *WireBus) sendTo(p *wireBusPeer, frame wire.Announce) {
 		b.linkFailed(p)
 		return
 	}
-	obsBusSent.Inc()
+	b.count("discovery.bus.frames_sent")
 	b.mu.Lock()
 	p.node = peerNode
 	p.down = false
@@ -345,7 +349,7 @@ func (b *WireBus) linkFailed(p *wireBusPeer) {
 	if wasDown || node == "" {
 		return
 	}
-	obsBusSynthe.Inc()
+	b.count("discovery.bus.synthesized_byes")
 	b.deliverLocal(Announcement{Kind: Bye, Node: node, Addr: addr})
 }
 
@@ -356,11 +360,11 @@ func (b *WireBus) handleFrames(frames []wire.Announce) {
 		if f.Node == b.node {
 			continue // our own announcement echoed back
 		}
-		obsBusRecv.Inc()
+		b.count("discovery.bus.frames_received")
 		b.mu.Lock()
 		if f.Seq <= b.seen[f.Node] {
 			b.mu.Unlock()
-			obsBusDropped.Inc()
+			b.count("discovery.bus.frames_deduped")
 			continue
 		}
 		b.seen[f.Node] = f.Seq
@@ -389,7 +393,7 @@ func (b *WireBus) handleFrames(frames []wire.Announce) {
 		if !running {
 			continue
 		}
-		obsBusRelayed.Inc()
+		b.count("discovery.bus.frames_relayed")
 		relay := f
 		go func() {
 			defer b.wg.Done()

@@ -9,35 +9,35 @@ import (
 	"strings"
 )
 
-// DebugMux builds the debug HTTP mux shared by every serena process that
-// exposes an observability endpoint (the PEMS metrics server, pemsd's
-// -debug listener). Routes:
+// DebugMux builds the debug HTTP mux over one engine's registry m, shared
+// by every serena process that exposes an observability endpoint (the PEMS
+// metrics server, pemsd's -debug listener). Routes:
 //
-//	/metrics        registry exposition: JSON snapshot by default;
+//	/metrics        m's exposition: JSON snapshot by default;
 //	                Prometheus/OpenMetrics text when the request asks for
 //	                it (?format=prometheus, or an Accept header naming
 //	                application/openmetrics-text or text/plain)
 //	/debug/serena   human-readable status written by the status callback
-//	/debug/vars     standard expvar JSON (includes the "serena" variable)
+//	/debug/vars     the standard library's expvar JSON (memstats, cmdline)
 //	/debug/pprof/*  net/http/pprof profiles (explicitly wired: this is a
 //	                private mux, not http.DefaultServeMux)
 //
 // extra mounts additional handlers by path (e.g. /debug/trace); a nil
 // status yields a minimal placeholder page.
-func DebugMux(status func(io.Writer), extra map[string]http.Handler) *http.ServeMux {
+func DebugMux(m *Metrics, status func(io.Writer), extra map[string]http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if wantsTextExposition(r) {
 			// The version=0.0.4 text format; OpenMetrics scrapers accept it
 			// and it keeps one renderer for both.
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = Default.WriteOpenMetrics(w)
+			_ = m.WriteOpenMetrics(w)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(Default.Snapshot())
+		_ = enc.Encode(m.Snapshot())
 	})
 	mux.HandleFunc("/debug/serena", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -45,7 +45,7 @@ func DebugMux(status func(io.Writer), extra map[string]http.Handler) *http.Serve
 			status(w)
 			return
 		}
-		_, _ = io.WriteString(w, "serena\n======\n\nmetrics:\n"+Default.Snapshot().Render())
+		_, _ = io.WriteString(w, "serena\n======\n\nmetrics:\n"+m.Snapshot().Render())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

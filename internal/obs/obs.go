@@ -1,23 +1,23 @@
 // Package obs is the observability core for serena: lock-free counters,
 // gauges, and latency histograms behind a named registry, exportable as a
-// point-in-time snapshot or through the standard library's expvar facility.
+// point-in-time snapshot or in the Prometheus text format.
 //
 // The package is a dependency-free leaf (it imports only the standard
-// library) so every layer of the stack — algebra operators, the service
-// registry, the wire protocol, circuit breakers, the continuous-query
-// executor — can record into it without import cycles.
+// library) so every layer of the stack — the service registry, the wire
+// protocol, circuit breakers, the continuous-query executor — can record
+// into it without import cycles.
 //
-// Hot paths cache metric pointers in package-level variables:
+// A registry belongs to one engine: each service.Registry creates one, and
+// every layer reaches it through the registry it already holds. Hot paths
+// look a metric up once and keep the pointer in their own struct:
 //
-//	var invocations = obs.Default.Counter("service.invoke.calls")
+//	calls := reg.Metrics().Counter("service.invoke.calls")
 //
 // Counter/Gauge/Histogram methods are a single atomic op, so always-on
-// instrumentation stays within the ≤5% overhead budget. Reset zeroes values
-// in place and never invalidates cached pointers.
+// instrumentation stays within the ≤5% overhead budget.
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"math/bits"
@@ -66,7 +66,8 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets exponential buckets: bucket i holds observations in
 // [1µs·2^i, 1µs·2^(i+1)); bucket 0 also absorbs sub-microsecond
-// observations and the last bucket absorbs everything ≥ ~8.6s.
+// observations, and the last bucket is the unbounded overflow bucket: it
+// holds everything ≥ 2^23 µs (~8.4s).
 const histBuckets = 24
 
 // Histogram records durations in exponential buckets. The zero value is
@@ -134,8 +135,9 @@ func (h *Histogram) Mean() time.Duration {
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket histogram,
-// interpolating linearly inside the winning bucket. Estimates are coarse
-// (factor-of-two buckets) but monotone and cheap.
+// interpolating linearly inside the winning bucket; the overflow bucket
+// interpolates up to Max. Estimates are coarse (factor-of-two buckets) but
+// monotone, cheap, and never above Max.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	n := h.count.Load()
 	if n == 0 || math.IsNaN(q) {
@@ -155,10 +157,11 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 			continue
 		}
 		if seen+c >= rank {
-			lo := float64(bucketLower(i))
-			hi := float64(bucketLower(i + 1))
-			frac := (rank - seen) / c
-			return time.Duration(lo + (hi-lo)*frac)
+			lo, hi, top := float64(bucketLower(i)), float64(bucketLower(i+1)), float64(h.max.Load())
+			if i == histBuckets-1 || hi > top {
+				hi = top
+			}
+			return time.Duration(lo + (hi-lo)*(rank-seen)/c)
 		}
 		seen += c
 	}
@@ -211,9 +214,6 @@ func New() *Metrics {
 		seriesCount: make(map[string]int),
 	}
 }
-
-// Default is the process-wide registry used by the instrumented layers.
-var Default = New()
 
 // Key composes a metric name with a dynamic label, e.g.
 // Key("service.invoke.calls", "getTemperature|sensor1") →
@@ -346,16 +346,4 @@ func (s Snapshot) Render() string {
 			name, h.Count, h.Mean, h.P50, h.P95, h.P99, h.Max)
 	}
 	return b.String()
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the Default registry under the expvar key "serena".
-// Safe to call more than once; only the first call registers.
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("serena", expvar.Func(func() any {
-			return Default.Snapshot()
-		}))
-	})
 }

@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -134,24 +134,43 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
-func TestPublishExpvar(t *testing.T) {
-	PublishExpvar()
-	PublishExpvar() // idempotent
-	v := expvar.Get("serena")
-	if v == nil {
-		t.Fatal("expvar key serena not published")
+// TestHistogramOverflowBucket pins the overflow bucket as unbounded:
+// observations past 2^23 µs show only under le="+Inf", and no quantile reads
+// above the largest observation.
+func TestHistogramOverflowBucket(t *testing.T) {
+	m := New()
+	h := m.Histogram("slow")
+	for i := 0; i < 10; i++ {
+		h.Observe(time.Minute)
 	}
-	// Default is process-global: a repeated run (-count=2) finds the
-	// counter already raised, so assert the growth, not the value.
-	c := Default.Counter("expvar.test")
-	before := c.Value()
-	c.Add(7)
-	var s Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
-		t.Fatalf("expvar payload not JSON: %v", err)
+	var buf bytes.Buffer
+	if err := m.WriteOpenMetrics(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Counters["expvar.test"] - before; got != 7 {
-		t.Fatalf("expvar counter grew by %d, want 7: %+v", got, s.Counters)
+	out := buf.String()
+	for _, want := range []string{
+		`serena_slow_bucket{le="8.388608"} 0` + "\n",
+		`serena_slow_bucket{le="+Inf"} 10` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `le="16.777216"`) {
+		t.Errorf("overflow bucket exposed with an upper bound:\n%s", out)
+	}
+	for _, q := range []float64{0.5, 0.99, 1} {
+		if got := h.Quantile(q); got <= 16777216*time.Microsecond || got > h.Max() {
+			t.Errorf("p%v = %s, want in (16.777216s, max %s]", q*100, got, h.Max())
+		}
+	}
+	// A bounded bucket interpolates no higher than the largest observation.
+	var b Histogram
+	for i := 0; i < 10; i++ {
+		b.Observe(1100 * time.Microsecond)
+	}
+	if got := b.Quantile(0.99); got > b.Max() {
+		t.Errorf("p99 = %s above max %s", got, b.Max())
 	}
 }
 

@@ -62,9 +62,10 @@ func (m *Metrics) WriteOpenMetrics(w io.Writer) error {
 
 // writeHistogramSeries renders one histogram series: cumulative buckets
 // (le upper bounds in seconds), the mandatory +Inf bucket, _sum and _count.
+// The overflow bucket has no upper bound, so it shows only in +Inf.
 func writeHistogramSeries(b *strings.Builder, name, labels string, h *Histogram) {
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
+	for i := 0; i < histBuckets-1; i++ {
 		cum += h.buckets[i].Load()
 		le := strconv.FormatFloat(float64(bucketLower(i+1))/1e9, 'g', -1, 64)
 		fmt.Fprintf(b, "%s_bucket%s %d\n", name, mergeLabels(labels, `le="`+le+`"`), cum)

@@ -27,8 +27,10 @@ import (
 // logged instant is sound).
 
 // EnableDurability opens (or creates) the WAL + checkpoint store in dir and
-// attaches it to this PEMS; New does the same for Config.DataDir. Call it
-// before Recover, which must run before the first tick. The embedder
+// attaches it to this PEMS, recording the log's metrics and recovery trace
+// in the engine's registry (opts.Registry is set to it); New does the same
+// for Config.DataDir. Call it before Recover, which must run before the
+// first tick. The embedder
 // re-registers its code services, poll streams and discovery relations
 // between the two calls — checkpoints only carry DDL-declared schema; live
 // implementations are the embedder's to restore. Everything that changes a
@@ -37,6 +39,7 @@ import (
 // Config (parallelism, tick budget, timeouts, retries, breakers, telemetry)
 // are not; the embedder passes the same Config to New on every start.
 func (p *PEMS) EnableDurability(dir string, opts wal.Options) error {
+	opts.Registry = p.registry
 	m, err := wal.Open(dir, opts)
 	if err != nil {
 		return err

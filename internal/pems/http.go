@@ -16,13 +16,14 @@ import (
 
 // ServeMetrics starts an HTTP observability endpoint on addr (e.g.
 // "127.0.0.1:0" to pick a free port) and returns the bound address. Routes
-// (the same obs.DebugMux layout pemsd's -debug listener uses):
+// (the same obs.DebugMux layout pemsd's -debug listener uses) serve this
+// engine's metrics and traces only:
 //
-//	/metrics        registry snapshot: JSON by default, Prometheus text
+//	/metrics        metrics snapshot: JSON by default, Prometheus text
 //	                with ?format=prometheus or a matching Accept header
 //	/debug/serena   human-readable status: clock, queries, breakers, metrics
 //	/debug/health   JSON health report (per-query states, stream dead-man)
-//	/debug/vars     standard expvar JSON (includes the "serena" variable)
+//	/debug/vars     the standard library's expvar JSON (memstats, cmdline)
 //	/debug/trace    retained invocation traces as JSON (?trace_id=, ?limit=)
 //	/debug/pprof/*  net/http/pprof profiles
 //
@@ -54,8 +55,8 @@ func (p *PEMS) ServeMetrics(addr string) (string, error) {
 // DebugHandler returns the observability mux ServeMetrics serves, for
 // embedding into an existing HTTP server or an httptest harness.
 func (p *PEMS) DebugHandler() http.Handler {
-	return obs.DebugMux(p.writeStatus, map[string]http.Handler{
-		"/debug/trace":  trace.Handler(trace.Default),
+	return obs.DebugMux(p.registry.Metrics(), p.writeStatus, map[string]http.Handler{
+		"/debug/trace":  trace.Handler(p.registry.Tracer()),
 		"/debug/health": p.healthHandler(),
 		"/debug/peers":  p.peersHandler(),
 	})
@@ -95,6 +96,6 @@ func (p *PEMS) writeStatus(w io.Writer) {
 		}
 	}
 
-	fmt.Fprintf(&b, "\nmetrics:\n%s", obs.Default.Snapshot().Render())
+	fmt.Fprintf(&b, "\nmetrics:\n%s", p.registry.Metrics().Snapshot().Render())
 	_, _ = io.WriteString(w, b.String())
 }

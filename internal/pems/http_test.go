@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"serena/internal/pems"
-	"serena/internal/trace"
 )
 
 // TestDebugHTTPSurface exercises every route of the PEMS observability mux
@@ -89,8 +88,6 @@ func TestDebugHTTPSurface(t *testing.T) {
 	}
 
 	// A traced evaluation shows up on the endpoint.
-	trace.Default.Reset()
-	defer trace.Default.Reset()
 	if _, err := p.TraceOneShot("select[area = \"office\"](cameras)"); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"serena/internal/cq"
 	"serena/internal/ddl"
 	"serena/internal/discovery"
-	"serena/internal/obs"
 	"serena/internal/optimizer"
 	"serena/internal/query"
 	"serena/internal/resilience"
@@ -105,7 +104,6 @@ func New(opts ...Option) *PEMS {
 	p.catalog.OnCreateRelation = func(x *stream.XDRelation) {
 		_ = p.exec.AddRelation(x)
 	}
-	obs.PublishExpvar()
 	if o.bus != nil {
 		p.manager = discovery.NewManager(reg, o.bus, o.disco...)
 	}

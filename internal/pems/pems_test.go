@@ -94,9 +94,9 @@ func locationOf(sensors map[string]*device.Sensor) func(string) []value.Value {
 	}
 }
 
-func newScenarioPEMS(t *testing.T) (*pems.PEMS, map[string]*device.Sensor, map[string]*device.Messenger, map[string]*device.Camera) {
+func newScenarioPEMS(t *testing.T, opts ...pems.Option) (*pems.PEMS, map[string]*device.Sensor, map[string]*device.Messenger, map[string]*device.Camera) {
 	t.Helper()
-	p := pems.New()
+	p := pems.New(opts...)
 	if err := p.ExecuteDDL(table1Prototypes); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"serena/internal/cq"
 	"serena/internal/device"
-	"serena/internal/obs"
 	"serena/internal/pems"
 	"serena/internal/resilience"
 	"serena/internal/service"
@@ -114,17 +113,16 @@ func TestOverloadSoak(t *testing.T) {
 		t.Skip("soak skipped in -short")
 	}
 	ticks := 150
+	p := buildSoakEnv(t, true)
 	t.Cleanup(func() {
 		if !t.Failed() {
 			return
 		}
-		// On failure, dump the full metrics registry for the CI artifact.
+		// On failure, dump the engine's metrics for the CI artifact.
 		if path := os.Getenv("SOAK_DUMP"); path != "" {
-			_ = os.WriteFile(path, []byte(obs.Default.Snapshot().Render()), 0o644)
+			_ = os.WriteFile(path, []byte(p.Registry().Metrics().Snapshot().Render()), 0o644)
 		}
 	})
-
-	p := buildSoakEnv(t, true)
 
 	var before runtime.MemStats
 	runtime.GC()

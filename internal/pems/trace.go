@@ -29,7 +29,8 @@ func (p *PEMS) TraceOneShot(src string) (*InvocationTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := trace.Default.ForceRoot("query.eval")
+	tr := p.registry.Tracer()
+	root := tr.ForceRoot("query.eval")
 	root.SetAttrInt("instant", int64(ctx.At))
 	ctx.Span = root
 	res, evalErr := query.EvaluateCtx(n, ctx)
@@ -41,7 +42,7 @@ func (p *PEMS) TraceOneShot(src string) (*InvocationTrace, error) {
 		append(root.LogAttrs(), slog.Int64("instant", int64(ctx.At)))...)
 	out := &InvocationTrace{
 		TraceID: root.TraceID,
-		Tree:    trace.RenderTree(trace.Default.TraceSpans(root.TraceID)),
+		Tree:    trace.RenderTree(tr.TraceSpans(root.TraceID)),
 		Result:  res,
 	}
 	if evalErr != nil {
@@ -57,5 +58,5 @@ func (p *PEMS) TraceOneShot(src string) (*InvocationTrace, error) {
 // — the realized counterpart of the query's action set (Definition 8).
 // Empty strings match everything on that axis.
 func (p *PEMS) Lineage(queryName, key string) []trace.LineageEntry {
-	return trace.Default.Lineage(queryName, key, trace.SpanInvoke)
+	return p.registry.Tracer().Lineage(queryName, key, trace.SpanInvoke)
 }

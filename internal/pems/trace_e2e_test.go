@@ -18,8 +18,9 @@ import (
 //
 // The "remote" node lives in this process (its own registry behind a real
 // TCP wire.Server), which keeps the test hermetic; trace propagation still
-// crosses a genuine client/server round trip, and because both sides share
-// trace.Default the full tree can be asserted in one ring.
+// crosses a genuine client/server round trip. Each side keeps its spans in
+// its own engine's tracer, so the tree is the core's spans of the trace
+// joined with the node's.
 func TestCrossProcessTrace(t *testing.T) {
 	// Remote Local-ERM node hosting one sensor.
 	remoteReg := service.NewRegistry()
@@ -42,7 +43,7 @@ func TestCrossProcessTrace(t *testing.T) {
 	if err := p.ExecuteDDL(`PROTOTYPE getTemperature( ) : (temperature REAL );`); err != nil {
 		t.Fatal(err)
 	}
-	client, err := wire.Dial(addr, 3*time.Second)
+	client, err := wire.Dial(addr, 3*time.Second, p.Registry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +68,7 @@ INSERT INTO sensors VALUES (rsensor01, "office");`); err != nil {
 		t.Fatal(err)
 	}
 
-	prev := trace.Default.SampleEvery()
-	trace.Default.SetSampleEvery(1)
-	trace.Default.Reset()
-	defer func() {
-		trace.Default.SetSampleEvery(prev)
-		trace.Default.Reset()
-	}()
+	p.Registry().Tracer().SetSampleEvery(1)
 
 	if _, err := p.Tick(); err != nil {
 		t.Fatal(err)
@@ -81,7 +76,7 @@ INSERT INTO sensors VALUES (rsensor01, "office");`); err != nil {
 
 	// Locate the tick's trace and index its spans.
 	var root *trace.Span
-	for _, s := range trace.Default.Snapshot() {
+	for _, s := range p.Registry().Tracer().Snapshot() {
 		if s.Name == "cq.tick" {
 			root = s
 		}
@@ -89,7 +84,7 @@ INSERT INTO sensors VALUES (rsensor01, "office");`); err != nil {
 	if root == nil {
 		t.Fatal("no cq.tick root span recorded")
 	}
-	spans := trace.Default.TraceSpans(root.TraceID)
+	spans := append(p.Registry().Tracer().TraceSpans(root.TraceID), remoteReg.Tracer().TraceSpans(root.TraceID)...)
 	byName := map[string]*trace.Span{}
 	for _, s := range spans {
 		byName[s.Name] = s

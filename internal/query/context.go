@@ -9,23 +9,11 @@ import (
 	"time"
 
 	"serena/internal/algebra"
-	"serena/internal/obs"
 	"serena/internal/resilience"
 	"serena/internal/schema"
 	"serena/internal/service"
 	"serena/internal/trace"
 	"serena/internal/value"
-)
-
-// β invocation counters as seen from the algebra (the service layer counts
-// physical calls; these split them by binding-pattern mode and add memo and
-// degradation outcomes).
-var (
-	obsQueryActive    = obs.Default.Counter("query.invoke.active")
-	obsQueryPassive   = obs.Default.Counter("query.invoke.passive")
-	obsQueryMemoized  = obs.Default.Counter("query.invoke.memoized")
-	obsQueryDegraded  = obs.Default.Counter("query.invoke.degraded")
-	obsQueryCoalesced = obs.Default.Counter("query.invoke.coalesced")
 )
 
 // Action is one element of a query's action set (Definition 8): the
@@ -209,7 +197,7 @@ type Context struct {
 	statsMu sync.Mutex
 
 	// published remembers how much of Stats has already been flushed to
-	// the process-wide obs counters (see PublishObsStats).
+	// the registry's metrics (see PublishObsStats).
 	published InvokeStats
 }
 
@@ -261,11 +249,13 @@ func (c *Context) Eval(n Node) (*algebra.XRelation, error) {
 }
 
 // PublishObsStats flushes this context's invocation statistics into the
-// process-wide obs counters ("query.invoke.passive" and friends), as
-// deltas since the previous flush so repeated calls never double-count.
-// EvaluateCtx and the continuous executor call it once per evaluation:
-// batching at evaluation granularity keeps the per-invocation hot path
-// free of global atomics while the registry stays exact.
+// registry's metrics — β invocations as seen from the algebra, split by
+// binding-pattern mode plus memo outcomes ("query.invoke.passive" and
+// friends; the service layer counts physical calls) — as deltas since the
+// previous flush, so repeated calls never double-count. EvaluateCtx and
+// the continuous executor call it once per evaluation: batching at
+// evaluation granularity keeps the per-invocation hot path free of shared
+// atomics while the registry stays exact.
 func (c *Context) PublishObsStats() {
 	c.statsMu.Lock()
 	d := InvokeStats{
@@ -276,10 +266,15 @@ func (c *Context) PublishObsStats() {
 	}
 	c.published = c.Stats
 	c.statsMu.Unlock()
-	obsQueryPassive.Add(d.Passive)
-	obsQueryActive.Add(d.Active)
-	obsQueryMemoized.Add(d.Memoized)
-	obsQueryCoalesced.Add(d.Coalesced)
+	c.count("query.invoke.passive", d.Passive)
+	c.count("query.invoke.active", d.Active)
+	c.count("query.invoke.memoized", d.Memoized)
+	c.count("query.invoke.coalesced", d.Coalesced)
+}
+
+// count adds n to the named counter of the registry's metrics.
+func (c *Context) count(name string, n int64) {
+	c.Registry.Metrics().Counter(name).Add(n)
 }
 
 // ctx returns the evaluation context's context.Context (never nil).

@@ -5,22 +5,11 @@ import (
 	"sync/atomic"
 
 	"serena/internal/algebra"
-	"serena/internal/obs"
 	"serena/internal/resilience"
 	"serena/internal/schema"
 	"serena/internal/service"
 	"serena/internal/trace"
 	"serena/internal/value"
-)
-
-// Grouping metrics: grouped work lists, β jobs entering them, duplicate
-// jobs folded before dispatch, and grouped registry dispatches (one per
-// frame — for remote services, one wire frame each).
-var (
-	obsPlanCalls      = obs.Default.Counter("query.batch.plans")
-	obsPlanJobs       = obs.Default.Counter("query.batch.jobs")
-	obsPlanDeduped    = obs.Default.Counter("query.batch.deduped")
-	obsPlanDispatches = obs.Default.Counter("query.batch.dispatches")
 )
 
 // batchSize bounds how many passive invocations of one service InvokeAll
@@ -197,9 +186,14 @@ type groupCall struct {
 // fold into one call (kept apart when the memo is off, the every-tuple-
 // re-invokes ablation), and the calls are grouped by service reference, in
 // first-appearance order, into frames of at most maxB.
+//
+// Its metrics count grouped work lists (query.batch.plans), the β jobs
+// entering them (jobs), duplicate jobs folded before dispatch (deduped) and
+// grouped registry dispatches, one per frame — for remote services, one
+// wire frame each (dispatches).
 func (c *Context) invokeGrouped(bp schema.BindingPattern, jobs []algebra.InvokeJob, out []algebra.InvokeResult, maxB int) {
-	obsPlanCalls.Inc()
-	obsPlanJobs.Add(int64(len(jobs)))
+	c.count("query.batch.plans", 1)
+	c.count("query.batch.jobs", int64(len(jobs)))
 	span := c.Span.Child("invoke.batch")
 	if span != nil {
 		span.SetAttr("bp", bp.ID())
@@ -215,7 +209,6 @@ func (c *Context) invokeGrouped(bp schema.BindingPattern, jobs []algebra.InvokeJ
 		if unique != nil {
 			k := j.Ref + "|" + j.Input.Key()
 			if ci, ok := unique[k]; ok {
-				obsPlanDeduped.Inc()
 				calls[ci].idxs = append(calls[ci].idxs, i)
 				continue
 			}
@@ -223,6 +216,7 @@ func (c *Context) invokeGrouped(bp schema.BindingPattern, jobs []algebra.InvokeJ
 		}
 		calls = append(calls, groupCall{ref: j.Ref, input: j.Input, idxs: []int{i}})
 	}
+	c.count("query.batch.deduped", int64(len(jobs)-len(calls)))
 	byRef := make(map[string][]*groupCall)
 	var refs []string
 	for i := range calls {
@@ -290,7 +284,7 @@ func (c *Context) dispatchFrame(bp schema.BindingPattern, span *trace.Span, fram
 		}
 	}
 	if len(owned) > 0 {
-		obsPlanDispatches.Inc()
+		c.count("query.batch.dispatches", 1)
 	}
 	// Owned flights complete before any shared one is awaited, so two
 	// frames waiting on each other's keys cannot deadlock.
@@ -379,7 +373,7 @@ func (c *Context) degrade(bp schema.BindingPattern, ref string, input value.Tupl
 		res.Err = c.OnInvokeError(bp, ref, input, cause)
 		c.statsMu.Unlock()
 		if res.Err == nil {
-			obsQueryDegraded.Inc()
+			c.count("query.invoke.degraded", 1)
 			span.SetAttr("degraded", "skip")
 		} else {
 			span.SetAttr("degraded", "abort")
@@ -399,10 +393,10 @@ func (c *Context) degrade(bp schema.BindingPattern, ref string, input value.Tupl
 	}
 	switch c.Degradation {
 	case resilience.SkipTuple:
-		obsQueryDegraded.Inc()
+		c.count("query.invoke.degraded", 1)
 		span.SetAttr("degraded", "skip")
 	case resilience.NullFill:
-		obsQueryDegraded.Inc()
+		c.count("query.invoke.degraded", 1)
 		span.SetAttr("degraded", "nullfill")
 		row := make(value.Tuple, bp.Proto.Output.Arity())
 		for i := range row {

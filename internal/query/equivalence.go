@@ -5,7 +5,6 @@ import (
 
 	"serena/internal/algebra"
 	"serena/internal/service"
-	"serena/internal/trace"
 )
 
 // Result bundles one evaluation's output: the resulting X-Relation, the
@@ -29,8 +28,8 @@ func Evaluate(q Node, env Environment, reg *service.Registry, at service.Instant
 // one-shot evaluation gets a "query.eval" root so its β invocations appear
 // in the trace ring alongside continuous-query ticks.
 func EvaluateCtx(q Node, ctx *Context) (*Result, error) {
-	if ctx.Span == nil && trace.Default.Active() {
-		if root := trace.Default.StartRoot("query.eval"); root != nil {
+	if tr := ctx.Registry.Tracer(); ctx.Span == nil && tr.Active() {
+		if root := tr.StartRoot("query.eval"); root != nil {
 			root.SetAttrInt("instant", int64(ctx.At))
 			ctx.Span = root
 			defer root.Finish()

@@ -6,7 +6,6 @@ import (
 
 	"serena/internal/algebra"
 	"serena/internal/device"
-	"serena/internal/obs"
 	"serena/internal/query"
 	"serena/internal/schema"
 	"serena/internal/value"
@@ -29,14 +28,6 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 
 	const perWorker = 250
 	workers := ctx.Parallelism
-
-	// Deltas, not absolute values: other tests in the package share the
-	// process-wide registry.
-	passiveBefore := obs.Default.Counter("query.invoke.passive").Value()
-	memoBefore := obs.Default.Counter("query.invoke.memoized").Value()
-	coalescedBefore := obs.Default.Counter("query.invoke.coalesced").Value()
-	activeBefore := obs.Default.Counter("query.invoke.active").Value()
-	callsBefore := obs.Default.Counter("service.invoke.calls").Value()
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -78,11 +69,13 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 		t.Fatalf("active = %d, want %d", ctx.Stats.Active, totalActiveOps)
 	}
 
-	// Process-wide obs counters must agree with the context-local ones.
-	passiveDelta := obs.Default.Counter("query.invoke.passive").Value() - passiveBefore
-	memoDelta := obs.Default.Counter("query.invoke.memoized").Value() - memoBefore
-	activeDelta := obs.Default.Counter("query.invoke.active").Value() - activeBefore
-	callsDelta := obs.Default.Counter("service.invoke.calls").Value() - callsBefore
+	// The registry's metrics — this test's alone, since every registry has
+	// its own — must agree with the context-local counts exactly.
+	m := reg.Metrics()
+	passiveDelta := m.Counter("query.invoke.passive").Value()
+	memoDelta := m.Counter("query.invoke.memoized").Value()
+	activeDelta := m.Counter("query.invoke.active").Value()
+	callsDelta := m.Counter("service.invoke.calls").Value()
 
 	if passiveDelta != ctx.Stats.Passive {
 		t.Fatalf("obs passive = %d, context counted %d", passiveDelta, ctx.Stats.Passive)
@@ -90,7 +83,7 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 	if memoDelta != ctx.Stats.Memoized {
 		t.Fatalf("obs memoized = %d, context counted %d", memoDelta, ctx.Stats.Memoized)
 	}
-	if d := obs.Default.Counter("query.invoke.coalesced").Value() - coalescedBefore; d != ctx.Stats.Coalesced {
+	if d := m.Counter("query.invoke.coalesced").Value(); d != ctx.Stats.Coalesced {
 		t.Fatalf("obs coalesced = %d, context counted %d", d, ctx.Stats.Coalesced)
 	}
 	if activeDelta != ctx.Stats.Active {
@@ -99,7 +92,7 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 	// Physical service calls = passive misses + active invocations (memo
 	// hits never reach the registry).
 	if want := passiveDelta + activeDelta; callsDelta != want {
-		t.Fatalf("service.invoke.calls delta = %d, want %d (passive %d + active %d)",
+		t.Fatalf("service.invoke.calls = %d, want %d (passive %d + active %d)",
 			callsDelta, want, passiveDelta, activeDelta)
 	}
 

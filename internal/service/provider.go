@@ -23,15 +23,7 @@ import (
 	"fmt"
 	"sort"
 
-	"serena/internal/obs"
 	"serena/internal/resilience"
-)
-
-// Failover metrics: calls rerouted to a surviving replica, and calls that
-// ran out of replicas.
-var (
-	obsInvokeFailovers = obs.Default.Counter("service.invoke.failovers")
-	obsInvokeExhausted = obs.Default.Counter("service.invoke.failover_exhausted")
 )
 
 // provider is one node's implementation of a replicated service reference.

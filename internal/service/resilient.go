@@ -14,16 +14,28 @@ import (
 	"serena/internal/value"
 )
 
-// Invocation metrics, always on. Aggregates are cached package-level;
-// per-(prototype, service) bundles hang off the services-map entry so the
-// β hot path costs no extra lookup — just a few atomic ops, no allocation.
-var (
-	obsInvokeLatency   = obs.Default.Histogram("service.invoke.latency")
-	obsInvokeCalls     = obs.Default.Counter("service.invoke.calls")
-	obsInvokeRetries   = obs.Default.Counter("service.invoke.retries")
-	obsInvokeFailures  = obs.Default.Counter("service.invoke.failures")
-	obsInvokeShortCirc = obs.Default.Counter("service.invoke.short_circuits")
-)
+// invokeObs is a registry's aggregate invocation metrics, always on:
+// calls, sampled latency, passive retries, failures, breaker short
+// circuits, calls rerouted to a surviving replica and calls that ran out of
+// replicas. Per-(prototype, service) bundles hang off the services-map
+// entry so the β hot path costs no extra lookup — just a few atomic ops,
+// no allocation.
+type invokeObs struct {
+	latency                                                       *obs.Histogram
+	calls, retries, failures, shortCircuits, failovers, exhausted *obs.Counter
+}
+
+func newInvokeObs(m *obs.Metrics) invokeObs {
+	return invokeObs{
+		latency:       m.Histogram("service.invoke.latency"),
+		calls:         m.Counter("service.invoke.calls"),
+		retries:       m.Counter("service.invoke.retries"),
+		failures:      m.Counter("service.invoke.failures"),
+		shortCircuits: m.Counter("service.invoke.short_circuits"),
+		failovers:     m.Counter("service.invoke.failovers"),
+		exhausted:     m.Counter("service.invoke.failover_exhausted"),
+	}
+}
 
 // invokeMetrics is the cached per-(prototype, service) metric bundle,
 // registered under keys like "service.invoke.calls{getTemperature|sensor1}".
@@ -57,7 +69,7 @@ type protoMetrics struct {
 	im    *invokeMetrics
 }
 
-func (e *svcEntry) metricsFor(proto, ref string) *invokeMetrics {
+func (e *svcEntry) metricsFor(m *obs.Metrics, proto, ref string) *invokeMetrics {
 	if list := e.im.Load(); list != nil {
 		for i := range *list {
 			if (*list)[i].proto == proto {
@@ -78,10 +90,10 @@ func (e *svcEntry) metricsFor(proto, ref string) *invokeMetrics {
 	}
 	key := proto + "|" + ref
 	im := &invokeMetrics{
-		calls:    obs.Default.Counter(obs.Key("service.invoke.calls", key)),
-		latency:  obs.Default.Histogram(obs.Key("service.invoke.latency", key)),
-		retries:  obs.Default.Counter(obs.Key("service.invoke.retries", key)),
-		failures: obs.Default.Counter(obs.Key("service.invoke.failures", key)),
+		calls:    m.Counter(obs.Key("service.invoke.calls", key)),
+		latency:  m.Histogram(obs.Key("service.invoke.latency", key)),
+		retries:  m.Counter(obs.Key("service.invoke.retries", key)),
+		failures: m.Counter(obs.Key("service.invoke.failures", key)),
 	}
 	next := append(append(make([]protoMetrics, 0, len(list)+1), list...), protoMetrics{proto, im})
 	e.im.Store(&next)
@@ -110,12 +122,13 @@ type Options struct {
 	Breakers *resilience.BreakerPolicy
 }
 
-// newBreakerSet builds a breaker set whose transitions count under the
-// metric base name unless the policy observes them itself.
-func newBreakerSet(policy resilience.BreakerPolicy, metric string) *resilience.BreakerSet {
+// newBreakerSet builds a breaker set whose transitions count in the
+// registry's metrics under the metric base name unless the policy observes
+// them itself.
+func (r *Registry) newBreakerSet(policy resilience.BreakerPolicy, metric string) *resilience.BreakerSet {
 	if policy.OnTransition == nil {
 		policy.OnTransition = func(from, to resilience.State) {
-			obs.Default.Counter(obs.Key(metric, from.String()+"->"+to.String())).Inc()
+			r.metrics.Counter(obs.Key(metric, from.String()+"->"+to.String())).Inc()
 		}
 	}
 	return resilience.NewBreakerSet(policy)
@@ -170,6 +183,7 @@ type invocation struct {
 	impl    int
 	demoted uint64
 	nb      *resilience.BreakerSet
+	m       *invokeObs
 	span    *trace.Span
 }
 
@@ -178,7 +192,7 @@ func (r *Registry) invokeAll(ctx context.Context, proto, ref string, inputs []va
 		return
 	}
 	retry, breakers := r.retry, r.breakers
-	v := invocation{proto: proto, at: at, timeout: r.invokeTimeout, nb: r.nodeBreakers}
+	v := invocation{proto: proto, at: at, timeout: r.invokeTimeout, nb: r.nodeBreakers, m: &r.invoke}
 	r.mu.RLock()
 	p, okP := r.protos[proto]
 	e, okS := r.services[ref]
@@ -246,8 +260,8 @@ func (r *Registry) invokeAll(ctx context.Context, proto, ref string, inputs []va
 	if !p.Active && retry.MaxAttempts > 1 {
 		attempts = retry.MaxAttempts
 	}
-	im := e.metricsFor(proto, ref)
-	obsInvokeCalls.Add(int64(len(pending)))
+	im := e.metricsFor(r.metrics, proto, ref)
+	v.m.calls.Add(int64(len(pending)))
 	// Counters are exact; latency is sampled — the first call per
 	// (prototype, service) and every 8th after that. The two clock reads
 	// and two histogram updates are the costliest part of always-on
@@ -263,7 +277,7 @@ func (r *Registry) invokeAll(ctx context.Context, proto, ref string, inputs []va
 	// The enclosing β span, when this evaluation is sampled. The Active()
 	// gate keeps the untraced hot path to one atomic load — no ctx.Value
 	// walk, no interface assertion.
-	if trace.Default.Active() {
+	if r.tracer.Active() {
 		v.span = trace.FromContext(ctx)
 	}
 	tried := 0
@@ -272,11 +286,11 @@ func (r *Registry) invokeAll(ctx context.Context, proto, ref string, inputs []va
 			if err := resilience.SleepCtx(ctx, retry.Backoff(attempt-1, proto+"|"+ref)); err != nil {
 				break // the deadline expired during backoff; report the last failure
 			}
-			obsInvokeRetries.Add(int64(len(pending)))
+			v.m.retries.Add(int64(len(pending)))
 			im.retries.Add(int64(len(pending)))
 		}
 		if breakers != nil && !breakers.Allow(ref) {
-			obsInvokeShortCirc.Inc()
+			v.m.shortCircuits.Inc()
 			v.span.SetAttr("breaker", "open")
 			err := fmt.Errorf("service: invoke %s on %s: %w", proto, ref, resilience.ErrOpen)
 			for _, i := range pending {
@@ -293,7 +307,7 @@ func (r *Registry) invokeAll(ctx context.Context, proto, ref string, inputs []va
 		v.attempt(ctx, in, out, append(todo[:0], pending...))
 		if sampleLatency {
 			elapsed := time.Since(start)
-			obsInvokeLatency.Observe(elapsed)
+			v.m.latency.Observe(elapsed)
 			im.latency.Observe(elapsed)
 		}
 		failing := pending[:0]
@@ -313,7 +327,7 @@ func (r *Registry) invokeAll(ctx context.Context, proto, ref string, inputs []va
 	if tried > 1 {
 		v.span.SetAttrInt("attempts", int64(tried))
 	}
-	obsInvokeFailures.Add(int64(len(pending)))
+	v.m.failures.Add(int64(len(pending)))
 	im.failures.Add(int64(len(pending)))
 	for _, i := range pending {
 		out[i] = InvokeResult{Err: fmt.Errorf("service: invoke %s on %s: %w", proto, ref, out[i].Err)}
@@ -361,7 +375,7 @@ func (v *invocation) attempt(ctx context.Context, in []value.Tuple, out []Invoke
 				continue
 			}
 			if tried > 0 {
-				obsInvokeFailovers.Add(int64(len(todo)))
+				v.m.failovers.Add(int64(len(todo)))
 			}
 			tried++
 			v.call(ctx, pv, in, out, todo)
@@ -386,7 +400,7 @@ func (v *invocation) attempt(ctx context.Context, in []value.Tuple, out []Invoke
 					// an active request may have fired.
 				case tried == v.impl:
 					if v.impl > 1 {
-						obsInvokeExhausted.Inc()
+						v.m.exhausted.Inc()
 					}
 				default:
 					moved = append(moved, k)

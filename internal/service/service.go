@@ -16,8 +16,10 @@ import (
 	"sync"
 	"time"
 
+	"serena/internal/obs"
 	"serena/internal/resilience"
 	"serena/internal/schema"
+	"serena/internal/trace"
 	"serena/internal/value"
 )
 
@@ -140,26 +142,43 @@ type Registry struct {
 	// outcomes of provider-backed invocations, an Open node breaker demotes
 	// all of that node's providers in routing order (see provider.go).
 	nodeBreakers *resilience.BreakerSet
+
+	// The engine's metrics and tracer: every layer built over this registry
+	// records its own work into them, so two engines in one process never
+	// share a count or a span. invoke caches the invocation metrics.
+	metrics *obs.Metrics
+	tracer  *trace.Tracer
+	invoke  invokeObs
 }
 
-// NewRegistry returns an empty registry. An Options value, if given, sets
-// its fault-tolerance policy; without one the registry has no invoke
-// timeout, no retry and no per-service breakers.
+// NewRegistry returns an empty registry with a metrics registry and a
+// tracer of its own. An Options value, if given, sets its fault-tolerance
+// policy; without one the registry has no invoke timeout, no retry and no
+// per-service breakers.
 func NewRegistry(opts ...Options) *Registry {
 	r := &Registry{
-		protos:       make(map[string]*schema.Prototype),
-		services:     make(map[string]*svcEntry),
-		nodeBreakers: newBreakerSet(resilience.BreakerPolicy{}, "resilience.node_breaker.transitions"),
+		protos:   make(map[string]*schema.Prototype),
+		services: make(map[string]*svcEntry),
+		metrics:  obs.New(),
+		tracer:   trace.New(trace.DefaultRingSize, trace.DefaultSampleEvery),
 	}
+	r.invoke = newInvokeObs(r.metrics)
+	r.nodeBreakers = r.newBreakerSet(resilience.BreakerPolicy{}, "resilience.node_breaker.transitions")
 	if len(opts) > 0 {
 		o := opts[0]
 		r.invokeTimeout, r.retry = o.InvokeTimeout, o.Retry
 		if o.Breakers != nil {
-			r.breakers = newBreakerSet(*o.Breakers, "resilience.breaker.transitions")
+			r.breakers = r.newBreakerSet(*o.Breakers, "resilience.breaker.transitions")
 		}
 	}
 	return r
 }
+
+// Metrics returns the engine's metrics registry.
+func (r *Registry) Metrics() *obs.Metrics { return r.metrics }
+
+// Tracer returns the engine's tracer.
+func (r *Registry) Tracer() *trace.Tracer { return r.tracer }
 
 // RegisterPrototype declares a prototype. Re-registering an identical
 // declaration is a no-op; a conflicting one errors.

@@ -4,17 +4,9 @@ import (
 	"fmt"
 	"sync"
 
-	"serena/internal/obs"
 	"serena/internal/resilience"
 	"serena/internal/service"
 	"serena/internal/value"
-)
-
-// Package-level ingest metrics. Per-relation shed counts carry the relation
-// name as a label so .metrics shows which stream is losing data.
-var (
-	obsIngestOffered = obs.Default.Counter("stream.ingest.offered")
-	obsIngestShed    = obs.Default.Counter("stream.ingest.shed")
 )
 
 // ingestState is the bounded staging buffer between producers and the tick
@@ -38,9 +30,6 @@ type ingestState struct {
 	shed     int64
 	offered  int64
 	closed   bool
-
-	shedCounter *obs.Counter
-	depthGauge  *obs.Gauge
 }
 
 // SetOverloadPolicy bounds the relation's ingest path: producers go through
@@ -56,10 +45,7 @@ func (x *XDRelation) SetOverloadPolicy(policy resilience.OverloadPolicy, capacit
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.ingest == nil {
-		st := &ingestState{
-			shedCounter: obs.Default.Counter(obs.Key("stream.ingest.shed", x.sch.Name())),
-			depthGauge:  obs.Default.Gauge(obs.Key("stream.ingest.depth", x.sch.Name())),
-		}
+		st := &ingestState{}
 		st.notFull = sync.NewCond(&st.mu)
 		x.ingest = st
 	}
@@ -70,8 +56,6 @@ func (x *XDRelation) SetOverloadPolicy(policy resilience.OverloadPolicy, capacit
 	for len(st.buf) > capacity {
 		st.buf = st.buf[1:]
 		st.shed++
-		st.shedCounter.Inc()
-		obsIngestShed.Inc()
 	}
 	st.notFull.Broadcast()
 	st.mu.Unlock()
@@ -116,7 +100,6 @@ func (x *XDRelation) Offer(t value.Tuple) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.offered++
-	obsIngestOffered.Inc()
 	for len(st.buf) >= st.capacity {
 		if st.closed {
 			return fmt.Errorf("stream: %s: offer after close", x.Name())
@@ -131,10 +114,7 @@ func (x *XDRelation) Offer(t value.Tuple) error {
 			// The offered tuple itself is the victim.
 		}
 		st.shed++
-		st.shedCounter.Inc()
-		obsIngestShed.Inc()
 		if st.policy == resilience.ShedNewest {
-			st.depthGauge.Set(int64(len(st.buf)))
 			return nil
 		}
 		break
@@ -143,7 +123,6 @@ func (x *XDRelation) Offer(t value.Tuple) error {
 		return fmt.Errorf("stream: %s: offer after close", x.Name())
 	}
 	st.buf = append(st.buf, c)
-	st.depthGauge.Set(int64(len(st.buf)))
 	return nil
 }
 
@@ -162,7 +141,6 @@ func (x *XDRelation) DrainIngest(at service.Instant) (int, error) {
 	st.mu.Lock()
 	batch := st.buf
 	st.buf = nil
-	st.depthGauge.Set(0)
 	st.notFull.Broadcast()
 	st.mu.Unlock()
 	for i, t := range batch {

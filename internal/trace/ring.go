@@ -47,10 +47,3 @@ func (r *ring) snapshot() []*Span {
 	}
 	return out
 }
-
-func (r *ring) reset() {
-	for i := range r.slots {
-		r.slots[i].Store(nil)
-	}
-	r.next.Store(0)
-}

@@ -19,8 +19,10 @@
 //     tree — tick → β tuple → wire round trip → server-side execution.
 //
 //   - Like internal/obs, the package is a dependency-free leaf (standard
-//     library only) so every layer — algebra, query, cq, service, wire —
-//     can record into it without import cycles.
+//     library only) so every layer — query, cq, service, wire, wal — can
+//     record into it without import cycles. A tracer belongs to one
+//     engine: each service.Registry creates one, and the layers reach it
+//     through the registry they hold.
 //
 // Relation to the paper: a query's action set (Gripay et al., EDBT 2010,
 // Definition 8) says WHICH invocations a query triggers; a trace records
@@ -183,22 +185,19 @@ func New(size int, every int64) *Tracer {
 	return t
 }
 
-// DefaultSampleEvery is the Default tracer's head-sampling period: sparse
+// DefaultSampleEvery is an engine tracer's head-sampling period: sparse
 // enough that 63 of 64 roots take the unsampled path (serenabench's
 // trace.span_ns_unsampled probe), frequent enough that a busy executor
 // always has recent traces in the ring.
 const DefaultSampleEvery = 64
 
-// DefaultRingSize bounds the Default tracer's retention. The retained spans
+// DefaultRingSize bounds an engine tracer's retention. The retained spans
 // are LIVE heap that every GC cycle must scan, and on small heaps that scan
 // — not span creation — is the dominant tracing cost, growing with the ring.
 // 512 spans is roughly five traced ticks of a 100-tuple invocation query, a
 // comfortable window for the interactive .trace/.lineage surface, which
 // only reads recent ticks.
 const DefaultRingSize = 512
-
-// Default is the process-wide tracer used by the instrumented layers.
-var Default = New(DefaultRingSize, DefaultSampleEvery)
 
 // SetSampleEvery sets the head-sampling period: 0 disables tracing, 1
 // samples every root, n samples one root in n.
@@ -279,9 +278,6 @@ func (t *Tracer) TraceSpans(traceID uint64) []*Span {
 	}
 	return out
 }
-
-// Reset drops every retained span (tests).
-func (t *Tracer) Reset() { t.ring.reset() }
 
 // ctxKey carries the active span through a context.Context.
 type ctxKey struct{}

@@ -19,8 +19,8 @@ type SyncPolicy uint8
 
 // Fsync policies, in the spelling of the -fsync flag.
 const (
-	// SyncInterval fsyncs at tick commits, at most once per SyncInterval
-	// duration (default 200ms) — the recommended trade-off.
+	// SyncInterval fsyncs at tick commits, at most once per 200ms — the
+	// recommended trade-off.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs on every appended batch and every commit.
 	SyncAlways

@@ -12,40 +12,41 @@ import (
 	"serena/internal/obs"
 	"serena/internal/service"
 	"serena/internal/stream"
-	"serena/internal/trace"
 	"serena/internal/value"
 )
 
-// Durability metrics: append/flush/fsync volume, replay progress, and
-// checkpoint cost.
-var (
-	obsAppends        = obs.Default.Counter("wal.appends")
-	obsFsyncs         = obs.Default.Counter("wal.fsyncs")
-	obsFsyncTime      = obs.Default.Histogram("wal.fsync.latency")
-	obsReplayRecords  = obs.Default.Counter("wal.replay.records")
-	obsCheckpoints    = obs.Default.Counter("wal.checkpoints")
-	obsCheckpointTime = obs.Default.Histogram("wal.checkpoint.latency")
-)
+// syncEvery bounds fsync frequency under SyncInterval.
+const syncEvery = 200 * time.Millisecond
 
 // Options tunes the durability layer.
 type Options struct {
 	// Fsync is the log's fsync policy (default SyncInterval).
 	Fsync SyncPolicy
-	// SyncEvery bounds fsync frequency under SyncInterval (default 200ms).
-	SyncEvery time.Duration
 	// CheckpointEvery is how many committed ticks separate checkpoints
 	// (default 50; values < 1 use the default).
 	CheckpointEvery int
+	// Registry is the engine whose metrics and tracer record the log's
+	// work (pems.EnableDurability passes its own; nil gives the log a
+	// registry of its own).
+	Registry *service.Registry
 }
 
 func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 200 * time.Millisecond
-	}
 	if o.CheckpointEvery < 1 {
 		o.CheckpointEvery = 50
 	}
+	if o.Registry == nil {
+		o.Registry = service.NewRegistry()
+	}
 	return o
+}
+
+// walObs is the log's durability metrics: append/flush/fsync volume,
+// replay progress, and checkpoint cost.
+type walObs struct {
+	appends, replayRecords    *obs.Counter
+	fsyncTime, checkpointTime *obs.Histogram
+	checkpointAt              *obs.Gauge
 }
 
 // Manager owns one data directory: the checkpoint file plus a sequence of
@@ -54,6 +55,7 @@ func (o Options) withDefaults() Options {
 type Manager struct {
 	dir  string
 	opts Options
+	m    walObs
 
 	mu             sync.Mutex
 	seg            *segmentWriter
@@ -78,6 +80,14 @@ func Open(dir string, opts Options) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{dir: dir, opts: opts.withDefaults()}
+	reg := m.opts.Registry.Metrics()
+	m.m = walObs{
+		appends:        reg.Counter("wal.appends"),
+		replayRecords:  reg.Counter("wal.replay.records"),
+		fsyncTime:      reg.Histogram("wal.fsync.latency"),
+		checkpointTime: reg.Histogram("wal.checkpoint.latency"),
+		checkpointAt:   reg.Gauge("wal.checkpoint.instant"),
+	}
 	var err error
 	m.ckpt, err = loadCheckpoint(dir)
 	if err != nil {
@@ -189,7 +199,7 @@ func (m *Manager) Recover(h RecoveryHooks) (Info, error) {
 		m.mu.Unlock()
 	}()
 
-	span := trace.Default.ForceRoot("wal.recover")
+	span := m.opts.Registry.Tracer().ForceRoot("wal.recover")
 	defer span.Finish()
 	info := Info{CheckpointAt: -1, Segments: len(segs)}
 	if ckpt != nil {
@@ -237,7 +247,7 @@ func (m *Manager) Recover(h RecoveryHooks) (Info, error) {
 
 	handle := func(rec Record) error {
 		info.Records++
-		obsReplayRecords.Inc()
+		m.m.replayRecords.Inc()
 		switch rec.Type {
 		case TypeTickBegin:
 			if err := resolvePending(true); err != nil {
@@ -365,7 +375,7 @@ func (m *Manager) appendLocked(rec *Record, flush bool) error {
 	if err := m.seg.append(rec); err != nil {
 		return err
 	}
-	obsAppends.Inc()
+	m.m.appends.Inc()
 	if m.opts.Fsync == SyncAlways {
 		return m.syncLocked()
 	}
@@ -373,7 +383,7 @@ func (m *Manager) appendLocked(rec *Record, flush bool) error {
 		if err := m.seg.flush(); err != nil {
 			return err
 		}
-		if m.opts.Fsync == SyncInterval && time.Since(m.seg.lastSync) >= m.opts.SyncEvery {
+		if m.opts.Fsync == SyncInterval && time.Since(m.seg.lastSync) >= syncEvery {
 			return m.syncLocked()
 		}
 	}
@@ -385,8 +395,7 @@ func (m *Manager) syncLocked() error {
 	if err := m.seg.sync(); err != nil {
 		return err
 	}
-	obsFsyncs.Inc()
-	obsFsyncTime.Observe(time.Since(start))
+	m.m.fsyncTime.Observe(time.Since(start))
 	return nil
 }
 
@@ -495,9 +504,8 @@ func (m *Manager) Checkpoint(catalogDDL string, st cq.CheckpointState) error {
 		slog.Warn("wal: pruning segments after checkpoint", "err", err.Error())
 	}
 	m.ticksSinceCkpt = 0
-	obsCheckpoints.Inc()
-	obsCheckpointTime.Observe(time.Since(start))
-	obs.Default.Gauge("wal.checkpoint.instant").Set(int64(st.At))
+	m.m.checkpointTime.Observe(time.Since(start))
+	m.m.checkpointAt.Set(int64(st.At))
 	return nil
 }
 

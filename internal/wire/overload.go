@@ -5,11 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"serena/internal/obs"
 	"serena/internal/resilience"
 )
-
-var obsWireServerOverload = obs.Default.Counter("wire.server.overload_rejections")
 
 // ServerOptions are a Server's overload limits. The zero value sets none.
 type ServerOptions struct {

@@ -66,21 +66,27 @@ func handshake(conn net.Conn, d time.Duration) error {
 	return nil
 }
 
-// Wire metrics: round-trip latency and outcome counters, plus connection
-// churn (dials cover both the first connect and every redial).
-var (
-	obsWireLatency  = obs.Default.Histogram("wire.roundtrip.latency")
-	obsWireCalls    = obs.Default.Counter("wire.roundtrip.calls")
-	obsWireRetries  = obs.Default.Counter("wire.roundtrip.retries")
-	obsWireFailures = obs.Default.Counter("wire.roundtrip.failures")
-	obsWireTimeouts = obs.Default.Counter("wire.roundtrip.timeouts")
-	obsWireDials    = obs.Default.Counter("wire.dials")
-	obsWireConnLost = obs.Default.Counter("wire.connections_lost")
+// clientObs is a client's metrics: round-trip latency and outcome
+// counters, connection churn (dials cover both the first connect and every
+// redial), and batch frames sent with the invocations they carried.
+type clientObs struct {
+	latency                            *obs.Histogram
+	retries, failures, timeouts, dials *obs.Counter
+	connLost, batchCalls, batchItems   *obs.Counter
+}
 
-	// Batch-frame metrics: frames sent and the invocations they carried.
-	obsWireBatchCalls = obs.Default.Counter("wire.batch.calls")
-	obsWireBatchItems = obs.Default.Counter("wire.batch.items")
-)
+func newClientObs(m *obs.Metrics) clientObs {
+	return clientObs{
+		latency:    m.Histogram("wire.roundtrip.latency"),
+		retries:    m.Counter("wire.roundtrip.retries"),
+		failures:   m.Counter("wire.roundtrip.failures"),
+		timeouts:   m.Counter("wire.roundtrip.timeouts"),
+		dials:      m.Counter("wire.dials"),
+		connLost:   m.Counter("wire.connections_lost"),
+		batchCalls: m.Counter("wire.batch.calls"),
+		batchItems: m.Counter("wire.batch.items"),
+	}
+}
 
 // Request is the union of client→server messages.
 type Request struct {
@@ -184,13 +190,18 @@ type Server struct {
 	// attaches itself here). Without one, announce frames are answered with
 	// an error.
 	announceHandler atomic.Pointer[func([]Announce)]
+
+	// overloaded counts MaxInFlight rejections in reg's metrics.
+	overloaded *obs.Counter
 }
 
-// NewServer wraps a registry of local services under a node name. A
-// ServerOptions value, if given, sets the server's overload limits; without
-// one the server has none.
+// NewServer wraps a registry of local services under a node name; the
+// server's spans and metrics record into the registry's. A ServerOptions
+// value, if given, sets the server's overload limits; without one the
+// server has none.
 func NewServer(node string, reg *service.Registry, opts ...ServerOptions) *Server {
-	s := &Server{node: node, reg: reg, conns: make(map[net.Conn]bool), done: make(chan struct{})}
+	s := &Server{node: node, reg: reg, conns: make(map[net.Conn]bool), done: make(chan struct{}),
+		overloaded: reg.Metrics().Counter("wire.server.overload_rejections")}
 	if len(opts) > 0 {
 		s.opts = opts[0]
 	}
@@ -303,7 +314,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// there.
 		if maxIF > 0 && s.inFlight.Add(1) > int64(maxIF) {
 			s.inFlight.Add(-1)
-			obsWireServerOverload.Inc()
+			s.overloaded.Inc()
 			send(&Response{
 				ID:  req.ID,
 				Err: fmt.Sprintf("wire: %s: %v: %d requests in flight", s.node, resilience.ErrOverloaded, maxIF),
@@ -313,10 +324,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		wg.Add(1)
 		go func(req Request, counted bool) {
 			defer wg.Done()
-			if counted {
-				defer s.inFlight.Add(-1)
-			}
 			resp := s.handle(&req)
+			if counted {
+				// Free the slot before answering: a caller that has its
+				// response must find the capacity released.
+				s.inFlight.Add(-1)
+			}
 			resp.ID = req.ID
 			send(resp)
 		}(req, maxIF > 0)
@@ -348,7 +361,7 @@ func (s *Server) handle(req *Request) *Response {
 		// Resume the client's trace (nil when the invocation is
 		// unsampled): the server-side execution records as a child of the
 		// client's round-trip span.
-		span := trace.Default.StartRemote("wire.server", req.TraceID, req.SpanID)
+		span := s.reg.Tracer().StartRemote("wire.server", req.TraceID, req.SpanID)
 		span.SetAttr("node", s.node)
 		span.SetAttr("proto", req.Proto)
 		span.SetAttr("ref", req.Ref)
@@ -384,7 +397,7 @@ func (s *Server) handle(req *Request) *Response {
 // counts as one request against ServerOptions.MaxInFlight, and the
 // client's β dispatcher bounds its items.
 func (s *Server) handleBatch(req *Request) *Response {
-	span := trace.Default.StartRemote("wire.server.batch", req.TraceID, req.SpanID)
+	span := s.reg.Tracer().StartRemote("wire.server.batch", req.TraceID, req.SpanID)
 	span.SetAttr("node", s.node)
 	span.SetAttrInt("items", int64(len(req.Items)))
 	defer span.Finish()
@@ -424,6 +437,8 @@ func (s *Server) handleBatch(req *Request) *Response {
 type Client struct {
 	addr    string
 	timeout time.Duration
+	tracer  *trace.Tracer
+	m       clientObs
 
 	mu     sync.Mutex // guards cur/nextID and writes
 	cur    *clientConn
@@ -443,9 +458,15 @@ type clientConn struct {
 
 // Dial connects to a node. The timeout bounds the dial and version
 // handshake, every write, and each round trip's wait for a response. A node
-// speaking another protocol version fails with ErrVersionMismatch.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	c := &Client{addr: addr, timeout: timeout}
+// speaking another protocol version fails with ErrVersionMismatch. A
+// registry, if given, is the engine the client serves: its round trips
+// count in that registry's metrics; without one they count in a registry
+// of the client's own.
+func Dial(addr string, timeout time.Duration, reg ...*service.Registry) (*Client, error) {
+	if len(reg) == 0 {
+		reg = []*service.Registry{service.NewRegistry()}
+	}
+	c := &Client{addr: addr, timeout: timeout, tracer: reg[0].Tracer(), m: newClientObs(reg[0].Metrics())}
 	c.mu.Lock()
 	err := c.connectLocked()
 	c.mu.Unlock()
@@ -458,7 +479,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // connectLocked (re)establishes the connection, checks the peer's protocol
 // version, and starts the read loop.
 func (c *Client) connectLocked() error {
-	obsWireDials.Inc()
+	c.m.dials.Inc()
 	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
 	if err == nil {
 		if err = handshake(conn, c.timeout); err != nil {
@@ -533,11 +554,10 @@ func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 // with capped exponential backoff and retry; a timed-out or cancelled
 // request is NOT retried, because it may already have reached the server.
 func (c *Client) roundTripCtx(ctx context.Context, req *Request) (*Response, error) {
-	obsWireCalls.Inc()
 	// A sampled invocation gets a round-trip child span and exports its
 	// trace context in the frame, so the server side can resume the trace.
 	var span *trace.Span
-	if trace.Default.Active() {
+	if c.tracer.Active() {
 		if parent := trace.FromContext(ctx); parent != nil {
 			span = parent.Child("wire.roundtrip")
 			span.SetAttr("addr", c.addr)
@@ -547,9 +567,9 @@ func (c *Client) roundTripCtx(ctx context.Context, req *Request) (*Response, err
 	}
 	start := time.Now()
 	resp, err := c.doRoundTripCtx(ctx, req)
-	obsWireLatency.Observe(time.Since(start))
+	c.m.latency.Observe(time.Since(start))
 	if err != nil {
-		obsWireFailures.Inc()
+		c.m.failures.Inc()
 		span.SetAttr("error", err.Error())
 	}
 	span.Finish()
@@ -573,7 +593,7 @@ func (c *Client) doRoundTripCtx(ctx context.Context, req *Request) (*Response, e
 				return nil, fmt.Errorf("wire: %s: %w", c.addr, err)
 			}
 			backoff = min(2*backoff, reconnectMax)
-			obsWireRetries.Inc()
+			c.m.retries.Inc()
 		}
 		resp, err, retryable := c.tryRoundTrip(ctx, req)
 		if err == nil {
@@ -653,7 +673,7 @@ func (c *Client) tryRoundTrip(ctx context.Context, req *Request) (resp *Response
 			// no-resend context (active invocations) must instead surface
 			// the unknown outcome so the query layer can pin the action
 			// rather than risk firing its side effect twice.
-			obsWireConnLost.Inc()
+			c.m.connLost.Inc()
 			if resilience.NoResend(ctx) {
 				return nil, fmt.Errorf("wire: %s: connection lost: %w", c.addr, resilience.ErrOutcomeUnknown), false
 			}
@@ -661,7 +681,7 @@ func (c *Client) tryRoundTrip(ctx context.Context, req *Request) (resp *Response
 		}
 		return resp, nil, false
 	case <-timeout:
-		obsWireTimeouts.Inc()
+		c.m.timeouts.Inc()
 		c.mu.Lock()
 		delete(cc.pending, req.ID)
 		c.mu.Unlock()
@@ -719,8 +739,8 @@ func (c *Client) InvokeBatchCtx(ctx context.Context, proto, ref string, inputs [
 	if len(inputs) == 0 {
 		return out
 	}
-	obsWireBatchCalls.Inc()
-	obsWireBatchItems.Add(int64(len(inputs)))
+	c.m.batchCalls.Inc()
+	c.m.batchItems.Add(int64(len(inputs)))
 	items := make([]BatchItem, len(inputs))
 	for i, in := range inputs {
 		items[i] = BatchItem{Proto: proto, Ref: ref, Input: value.EncodeTuple(in), At: int64(at)}

@@ -460,24 +460,20 @@ func TestClientClosedRejectsCalls(t *testing.T) {
 }
 
 // TestTracePropagatesOverWire: a traced client-side invocation and the
-// server-side execution share ONE trace ID, with the server span parented
-// on the client's round-trip span.
+// server-side execution share ONE trace ID, with the server span — kept by
+// the serving node's tracer — parented on the client's round-trip span,
+// kept by the calling engine's.
 func TestTracePropagatesOverWire(t *testing.T) {
-	addr, _, _ := startNode(t)
-	prev := trace.Default.SampleEvery()
-	trace.Default.SetSampleEvery(1)
-	defer func() {
-		trace.Default.SetSampleEvery(prev)
-		trace.Default.Reset()
-	}()
-	trace.Default.Reset()
+	addr, node, _ := startNode(t)
+	core := service.NewRegistry()
+	core.Tracer().SetSampleEvery(1)
 
-	c, err := wire.Dial(addr, time.Second)
+	c, err := wire.Dial(addr, time.Second, core)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	root := trace.Default.ForceRoot("test.root")
+	root := core.Tracer().ForceRoot("test.root")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if _, err := c.InvokeCtx(trace.ContextWith(ctx, root), "getTemperature", "sensor01", nil, 5); err != nil {
@@ -485,13 +481,15 @@ func TestTracePropagatesOverWire(t *testing.T) {
 	}
 	root.Finish()
 
-	spans := trace.Default.TraceSpans(root.Trace())
 	var roundtrip, server *trace.Span
-	for _, s := range spans {
-		switch s.Name {
-		case "wire.roundtrip":
+	for _, s := range core.Tracer().TraceSpans(root.Trace()) {
+		if s.Name == "wire.roundtrip" {
 			roundtrip = s
-		case "wire.server":
+		}
+	}
+	spans := node.Tracer().TraceSpans(root.Trace())
+	for _, s := range spans {
+		if s.Name == "wire.server" {
 			server = s
 		}
 	}
