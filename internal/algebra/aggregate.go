@@ -161,7 +161,7 @@ func Aggregate(r *XRelation, groupBy []string, aggs []AggSpec) (*XRelation, erro
 
 	type group struct {
 		key     value.Tuple
-		members []value.Tuple
+		members byKey
 	}
 	groups := map[string]*group{}
 	var order []string
@@ -174,7 +174,8 @@ func Aggregate(r *XRelation, groupBy []string, aggs []AggSpec) (*XRelation, erro
 			groups[k] = g
 			order = append(order, k)
 		}
-		g.members = append(g.members, t)
+		g.members.tuples = append(g.members.tuples, t)
+		g.members.keys = append(g.members.keys, t.Key())
 	}
 	sort.Strings(order)
 	out := Empty(outSch)
@@ -184,10 +185,23 @@ func Aggregate(r *XRelation, groupBy []string, aggs []AggSpec) (*XRelation, erro
 		// on accumulation order, and the delta evaluator re-accumulates each
 		// dirty group in this order, so both evaluators must agree on it for
 		// bit-identical results (Definition 9 equivalence).
-		sort.Slice(g.members, func(i, j int) bool { return g.members[i].Key() < g.members[j].Key() })
-		out.add(accumulateGroup(g.key, g.members, aggs, aggIdx))
+		sort.Sort(g.members)
+		out.add(accumulateGroup(g.key, g.members.tuples, aggs, aggIdx))
 	}
 	return out, nil
+}
+
+// byKey sorts tuples by their keys, each computed once.
+type byKey struct {
+	tuples []value.Tuple
+	keys   []string
+}
+
+func (s byKey) Len() int           { return len(s.tuples) }
+func (s byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s byKey) Swap(i, j int) {
+	s.tuples[i], s.tuples[j] = s.tuples[j], s.tuples[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // resolveAggIdx maps each aggregate's input attribute to its real

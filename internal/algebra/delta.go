@@ -577,11 +577,15 @@ func (a *DeltaAggregate) Apply(child Delta) (Delta, error) {
 			delete(a.groups, k)
 			continue
 		}
-		members := make([]value.Tuple, 0, len(g.members))
-		for _, m := range g.members {
-			members = append(members, m)
+		keys := make([]string, 0, len(g.members))
+		for mk := range g.members {
+			keys = append(keys, mk)
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i].Key() < members[j].Key() })
+		sort.Strings(keys)
+		members := make([]value.Tuple, len(keys))
+		for i, mk := range keys {
+			members[i] = g.members[mk]
+		}
 		row := accumulateGroup(g.key, members, a.aggs, a.aggIdx)
 		if g.lastRow != nil {
 			if g.lastRow.Key() == row.Key() {

@@ -150,7 +150,13 @@ type Telemetry struct {
 	// grows, so the lists are rebuilt only when a new metric appears
 	// (checked by length) instead of sorting every tick.
 	counterNames, gaugeNames, histogramNames []string
+	// histogramRows holds each histogram's sys$metrics row names, built
+	// when the histogram first appears.
+	histogramRows map[string][]string
 }
+
+// histogramSuffixes name a histogram's sys$metrics rows, in scrape order.
+var histogramSuffixes = [...]string{".count", ".mean_ns", ".p50_ns", ".p95_ns", ".p99_ns", ".max_ns"}
 
 // queryPrev is the per-query counter snapshot from the previous scrape,
 // the baseline for "grew this interval" health rules.
@@ -171,15 +177,16 @@ func (e *Executor) EnableSelfTelemetry(TelemetryOptions) (*Telemetry, error) {
 		return nil, fmt.Errorf("cq: self-telemetry already enabled")
 	}
 	t := &Telemetry{
-		e:           e,
-		reg:         e.reg.Metrics(),
-		transitions: e.reg.Metrics().Counter("cq.health.transitions"),
-		prev:        map[string]float64{},
-		queries:     map[string]*QueryHealth{},
-		streams:     map[string]*StreamHealth{},
-		qprev:       map[string]queryPrev{},
-		cadence:     map[string]service.Instant{},
-		peerRows:    map[string]value.Tuple{},
+		e:             e,
+		reg:           e.reg.Metrics(),
+		transitions:   e.reg.Metrics().Counter("cq.health.transitions"),
+		prev:          map[string]float64{},
+		queries:       map[string]*QueryHealth{},
+		streams:       map[string]*StreamHealth{},
+		qprev:         map[string]queryPrev{},
+		cadence:       map[string]service.Instant{},
+		peerRows:      map[string]value.Tuple{},
+		histogramRows: map[string][]string{},
 	}
 	t.metricsRel = stream.NewInfinite(schema.MustExtended(SysMetrics, []schema.ExtAttr{
 		{Attribute: schema.Attribute{Name: "metric", Type: value.String}},
@@ -405,18 +412,18 @@ func (t *Telemetry) scrapeMetrics(at service.Instant) error {
 	t.histogramNames = sortedNamesCached(t.histogramNames, snap.Histograms)
 	for _, name := range t.histogramNames {
 		h := snap.Histograms[name]
-		for _, sub := range [...]struct {
-			suffix string
-			v      float64
-		}{
-			{".count", float64(h.Count)},
-			{".mean_ns", float64(h.Mean)},
-			{".p50_ns", float64(h.P50)},
-			{".p95_ns", float64(h.P95)},
-			{".p99_ns", float64(h.P99)},
-			{".max_ns", float64(h.Max)},
+		rows := t.histogramRows[name]
+		if rows == nil {
+			rows = make([]string, len(histogramSuffixes))
+			for i, suffix := range histogramSuffixes {
+				rows[i] = name + suffix
+			}
+			t.histogramRows[name] = rows
+		}
+		for i, v := range [...]float64{
+			float64(h.Count), float64(h.Mean), float64(h.P50), float64(h.P95), float64(h.P99), float64(h.Max),
 		} {
-			if err := row(name+sub.suffix, "histogram", sub.v); err != nil {
+			if err := row(rows[i], "histogram", v); err != nil {
 				return err
 			}
 		}

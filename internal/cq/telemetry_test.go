@@ -2,6 +2,7 @@ package cq_test
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -569,5 +570,43 @@ func TestUnregisterRetractsHealthTuple(t *testing.T) {
 	}
 	if len(env.tel.Health().Queries) != 0 {
 		t.Fatal("health snapshot still lists the unregistered query")
+	}
+}
+
+// idleScrapeAllocs returns one steady telemetry tick's allocations on a bare
+// executor whose registry also holds idle extra histograms.
+func idleScrapeAllocs(t *testing.T, idle int) float64 {
+	t.Helper()
+	reg := service.NewRegistry()
+	for i := 0; i < idle; i++ {
+		reg.Metrics().Histogram("idle.h" + strconv.Itoa(i))
+	}
+	exec := cq.NewExecutor(reg, cq.Options{})
+	if _, err := exec.EnableSelfTelemetry(cq.TelemetryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// Warm up past the first scrapes, which emit every series once.
+	for i := 0; i < 3; i++ {
+		if _, err := exec.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return testing.AllocsPerRun(20, func() {
+		if _, err := exec.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestIdleHistogramsAddNoScrapeAllocations pins the sys$metrics scrape at
+// O(changed series): a histogram that does not move costs a tick no string.
+// Measured 19 allocations per tick with no extra histograms and 20 with 50
+// idle ones; when the scrape built each histogram's six row names at every
+// tick, 37 and 338.
+func TestIdleHistogramsAddNoScrapeAllocations(t *testing.T) {
+	none := idleScrapeAllocs(t, 0)
+	fifty := idleScrapeAllocs(t, 50)
+	if fifty > none+5 {
+		t.Errorf("a telemetry tick allocates %.0f with 50 idle histograms and %.0f with none, want at most 5 more", fifty, none)
 	}
 }

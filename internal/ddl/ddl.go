@@ -375,7 +375,8 @@ func (p *parser) unregisterQuery() (Statement, error) {
 // rawUntilSemicolon re-renders tokens (the lexer has no raw-slice mode)
 // until the terminating top-level ';'. Both SAL and Serena SQL are
 // whitespace-insensitive, so token-joining round-trips them; string
-// literals are re-quoted.
+// literals are re-quoted with the escapes the lexer decodes, so every byte
+// of a literal survives.
 func (p *parser) rawUntilSemicolon() (string, error) {
 	var b strings.Builder
 	for {
@@ -393,7 +394,7 @@ func (p *parser) rawUntilSemicolon() (string, error) {
 			b.WriteByte(' ')
 		}
 		if tok.Kind == lexer.String {
-			b.WriteString(strconv.Quote(tok.Text))
+			b.WriteString(value.Quote(tok.Text))
 		} else {
 			b.WriteString(tok.Text)
 		}

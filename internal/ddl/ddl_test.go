@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"serena/internal/ddl"
+	"serena/internal/sal"
 	"serena/internal/value"
 )
 
@@ -303,6 +304,36 @@ func TestRegisterQueryStatement(t *testing.T) {
 	} {
 		if _, err := parseOne(src); err == nil {
 			t.Errorf("accepted: %s", src)
+		}
+	}
+}
+
+// TestRegisterQueryKeepsLiteralBytes registers a query through DDL and
+// checks that its re-rendered body parses to the same plan as the body given
+// to the SAL parser directly: a string literal holding a carriage return, a
+// control byte, invalid UTF-8 or the lexer's own escapes keeps its bytes.
+func TestRegisterQueryKeepsLiteralBytes(t *testing.T) {
+	for _, lit := range []string{
+		"\"a\rb\"",
+		"\"a\x01b\"",
+		"\"caf\xe9\"",
+		`"q\"\\\n\t"`,
+	} {
+		body := "select[name = " + lit + "](contacts)"
+		direct, err := sal.Parse(body)
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		st, err := parseOne("REGISTER QUERY q AS " + body + ";")
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		viaDDL, err := sal.Parse(st.(*ddl.RegisterQuery).Source)
+		if err != nil {
+			t.Fatalf("%q: re-rendered body: %v", body, err)
+		}
+		if got, want := viaDDL.String(), direct.String(); got != want {
+			t.Errorf("%q: plan through DDL %q, parsed directly %q", body, got, want)
 		}
 	}
 }

@@ -66,14 +66,15 @@ func (t Tuple) Compare(u Tuple) int {
 // bookkeeping. Coordinates are separated by unit separators so that keys of
 // distinct tuples never collide.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [128]byte
+	b := buf[:0]
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte(0x1f)
+			b = append(b, 0x1f)
 		}
-		b.WriteString(v.Key())
+		b = v.appendKey(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the tuple as "(v1, v2, …)".

@@ -287,26 +287,33 @@ func Less(a, b Value) bool { return Compare(a, b) < 0 }
 // distinguishes Int(3) from Real(3.0) so it can serve as an exact identity
 // for memoization; set semantics over tuples use tuple keys built from it.
 func (v Value) Key() string {
+	var buf [64]byte
+	return string(v.appendKey(buf[:0]))
+}
+
+// appendKey appends v's key bytes to b; Tuple.Key joins them without a
+// string per value.
+func (v Value) appendKey(b []byte) []byte {
 	switch v.kind {
 	case Null:
-		return "n"
+		return append(b, 'n')
 	case Bool:
 		if v.num != 0 {
-			return "bT"
+			return append(b, "bT"...)
 		}
-		return "bF"
+		return append(b, "bF"...)
 	case Int:
-		return "i" + strconv.FormatInt(int64(v.num), 10)
+		return strconv.AppendInt(append(b, 'i'), int64(v.num), 10)
 	case Real:
-		return "r" + strconv.FormatUint(v.num, 16)
+		return strconv.AppendUint(append(b, 'r'), v.num, 16)
 	case String:
-		return "s" + v.str
+		return append(append(b, 's'), v.str...)
 	case Service:
-		return "v" + v.str
+		return append(append(b, 'v'), v.str...)
 	case Blob:
-		return "x" + string(v.blob)
+		return append(append(b, 'x'), v.blob...)
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // String renders the value for display: strings are quoted, blobs hex-dumped

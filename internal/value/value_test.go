@@ -318,3 +318,65 @@ func TestQuickKeyInjective(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKeyBytes pins the exact key of every kind. Keys index every set and
+// map on the continuous path and order every aggregate's members, so a
+// change to these bytes changes float summation order and the contents of
+// data directories' in-memory state: it must be deliberate.
+func TestKeyBytes(t *testing.T) {
+	for _, tc := range []struct {
+		v    Value
+		want string
+	}{
+		{NewNull(), "n"},
+		{NewBool(true), "bT"},
+		{NewBool(false), "bF"},
+		{NewInt(0), "i0"},
+		{NewInt(-1), "i-1"},
+		{NewInt(math.MinInt64), "i-9223372036854775808"},
+		{NewInt(math.MaxInt64), "i9223372036854775807"},
+		{NewReal(0), "r0"},
+		{NewReal(math.Copysign(0, -1)), "r8000000000000000"},
+		{NewReal(math.Float64frombits(0x7ff8000000000001)), "r7ff8000000000001"},
+		{NewReal(math.Inf(1)), "r7ff0000000000000"},
+		{NewReal(math.Inf(-1)), "rfff0000000000000"},
+		{NewReal(1.5), "r3ff8000000000000"},
+		{NewString(""), "s"},
+		{NewString("a\x1fb"), "sa\x1fb"},
+		{NewService("cam01"), "vcam01"},
+		{NewBlob(nil), "x"},
+		{NewBlob([]byte{0x00, 0xff, 'i'}), "x\x00\xffi"},
+	} {
+		if got := tc.v.Key(); got != tc.want {
+			t.Errorf("%v.Key() = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+	tup := Tuple{NewInt(7), NewString("a"), NewNull(), NewReal(-2), NewBlob(nil)}
+	if got, want := tup.Key(), "i7\x1fsa\x1fn\x1frc000000000000000\x1fx"; got != want {
+		t.Errorf("%v.Key() = %q, want %q", tup, got, want)
+	}
+	if got := (Tuple{}).Key(); got != "" {
+		t.Errorf("empty tuple key = %q, want empty", got)
+	}
+}
+
+// keySink makes each measured key escape, as a map key does.
+var keySink string
+
+// TestKeyAllocations pins a key at one allocation, the returned string:
+// tuple keys are built on every set insert and aggregate update.
+func TestKeyAllocations(t *testing.T) {
+	tup := Tuple{NewService("sensor0001"), NewString("kitchen"), NewInt(-42), NewReal(21.5)}
+	v := NewString("kitchen")
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"4-value tuple", func() { keySink = tup.Key() }},
+		{"value", func() { keySink = v.Key() }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.call); got > 1 {
+			t.Errorf("%s: %.0f allocations per Key(), want 1", tc.name, got)
+		}
+	}
+}
