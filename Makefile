@@ -90,12 +90,11 @@ e2e:
 chaos:
 	bash scripts/cluster_chaos.sh
 
-# Quick fuzz pass over the three parsers, the value codec the WAL and the
-# wire share, and the WAL's framing, records and checkpoints.
+# Quick fuzz pass over the query front end (one target reads each input as
+# DDL, SAL and Serena SQL), the value codec the WAL and the wire share, and
+# the WAL's framing, records and checkpoints.
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sal/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/ddl/
-	$(GO) test -fuzz=FuzzCompile -fuzztime=10s ./internal/ssql/
 	$(GO) test -fuzz=FuzzDecodeRows -fuzztime=10s ./internal/value/
 	$(GO) test -fuzz=FuzzScanFrames -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal/

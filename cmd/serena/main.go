@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"serena/internal/ddl"
 	"serena/internal/device"
 	"serena/internal/pems"
 	"serena/internal/query"
@@ -309,13 +310,19 @@ func repl(p *pems.PEMS, r io.Reader, out io.Writer) {
 	}
 }
 
-// runQuery dispatches a query line: an optional EXPLAIN [ANALYZE] prefix,
-// then Serena SQL or SAL by shape.
+// runQuery runs a query line: SAL or Serena SQL, evaluated, or planned
+// behind an EXPLAIN [ANALYZE] prefix. The front end (ddl.ParseQuery) reads
+// the prefix; the engine's entry points take the line as written.
 func runQuery(p *pems.PEMS, src string, out io.Writer) {
-	body, explain, analyze := pems.StripExplain(src)
+	st, err := ddl.ParseQuery(src)
+	if err != nil {
+		fmt.Fprintln(out, "error:", err)
+		return
+	}
+	ex, _ := st.(*ddl.Explain)
 	switch {
-	case analyze:
-		rep, err := p.ExplainAnalyze(body)
+	case ex != nil && ex.Analyze:
+		rep, err := p.ExplainAnalyze(src)
 		if err != nil {
 			if rep != nil && rep.Plan != "" {
 				fmt.Fprint(out, rep.Plan)
@@ -325,17 +332,20 @@ func runQuery(p *pems.PEMS, src string, out io.Writer) {
 		}
 		fmt.Fprint(out, rep.Plan)
 		printResult(rep.Result, out)
-	case explain:
-		ex, err := p.Explain(body)
+	case ex != nil:
+		ex, err := p.Explain(src)
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			return
 		}
 		printExplanation(ex, out)
-	case pems.LooksLikeSQL(body):
-		runSQL(p, body, out)
 	default:
-		runOneShot(p, body, out)
+		res, err := p.OneShot(src)
+		if err != nil {
+			fmt.Fprintln(out, "error:", err)
+			return
+		}
+		printResult(res, out)
 	}
 }
 
@@ -357,11 +367,11 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 	case ".help":
 		fmt.Fprint(out, `commands:
   <DDL statement>;                 execute Serena DDL
-  <SAL expression>                 evaluate a one-shot algebra query
-  SELECT ...                       evaluate a one-shot Serena SQL query
+  <query>                          evaluate a one-shot query: SAL, or Serena SQL
+                                   (SELECT * ... or SELECT <name> ...)
   EXPLAIN <query>                  show the optimized plan and rewrite steps
   EXPLAIN ANALYZE <query>          run the query, show per-operator trace
-  .register <name> <SAL|SQL>      register a continuous query (optimized)
+  .register <name> <query>        register a continuous query (optimized)
   .unregister <name>              remove a continuous query
   .tick [n]                       advance the clock n instants (default 1)
   .show <relation>                print a relation's current contents
@@ -689,24 +699,6 @@ func command(p *pems.PEMS, line string, out io.Writer) bool {
 		fmt.Fprintln(out, "unknown command; .help for help")
 	}
 	return true
-}
-
-func runSQL(p *pems.PEMS, src string, out io.Writer) {
-	res, err := p.OneShotSQL(strings.TrimSuffix(strings.TrimSpace(src), ";"))
-	if err != nil {
-		fmt.Fprintln(out, "error:", err)
-		return
-	}
-	printResult(res, out)
-}
-
-func runOneShot(p *pems.PEMS, src string, out io.Writer) {
-	res, err := p.OneShot(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(src), ";")))
-	if err != nil {
-		fmt.Fprintln(out, "error:", err)
-		return
-	}
-	printResult(res, out)
 }
 
 func printResult(res *query.Result, out io.Writer) {

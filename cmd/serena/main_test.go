@@ -125,19 +125,19 @@ func TestRunOneShotAndSQL(t *testing.T) {
 		f(&buf)
 		return buf.String()
 	}
-	out := render(func(w io.Writer) { runOneShot(p, `project[name](contacts)`, w) })
+	out := render(func(w io.Writer) { runQuery(p, `project[name](contacts)`, w) })
 	if !strings.Contains(out, "Carla") || !strings.Contains(out, "3 tuple(s)") {
 		t.Fatalf("one-shot output = %q", out)
 	}
-	out = render(func(w io.Writer) { runSQL(p, `SELECT name FROM contacts WHERE name = "Carla"`, w) })
+	out = render(func(w io.Writer) { runQuery(p, `SELECT name FROM contacts WHERE name = "Carla"`, w) })
 	if !strings.Contains(out, "Carla") || !strings.Contains(out, "1 tuple(s)") {
 		t.Fatalf("SQL output = %q", out)
 	}
-	out = render(func(w io.Writer) { runOneShot(p, `select[`, w) })
+	out = render(func(w io.Writer) { runQuery(p, `select[`, w) })
 	if !strings.Contains(out, "error:") {
 		t.Fatalf("parse error not reported: %q", out)
 	}
-	out = render(func(w io.Writer) { runSQL(p, `SELECT ghost FROM contacts`, w) })
+	out = render(func(w io.Writer) { runQuery(p, `SELECT ghost FROM contacts`, w) })
 	if !strings.Contains(out, "error:") {
 		t.Fatalf("SQL error not reported: %q", out)
 	}

@@ -10,18 +10,27 @@
 //	INSERT INTO name VALUES ( lit, … )[, ( lit, … )…];
 //	DELETE FROM name VALUES ( lit, … );
 //	DROP RELATION name;
+//	REGISTER QUERY name … AS body;
+//	UNREGISTER QUERY name;
+//	EXPLAIN [ANALYZE] body;
 //
-// Parsing yields statement ASTs; execution against a catalog lives in
-// internal/catalog.
+// A query body is Serena Algebra Language or Serena SQL, told apart by its
+// first tokens and read in place with the grammar of internal/sal and
+// internal/ssql. ParseQuery reads a body given on its own, as the PEMS
+// entry points take one. Parsing yields statement ASTs; execution against
+// a catalog lives in internal/catalog.
 package ddl
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
 	"serena/internal/lexer"
+	"serena/internal/query"
 	"serena/internal/resilience"
+	"serena/internal/sal"
+	"serena/internal/ssql"
+	"serena/internal/syntax"
 	"serena/internal/value"
 )
 
@@ -109,6 +118,26 @@ type Drop struct{ Name string }
 
 func (*Drop) stmt() {}
 
+// Query is a query body read in place: its exact source text and its
+// parse, a SAL plan (Node) or a Serena SQL statement (Select) that Plan
+// binds to an environment.
+type Query struct {
+	Source string
+	Node   query.Node
+	Select *ssql.Select
+}
+
+func (*Query) stmt() {}
+
+// Plan returns the body's plan: the SAL plan as read, or the SQL statement
+// bound to env, whose schemas place its WHERE conjuncts.
+func (q *Query) Plan(env query.Environment) (query.Node, error) {
+	if q.Select != nil {
+		return q.Select.Bind(env)
+	}
+	return q.Node, nil
+}
+
 // RegisterQuery declares a continuous query inside a DDL script:
 //
 //	REGISTER QUERY alerts AS invoke[sendMessage](…);
@@ -116,20 +145,20 @@ func (*Drop) stmt() {}
 //	                      AS SELECT location, mean(temperature) AS avg
 //	                         FROM temperatures[5] GROUP BY location;
 //	REGISTER QUERY rollup INTO climate RETAIN 64 INSTANTS
-//	                      AS aggregate[location; mean(temperature) as avg](
+//	                      AS aggregate[mean(temperature) as avg by location](
 //	                         window[5](temperatures));
 //
-// The query body (Serena Algebra Language or Serena SQL) is captured up to
-// the terminating ';' and compiled by the PEMS query processor — the
-// catalog itself rejects it (queries are not tables). The optional ON ERROR
+// The query body (Serena Algebra Language or Serena SQL) is parsed in
+// place, and the PEMS query processor registers it — the catalog itself
+// rejects the statement (queries are not tables). The optional ON ERROR
 // clause picks the β degradation policy (FAIL, SKIP, or NULL) applied when
 // a bound service fails mid-query; omitted, the executor's continuous
 // default (SKIP) applies. The optional INTO clause materializes the query's
 // output as a named derived XD-Relation other queries can read; RETAIN
 // bounds how many instants of its event log are kept.
 type RegisterQuery struct {
-	Name    string
-	Source  string
+	Name string
+	Query
 	OnError string // "", "FAIL", "SKIP", or "NULL"
 	Into    string // materialized output relation name ("" = none)
 	Retain  int    // retention in instants (0 = engine default)
@@ -152,9 +181,9 @@ func (*UnregisterQuery) stmt() {}
 // Plain EXPLAIN shows the optimizer's rewriting (original plan, applied
 // Table 5 steps, optimized plan); EXPLAIN ANALYZE executes the plan in
 // traced mode and annotates every operator with rows and wall time. The
-// body (SAL or Serena SQL) is captured up to the terminating ';'.
+// body (SAL or Serena SQL) is parsed in place.
 type Explain struct {
-	Source  string
+	Query
 	Analyze bool
 }
 
@@ -162,10 +191,10 @@ func (*Explain) stmt() {}
 
 // Parse parses a script of semicolon-terminated statements.
 func Parse(src string) ([]Statement, error) {
-	p := &parser{lx: lexer.New(src)}
+	p := parser{syntax.New(src, "ddl")}
 	var out []Statement
 	for {
-		tok, err := p.lx.Peek()
+		tok, err := p.Peek()
 		if err != nil {
 			return nil, err
 		}
@@ -173,6 +202,9 @@ func Parse(src string) ([]Statement, error) {
 			return out, nil
 		}
 		st, err := p.statement()
+		if err == nil {
+			err = p.ExpectPunct(";")
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -180,49 +212,25 @@ func Parse(src string) ([]Statement, error) {
 	}
 }
 
-type parser struct{ lx *lexer.Lexer }
-
-func (p *parser) errf(tok lexer.Token, format string, args ...any) error {
-	return fmt.Errorf("ddl: line %d:%d: %s", tok.Line, tok.Col, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) next() (lexer.Token, error) { return p.lx.Next() }
-
-func (p *parser) expectPunct(punct string) error {
-	tok, err := p.next()
+// ParseQuery parses one query text as the PEMS entry points take it: a SAL
+// or Serena SQL body, optionally after an EXPLAIN [ANALYZE] prefix and
+// before a ';'. It returns a *Query, or an *Explain for a prefixed text.
+func ParseQuery(src string) (Statement, error) {
+	p := parser{syntax.New(src, "ddl")}
+	st, err := p.query()
+	if err == nil {
+		err = p.End()
+	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if !tok.Is(punct) {
-		return p.errf(tok, "expected %q, got %s", punct, tok)
-	}
-	return nil
+	return st, nil
 }
 
-func (p *parser) expectKeyword(kw string) error {
-	tok, err := p.next()
-	if err != nil {
-		return err
-	}
-	if !tok.IsKeyword(kw) {
-		return p.errf(tok, "expected %s, got %s", strings.ToUpper(kw), tok)
-	}
-	return nil
-}
+type parser struct{ *syntax.Parser }
 
-func (p *parser) ident() (string, error) {
-	tok, err := p.next()
-	if err != nil {
-		return "", err
-	}
-	if tok.Kind != lexer.Ident {
-		return "", p.errf(tok, "expected identifier, got %s", tok)
-	}
-	return tok.Text, nil
-}
-
-func (p *parser) statement() (Statement, error) {
-	tok, err := p.next()
+func (p parser) statement() (Statement, error) {
+	tok, err := p.Next()
 	if err != nil {
 		return nil, err
 	}
@@ -240,170 +248,140 @@ func (p *parser) statement() (Statement, error) {
 	case tok.IsKeyword("DELETE"):
 		return p.insertDelete(false)
 	case tok.IsKeyword("DROP"):
-		return p.drop()
+		if err := p.ExpectKeyword("RELATION"); err != nil {
+			return nil, err
+		}
+		name, err := p.Ident()
+		return &Drop{Name: name}, err
 	case tok.IsKeyword("REGISTER"):
 		return p.registerQuery()
-	case tok.IsKeyword("UNREGISTER"):
-		return p.unregisterQuery()
 	case tok.IsKeyword("EXPLAIN"):
 		return p.explain()
+	case tok.IsKeyword("UNREGISTER"):
+		if err := p.ExpectKeyword("QUERY"); err != nil {
+			return nil, err
+		}
+		name, err := p.Ident()
+		return &UnregisterQuery{Name: name}, err
 	}
-	return nil, p.errf(tok, "unknown statement starting with %s", tok)
+	return nil, p.Errf(tok, "unknown statement starting with %s", tok)
 }
 
-// explain := EXPLAIN [ANALYZE] <tokens until ';'>
-func (p *parser) explain() (Statement, error) {
-	st := &Explain{}
-	tok, err := p.lx.Peek()
+// query reads [EXPLAIN [ANALYZE]] body, a query given on its own. EXPLAIN
+// is the prefix when a name follows it; otherwise it names a relation, as
+// in SAL.
+func (p parser) query() (Statement, error) {
+	if p.PeekKeyword("EXPLAIN") && p.PeekSecond().Kind == lexer.Ident {
+		_, _ = p.Next()
+		return p.explain()
+	}
+	q, err := p.body()
+	return &q, err
+}
+
+// explain reads [ANALYZE] body after EXPLAIN, in a script and on its own
+// alike: the one place the prefix is read, for SAL and Serena SQL.
+func (p parser) explain() (Statement, error) {
+	st := &Explain{Analyze: p.AcceptKeyword("ANALYZE")}
+	var err error
+	st.Query, err = p.body()
+	return st, err
+}
+
+// body reads a query body in place: Serena SQL when AtSQL says so, SAL
+// otherwise. Errors inside it name the body's language and point into the
+// whole text.
+func (p parser) body() (Query, error) {
+	start, err := p.Peek()
 	if err != nil {
-		return nil, err
+		return Query{}, err
 	}
-	if tok.IsKeyword("ANALYZE") {
-		_, _ = p.next()
-		st.Analyze = true
+	var q Query
+	if p.AtSQL() {
+		p.Lang = "ssql"
+		q.Select, err = ssql.ParseSelect(p.Parser)
+	} else {
+		p.Lang = "sal"
+		q.Node, err = sal.Expr(p.Parser)
 	}
-	src, err := p.rawUntilSemicolon()
+	p.Lang = "ddl"
 	if err != nil {
-		return nil, err
+		return Query{}, err
 	}
-	if strings.TrimSpace(src) == "" {
-		return nil, fmt.Errorf("ddl: EXPLAIN: empty query body")
-	}
-	st.Source = src
-	return st, nil
+	q.Source = p.Since(start.Off)
+	return q, nil
 }
 
 // registerQuery parses
 //
 //	QUERY name [ON ERROR (FAIL|SKIP|NULL)]
-//	  [INTO relname [RETAIN n INSTANTS]] AS <tokens until ';'>
-func (p *parser) registerQuery() (Statement, error) {
-	if err := p.expectKeyword("QUERY"); err != nil {
+//	  [INTO relname [RETAIN n INSTANTS]] AS body
+func (p parser) registerQuery() (Statement, error) {
+	if err := p.ExpectKeyword("QUERY"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
+	name, err := p.Ident()
 	if err != nil {
 		return nil, err
 	}
 	st := &RegisterQuery{Name: name}
-	tok, err := p.lx.Peek()
-	if err != nil {
-		return nil, err
-	}
-	if tok.IsKeyword("ON") {
-		_, _ = p.next()
-		if err := p.expectKeyword("ERROR"); err != nil {
+	if p.AcceptKeyword("ON") {
+		if err := p.ExpectKeyword("ERROR"); err != nil {
 			return nil, err
 		}
-		ptok, err := p.next()
-		if err != nil {
-			return nil, err
-		}
+		tok, err := p.Next()
 		switch {
-		case ptok.IsKeyword("FAIL"), ptok.IsKeyword("SKIP"), ptok.IsKeyword("NULL"):
-			st.OnError = strings.ToUpper(ptok.Text)
+		case err != nil:
+			return nil, err
+		case tok.IsKeyword("FAIL"), tok.IsKeyword("SKIP"), tok.IsKeyword("NULL"):
+			st.OnError = strings.ToUpper(tok.Text)
 		default:
-			return nil, p.errf(ptok, "expected FAIL, SKIP or NULL after ON ERROR, got %s", ptok)
-		}
-		tok, err = p.lx.Peek()
-		if err != nil {
-			return nil, err
+			return nil, p.Errf(tok, "expected FAIL, SKIP or NULL after ON ERROR, got %s", tok)
 		}
 	}
-	if tok.IsKeyword("INTO") {
-		_, _ = p.next()
-		intoTok, err := p.next()
-		if err != nil {
-			return nil, err
-		}
-		if intoTok.Kind != lexer.Ident {
-			return nil, p.errf(intoTok, "expected relation name after INTO, got %s", intoTok)
-		}
-		if strings.HasPrefix(intoTok.Text, "sys$") {
-			return nil, p.errf(intoTok, "INTO target %q: the sys$ prefix is reserved for system relations", intoTok.Text)
-		}
-		st.Into = intoTok.Text
-		peek, err := p.lx.Peek()
-		if err != nil {
-			return nil, err
-		}
-		if peek.IsKeyword("RETAIN") {
-			_, _ = p.next()
-			numTok, err := p.next()
-			if err != nil {
-				return nil, err
-			}
-			n, convErr := strconv.Atoi(numTok.Text)
-			if numTok.Kind != lexer.Number || convErr != nil || n < 1 {
-				return nil, p.errf(numTok, "expected positive instant count after RETAIN, got %s", numTok)
-			}
-			st.Retain = n
-			if err := p.expectKeyword("INSTANTS"); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := p.expectKeyword("AS"); err != nil {
-		return nil, err
-	}
-	src, err := p.rawUntilSemicolon()
-	if err != nil {
-		return nil, err
-	}
-	if strings.TrimSpace(src) == "" {
-		return nil, fmt.Errorf("ddl: REGISTER QUERY %s: empty query body", name)
-	}
-	st.Source = src
-	return st, nil
-}
-
-// unregisterQuery := QUERY name ';'
-func (p *parser) unregisterQuery() (Statement, error) {
-	if err := p.expectKeyword("QUERY"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectPunct(";"); err != nil {
-		return nil, err
-	}
-	return &UnregisterQuery{Name: name}, nil
-}
-
-// rawUntilSemicolon re-renders tokens (the lexer has no raw-slice mode)
-// until the terminating top-level ';'. Both SAL and Serena SQL are
-// whitespace-insensitive, so token-joining round-trips them; string
-// literals are re-quoted with the escapes the lexer decodes, so every byte
-// of a literal survives.
-func (p *parser) rawUntilSemicolon() (string, error) {
-	var b strings.Builder
-	for {
-		tok, err := p.next()
-		if err != nil {
-			return "", err
-		}
+	if p.AcceptKeyword("INTO") {
+		tok, err := p.Next()
 		switch {
-		case tok.Kind == lexer.EOF:
-			return "", fmt.Errorf("ddl: missing ';' after query body")
-		case tok.Is(";"):
-			return b.String(), nil
+		case err != nil:
+			return nil, err
+		case tok.Kind != lexer.Ident:
+			return nil, p.Errf(tok, "expected relation name after INTO, got %s", tok)
+		case strings.HasPrefix(tok.Text, "sys$"):
+			return nil, p.Errf(tok, "INTO target %q: the sys$ prefix is reserved for system relations", tok.Text)
 		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		if tok.Kind == lexer.String {
-			b.WriteString(value.Quote(tok.Text))
-		} else {
-			b.WriteString(tok.Text)
+		st.Into = tok.Text
+		if p.AcceptKeyword("RETAIN") {
+			if st.Retain, err = p.positive("instant count after RETAIN"); err != nil {
+				return nil, err
+			}
+			if err := p.ExpectKeyword("INSTANTS"); err != nil {
+				return nil, err
+			}
 		}
 	}
+	if err := p.ExpectKeyword("AS"); err != nil {
+		return nil, err
+	}
+	st.Query, err = p.body()
+	return st, err
 }
 
-// prototype := name '(' params? ')' ':' '(' params ')' ACTIVE? ';'
-func (p *parser) prototype() (Statement, error) {
-	name, err := p.ident()
+// positive reads a positive integer, the what of an error if it is not one.
+func (p parser) positive(what string) (int, error) {
+	tok, err := p.Next()
+	if err != nil {
+		return 0, err
+	}
+	n, convErr := strconv.Atoi(tok.Text)
+	if tok.Kind != lexer.Number || convErr != nil || n < 1 {
+		return 0, p.Errf(tok, "expected positive %s, got %s", what, tok)
+	}
+	return n, nil
+}
+
+// prototype := name '(' params? ')' ':' '(' params ')' [ACTIVE | PASSIVE]
+func (p parser) prototype() (Statement, error) {
+	name, err := p.Ident()
 	if err != nil {
 		return nil, err
 	}
@@ -411,181 +389,125 @@ func (p *parser) prototype() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(":"); err != nil {
+	if err := p.ExpectPunct(":"); err != nil {
 		return nil, err
 	}
 	outs, err := p.paramList()
 	if err != nil {
 		return nil, err
 	}
-	st := &CreatePrototype{Name: name, Inputs: ins, Outputs: outs}
-	tok, err := p.next()
-	if err != nil {
-		return nil, err
-	}
-	if tok.IsKeyword("ACTIVE") {
-		st.Active = true
-		tok, err = p.next()
-		if err != nil {
-			return nil, err
-		}
-	} else if tok.IsKeyword("PASSIVE") {
-		tok, err = p.next()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !tok.Is(";") {
-		return nil, p.errf(tok, "expected ';', got %s", tok)
+	st := &CreatePrototype{Name: name, Inputs: ins, Outputs: outs, Active: p.AcceptKeyword("ACTIVE")}
+	if !st.Active {
+		p.AcceptKeyword("PASSIVE")
 	}
 	return st, nil
 }
 
-func (p *parser) paramList() ([]Param, error) {
-	if err := p.expectPunct("("); err != nil {
+// paramList := '(' [name type {, name type}] ')'
+func (p parser) paramList() ([]Param, error) {
+	if err := p.ExpectPunct("("); err != nil {
 		return nil, err
 	}
 	var out []Param
-	tok, err := p.lx.Peek()
-	if err != nil {
-		return nil, err
-	}
-	if tok.Is(")") {
-		_, _ = p.next()
+	if p.Accept(")") {
 		return out, nil
 	}
 	for {
-		name, err := p.ident()
+		name, err := p.Ident()
 		if err != nil {
 			return nil, err
 		}
-		typTok, err := p.next()
+		kind, err := p.typeName()
 		if err != nil {
 			return nil, err
-		}
-		if typTok.Kind != lexer.Ident {
-			return nil, p.errf(typTok, "expected type name, got %s", typTok)
-		}
-		kind, ok := value.KindFromName(typTok.Text)
-		if !ok {
-			return nil, p.errf(typTok, "unknown type %q", typTok.Text)
 		}
 		out = append(out, Param{Name: name, Type: kind})
-		tok, err := p.next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.Is(")") {
-			return out, nil
-		}
-		if !tok.Is(",") {
-			return nil, p.errf(tok, "expected ',' or ')', got %s", tok)
+		if !p.Accept(",") {
+			return out, p.ExpectPunct(")")
 		}
 	}
 }
 
-// service := ref IMPLEMENTS proto {',' proto} ';'
-func (p *parser) service() (Statement, error) {
-	ref, err := p.ident()
+func (p parser) typeName() (value.Kind, error) {
+	tok, err := p.Next()
+	if err != nil {
+		return 0, err
+	}
+	if tok.Kind != lexer.Ident {
+		return 0, p.Errf(tok, "expected type name, got %s", tok)
+	}
+	kind, ok := value.KindFromName(tok.Text)
+	if !ok {
+		return 0, p.Errf(tok, "unknown type %q", tok.Text)
+	}
+	return kind, nil
+}
+
+// service := ref IMPLEMENTS proto {',' proto}
+func (p parser) service() (Statement, error) {
+	ref, err := p.Ident()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("IMPLEMENTS"); err != nil {
+	if err := p.ExpectKeyword("IMPLEMENTS"); err != nil {
 		return nil, err
 	}
-	var protos []string
-	for {
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		protos = append(protos, name)
-		tok, err := p.next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.Is(";") {
-			return &CreateService{Ref: ref, Prototypes: protos}, nil
-		}
-		if !tok.Is(",") {
-			return nil, p.errf(tok, "expected ',' or ';', got %s", tok)
-		}
-	}
+	protos, err := p.Names()
+	return &CreateService{Ref: ref, Prototypes: protos}, err
 }
 
 // extended := RELATION rel | STREAM rel
-func (p *parser) extended() (Statement, error) {
-	tok, err := p.next()
-	if err != nil {
-		return nil, err
-	}
+func (p parser) extended() (Statement, error) {
 	switch {
-	case tok.IsKeyword("RELATION"):
+	case p.AcceptKeyword("RELATION"):
 		return p.relation(false)
-	case tok.IsKeyword("STREAM"):
+	case p.AcceptKeyword("STREAM"):
 		return p.relation(true)
 	}
-	return nil, p.errf(tok, "expected RELATION or STREAM after EXTENDED, got %s", tok)
+	tok, err := p.Next()
+	if err == nil {
+		err = p.Errf(tok, "expected RELATION or STREAM after EXTENDED, got %s", tok)
+	}
+	return nil, err
 }
 
-// relation := name '(' attrDefs ')' [USING BINDING PATTERNS '(' bps ')'] ';'
-func (p *parser) relation(isStream bool) (Statement, error) {
-	name, err := p.ident()
+// relation := name '(' attrDefs ')' [USING BINDING PATTERNS '(' bps ')']
+//
+//	[ON OVERLOAD policy [CAPACITY n]]
+func (p parser) relation(isStream bool) (Statement, error) {
+	name, err := p.Ident()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("("); err != nil {
+	if err := p.ExpectPunct("("); err != nil {
 		return nil, err
 	}
 	st := &CreateRelation{Name: name, Stream: isStream}
 	for {
-		aname, err := p.ident()
-		if err != nil {
+		def := AttrDef{}
+		if def.Name, err = p.Ident(); err != nil {
 			return nil, err
 		}
-		typTok, err := p.next()
-		if err != nil {
+		if def.Type, err = p.typeName(); err != nil {
 			return nil, err
 		}
-		if typTok.Kind != lexer.Ident {
-			return nil, p.errf(typTok, "expected type name, got %s", typTok)
-		}
-		kind, ok := value.KindFromName(typTok.Text)
-		if !ok {
-			return nil, p.errf(typTok, "unknown type %q", typTok.Text)
-		}
-		def := AttrDef{Name: aname, Type: kind}
-		tok, err := p.next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.IsKeyword("VIRTUAL") {
-			def.Virtual = true
-			tok, err = p.next()
-			if err != nil {
-				return nil, err
-			}
-		}
+		def.Virtual = p.AcceptKeyword("VIRTUAL")
 		st.Attrs = append(st.Attrs, def)
-		if tok.Is(")") {
+		if !p.Accept(",") {
 			break
 		}
-		if !tok.Is(",") {
-			return nil, p.errf(tok, "expected ',' or ')', got %s", tok)
-		}
 	}
-	tok, err := p.next()
-	if err != nil {
+	if err := p.ExpectPunct(")"); err != nil {
 		return nil, err
 	}
-	if tok.IsKeyword("USING") {
-		if err := p.expectKeyword("BINDING"); err != nil {
+	if p.AcceptKeyword("USING") {
+		if err := p.ExpectKeyword("BINDING"); err != nil {
 			return nil, err
 		}
-		if err := p.expectKeyword("PATTERNS"); err != nil {
+		if err := p.ExpectKeyword("PATTERNS"); err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct("("); err != nil {
+		if err := p.ExpectPunct("("); err != nil {
 			return nil, err
 		}
 		for {
@@ -594,152 +516,97 @@ func (p *parser) relation(isStream bool) (Statement, error) {
 				return nil, err
 			}
 			st.BPs = append(st.BPs, bp)
-			tok, err := p.next()
-			if err != nil {
-				return nil, err
-			}
-			if tok.Is(")") {
+			if !p.Accept(",") {
 				break
 			}
-			if !tok.Is(",") {
-				return nil, p.errf(tok, "expected ',' or ')', got %s", tok)
-			}
 		}
-		tok, err = p.next()
-		if err != nil {
+		if err := p.ExpectPunct(")"); err != nil {
 			return nil, err
 		}
 	}
-	// Optional overload clause: ON OVERLOAD <policy> [CAPACITY <n>].
-	if tok.IsKeyword("ON") {
-		if err := p.expectKeyword("OVERLOAD"); err != nil {
+	if p.AcceptKeyword("ON") {
+		if err := p.ExpectKeyword("OVERLOAD"); err != nil {
 			return nil, err
 		}
-		polTok, err := p.next()
+		tok, err := p.Next()
 		if err != nil {
 			return nil, err
 		}
-		if polTok.Kind != lexer.Ident {
-			return nil, p.errf(polTok, "expected overload policy (BLOCK, SHED_OLDEST or SHED_NEWEST), got %s", polTok)
+		if tok.Kind != lexer.Ident {
+			return nil, p.Errf(tok, "expected overload policy (BLOCK, SHED_OLDEST or SHED_NEWEST), got %s", tok)
 		}
-		if _, err := resilience.ParseOverloadPolicy(polTok.Text); err != nil {
-			return nil, p.errf(polTok, "%v", err)
+		if _, err := resilience.ParseOverloadPolicy(tok.Text); err != nil {
+			return nil, p.Errf(tok, "%v", err)
 		}
-		st.OnOverload = strings.ToUpper(polTok.Text)
-		peek, err := p.lx.Peek()
-		if err != nil {
-			return nil, err
-		}
-		if peek.IsKeyword("CAPACITY") {
-			if _, err := p.next(); err != nil {
+		st.OnOverload = strings.ToUpper(tok.Text)
+		if p.AcceptKeyword("CAPACITY") {
+			if st.Capacity, err = p.positive("integer capacity"); err != nil {
 				return nil, err
 			}
-			numTok, err := p.next()
-			if err != nil {
-				return nil, err
-			}
-			n, convErr := strconv.Atoi(numTok.Text)
-			if numTok.Kind != lexer.Number || convErr != nil || n < 1 {
-				return nil, p.errf(numTok, "expected positive integer capacity, got %s", numTok)
-			}
-			st.Capacity = n
 		}
-		tok, err = p.next()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !tok.Is(";") {
-		return nil, p.errf(tok, "expected USING, ON OVERLOAD or ';', got %s", tok)
 	}
 	return st, nil
 }
 
 // bindingPattern := proto '[' svcAttr ']' [ '(' names? ')' ':' '(' names ')' ]
-func (p *parser) bindingPattern() (BPDef, error) {
-	proto, err := p.ident()
-	if err != nil {
-		return BPDef{}, err
+func (p parser) bindingPattern() (BPDef, error) {
+	var bp BPDef
+	var err error
+	if bp.Proto, err = p.Ident(); err != nil {
+		return bp, err
 	}
-	if err := p.expectPunct("["); err != nil {
-		return BPDef{}, err
+	if err := p.ExpectPunct("["); err != nil {
+		return bp, err
 	}
-	svc, err := p.ident()
-	if err != nil {
-		return BPDef{}, err
+	if bp.ServiceAttr, err = p.Ident(); err != nil {
+		return bp, err
 	}
-	if err := p.expectPunct("]"); err != nil {
-		return BPDef{}, err
+	if err := p.ExpectPunct("]"); err != nil {
+		return bp, err
 	}
-	bp := BPDef{Proto: proto, ServiceAttr: svc}
-	tok, err := p.lx.Peek()
-	if err != nil {
-		return BPDef{}, err
-	}
-	if !tok.Is("(") {
+	if !p.PeekIs("(") {
 		return bp, nil
 	}
 	bp.Explicit = true
-	bp.Inputs, err = p.nameList()
-	if err != nil {
-		return BPDef{}, err
+	if bp.Inputs, err = p.nameList(); err != nil {
+		return bp, err
 	}
-	if err := p.expectPunct(":"); err != nil {
-		return BPDef{}, err
+	if err := p.ExpectPunct(":"); err != nil {
+		return bp, err
 	}
 	bp.Outputs, err = p.nameList()
-	if err != nil {
-		return BPDef{}, err
-	}
-	return bp, nil
+	return bp, err
 }
 
-func (p *parser) nameList() ([]string, error) {
-	if err := p.expectPunct("("); err != nil {
+// nameList := '(' [names] ')'
+func (p parser) nameList() ([]string, error) {
+	if err := p.ExpectPunct("("); err != nil {
 		return nil, err
 	}
-	var out []string
-	tok, err := p.lx.Peek()
+	if p.Accept(")") {
+		return nil, nil
+	}
+	names, err := p.Names()
 	if err != nil {
 		return nil, err
 	}
-	if tok.Is(")") {
-		_, _ = p.next()
-		return out, nil
-	}
-	for {
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, name)
-		tok, err := p.next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.Is(")") {
-			return out, nil
-		}
-		if !tok.Is(",") {
-			return nil, p.errf(tok, "expected ',' or ')', got %s", tok)
-		}
-	}
+	return names, p.ExpectPunct(")")
 }
 
-// insertDelete := (INTO|FROM) name VALUES row {',' row} ';'
-func (p *parser) insertDelete(isInsert bool) (Statement, error) {
+// insertDelete := (INTO|FROM) name VALUES row {',' row}
+func (p parser) insertDelete(isInsert bool) (Statement, error) {
 	kw := "FROM"
 	if isInsert {
 		kw = "INTO"
 	}
-	if err := p.expectKeyword(kw); err != nil {
+	if err := p.ExpectKeyword(kw); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
+	name, err := p.Ident()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("VALUES"); err != nil {
+	if err := p.ExpectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
 	var rows [][]value.Value
@@ -749,15 +616,8 @@ func (p *parser) insertDelete(isInsert bool) (Statement, error) {
 			return nil, err
 		}
 		rows = append(rows, row)
-		tok, err := p.next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.Is(";") {
+		if !p.Accept(",") {
 			break
-		}
-		if !tok.Is(",") {
-			return nil, p.errf(tok, "expected ',' or ';', got %s", tok)
 		}
 	}
 	if isInsert {
@@ -766,63 +626,24 @@ func (p *parser) insertDelete(isInsert bool) (Statement, error) {
 	return &Delete{Relation: name, Rows: rows}, nil
 }
 
-func (p *parser) valueRow() ([]value.Value, error) {
-	if err := p.expectPunct("("); err != nil {
+// valueRow := '(' term {, term} ')', where a bare identifier denotes a
+// service reference (Table 1 style: email, sensor01, …).
+func (p parser) valueRow() ([]value.Value, error) {
+	if err := p.ExpectPunct("("); err != nil {
 		return nil, err
 	}
 	var out []value.Value
 	for {
-		tok, err := p.next()
+		v, ref, err := p.Term()
 		if err != nil {
 			return nil, err
 		}
-		var v value.Value
-		switch {
-		case tok.Kind == lexer.String:
-			v = value.NewString(tok.Text)
-		case tok.Kind == lexer.Number:
-			v, err = value.Parse(tok.Text)
-			if err != nil {
-				return nil, p.errf(tok, "%v", err)
-			}
-		case tok.IsKeyword("true"):
-			v = value.NewBool(true)
-		case tok.IsKeyword("false"):
-			v = value.NewBool(false)
-		case tok.IsKeyword("null") || tok.Is("*"):
-			v = value.NewNull()
-		case tok.Kind == lexer.Ident:
-			// Bare identifiers denote service references (Table 1 style:
-			// email, sensor01, …).
-			v = value.NewService(tok.Text)
-		default:
-			return nil, p.errf(tok, "expected literal, got %s", tok)
+		if ref != "" {
+			v = value.NewService(ref)
 		}
 		out = append(out, v)
-		tok, err = p.next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.Is(")") {
-			return out, nil
-		}
-		if !tok.Is(",") {
-			return nil, p.errf(tok, "expected ',' or ')', got %s", tok)
+		if !p.Accept(",") {
+			return out, p.ExpectPunct(")")
 		}
 	}
-}
-
-// drop := RELATION name ';'
-func (p *parser) drop() (Statement, error) {
-	if err := p.expectKeyword("RELATION"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectPunct(";"); err != nil {
-		return nil, err
-	}
-	return &Drop{Name: name}, nil
 }

@@ -5,8 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"serena/internal/algebra"
 	"serena/internal/ddl"
+	"serena/internal/paperenv"
+	"serena/internal/query"
 	"serena/internal/sal"
+	"serena/internal/ssql"
 	"serena/internal/value"
 )
 
@@ -272,7 +276,7 @@ func TestRegisterQueryStatement(t *testing.T) {
 	if rq.Name != "alerts" {
 		t.Fatalf("name = %q", rq.Name)
 	}
-	// The re-rendered source must contain the quoted literals verbatim.
+	// The source slice must contain the quoted literals verbatim.
 	for _, frag := range []string{"invoke", "sendMessage", `"Hot!"`, `"Carla"`, ":="} {
 		if !strings.Contains(rq.Source, frag) {
 			t.Errorf("source missing %q: %s", frag, rq.Source)
@@ -309,7 +313,7 @@ func TestRegisterQueryStatement(t *testing.T) {
 }
 
 // TestRegisterQueryKeepsLiteralBytes registers a query through DDL and
-// checks that its re-rendered body parses to the same plan as the body given
+// checks that its body's source parses to the same plan as the body given
 // to the SAL parser directly: a string literal holding a carriage return, a
 // control byte, invalid UTF-8 or the lexer's own escapes keeps its bytes.
 func TestRegisterQueryKeepsLiteralBytes(t *testing.T) {
@@ -330,10 +334,104 @@ func TestRegisterQueryKeepsLiteralBytes(t *testing.T) {
 		}
 		viaDDL, err := sal.Parse(st.(*ddl.RegisterQuery).Source)
 		if err != nil {
-			t.Fatalf("%q: re-rendered body: %v", body, err)
+			t.Fatalf("%q: body source: %v", body, err)
 		}
 		if got, want := viaDDL.String(), direct.String(); got != want {
 			t.Errorf("%q: plan through DDL %q, parsed directly %q", body, got, want)
+		}
+	}
+}
+
+// TestBodyErrorPointsIntoScript checks that an error inside a REGISTER
+// QUERY body names the body's language and the script's own line and
+// column: the body is read in place, not re-rendered.
+func TestBodyErrorPointsIntoScript(t *testing.T) {
+	script := `-- contacts and one bad query
+PROTOTYPE p ( ) : ( y INTEGER );
+EXTENDED RELATION r ( name STRING );
+INSERT INTO r VALUES ("x");
+REGISTER QUERY bad AS
+  select[name = "x" and](contacts);
+`
+	_, err := ddl.Parse(script)
+	if want := `sal: line 6:24: expected literal, got "]"`; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+}
+
+// selections lists the formulas of the selections stacked on a plan's
+// base, innermost first, with a conjunction split into its terms — the
+// placement Serena SQL gives its WHERE conjuncts.
+func selections(n query.Node) []string {
+	s, ok := n.(*query.Select)
+	if !ok {
+		return nil
+	}
+	out := selections(s.Child)
+	if and, ok := s.Formula.(*algebra.And); ok {
+		for _, term := range and.Terms {
+			out = append(out, term.String())
+		}
+		return out
+	}
+	return append(out, s.Formula.String())
+}
+
+// TestOneGrammarThreeWays reads each formula as SAL, as Serena SQL and
+// inside REGISTER QUERY in both languages, and requires the same formula
+// every time; the shared constructs below the formula behave alike too.
+func TestOneGrammarThreeWays(t *testing.T) {
+	env := query.MapEnv{"contacts": paperenv.Contacts()}
+	for _, f := range []string{
+		`true`,
+		`not (name = "Carla")`,
+		`address contains "gouv"`,
+		`(name = "Carla" or name = "Nicolas") and messenger != null`,
+	} {
+		salText := "select[" + f + "](contacts)"
+		sqlText := "SELECT * FROM contacts WHERE " + f
+		n, err := sal.Parse(salText)
+		if err != nil {
+			t.Fatalf("%s: %v", salText, err)
+		}
+		want := selections(n)
+		root, err := ssql.Compile(sqlText, env)
+		if err != nil {
+			t.Fatalf("%s: %v", sqlText, err)
+		}
+		plans := map[string]query.Node{sqlText: root}
+		for _, body := range []string{salText, sqlText} {
+			st, err := parseOne("REGISTER QUERY q AS " + body + ";")
+			if err != nil {
+				t.Fatalf("REGISTER QUERY q AS %s: %v", body, err)
+			}
+			if plans["REGISTER QUERY q AS "+body], err = st.(*ddl.RegisterQuery).Plan(env); err != nil {
+				t.Fatalf("REGISTER QUERY q AS %s: %v", body, err)
+			}
+		}
+		for text, plan := range plans {
+			if got := selections(plan); strings.Join(got, " | ") != strings.Join(want, " | ") {
+				t.Errorf("%s selects %q, SAL selects %q", text, got, want)
+			}
+		}
+	}
+	if _, err := sal.Parse(`stream[INSERTION](contacts)`); err != nil {
+		t.Errorf("stream[INSERTION]: %v", err)
+	}
+	if _, err := ssql.Compile(`SELECT * FROM contacts STREAMING INSERTION`, env); err != nil {
+		t.Errorf("STREAMING INSERTION: %v", err)
+	}
+	// A bad window period draws one message, whatever the language.
+	for _, period := range []string{"0", "x", "1.5"} {
+		_, salErr := sal.Parse("window[" + period + "](contacts)")
+		_, sqlErr := ssql.Compile("SELECT * FROM contacts["+period+"]", env)
+		if salErr == nil || sqlErr == nil {
+			t.Fatalf("period %s accepted: SAL %v, SQL %v", period, salErr, sqlErr)
+		}
+		message := func(err error) string { return strings.SplitN(err.Error(), ": ", 3)[2] }
+		want := fmt.Sprintf("window period must be a positive integer, got %q", period)
+		if message(salErr) != want || message(sqlErr) != want {
+			t.Errorf("period %s: SAL %q, SQL %q, want %q", period, salErr, sqlErr, want)
 		}
 	}
 }

@@ -1,8 +1,9 @@
-// Package lexer provides the shared tokenizer for the Serena DDL
-// (internal/ddl) and the Serena Algebra Language (internal/sal). Both
-// languages use SQL-flavoured lexical conventions: case-insensitive
-// keywords, single- or double-quoted string literals, `--` line comments
-// and `/* */` block comments.
+// Package lexer is the tokenizer of the one query front end: the Serena
+// DDL (internal/ddl), the Serena Algebra Language (internal/sal) and Serena
+// SQL (internal/ssql) all read their text through it, by way of the shared
+// parser in internal/syntax. The three languages use SQL-flavoured lexical
+// conventions: case-insensitive keywords, single- or double-quoted string
+// literals, `--` line comments and `/* */` block comments.
 package lexer
 
 import (
@@ -24,12 +25,15 @@ const (
 	Punct // single/multi-char punctuation: ( ) [ ] , ; : := -> @ = != <> < <= > >= *
 )
 
-// Token is one lexeme with its source position (1-based line/column).
+// Token is one lexeme with its source position: the byte offsets of its
+// first byte and of the byte after its last, and its 1-based line and
+// column.
 type Token struct {
-	Kind Kind
-	Text string // raw text; for String, the decoded body
-	Line int
-	Col  int
+	Kind     Kind
+	Text     string // raw text; for String, the decoded body
+	Off, End int
+	Line     int
+	Col      int
 }
 
 // Is reports whether the token is the given punctuation.
@@ -54,11 +58,12 @@ func (t Token) String() string {
 
 // Lexer tokenizes an input string.
 type Lexer struct {
-	src    string
-	pos    int
-	line   int
-	col    int
-	peeked *Token
+	src     string
+	pos     int
+	line    int
+	col     int
+	peeked  Token
+	hasPeek bool
 }
 
 // New returns a lexer over src.
@@ -69,22 +74,21 @@ var multiPunct = []string{":=", "->", "!=", "<>", "<=", ">=", "=="}
 
 // Peek returns the next token without consuming it.
 func (l *Lexer) Peek() (Token, error) {
-	if l.peeked == nil {
+	if !l.hasPeek {
 		t, err := l.lex()
 		if err != nil {
 			return Token{}, err
 		}
-		l.peeked = &t
+		l.peeked, l.hasPeek = t, true
 	}
-	return *l.peeked, nil
+	return l.peeked, nil
 }
 
 // Next consumes and returns the next token.
 func (l *Lexer) Next() (Token, error) {
-	if l.peeked != nil {
-		t := *l.peeked
-		l.peeked = nil
-		return t, nil
+	if l.hasPeek {
+		l.hasPeek = false
+		return l.peeked, nil
 	}
 	return l.lex()
 }
@@ -128,45 +132,48 @@ func (l *Lexer) skipSpaceAndComments() error {
 	return nil
 }
 
+// lex reads the next token, stamping it with its position.
 func (l *Lexer) lex() (Token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return Token{}, err
 	}
+	tok := Token{Off: l.pos, Line: l.line, Col: l.col}
+	var err error
+	tok.Kind, tok.Text, err = l.scan()
+	tok.End = l.pos
+	return tok, err
+}
+
+// scan consumes the token at l.pos, which is not space or a comment.
+func (l *Lexer) scan() (Kind, string, error) {
 	if l.pos >= len(l.src) {
-		return Token{Kind: EOF, Line: l.line, Col: l.col}, nil
+		return EOF, "", nil
 	}
-	line, col := l.line, l.col
 	c := l.src[l.pos]
 
 	// String literals.
 	if c == '\'' || c == '"' {
-		quote := c
 		var b strings.Builder
-		i := l.pos + 1
-		for i < len(l.src) {
-			if l.src[i] == '\\' && i+1 < len(l.src) {
-				switch l.src[i+1] {
+		for i := l.pos + 1; i < len(l.src); i++ {
+			switch {
+			case l.src[i] == '\\' && i+1 < len(l.src):
+				i++
+				switch e := l.src[i]; e {
 				case 'n':
 					b.WriteByte('\n')
 				case 't':
 					b.WriteByte('\t')
-				case '\\', '\'', '"':
-					b.WriteByte(l.src[i+1])
-				default:
-					b.WriteByte(l.src[i+1])
+				default: // \\, \' and \" and any other escaped byte stand for themselves
+					b.WriteByte(e)
 				}
-				i += 2
-				continue
-			}
-			if l.src[i] == quote {
-				text := b.String()
+			case l.src[i] == c:
 				l.advance(i + 1 - l.pos)
-				return Token{Kind: String, Text: text, Line: line, Col: col}, nil
+				return String, b.String(), nil
+			default:
+				b.WriteByte(l.src[i])
 			}
-			b.WriteByte(l.src[i])
-			i++
 		}
-		return Token{}, l.errorf("unterminated string literal")
+		return EOF, "", l.errorf("unterminated string literal")
 	}
 
 	// Hex blob literals: 0x… (consumed as a Number token; value.Parse turns
@@ -177,9 +184,7 @@ func (l *Lexer) lex() (Token, error) {
 			i++
 		}
 		if i > l.pos+2 {
-			text := l.src[l.pos:i]
-			l.advance(i - l.pos)
-			return Token{Kind: Number, Text: text, Line: line, Col: col}, nil
+			return Number, l.take(i), nil
 		}
 	}
 
@@ -193,46 +198,43 @@ func (l *Lexer) lex() (Token, error) {
 			((l.src[i] == '+' || l.src[i] == '-') && (l.src[i-1] == 'e' || l.src[i-1] == 'E'))) {
 			i++
 		}
-		text := l.src[l.pos:i]
-		l.advance(i - l.pos)
-		return Token{Kind: Number, Text: text, Line: line, Col: col}, nil
+		return Number, l.take(i), nil
 	}
 
 	// Identifiers and keywords (full UTF-8).
-	if r, _ := utf8.DecodeRuneInString(l.src[l.pos:]); isIdentStart(r) {
-		i := l.pos
+	if r, size := utf8.DecodeRuneInString(l.src[l.pos:]); isIdentStart(r) {
+		i := l.pos + size
 		for i < len(l.src) {
 			r, size := utf8.DecodeRuneInString(l.src[i:])
-			if i == l.pos {
-				if !isIdentStart(r) {
-					break
-				}
-			} else if !isIdentPart(r) {
+			if !isIdentPart(r) {
 				break
 			}
 			i += size
 		}
-		text := l.src[l.pos:i]
-		l.advance(i - l.pos)
-		return Token{Kind: Ident, Text: text, Line: line, Col: col}, nil
+		return Ident, l.take(i), nil
 	}
 
 	// Multi-char punctuation.
 	for _, p := range multiPunct {
 		if strings.HasPrefix(l.src[l.pos:], p) {
-			l.advance(len(p))
-			return Token{Kind: Punct, Text: p, Line: line, Col: col}, nil
+			return Punct, l.take(l.pos + len(p)), nil
 		}
 	}
 
 	// Single-char punctuation.
 	switch c {
 	case '(', ')', '[', ']', ',', ';', ':', '@', '=', '<', '>', '*', '-', '.':
-		l.advance(1)
-		return Token{Kind: Punct, Text: string(c), Line: line, Col: col}, nil
+		return Punct, l.take(l.pos + 1), nil
 	}
 	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
-	return Token{}, l.errorf("unexpected character %q", r)
+	return EOF, "", l.errorf("unexpected character %q", r)
+}
+
+// take consumes the source up to byte offset end and returns it.
+func (l *Lexer) take(end int) string {
+	text := l.src[l.pos:end]
+	l.advance(end - l.pos)
+	return text
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -9,6 +9,7 @@ import (
 	"serena/internal/catalog"
 	"serena/internal/cq"
 	"serena/internal/ddl"
+	"serena/internal/query"
 	"serena/internal/resilience"
 	"serena/internal/sal"
 	"serena/internal/service"
@@ -130,7 +131,11 @@ func (p *PEMS) restoreCheckpoint(catalogDDL string, st *cq.CheckpointState) erro
 		}
 	}
 	for _, qs := range st.Queries {
-		if err := p.recoverQuery(qs.Name, qs.Source, qs.OnError, qs.Into, qs.Retain); err != nil {
+		plan, err := sal.Parse(qs.Source)
+		if err == nil {
+			err = p.recoverQuery(qs.Name, plan, qs.OnError, qs.Into, qs.Retain)
+		}
+		if err != nil {
 			return fmt.Errorf("pems: checkpoint query %s: %w", qs.Name, err)
 		}
 	}
@@ -160,20 +165,16 @@ func (p *PEMS) restoreStatement(s ddl.Statement, at service.Instant) error {
 	}
 }
 
-// recoverQuery re-registers one continuous query from its logged source.
-// The source is the POST-optimization plan, registered verbatim (no second
-// optimizer pass): node indices in the invocation cache and the active-β
-// ledger are positions in that exact plan.
-func (p *PEMS) recoverQuery(name, source, onError, into string, retain service.Instant) error {
-	n, err := sal.Parse(source)
-	if err != nil {
-		return fmt.Errorf("parsing logged plan: %w", err)
-	}
+// recoverQuery re-registers one continuous query from its logged plan: the
+// POST-optimization plan, registered verbatim (no second optimizer pass):
+// node indices in the invocation cache and the active-β ledger are
+// positions in that exact plan.
+func (p *PEMS) recoverQuery(name string, plan query.Node, onError, into string, retain service.Instant) error {
 	pol, err := resilience.ParsePolicy(onError)
 	if err != nil {
 		return err
 	}
-	_, err = p.exec.RegisterWith(name, n, cq.RegisterOptions{Into: into, Retain: retain, Degradation: pol})
+	_, err = p.exec.RegisterWith(name, plan, cq.RegisterOptions{Into: into, Retain: retain, Degradation: pol})
 	return err
 }
 
@@ -186,7 +187,11 @@ func (p *PEMS) applyRecoveredDDL(text string, at service.Instant) error {
 	for _, s := range stmts {
 		switch t := s.(type) {
 		case *ddl.RegisterQuery:
-			if err := p.recoverQuery(t.Name, t.Source, t.OnError, t.Into, service.Instant(t.Retain)); err != nil {
+			plan, err := t.Plan(p.oneShotContext().Env)
+			if err == nil {
+				err = p.recoverQuery(t.Name, plan, t.OnError, t.Into, service.Instant(t.Retain))
+			}
+			if err != nil {
 				return fmt.Errorf("pems: recovered query %s: %w", t.Name, err)
 			}
 		case *ddl.UnregisterQuery:

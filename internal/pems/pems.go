@@ -3,18 +3,16 @@
 // Environment Resource Manager (central service registry + discovery
 // manager reaching distributed Local ERMs), the Extended Table Manager
 // (Serena DDL over XD-Relations) and the Query Processor (one-shot and
-// continuous Serena Algebra Language queries, with optional logical
-// optimization).
+// continuous queries in the Serena Algebra Language or Serena SQL, with
+// optional logical optimization).
 package pems
 
 import (
 	"fmt"
 	"io"
 	"log/slog"
-	"strings"
 	"sync"
 	"time"
-	"unicode"
 
 	"serena/internal/algebra"
 	"serena/internal/catalog"
@@ -25,10 +23,8 @@ import (
 	"serena/internal/query"
 	"serena/internal/resilience"
 	"serena/internal/rewrite"
-	"serena/internal/sal"
 	"serena/internal/schema"
 	"serena/internal/service"
-	"serena/internal/ssql"
 	"serena/internal/stream"
 	"serena/internal/value"
 	"serena/internal/wal"
@@ -173,13 +169,14 @@ func (p *PEMS) SetInvocationParallelism(n int) { p.exec.SetParallelism(n) }
 
 // ExecuteDDL runs a Serena DDL script. Data statements are stamped at the
 // next tick instant so running continuous queries observe them on the
-// following Tick. REGISTER QUERY statements are compiled (Serena SQL or
-// Serena Algebra Language, auto-detected) and registered with the query
-// processor with optimization enabled, so a single script can declare a
-// whole application (Section 5.1: the Query Processor "allows to register
-// queries"). A REGISTER QUERY's ON ERROR, INTO and RETAIN clauses are
-// fixed at registration, before the query's first evaluation; changing
-// one is UNREGISTER QUERY followed by a new REGISTER QUERY, both logged.
+// following Tick. REGISTER QUERY bodies (Serena SQL or Serena Algebra
+// Language), parsed in place with the script, are planned and registered
+// with the query processor with optimization enabled, so a single script
+// can declare a whole application (Section 5.1: the Query Processor
+// "allows to register queries"). A REGISTER QUERY's ON ERROR, INTO and
+// RETAIN clauses are fixed at registration, before the query's first
+// evaluation; changing one is UNREGISTER QUERY followed by a new REGISTER
+// QUERY, both logged.
 func (p *PEMS) ExecuteDDL(src string) error {
 	stmts, err := ddl.Parse(src)
 	if err != nil {
@@ -191,7 +188,7 @@ func (p *PEMS) ExecuteDDL(src string) error {
 		case *ddl.RegisterQuery:
 			opts := cq.RegisterOptions{Into: t.Into, Retain: service.Instant(t.Retain)}
 			if opts.Degradation, err = resilience.ParsePolicy(t.OnError); err == nil {
-				_, err = p.register(t.Name, t.Source, true, opts)
+				_, err = p.register(t.Name, &t.Query, true, opts)
 			}
 		case *ddl.UnregisterQuery:
 			err = p.UnregisterQuery(t.Name)
@@ -211,26 +208,25 @@ func (p *PEMS) ExecuteDDL(src string) error {
 	return nil
 }
 
-// OneShot parses and evaluates a one-shot SAL query against the current
-// state of the environment (Definition 7; evaluation instant = the last
-// executed tick, or 0 before any tick).
+// OneShot parses and evaluates a one-shot query, SAL or Serena SQL,
+// against the current state of the environment (Definition 7; evaluation
+// instant = the last executed tick, or 0 before any tick).
 func (p *PEMS) OneShot(src string) (*query.Result, error) {
-	n, err := sal.Parse(src)
+	q, err := parseQuery(src, false)
 	if err != nil {
 		return nil, err
 	}
-	return query.EvaluateCtx(n, p.oneShotContext())
+	ctx := p.oneShotContext()
+	n, err := q.Plan(ctx.Env)
+	if err != nil {
+		return nil, err
+	}
+	return query.EvaluateCtx(n, ctx)
 }
 
-// OneShotSQL compiles and evaluates a one-shot Serena SQL query.
-func (p *PEMS) OneShotSQL(src string) (*query.Result, error) {
-	ctx := p.oneShotContext()
-	st, err := ssql.Compile(src, ctx.Env)
-	if err != nil {
-		return nil, err
-	}
-	return query.EvaluateCtx(st.Root, ctx)
-}
+// OneShotSQL is OneShot: the front end tells Serena SQL from SAL by the
+// first tokens.
+func (p *PEMS) OneShotSQL(src string) (*query.Result, error) { return p.OneShot(src) }
 
 // oneShotContext is the context every one-shot evaluation runs under, and
 // whose environment planning reads: the current instant (the last executed
@@ -244,34 +240,42 @@ func (p *PEMS) oneShotContext() *query.Context {
 	return p.exec.NewContext(p.Env(at), at)
 }
 
-// parse turns a query text into a plan: Serena SQL when LooksLikeSQL says
-// so (env resolves its relation names), Serena Algebra Language otherwise.
-func parse(src string, env query.Environment) (query.Node, error) {
-	src = strings.TrimSpace(src)
-	if !LooksLikeSQL(src) {
-		return sal.Parse(src)
-	}
-	st, err := ssql.Compile(src, env)
+// parseQuery reads a query text with the one front end (ddl.ParseQuery).
+// An EXPLAIN [ANALYZE] prefix is refused unless explain is set: a text that
+// asks for a plan is never evaluated or registered, and only Explain and
+// ExplainAnalyze take one, ignoring it.
+func parseQuery(src string, explain bool) (*ddl.Query, error) {
+	st, err := ddl.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	return st.Root, nil
+	if ex, ok := st.(*ddl.Explain); ok {
+		if !explain {
+			return nil, fmt.Errorf("pems: an EXPLAIN query is neither run nor registered; Explain and ExplainAnalyze take it")
+		}
+		return &ex.Query, nil
+	}
+	return st.(*ddl.Query), nil
 }
 
-// RegisterQuery compiles a query (Serena SQL or Serena Algebra Language,
-// auto-detected), optionally optimizes it (Table 5 rewrites under the
-// invocation-dominant cost model) and registers it as a continuous query.
+// RegisterQuery compiles a query (Serena SQL or Serena Algebra Language),
+// optionally optimizes it (Table 5 rewrites under the invocation-dominant
+// cost model) and registers it as a continuous query.
 // The ON ERROR, INTO and RETAIN clauses are REGISTER QUERY DDL
 // (ExecuteDDL).
 func (p *PEMS) RegisterQuery(name, src string, optimize bool) (*cq.Query, error) {
-	return p.register(name, src, optimize, cq.RegisterOptions{})
+	q, err := parseQuery(src, false)
+	if err != nil {
+		return nil, err
+	}
+	return p.register(name, q, optimize, cq.RegisterOptions{})
 }
 
-// register compiles, optionally optimizes and registers a continuous query,
-// then logs the registration.
-func (p *PEMS) register(name, src string, optimize bool, opts cq.RegisterOptions) (*cq.Query, error) {
+// register plans, optionally optimizes and registers a parsed continuous
+// query, then logs the registration.
+func (p *PEMS) register(name string, body *ddl.Query, optimize bool, opts cq.RegisterOptions) (*cq.Query, error) {
 	env := p.oneShotContext().Env
-	n, err := parse(src, env)
+	n, err := body.Plan(env)
 	if err != nil {
 		return nil, err
 	}
@@ -306,12 +310,18 @@ type Explanation struct {
 	CostAfter  float64
 }
 
-// Explain plans a query without executing it. Sources starting with SELECT
-// (case-insensitive) are compiled as Serena SQL; everything else parses as
-// Serena Algebra Language.
+// Explain plans a query, SAL or Serena SQL, without executing it. A
+// leading EXPLAIN [ANALYZE] prefix is accepted and ignored.
 func (p *PEMS) Explain(src string) (*Explanation, error) {
-	env := p.oneShotContext().Env
-	n, err := parse(src, env)
+	q, err := parseQuery(src, true)
+	if err != nil {
+		return nil, err
+	}
+	return explain(q, p.oneShotContext().Env)
+}
+
+func explain(q *ddl.Query, env query.Environment) (*Explanation, error) {
+	n, err := q.Plan(env)
 	if err != nil {
 		return nil, err
 	}
@@ -333,14 +343,14 @@ func (p *PEMS) Explain(src string) (*Explanation, error) {
 func (p *PEMS) runExplain(st *ddl.Explain) error {
 	w := p.explainOut
 	if st.Analyze {
-		rep, err := p.ExplainAnalyze(st.Source)
+		rep, err := analyze(&st.Query, p.oneShotContext())
 		if err != nil {
 			return err
 		}
 		_, err = io.WriteString(w, rep.Plan)
 		return err
 	}
-	ex, err := p.Explain(st.Source)
+	ex, err := explain(&st.Query, p.oneShotContext().Env)
 	if err != nil {
 		return err
 	}
@@ -364,13 +374,19 @@ type TraceReport struct {
 // ExplainAnalyze actually executes a query with every operator profiled
 // (EXPLAIN ANALYZE semantics): the plan is evaluated at the current instant
 // with a query.Profile installed, and rendered with measured per-operator
-// cardinalities and timings. A leading EXPLAIN [ANALYZE]
-// keyword pair in src is accepted and ignored. Beware: active invocations
-// in the query DO fire — EXPLAIN ANALYZE runs the query for real.
+// cardinalities and timings. A leading EXPLAIN [ANALYZE] prefix is
+// accepted and ignored. Beware: active invocations in the query DO fire —
+// EXPLAIN ANALYZE runs the query for real.
 func (p *PEMS) ExplainAnalyze(src string) (*TraceReport, error) {
-	body, _, _ := StripExplain(src)
-	ctx := p.oneShotContext()
-	n, err := parse(body, ctx.Env)
+	q, err := parseQuery(src, true)
+	if err != nil {
+		return nil, err
+	}
+	return analyze(q, p.oneShotContext())
+}
+
+func analyze(q *ddl.Query, ctx *query.Context) (*TraceReport, error) {
+	n, err := q.Plan(ctx.Env)
 	if err != nil {
 		return nil, err
 	}
@@ -379,52 +395,6 @@ func (p *PEMS) ExplainAnalyze(src string) (*TraceReport, error) {
 	// annotated on the operator that raised it): res is nil then.
 	res, err := query.EvaluateCtx(n, ctx)
 	return &TraceReport{Plan: ctx.Profile.Render(n), Result: res}, err
-}
-
-// StripExplain removes an optional leading EXPLAIN [ANALYZE] keyword pair
-// from a query source, reporting which prefixes were present. It lets
-// shells accept "EXPLAIN ANALYZE <query>" for SAL sources too (the SQL
-// compiler recognizes the prefix natively).
-func StripExplain(src string) (body string, explain, analyze bool) {
-	body = strings.TrimSpace(src)
-	if head, rest := headWord(body); strings.EqualFold(head, "EXPLAIN") && rest != "" {
-		explain = true
-		body = rest
-		if head, rest = headWord(body); strings.EqualFold(head, "ANALYZE") && rest != "" {
-			analyze = true
-			body = rest
-		}
-	}
-	return body, explain, analyze
-}
-
-// headWord splits a trimmed source into its first whitespace-delimited word
-// and the trimmed remainder ("" if there is no remainder).
-func headWord(s string) (word, rest string) {
-	i := strings.IndexFunc(s, unicode.IsSpace)
-	if i < 0 {
-		return s, ""
-	}
-	return s[:i], strings.TrimSpace(s[i:])
-}
-
-// LooksLikeSQL reports whether a query source is Serena SQL rather than
-// Serena Algebra Language: it starts with the SELECT keyword followed by
-// whitespace (the SAL operator of the same name is written "select[…]").
-// A bracket after the keyword — even space-separated, as produced when the
-// DDL parser re-tokenizes a REGISTER QUERY body — means SAL.
-func LooksLikeSQL(src string) bool {
-	t := strings.TrimSpace(src)
-	if len(t) < 7 || !strings.EqualFold(t[:6], "SELECT") {
-		return false
-	}
-	switch t[6] {
-	case ' ', '\t', '\n', '\r':
-	default:
-		return false
-	}
-	rest := strings.TrimLeft(t[6:], " \t\n\r")
-	return !strings.HasPrefix(rest, "[")
 }
 
 // Env returns a snapshot query.Environment at the given instant over ALL

@@ -86,6 +86,42 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainPrefixNeverEvaluates hands an EXPLAIN [ANALYZE]-prefixed text,
+// SAL and Serena SQL alike, to every entry point that evaluates or
+// registers a query: each refuses it, and no message is delivered.
+func TestExplainPrefixNeverEvaluates(t *testing.T) {
+	p, _, messengers, _ := newScenarioPEMS(t)
+	entries := map[string]func(string) error{
+		"OneShot":      func(src string) error { _, err := p.OneShot(src); return err },
+		"OneShotSQL":   func(src string) error { _, err := p.OneShotSQL(src); return err },
+		"TraceOneShot": func(src string) error { _, err := p.TraceOneShot(src); return err },
+		"RegisterQuery": func(src string) error {
+			_, err := p.RegisterQuery("explained", src, true)
+			return err
+		},
+	}
+	for _, src := range []string{
+		`EXPLAIN SELECT * FROM contacts SET text := "Bonjour!" USING sendMessage WHERE name != "Carla"`,
+		`EXPLAIN ANALYZE SELECT * FROM contacts SET text := "Bonjour!" USING sendMessage WHERE name != "Carla"`,
+		`EXPLAIN invoke[sendMessage](assign[text := "Bonjour!"](select[name != "Carla"](contacts)))`,
+		`explain analyze invoke[sendMessage](assign[text := "Bonjour!"](select[name != "Carla"](contacts)));`,
+	} {
+		for name, run := range entries {
+			if err := run(src); err == nil || !strings.Contains(err.Error(), "EXPLAIN") {
+				t.Errorf("%s(%q): err = %v, want the EXPLAIN prefix refused", name, src, err)
+			}
+		}
+	}
+	if err := p.Executor().RunUntil(2); err != nil {
+		t.Fatal(err)
+	}
+	for ref, m := range messengers {
+		if out := m.Outbox(); len(out) != 0 {
+			t.Errorf("%s delivered %v", ref, out)
+		}
+	}
+}
+
 func TestExplainAnalyze(t *testing.T) {
 	p, _, _, _ := newScenarioPEMS(t)
 	rep, err := p.ExplainAnalyze(`EXPLAIN ANALYZE select[area = "office"](invoke[checkPhoto](cameras))`)

@@ -19,13 +19,17 @@ type InvocationTrace struct {
 	Result  *query.Result
 }
 
-// TraceOneShot evaluates a one-shot query (SAL or Serena SQL,
-// auto-detected) with tracing FORCED for this evaluation, regardless of the
+// TraceOneShot evaluates a one-shot query (SAL or Serena SQL) with
+// tracing FORCED for this evaluation, regardless of the
 // sampling period — the user asked for this query. Active invocations fire
 // for real, exactly like OneShot.
 func (p *PEMS) TraceOneShot(src string) (*InvocationTrace, error) {
+	q, err := parseQuery(src, false)
+	if err != nil {
+		return nil, err
+	}
 	ctx := p.oneShotContext()
-	n, err := parse(src, ctx.Env)
+	n, err := q.Plan(ctx.Env)
 	if err != nil {
 		return nil, err
 	}

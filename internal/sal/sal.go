@@ -8,587 +8,187 @@
 //	          | project[attr, …](expr)
 //	          | select[formula](expr)
 //	          | rename[old -> new](expr)
-//	          | assign[attr := operand](expr)
+//	          | assign[attr := term](expr)
 //	          | invoke[proto](expr) | invoke[proto@svcAttr](expr)
-//	          | window[n](expr)
-//	          | stream[insertion|deletion|heartbeat](expr)
+//	          | window[period](expr)
+//	          | stream[kind](expr)
+//	          | aggregate[aggregate, … [by attr, …]](expr)
 //	          | join(expr, expr) | union(expr, expr)
 //	          | intersect(expr, expr) | diff(expr, expr)
-//	formula  := orTerm { or orTerm }
-//	orTerm   := andTerm { and andTerm }
-//	andTerm  := not ( formula ) | ( formula ) | cmp | true
-//	cmp      := operand op operand      op ∈ { =, ==, !=, <>, <, <=, >, >=, contains }
-//	operand  := literal | ident
 //
+// Only the operators are read here: formula, term, aggregate, period, kind
+// and the invocation are the grammar Serena SQL shares (internal/syntax).
 // Type-checking happens at planning time against the environment.
 package sal
 
 import (
-	"fmt"
-	"strings"
-
 	"serena/internal/algebra"
 	"serena/internal/lexer"
 	"serena/internal/query"
+	"serena/internal/syntax"
 	"serena/internal/value"
 )
 
-// Parse parses one algebra expression.
+// Parse parses one algebra expression, optionally followed by ';'.
 func Parse(src string) (query.Node, error) {
-	p := &parser{lx: lexer.New(src)}
-	n, err := p.expr()
+	p := syntax.New(src, "sal")
+	n, err := Expr(p)
+	if err == nil {
+		err = p.End()
+	}
 	if err != nil {
 		return nil, err
-	}
-	tok, err := p.lx.Next()
-	if err != nil {
-		return nil, err
-	}
-	if tok.Kind != lexer.EOF && !tok.Is(";") {
-		return nil, p.errf(tok, "trailing input %s", tok)
 	}
 	return n, nil
 }
 
-type parser struct{ lx *lexer.Lexer }
+// Expr reads one algebra expression from p, leaving what follows it unread.
+func Expr(p *syntax.Parser) (query.Node, error) { return parser{p}.expr() }
 
-func (p *parser) errf(tok lexer.Token, format string, args ...any) error {
-	return fmt.Errorf("sal: line %d:%d: %s", tok.Line, tok.Col, fmt.Sprintf(format, args...))
-}
+type parser struct{ *syntax.Parser }
 
-func (p *parser) expectPunct(punct string) error {
-	tok, err := p.lx.Next()
-	if err != nil {
-		return err
-	}
-	if !tok.Is(punct) {
-		return p.errf(tok, "expected %q, got %s", punct, tok)
-	}
-	return nil
-}
-
-func (p *parser) ident() (string, error) {
-	tok, err := p.lx.Next()
-	if err != nil {
-		return "", err
-	}
-	if tok.Kind != lexer.Ident {
-		return "", p.errf(tok, "expected identifier, got %s", tok)
-	}
-	return tok.Text, nil
-}
-
-func (p *parser) expr() (query.Node, error) {
-	tok, err := p.lx.Next()
+func (p parser) expr() (query.Node, error) {
+	tok, err := p.Next()
 	if err != nil {
 		return nil, err
 	}
 	if tok.Kind != lexer.Ident {
-		return nil, p.errf(tok, "expected operator or relation name, got %s", tok)
+		return nil, p.Errf(tok, "expected operator or relation name, got %s", tok)
 	}
-	next, err := p.lx.Peek()
-	if err != nil {
-		return nil, err
-	}
-	// Bare identifier → base relation.
-	if !next.Is("[") && !next.Is("(") {
+	switch {
+	case !p.PeekIs("[") && !p.PeekIs("("):
 		return query.NewBase(tok.Text), nil
+	case tok.IsKeyword("join"), tok.IsKeyword("union"), tok.IsKeyword("intersect"), tok.IsKeyword("diff"):
+		return p.binary(tok)
 	}
+	if err := p.ExpectPunct("["); err != nil {
+		return nil, err
+	}
+	// build wraps the operand expression once it is read.
+	var build func(query.Node) query.Node
 	switch {
 	case tok.IsKeyword("project"):
-		attrs, err := p.bracketNames()
-		if err != nil {
-			return nil, err
-		}
-		child, err := p.parenExpr()
-		if err != nil {
-			return nil, err
-		}
-		return query.NewProject(child, attrs...), nil
-
+		var attrs []string
+		attrs, err = p.Names()
+		build = func(c query.Node) query.Node { return query.NewProject(c, attrs...) }
 	case tok.IsKeyword("select"):
-		if err := p.expectPunct("["); err != nil {
-			return nil, err
-		}
-		f, err := p.formula()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
-		child, err := p.parenExpr()
-		if err != nil {
-			return nil, err
-		}
-		return query.NewSelect(child, f), nil
-
+		var f algebra.Formula
+		f, err = p.Formula()
+		build = func(c query.Node) query.Node { return query.NewSelect(c, f) }
 	case tok.IsKeyword("rename"):
-		if err := p.expectPunct("["); err != nil {
-			return nil, err
+		var from, to string
+		if from, err = p.Ident(); err == nil {
+			if err = p.ExpectPunct("->"); err == nil {
+				to, err = p.Ident()
+			}
 		}
-		oldName, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("->"); err != nil {
-			return nil, err
-		}
-		newName, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
-		child, err := p.parenExpr()
-		if err != nil {
-			return nil, err
-		}
-		return query.NewRename(child, oldName, newName), nil
-
+		build = func(c query.Node) query.Node { return query.NewRename(c, from, to) }
 	case tok.IsKeyword("assign"):
-		if err := p.expectPunct("["); err != nil {
-			return nil, err
-		}
-		attr, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(":="); err != nil {
-			return nil, err
-		}
-		srcTok, err := p.lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		var node func(query.Node) query.Node
-		switch {
-		case srcTok.Kind == lexer.Ident && !srcTok.IsKeyword("true") && !srcTok.IsKeyword("false") && !srcTok.IsKeyword("null"):
-			src := srcTok.Text
-			node = func(c query.Node) query.Node { return query.NewAssignAttr(c, attr, src) }
-		default:
-			v, err := p.literal(srcTok)
-			if err != nil {
-				return nil, err
+		var attr, src string
+		var v value.Value
+		if attr, err = p.Ident(); err == nil {
+			if err = p.ExpectPunct(":="); err == nil {
+				v, src, err = p.Term()
 			}
-			node = func(c query.Node) query.Node { return query.NewAssignConst(c, attr, v) }
 		}
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
+		build = func(c query.Node) query.Node {
+			if src != "" {
+				return query.NewAssignAttr(c, attr, src)
+			}
+			return query.NewAssignConst(c, attr, v)
 		}
-		child, err := p.parenExpr()
-		if err != nil {
-			return nil, err
-		}
-		return node(child), nil
-
 	case tok.IsKeyword("invoke"):
-		if err := p.expectPunct("["); err != nil {
-			return nil, err
-		}
-		proto, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		svcAttr := ""
-		nx, err := p.lx.Peek()
-		if err != nil {
-			return nil, err
-		}
-		if nx.Is("@") {
-			_, _ = p.lx.Next()
-			svcAttr, err = p.ident()
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
-		child, err := p.parenExpr()
-		if err != nil {
-			return nil, err
-		}
-		return query.NewInvoke(child, proto, svcAttr), nil
-
+		var proto, svcAttr string
+		proto, svcAttr, err = p.Invocation()
+		build = func(c query.Node) query.Node { return query.NewInvoke(c, proto, svcAttr) }
 	case tok.IsKeyword("window"):
-		if err := p.expectPunct("["); err != nil {
-			return nil, err
-		}
-		numTok, err := p.lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		if numTok.Kind != lexer.Number {
-			return nil, p.errf(numTok, "expected window period, got %s", numTok)
-		}
-		v, err := value.Parse(numTok.Text)
-		if err != nil || v.Kind() != value.Int || v.Int() < 1 {
-			return nil, p.errf(numTok, "window period must be a positive integer")
-		}
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
-		child, err := p.parenExpr()
-		if err != nil {
-			return nil, err
-		}
-		return query.NewWindow(child, v.Int()), nil
-
+		var period int64
+		period, err = p.Period()
+		build = func(c query.Node) query.Node { return query.NewWindow(c, period) }
 	case tok.IsKeyword("stream"):
-		if err := p.expectPunct("["); err != nil {
-			return nil, err
-		}
-		kindName, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		kind, ok := query.StreamKindFromString(kindName)
-		if !ok {
-			return nil, fmt.Errorf("sal: unknown streaming type %q (want insertion, deletion or heartbeat)", kindName)
-		}
-		if err := p.expectPunct("]"); err != nil {
-			return nil, err
-		}
-		child, err := p.parenExpr()
-		if err != nil {
-			return nil, err
-		}
-		return query.NewStream(child, kind), nil
-
+		var kind query.StreamKind
+		kind, err = p.StreamKind()
+		build = func(c query.Node) query.Node { return query.NewStream(c, kind) }
 	case tok.IsKeyword("aggregate"):
-		if err := p.expectPunct("["); err != nil {
-			return nil, err
-		}
 		var aggs []algebra.AggSpec
-		var groupBy []string
-		for {
-			spec, err := p.aggSpec()
-			if err != nil {
-				return nil, err
-			}
-			aggs = append(aggs, spec)
-			tk, err := p.lx.Next()
-			if err != nil {
-				return nil, err
-			}
-			if tk.Is(",") {
-				continue
-			}
-			if tk.IsKeyword("by") {
-				for {
-					name, err := p.ident()
-					if err != nil {
-						return nil, err
-					}
-					groupBy = append(groupBy, name)
-					tk, err := p.lx.Next()
-					if err != nil {
-						return nil, err
-					}
-					if tk.Is("]") {
-						child, err := p.parenExpr()
-						if err != nil {
-							return nil, err
-						}
-						return query.NewAggregate(child, groupBy, aggs), nil
-					}
-					if !tk.Is(",") {
-						return nil, p.errf(tk, "expected ',' or ']', got %s", tk)
-					}
-				}
-			}
-			if tk.Is("]") {
-				child, err := p.parenExpr()
-				if err != nil {
-					return nil, err
-				}
-				return query.NewAggregate(child, groupBy, aggs), nil
-			}
-			return nil, p.errf(tk, "expected ',', 'by' or ']', got %s", tk)
-		}
-
-	case tok.IsKeyword("join"), tok.IsKeyword("union"), tok.IsKeyword("intersect"), tok.IsKeyword("diff"):
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		left, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(","); err != nil {
-			return nil, err
-		}
-		right, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		switch {
-		case tok.IsKeyword("join"):
-			return query.NewJoin(left, right), nil
-		case tok.IsKeyword("union"):
-			return query.NewUnion(left, right), nil
-		case tok.IsKeyword("intersect"):
-			return query.NewIntersect(left, right), nil
-		default:
-			return query.NewDiff(left, right), nil
-		}
-	}
-	return nil, p.errf(tok, "unknown operator %q", tok.Text)
-}
-
-// aggSpec := func '(' (ident | '*') ')' 'as' ident
-func (p *parser) aggSpec() (algebra.AggSpec, error) {
-	fnTok, err := p.lx.Next()
-	if err != nil {
-		return algebra.AggSpec{}, err
-	}
-	if fnTok.Kind != lexer.Ident {
-		return algebra.AggSpec{}, p.errf(fnTok, "expected aggregate function, got %s", fnTok)
-	}
-	fn, ok := algebra.AggFuncFromString(strings.ToLower(fnTok.Text))
-	if !ok {
-		return algebra.AggSpec{}, p.errf(fnTok, "unknown aggregate function %q", fnTok.Text)
-	}
-	if err := p.expectPunct("("); err != nil {
-		return algebra.AggSpec{}, err
-	}
-	attrTok, err := p.lx.Next()
-	if err != nil {
-		return algebra.AggSpec{}, err
-	}
-	attr := ""
-	switch {
-	case attrTok.Is("*"):
-		if fn != algebra.Count {
-			return algebra.AggSpec{}, p.errf(attrTok, "only count may use '*'")
-		}
-	case attrTok.Kind == lexer.Ident:
-		attr = attrTok.Text
+		var by []string
+		aggs, by, err = p.aggregates()
+		build = func(c query.Node) query.Node { return query.NewAggregate(c, by, aggs) }
 	default:
-		return algebra.AggSpec{}, p.errf(attrTok, "expected attribute or '*', got %s", attrTok)
+		return nil, p.Errf(tok, "unknown operator %q", tok.Text)
 	}
-	if err := p.expectPunct(")"); err != nil {
-		return algebra.AggSpec{}, err
+	if err == nil {
+		err = p.ExpectPunct("]")
 	}
-	asTok, err := p.lx.Next()
 	if err != nil {
-		return algebra.AggSpec{}, err
+		return nil, err
 	}
-	if !asTok.IsKeyword("as") {
-		return algebra.AggSpec{}, p.errf(asTok, "expected 'as', got %s", asTok)
-	}
-	name, err := p.ident()
+	child, err := p.parenExpr()
 	if err != nil {
-		return algebra.AggSpec{}, err
+		return nil, err
 	}
-	return algebra.AggSpec{Func: fn, Attr: attr, As: name}, nil
+	return build(child), nil
 }
 
-func (p *parser) parenExpr() (query.Node, error) {
-	if err := p.expectPunct("("); err != nil {
+// aggregates reads aggregate, … [by attr, …].
+func (p parser) aggregates() (aggs []algebra.AggSpec, by []string, err error) {
+	for {
+		fnTok, err := p.Next()
+		if err != nil {
+			return nil, nil, err
+		}
+		spec, err := p.Aggregate(fnTok)
+		if err != nil {
+			return nil, nil, err
+		}
+		aggs = append(aggs, spec)
+		if !p.Accept(",") {
+			break
+		}
+	}
+	if p.AcceptKeyword("by") {
+		by, err = p.Names()
+	}
+	return aggs, by, err
+}
+
+// binary reads (expr, expr) after the operator op.
+func (p parser) binary(op lexer.Token) (query.Node, error) {
+	if err := p.ExpectPunct("("); err != nil {
+		return nil, err
+	}
+	left, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.ExpectPunct(","); err != nil {
+		return nil, err
+	}
+	right, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.ExpectPunct(")"); err != nil {
+		return nil, err
+	}
+	switch {
+	case op.IsKeyword("join"):
+		return query.NewJoin(left, right), nil
+	case op.IsKeyword("union"):
+		return query.NewUnion(left, right), nil
+	case op.IsKeyword("intersect"):
+		return query.NewIntersect(left, right), nil
+	}
+	return query.NewDiff(left, right), nil
+}
+
+func (p parser) parenExpr() (query.Node, error) {
+	if err := p.ExpectPunct("("); err != nil {
 		return nil, err
 	}
 	n, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-func (p *parser) bracketNames() ([]string, error) {
-	if err := p.expectPunct("["); err != nil {
-		return nil, err
-	}
-	var out []string
-	for {
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, name)
-		tok, err := p.lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.Is("]") {
-			return out, nil
-		}
-		if !tok.Is(",") {
-			return nil, p.errf(tok, "expected ',' or ']', got %s", tok)
-		}
-	}
-}
-
-// formula := orTerm { "or" orTerm }
-func (p *parser) formula() (algebra.Formula, error) {
-	left, err := p.andFormula()
-	if err != nil {
-		return nil, err
-	}
-	terms := []algebra.Formula{left}
-	for {
-		tok, err := p.lx.Peek()
-		if err != nil {
-			return nil, err
-		}
-		if !tok.IsKeyword("or") {
-			break
-		}
-		_, _ = p.lx.Next()
-		right, err := p.andFormula()
-		if err != nil {
-			return nil, err
-		}
-		terms = append(terms, right)
-	}
-	if len(terms) == 1 {
-		return terms[0], nil
-	}
-	return algebra.NewOr(terms...), nil
-}
-
-// andFormula := unary { "and" unary }
-func (p *parser) andFormula() (algebra.Formula, error) {
-	left, err := p.unaryFormula()
-	if err != nil {
-		return nil, err
-	}
-	terms := []algebra.Formula{left}
-	for {
-		tok, err := p.lx.Peek()
-		if err != nil {
-			return nil, err
-		}
-		if !tok.IsKeyword("and") {
-			break
-		}
-		_, _ = p.lx.Next()
-		right, err := p.unaryFormula()
-		if err != nil {
-			return nil, err
-		}
-		terms = append(terms, right)
-	}
-	if len(terms) == 1 {
-		return terms[0], nil
-	}
-	return algebra.NewAnd(terms...), nil
-}
-
-// unaryFormula := "not" "(" formula ")" | "(" formula ")" | "true" | cmp
-func (p *parser) unaryFormula() (algebra.Formula, error) {
-	tok, err := p.lx.Peek()
-	if err != nil {
-		return nil, err
-	}
-	if tok.IsKeyword("not") {
-		_, _ = p.lx.Next()
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		inner, err := p.formula()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return algebra.NewNot(inner), nil
-	}
-	if tok.Is("(") {
-		_, _ = p.lx.Next()
-		inner, err := p.formula()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return inner, nil
-	}
-	// "true" alone (as emitted by algebra.True.String).
-	if tok.IsKeyword("true") {
-		// Could also be the left side of a comparison like true = x — the
-		// algebra never emits that, so treat bare true as the constant.
-		_, _ = p.lx.Next()
-		nx, err := p.lx.Peek()
-		if err != nil {
-			return nil, err
-		}
-		if op, isCmp := cmpOpFromToken(nx); isCmp {
-			_, _ = p.lx.Next()
-			right, err := p.operand()
-			if err != nil {
-				return nil, err
-			}
-			return algebra.Compare(algebra.Const(value.NewBool(true)), op, right), nil
-		}
-		return algebra.True{}, nil
-	}
-	left, err := p.operand()
-	if err != nil {
-		return nil, err
-	}
-	opTok, err := p.lx.Next()
-	if err != nil {
-		return nil, err
-	}
-	op, ok := cmpOpFromToken(opTok)
-	if !ok {
-		return nil, p.errf(opTok, "expected comparison operator, got %s", opTok)
-	}
-	right, err := p.operand()
-	if err != nil {
-		return nil, err
-	}
-	return algebra.Compare(left, op, right), nil
-}
-
-func cmpOpFromToken(tok lexer.Token) (algebra.CmpOp, bool) {
-	if tok.Kind == lexer.Punct {
-		return algebra.CmpOpFromString(tok.Text)
-	}
-	if tok.IsKeyword("contains") {
-		return algebra.Contains, true
-	}
-	return 0, false
-}
-
-func (p *parser) operand() (algebra.Operand, error) {
-	tok, err := p.lx.Next()
-	if err != nil {
-		return algebra.Operand{}, err
-	}
-	if tok.Kind == lexer.Ident && !tok.IsKeyword("true") && !tok.IsKeyword("false") && !tok.IsKeyword("null") {
-		return algebra.Attr(tok.Text), nil
-	}
-	v, err := p.literal(tok)
-	if err != nil {
-		return algebra.Operand{}, err
-	}
-	return algebra.Const(v), nil
-}
-
-func (p *parser) literal(tok lexer.Token) (value.Value, error) {
-	switch {
-	case tok.Kind == lexer.String:
-		return value.NewString(tok.Text), nil
-	case tok.Kind == lexer.Number:
-		return value.Parse(tok.Text)
-	case tok.IsKeyword("true"):
-		return value.NewBool(true), nil
-	case tok.IsKeyword("false"):
-		return value.NewBool(false), nil
-	case tok.IsKeyword("null"), tok.Is("*"):
-		return value.NewNull(), nil
-	}
-	return value.Value{}, p.errf(tok, "expected literal, got %s", tok)
+	return n, p.ExpectPunct(")")
 }

@@ -189,10 +189,12 @@ func TestParseErrors(t *testing.T) {
 		`window[0](r)`,
 		`window[-1](r)`,
 		`window[1.5](r)`,
+		`window[x](r)`,
 		`stream[bogus](r)`,
 		`join(a)`,
 		`join(a, b`,
 		`union(a, b) trailing`,
+		`union(a, b); trailing`,
 		`unknownop[x](r)`,
 	}
 	for _, src := range bad {

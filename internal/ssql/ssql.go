@@ -19,16 +19,16 @@
 //	WHERE location = "office"
 //	STREAMING insertion;
 //
-// Grammar:
+// Grammar (formula, term, aggregate, period, kind and invoke are the
+// grammar SAL shares, read by internal/syntax):
 //
-//	query   := [EXPLAIN [ANALYZE]] SELECT items FROM source {NATURAL JOIN source}
-//	           [SET assign {, assign}] [USING inv {, inv}]
-//	           [WHERE formula] [GROUP BY idents] [STREAMING kind] [;]
+//	query   := SELECT items FROM source {NATURAL JOIN source}
+//	           {SET assign {, assign} | USING invoke {, invoke}
+//	            | WHERE formula | GROUP BY idents | STREAMING kind} [;]
 //	items   := '*' | item {, item}
-//	item    := ident | agg '(' (ident|'*') ')' [AS ident]
+//	item    := ident | aggregate
 //	source  := ident [ '[' period ']' ]            -- window over a stream
-//	assign  := ident (':=' | '=') (literal | ident)
-//	inv     := protoName [ '@' serviceAttr ]
+//	assign  := ident (':=' | '=') term
 //
 // Semantics: WHERE is declarative — each top-level conjunct is applied at
 // the earliest point of the plan where it is legal (all referenced
@@ -42,45 +42,40 @@ package ssql
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"serena/internal/algebra"
 	"serena/internal/lexer"
 	"serena/internal/query"
+	"serena/internal/syntax"
 	"serena/internal/value"
 )
 
-// Statement is a compiled Serena SQL query.
-type Statement struct {
-	// Root is the compiled algebra plan.
-	Root query.Node
-	// Text is the SAL rendering of the plan.
-	Text string
-	// Explain marks an EXPLAIN-prefixed statement: the caller should show
-	// the plan (and optimization steps) instead of returning rows.
-	Explain bool
-	// Analyze additionally requests traced execution (EXPLAIN ANALYZE):
-	// run the plan and annotate every operator with rows and wall time.
-	Analyze bool
-}
-
-// Compile parses src and compiles it against the environment (schemas are
-// needed to place WHERE conjuncts and validate attributes).
-func Compile(src string, env query.Environment) (*Statement, error) {
-	p := &parser{lx: lexer.New(src)}
-	q, err := p.parse()
+// Compile parses src and binds it to the environment (schemas are needed
+// to place WHERE conjuncts and validate attributes).
+func Compile(src string, env query.Environment) (query.Node, error) {
+	p := syntax.New(src, "ssql")
+	s, err := ParseSelect(p)
+	if err == nil {
+		err = p.End()
+	}
 	if err != nil {
 		return nil, err
 	}
-	root, err := q.compile(env)
-	if err != nil {
-		return nil, err
-	}
-	return &Statement{Root: root, Text: root.String(), Explain: q.explain, Analyze: q.analyze}, nil
+	return s.Bind(env)
 }
 
-// ---------------------------------------------------------------------------
-// AST of the surface language.
+// Select is a parsed SELECT statement, not yet bound to an environment.
+type Select struct {
+	star      bool
+	items     []selectItem
+	sources   []sourceRef
+	assigns   []assignClause
+	invokes   []invokeClause
+	where     []algebra.Formula // top-level conjuncts
+	groupBy   []string
+	streaming *query.StreamKind
+}
 
 type selectItem struct {
 	attr string           // plain attribute, or
@@ -96,7 +91,6 @@ type assignClause struct {
 	attr    string
 	src     string      // attribute copy, or
 	literal value.Value // constant
-	isAttr  bool
 }
 
 type invokeClause struct {
@@ -104,497 +98,145 @@ type invokeClause struct {
 	svcAttr string
 }
 
-type ast struct {
-	star      bool
-	items     []selectItem
-	sources   []sourceRef
-	assigns   []assignClause
-	invokes   []invokeClause
-	where     []algebra.Formula // top-level conjuncts
-	groupBy   []string
-	streaming *query.StreamKind
-	explain   bool
-	analyze   bool
-}
-
-// ---------------------------------------------------------------------------
-// Parser.
-
-type parser struct{ lx *lexer.Lexer }
-
-func (p *parser) errf(tok lexer.Token, format string, args ...any) error {
-	return fmt.Errorf("ssql: line %d:%d: %s", tok.Line, tok.Col, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) ident() (string, error) {
-	tok, err := p.lx.Next()
-	if err != nil {
-		return "", err
-	}
-	if tok.Kind != lexer.Ident {
-		return "", p.errf(tok, "expected identifier, got %s", tok)
-	}
-	return tok.Text, nil
-}
-
-func (p *parser) expectKeyword(kw string) error {
-	tok, err := p.lx.Next()
-	if err != nil {
-		return err
-	}
-	if !tok.IsKeyword(kw) {
-		return p.errf(tok, "expected %s, got %s", strings.ToUpper(kw), tok)
-	}
-	return nil
-}
-
-func (p *parser) peekKeyword(kw string) bool {
-	tok, err := p.lx.Peek()
-	return err == nil && tok.IsKeyword(kw)
-}
-
-func (p *parser) parse() (*ast, error) {
-	q := &ast{}
-	// Optional EXPLAIN [ANALYZE] prefix.
-	if p.peekKeyword("EXPLAIN") {
-		_, _ = p.lx.Next()
-		q.explain = true
-		if p.peekKeyword("ANALYZE") {
-			_, _ = p.lx.Next()
-			q.analyze = true
-		}
-	}
-	if err := p.expectKeyword("SELECT"); err != nil {
+// ParseSelect reads one SELECT statement from p, up to a ';' or the end of
+// input, which it leaves unread.
+func ParseSelect(p *syntax.Parser) (*Select, error) {
+	s := &Select{}
+	if err := p.ExpectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	if err := p.selectList(q); err != nil {
+	if err := s.selectList(p); err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("FROM"); err != nil {
+	if err := p.ExpectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	if err := p.fromClause(q); err != nil {
+	if err := s.fromClause(p); err != nil {
 		return nil, err
 	}
 	for {
-		tok, err := p.lx.Peek()
+		var err error
+		switch {
+		case p.AcceptKeyword("SET"):
+			err = s.setClause(p)
+		case p.AcceptKeyword("USING"):
+			err = s.usingClause(p)
+		case p.AcceptKeyword("WHERE"):
+			var f algebra.Formula
+			f, err = p.Formula()
+			s.where = splitConjuncts(f)
+		case p.AcceptKeyword("GROUP"):
+			if err = p.ExpectKeyword("BY"); err == nil {
+				s.groupBy, err = p.Names()
+			}
+		case p.AcceptKeyword("STREAMING"):
+			var kind query.StreamKind
+			kind, err = p.StreamKind()
+			s.streaming = &kind
+		default:
+			tok, err := p.Peek()
+			switch {
+			case err != nil:
+				return nil, err
+			case tok.Is(";") || tok.Kind == lexer.EOF:
+				return s, nil
+			}
+			return nil, p.Errf(tok, "unexpected %s", tok)
+		}
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case tok.IsKeyword("SET"):
-			_, _ = p.lx.Next()
-			if err := p.setClause(q); err != nil {
-				return nil, err
-			}
-		case tok.IsKeyword("USING"):
-			_, _ = p.lx.Next()
-			if err := p.usingClause(q); err != nil {
-				return nil, err
-			}
-		case tok.IsKeyword("WHERE"):
-			_, _ = p.lx.Next()
-			f, err := p.formula()
-			if err != nil {
-				return nil, err
-			}
-			q.where = splitConjuncts(f)
-		case tok.IsKeyword("GROUP"):
-			_, _ = p.lx.Next()
-			if err := p.expectKeyword("BY"); err != nil {
-				return nil, err
-			}
-			for {
-				name, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				q.groupBy = append(q.groupBy, name)
-				nx, err := p.lx.Peek()
-				if err != nil {
-					return nil, err
-				}
-				if !nx.Is(",") {
-					break
-				}
-				_, _ = p.lx.Next()
-			}
-		case tok.IsKeyword("STREAMING"):
-			_, _ = p.lx.Next()
-			kindName, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			kind, ok := query.StreamKindFromString(strings.ToLower(kindName))
-			if !ok {
-				return nil, p.errf(tok, "unknown streaming type %q", kindName)
-			}
-			q.streaming = &kind
-		case tok.Is(";"):
-			_, _ = p.lx.Next()
-			return p.finish(q)
-		case tok.Kind == lexer.EOF:
-			return p.finish(q)
-		default:
-			return nil, p.errf(tok, "unexpected %s", tok)
-		}
 	}
 }
 
-func (p *parser) finish(q *ast) (*ast, error) {
-	tok, err := p.lx.Next()
-	if err != nil {
-		return nil, err
-	}
-	if tok.Kind != lexer.EOF {
-		return nil, p.errf(tok, "trailing input %s", tok)
-	}
-	return q, nil
-}
-
-func (p *parser) selectList(q *ast) error {
-	tok, err := p.lx.Peek()
-	if err != nil {
-		return err
-	}
-	if tok.Is("*") {
-		_, _ = p.lx.Next()
-		q.star = true
+func (s *Select) selectList(p *syntax.Parser) error {
+	if p.Accept("*") {
+		s.star = true
 		return nil
 	}
 	for {
-		item, err := p.selectItem()
+		tok, err := p.Next()
 		if err != nil {
 			return err
 		}
-		q.items = append(q.items, item)
-		nx, err := p.lx.Peek()
-		if err != nil {
-			return err
+		if tok.Kind != lexer.Ident {
+			return p.Errf(tok, "expected attribute or aggregate, got %s", tok)
 		}
-		if !nx.Is(",") {
-			return nil
-		}
-		_, _ = p.lx.Next()
-	}
-}
-
-func (p *parser) selectItem() (selectItem, error) {
-	nameTok, err := p.lx.Next()
-	if err != nil {
-		return selectItem{}, err
-	}
-	if nameTok.Kind != lexer.Ident {
-		return selectItem{}, p.errf(nameTok, "expected attribute or aggregate, got %s", nameTok)
-	}
-	nx, err := p.lx.Peek()
-	if err != nil {
-		return selectItem{}, err
-	}
-	if !nx.Is("(") {
-		return selectItem{attr: nameTok.Text}, nil
-	}
-	fn, ok := algebra.AggFuncFromString(strings.ToLower(nameTok.Text))
-	if !ok {
-		return selectItem{}, p.errf(nameTok, "unknown aggregate function %q", nameTok.Text)
-	}
-	_, _ = p.lx.Next() // '('
-	attrTok, err := p.lx.Next()
-	if err != nil {
-		return selectItem{}, err
-	}
-	attr := ""
-	switch {
-	case attrTok.Is("*"):
-		if fn != algebra.Count {
-			return selectItem{}, p.errf(attrTok, "only count may use '*'")
-		}
-	case attrTok.Kind == lexer.Ident:
-		attr = attrTok.Text
-	default:
-		return selectItem{}, p.errf(attrTok, "expected attribute or '*', got %s", attrTok)
-	}
-	closeTok, err := p.lx.Next()
-	if err != nil {
-		return selectItem{}, err
-	}
-	if !closeTok.Is(")") {
-		return selectItem{}, p.errf(closeTok, "expected ')', got %s", closeTok)
-	}
-	as := fn.String()
-	if attr != "" {
-		as = fn.String() + "_" + attr
-	}
-	if p.peekKeyword("AS") {
-		_, _ = p.lx.Next()
-		as, err = p.ident()
-		if err != nil {
-			return selectItem{}, err
-		}
-	}
-	return selectItem{agg: &algebra.AggSpec{Func: fn, Attr: attr, As: as}}, nil
-}
-
-func (p *parser) fromClause(q *ast) error {
-	for {
-		src, err := p.source()
-		if err != nil {
-			return err
-		}
-		q.sources = append(q.sources, src)
-		if !p.peekKeyword("NATURAL") {
-			return nil
-		}
-		_, _ = p.lx.Next()
-		if err := p.expectKeyword("JOIN"); err != nil {
-			return err
-		}
-	}
-}
-
-func (p *parser) source() (sourceRef, error) {
-	name, err := p.ident()
-	if err != nil {
-		return sourceRef{}, err
-	}
-	src := sourceRef{name: name}
-	nx, err := p.lx.Peek()
-	if err != nil {
-		return sourceRef{}, err
-	}
-	if nx.Is("[") {
-		_, _ = p.lx.Next()
-		numTok, err := p.lx.Next()
-		if err != nil {
-			return sourceRef{}, err
-		}
-		v, perr := value.Parse(numTok.Text)
-		if numTok.Kind != lexer.Number || perr != nil || v.Kind() != value.Int || v.Int() < 1 {
-			return sourceRef{}, p.errf(numTok, "window period must be a positive integer")
-		}
-		src.window = v.Int()
-		closeTok, err := p.lx.Next()
-		if err != nil {
-			return sourceRef{}, err
-		}
-		if !closeTok.Is("]") {
-			return sourceRef{}, p.errf(closeTok, "expected ']', got %s", closeTok)
-		}
-	}
-	return src, nil
-}
-
-func (p *parser) setClause(q *ast) error {
-	for {
-		attr, err := p.ident()
-		if err != nil {
-			return err
-		}
-		opTok, err := p.lx.Next()
-		if err != nil {
-			return err
-		}
-		if !opTok.Is(":=") && !opTok.Is("=") {
-			return p.errf(opTok, "expected ':=' or '=', got %s", opTok)
-		}
-		valTok, err := p.lx.Next()
-		if err != nil {
-			return err
-		}
-		ac := assignClause{attr: attr}
-		if valTok.Kind == lexer.Ident && !valTok.IsKeyword("true") && !valTok.IsKeyword("false") && !valTok.IsKeyword("null") {
-			ac.src, ac.isAttr = valTok.Text, true
-		} else {
-			v, err := literal(valTok)
+		item := selectItem{attr: tok.Text}
+		if p.PeekIs("(") {
+			spec, err := p.Aggregate(tok)
 			if err != nil {
-				return p.errf(valTok, "%v", err)
+				return err
 			}
-			ac.literal = v
+			item = selectItem{agg: &spec}
 		}
-		q.assigns = append(q.assigns, ac)
-		nx, err := p.lx.Peek()
-		if err != nil {
-			return err
-		}
-		if !nx.Is(",") {
+		s.items = append(s.items, item)
+		if !p.Accept(",") {
 			return nil
 		}
-		_, _ = p.lx.Next()
 	}
 }
 
-func (p *parser) usingClause(q *ast) error {
+func (s *Select) fromClause(p *syntax.Parser) error {
 	for {
-		proto, err := p.ident()
+		name, err := p.Ident()
 		if err != nil {
 			return err
 		}
-		inv := invokeClause{proto: proto}
-		nx, err := p.lx.Peek()
-		if err != nil {
-			return err
-		}
-		if nx.Is("@") {
-			_, _ = p.lx.Next()
-			inv.svcAttr, err = p.ident()
+		src := sourceRef{name: name}
+		if p.Accept("[") {
+			if src.window, err = p.Period(); err == nil {
+				err = p.ExpectPunct("]")
+			}
 			if err != nil {
 				return err
 			}
 		}
-		q.invokes = append(q.invokes, inv)
-		nx, err = p.lx.Peek()
+		s.sources = append(s.sources, src)
+		if !p.AcceptKeyword("NATURAL") {
+			return nil
+		}
+		if err := p.ExpectKeyword("JOIN"); err != nil {
+			return err
+		}
+	}
+}
+
+func (s *Select) setClause(p *syntax.Parser) error {
+	for {
+		attr, err := p.Ident()
 		if err != nil {
 			return err
 		}
-		if !nx.Is(",") {
+		if !p.Accept(":=") && !p.Accept("=") {
+			tok, err := p.Next()
+			if err == nil {
+				err = p.Errf(tok, "expected ':=' or '=', got %s", tok)
+			}
+			return err
+		}
+		a := assignClause{attr: attr}
+		if a.literal, a.src, err = p.Term(); err != nil {
+			return err
+		}
+		s.assigns = append(s.assigns, a)
+		if !p.Accept(",") {
 			return nil
 		}
-		_, _ = p.lx.Next()
 	}
 }
 
-// formula parses WHERE expressions (same grammar as SAL, AND/OR/NOT with
-// comparisons).
-func (p *parser) formula() (algebra.Formula, error) {
-	left, err := p.andFormula()
-	if err != nil {
-		return nil, err
-	}
-	terms := []algebra.Formula{left}
-	for p.peekKeyword("or") {
-		_, _ = p.lx.Next()
-		right, err := p.andFormula()
+func (s *Select) usingClause(p *syntax.Parser) error {
+	for {
+		proto, svcAttr, err := p.Invocation()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		terms = append(terms, right)
-	}
-	if len(terms) == 1 {
-		return terms[0], nil
-	}
-	return algebra.NewOr(terms...), nil
-}
-
-func (p *parser) andFormula() (algebra.Formula, error) {
-	left, err := p.unaryFormula()
-	if err != nil {
-		return nil, err
-	}
-	terms := []algebra.Formula{left}
-	for p.peekKeyword("and") {
-		_, _ = p.lx.Next()
-		right, err := p.unaryFormula()
-		if err != nil {
-			return nil, err
+		s.invokes = append(s.invokes, invokeClause{proto: proto, svcAttr: svcAttr})
+		if !p.Accept(",") {
+			return nil
 		}
-		terms = append(terms, right)
 	}
-	if len(terms) == 1 {
-		return terms[0], nil
-	}
-	return algebra.NewAnd(terms...), nil
-}
-
-func (p *parser) unaryFormula() (algebra.Formula, error) {
-	tok, err := p.lx.Peek()
-	if err != nil {
-		return nil, err
-	}
-	if tok.IsKeyword("not") {
-		_, _ = p.lx.Next()
-		open, err := p.lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !open.Is("(") {
-			return nil, p.errf(open, "expected '(' after NOT")
-		}
-		inner, err := p.formula()
-		if err != nil {
-			return nil, err
-		}
-		closeTok, err := p.lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !closeTok.Is(")") {
-			return nil, p.errf(closeTok, "expected ')'")
-		}
-		return algebra.NewNot(inner), nil
-	}
-	if tok.Is("(") {
-		_, _ = p.lx.Next()
-		inner, err := p.formula()
-		if err != nil {
-			return nil, err
-		}
-		closeTok, err := p.lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !closeTok.Is(")") {
-			return nil, p.errf(closeTok, "expected ')'")
-		}
-		return inner, nil
-	}
-	leftTok, err := p.lx.Next()
-	if err != nil {
-		return nil, err
-	}
-	left, err := operandFromToken(leftTok)
-	if err != nil {
-		return nil, p.errf(leftTok, "%v", err)
-	}
-	opTok, err := p.lx.Next()
-	if err != nil {
-		return nil, err
-	}
-	var op algebra.CmpOp
-	ok := false
-	if opTok.Kind == lexer.Punct {
-		op, ok = algebra.CmpOpFromString(opTok.Text)
-	} else if opTok.IsKeyword("contains") {
-		op, ok = algebra.Contains, true
-	}
-	if !ok {
-		return nil, p.errf(opTok, "expected comparison operator, got %s", opTok)
-	}
-	rightTok, err := p.lx.Next()
-	if err != nil {
-		return nil, err
-	}
-	right, err := operandFromToken(rightTok)
-	if err != nil {
-		return nil, p.errf(rightTok, "%v", err)
-	}
-	return algebra.Compare(left, op, right), nil
-}
-
-func operandFromToken(tok lexer.Token) (algebra.Operand, error) {
-	if tok.Kind == lexer.Ident && !tok.IsKeyword("true") && !tok.IsKeyword("false") && !tok.IsKeyword("null") {
-		return algebra.Attr(tok.Text), nil
-	}
-	v, err := literal(tok)
-	if err != nil {
-		return algebra.Operand{}, err
-	}
-	return algebra.Const(v), nil
-}
-
-func literal(tok lexer.Token) (value.Value, error) {
-	switch {
-	case tok.Kind == lexer.String:
-		return value.NewString(tok.Text), nil
-	case tok.Kind == lexer.Number:
-		return value.Parse(tok.Text)
-	case tok.IsKeyword("true"):
-		return value.NewBool(true), nil
-	case tok.IsKeyword("false"):
-		return value.NewBool(false), nil
-	case tok.IsKeyword("null"), tok.Is("*"):
-		return value.NewNull(), nil
-	}
-	return value.Value{}, fmt.Errorf("expected literal, got %s", tok)
 }
 
 // splitConjuncts flattens top-level ANDs into independent conjuncts.
@@ -612,13 +254,15 @@ func splitConjuncts(f algebra.Formula) []algebra.Formula {
 // ---------------------------------------------------------------------------
 // Compilation.
 
-func (q *ast) compile(env query.Environment) (query.Node, error) {
-	if len(q.sources) == 0 {
+// Bind compiles the statement onto the algebra over env's schemas, which
+// place each WHERE conjunct and validate every attribute.
+func (s *Select) Bind(env query.Environment) (query.Node, error) {
+	if len(s.sources) == 0 {
 		return nil, fmt.Errorf("ssql: no FROM source")
 	}
 	// Sources and joins.
 	var node query.Node
-	for i, src := range q.sources {
+	for i, src := range s.sources {
 		var n query.Node = query.NewBase(src.name)
 		if src.window > 0 {
 			n = query.NewWindow(n, src.window)
@@ -629,14 +273,14 @@ func (q *ast) compile(env query.Environment) (query.Node, error) {
 			node = query.NewJoin(node, n)
 		}
 	}
-	pending := append([]algebra.Formula(nil), q.where...)
+	pending := append([]algebra.Formula(nil), s.where...)
 	var err error
 	if node, pending, err = applyReady(node, pending, env); err != nil {
 		return nil, err
 	}
 	// SET assignments.
-	for _, a := range q.assigns {
-		if a.isAttr {
+	for _, a := range s.assigns {
+		if a.src != "" {
 			node = query.NewAssignAttr(node, a.attr, a.src)
 		} else {
 			node = query.NewAssignConst(node, a.attr, a.literal)
@@ -646,7 +290,7 @@ func (q *ast) compile(env query.Environment) (query.Node, error) {
 		}
 	}
 	// USING invocations, each followed by newly-enabled conjuncts.
-	for _, inv := range q.invokes {
+	for _, inv := range s.invokes {
 		node = query.NewInvoke(node, inv.proto, inv.svcAttr)
 		if node, pending, err = applyReady(node, pending, env); err != nil {
 			return nil, err
@@ -666,7 +310,7 @@ func (q *ast) compile(env query.Environment) (query.Node, error) {
 	// SELECT list: aggregation or projection.
 	var aggs []algebra.AggSpec
 	var plain []string
-	for _, it := range q.items {
+	for _, it := range s.items {
 		if it.agg != nil {
 			aggs = append(aggs, *it.agg)
 		} else {
@@ -675,26 +319,26 @@ func (q *ast) compile(env query.Environment) (query.Node, error) {
 	}
 	switch {
 	case len(aggs) > 0:
-		groupBy := q.groupBy
+		groupBy := s.groupBy
 		if len(groupBy) == 0 {
 			groupBy = plain // SELECT location, mean(x) … implies grouping
 		} else {
 			for _, a := range plain {
-				if !contains(groupBy, a) {
+				if !slices.Contains(groupBy, a) {
 					return nil, fmt.Errorf("ssql: selected attribute %q is neither aggregated nor in GROUP BY", a)
 				}
 			}
 		}
 		node = query.NewAggregate(node, groupBy, aggs)
-	case len(q.groupBy) > 0:
+	case len(s.groupBy) > 0:
 		return nil, fmt.Errorf("ssql: GROUP BY requires at least one aggregate in the SELECT list")
-	case q.star:
+	case s.star:
 		// keep full schema
 	default:
 		node = query.NewProject(node, plain...)
 	}
-	if q.streaming != nil {
-		node = query.NewStream(node, *q.streaming)
+	if s.streaming != nil {
+		node = query.NewStream(node, *s.streaming)
 	}
 	// Final validation.
 	if _, err := node.ResultSchema(env); err != nil {
@@ -719,13 +363,4 @@ func applyReady(node query.Node, pending []algebra.Formula, env query.Environmen
 		}
 	}
 	return node, left, nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -21,7 +21,7 @@ func paperEnv() (query.MapEnv, *service.Registry, *paperenv.Devices) {
 	return env, reg, dev
 }
 
-func compile(t *testing.T, src string, env query.Environment) *ssql.Statement {
+func compile(t *testing.T, src string, env query.Environment) query.Node {
 	t.Helper()
 	st, err := ssql.Compile(src, env)
 	if err != nil {
@@ -33,7 +33,7 @@ func compile(t *testing.T, src string, env query.Environment) *ssql.Statement {
 func TestSelectProjectWhere(t *testing.T) {
 	env, reg, _ := paperEnv()
 	st := compile(t, `SELECT name, address FROM contacts WHERE name != "Carla"`, env)
-	res, err := query.Evaluate(st.Root, env, reg, 0)
+	res, err := query.Evaluate(st, env, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSelectProjectWhere(t *testing.T) {
 func TestSelectStar(t *testing.T) {
 	env, reg, _ := paperEnv()
 	st := compile(t, `SELECT * FROM contacts`, env)
-	res, err := query.Evaluate(st.Root, env, reg, 0)
+	res, err := query.Evaluate(st, env, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func TestQ1SemanticsWhereBeforeActiveInvoke(t *testing.T) {
 		SET text := "Bonjour!"
 		USING sendMessage
 		WHERE name != "Carla"`, env)
-	if !strings.Contains(st.Text, `invoke[sendMessage](assign[text := "Bonjour!"](select[name != "Carla"]`) {
-		t.Fatalf("WHERE not placed before the active invoke:\n%s", st.Text)
+	if !strings.Contains(st.String(), `invoke[sendMessage](assign[text := "Bonjour!"](select[name != "Carla"]`) {
+		t.Fatalf("WHERE not placed before the active invoke:\n%s", st.String())
 	}
-	res, err := query.Evaluate(st.Root, env, reg, 0)
+	res, err := query.Evaluate(st, env, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestQ2TwoInvokesWithSplitWhere(t *testing.T) {
 		USING checkPhoto, takePhoto
 		WHERE area = "office" AND quality >= 5`, env)
 	// area conjunct sits below checkPhoto; quality between check and take.
-	if !strings.Contains(st.Text, `invoke[checkPhoto](select[area = "office"](cameras))`) {
-		t.Fatalf("area filter not pushed to the base:\n%s", st.Text)
+	if !strings.Contains(st.String(), `invoke[checkPhoto](select[area = "office"](cameras))`) {
+		t.Fatalf("area filter not pushed to the base:\n%s", st.String())
 	}
-	if !strings.Contains(st.Text, `invoke[takePhoto](select[quality >= 5]`) {
-		t.Fatalf("quality filter not placed after checkPhoto:\n%s", st.Text)
+	if !strings.Contains(st.String(), `invoke[takePhoto](select[quality >= 5]`) {
+		t.Fatalf("quality filter not placed after checkPhoto:\n%s", st.String())
 	}
-	res, err := query.Evaluate(st.Root, env, reg, 0)
+	res, err := query.Evaluate(st, env, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestNaturalJoinAndGroupBy(t *testing.T) {
 	env, reg, _ := paperEnv()
 	st := compile(t, `SELECT location, mean(temperature) AS avgtemp
 		FROM sensors USING getTemperature GROUP BY location`, env)
-	res, err := query.Evaluate(st.Root, env, reg, 0)
+	res, err := query.Evaluate(st, env, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestNaturalJoinAndGroupBy(t *testing.T) {
 	}
 	// Implicit grouping: plain attrs become the grouping key.
 	st2 := compile(t, `SELECT location, count(*) AS n FROM sensors`, env)
-	res2, err := query.Evaluate(st2.Root, env, reg, 0)
+	res2, err := query.Evaluate(st2, env, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestNaturalJoinAndGroupBy(t *testing.T) {
 func TestJoinQuery(t *testing.T) {
 	env, reg, _ := paperEnv()
 	st := compile(t, `SELECT name, location FROM contacts NATURAL JOIN surveillance`, env)
-	res, err := query.Evaluate(st.Root, env, reg, 0)
+	res, err := query.Evaluate(st, env, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestJoinQuery(t *testing.T) {
 func TestDefaultAggregateNames(t *testing.T) {
 	env, _, _ := paperEnv()
 	st := compile(t, `SELECT count(*), max(location) FROM surveillance`, env)
-	sch, err := st.Root.ResultSchema(env)
+	sch, err := st.ResultSchema(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestOrAndNotInWhere(t *testing.T) {
 	env, reg, _ := paperEnv()
 	st := compile(t, `SELECT name FROM contacts
 		WHERE (name = "Carla" OR name = "Nicolas") AND NOT (address contains "gouv")`, env)
-	res, err := query.Evaluate(st.Root, env, reg, 0)
+	res, err := query.Evaluate(st, env, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestOrAndNotInWhere(t *testing.T) {
 func TestSetFromAttribute(t *testing.T) {
 	env, reg, _ := paperEnv()
 	st := compile(t, `SELECT name, text FROM contacts SET text := address`, env)
-	res, err := query.Evaluate(st.Root, env, reg, 0)
+	res, err := query.Evaluate(st, env, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
